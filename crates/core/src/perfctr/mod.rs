@@ -25,7 +25,7 @@ pub mod groups;
 pub mod session;
 pub mod timeline;
 
-pub use formula::Formula;
+pub use formula::{BoundFormula, Formula};
 pub use groups::{group_definition, supported_groups, EventGroupKind, GroupDefinition};
 pub use session::{
     multiplex_note, parse_event_spec, parse_measurement_spec, Diagnostic, GroupCounts,

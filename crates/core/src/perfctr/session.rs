@@ -2,7 +2,6 @@
 //! result tables.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use likwid_perf_events::perfmon::slot_registers;
 use likwid_perf_events::{
@@ -11,7 +10,7 @@ use likwid_perf_events::{
 use likwid_x86_machine::{MachineError, SimMachine};
 
 use crate::error::{LikwidError, Result};
-use crate::perfctr::formula::Formula;
+use crate::perfctr::formula::{BoundFormula, Formula};
 use crate::perfctr::groups::{group_definition, EventGroupKind, GroupDefinition};
 use crate::report::{Ascii, Body, Render, Report, Row, Section, Table, Value};
 
@@ -102,8 +101,13 @@ pub fn multiplex_note() -> &'static str {
 struct ResolvedGroup {
     name: String,
     events: Vec<(String, CounterSlot, EventDefinition)>,
-    time_formula: String,
-    metrics: Vec<(String, String)>,
+    /// The time formula, bound to `inverseClock` followed by the counter
+    /// names in event order; present exactly when the group derives
+    /// metrics.
+    time: Option<BoundFormula>,
+    /// `(name, formula)` of every derived metric, bound to the time
+    /// formula's layout plus a trailing `time`.
+    metrics: Vec<(String, BoundFormula)>,
 }
 
 impl ResolvedGroup {
@@ -119,12 +123,24 @@ impl ResolvedGroup {
                     .ok_or_else(|| LikwidError::UnknownEvent(name.to_string()))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(ResolvedGroup {
-            name: def.kind.name().to_string(),
-            events,
-            time_formula: def.time_formula.to_string(),
-            metrics: def.metrics.iter().map(|(n, f)| (n.to_string(), f.to_string())).collect(),
-        })
+        // The value layout of every evaluation: `inverseClock`, the
+        // counters, then `time` (last, so it shadows any earlier entry of
+        // that name).
+        let mut layout = vec!["inverseClock".to_string()];
+        layout.extend(events.iter().map(|(_, slot, _)| slot.name()));
+        let counters = layout.len();
+        layout.push("time".to_string());
+        let time = if def.metrics.is_empty() {
+            None
+        } else {
+            Some(Formula::parse(def.time_formula)?.bind(&layout[..counters]))
+        };
+        let metrics = def
+            .metrics
+            .iter()
+            .map(|(n, f)| Ok((n.to_string(), Formula::parse(f)?.bind(&layout))))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ResolvedGroup { name: def.kind.name().to_string(), events, time, metrics })
     }
 
     fn from_custom(spec: &[(String, CounterSlot)], table: &EventTable) -> Result<Self> {
@@ -138,12 +154,7 @@ impl ResolvedGroup {
                     .ok_or_else(|| LikwidError::UnknownEvent(name.clone()))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(ResolvedGroup {
-            name: "CUSTOM".to_string(),
-            events,
-            time_formula: String::new(),
-            metrics: Vec::new(),
-        })
+        Ok(ResolvedGroup { name: "CUSTOM".to_string(), events, time: None, metrics: Vec::new() })
     }
 }
 
@@ -244,8 +255,9 @@ pub struct PerfCtr<'m> {
     cpus: Vec<usize>,
     groups: Vec<ResolvedGroup>,
     perfmon: PerfMon,
-    /// Socket → owning measured cpu (the "socket lock" of the paper).
-    socket_owner: HashMap<u32, usize>,
+    /// The first measured cpu of each socket: the owner of that socket's
+    /// uncore counters (the "socket lock" of the paper).
+    socket_owners: Vec<usize>,
     active_group: usize,
     schedule: MultiplexSchedule,
     /// Accumulated raw counts per group (multiplex mode).
@@ -310,10 +322,14 @@ impl<'m> PerfCtr<'m> {
 
         // Socket locks: the first measured cpu of each socket owns the uncore.
         let topo = machine.topology();
-        let mut socket_owner = HashMap::new();
+        let mut sockets = Vec::new();
+        let mut socket_owners = Vec::new();
         for &cpu in &config.cpus {
             let socket = topo.hw_thread(cpu)?.socket;
-            socket_owner.entry(socket).or_insert(cpu);
+            if !sockets.contains(&socket) {
+                sockets.push(socket);
+                socket_owners.push(cpu);
+            }
         }
 
         let perfmon = PerfMon::new(machine, &config.cpus)?;
@@ -350,7 +366,7 @@ impl<'m> PerfCtr<'m> {
             cpus: config.cpus,
             groups,
             perfmon,
-            socket_owner,
+            socket_owners,
             active_group: 0,
             schedule: MultiplexSchedule::new(num_groups),
             accumulated,
@@ -393,7 +409,7 @@ impl<'m> PerfCtr<'m> {
 
     /// Whether a cpu owns its socket's uncore counters in this session.
     pub fn owns_socket_lock(&self, cpu: usize) -> bool {
-        self.socket_owner.values().any(|&owner| owner == cpu)
+        self.socket_owners.contains(&cpu)
     }
 
     /// The socket-lock owners, in measured-cpu order.
@@ -789,31 +805,28 @@ impl<'m> PerfCtr<'m> {
         time_override: Option<f64>,
     ) -> Result<PerfCtrResults> {
         let g = &self.groups[group];
-        let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
-
-        let mut metrics = Vec::new();
-        if !g.metrics.is_empty() {
-            let time_formula = Formula::parse(&g.time_formula)?;
-            let parsed: Vec<(String, Formula)> = g
-                .metrics
-                .iter()
-                .map(|(n, f)| Formula::parse(f).map(|pf| (n.clone(), pf)))
-                .collect::<Result<Vec<_>>>()?;
-            for (name, f) in &parsed {
-                let mut per_cpu = Vec::with_capacity(self.cpus.len());
-                for ci in 0..self.cpus.len() {
-                    let mut vars: HashMap<String, f64> = HashMap::new();
-                    vars.insert("inverseClock".to_string(), inverse_clock);
-                    for (ei, (_, slot, _)) in g.events.iter().enumerate() {
-                        vars.insert(slot.name(), counts[ei][ci] as f64);
-                    }
-                    let time = match time_override {
-                        Some(dt) => dt,
-                        None => time_formula.evaluate(&vars)?,
-                    };
-                    vars.insert("time".to_string(), time);
-                    per_cpu.push(f.evaluate(&vars)?);
+        let mut metrics = Vec::with_capacity(g.metrics.len());
+        if let Some(time_formula) = &g.time {
+            // One row per measured cpu in the bound layout:
+            // `[inverseClock, counts…, time]`.
+            let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
+            let width = g.events.len() + 2;
+            let mut rows = vec![0.0; width * self.cpus.len()];
+            for (ci, row) in rows.chunks_exact_mut(width).enumerate() {
+                row[0] = inverse_clock;
+                for (value, per_cpu) in row[1..width - 1].iter_mut().zip(counts) {
+                    *value = per_cpu[ci] as f64;
                 }
+                row[width - 1] = match time_override {
+                    Some(dt) => dt,
+                    None => time_formula.evaluate(&row[..width - 1])?,
+                };
+            }
+            for (name, f) in &g.metrics {
+                let per_cpu = rows
+                    .chunks_exact(width)
+                    .map(|row| f.evaluate(row))
+                    .collect::<Result<Vec<_>>>()?;
                 metrics.push((name.clone(), per_cpu));
             }
         }

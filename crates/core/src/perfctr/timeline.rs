@@ -432,38 +432,9 @@ pub const DEMO_DURATION_S: f64 = 10e-3;
 /// sampling points than this is rejected as a usage error.
 pub const MAX_INTERVALS: usize = 100_000;
 
-/// The per-thread event kinds the demo application exercises.
-const DEMO_THREAD_KINDS: [HwEventKind; 17] = [
-    HwEventKind::InstructionsRetired,
-    HwEventKind::CoreCycles,
-    HwEventKind::ReferenceCycles,
-    HwEventKind::SimdPackedDouble,
-    HwEventKind::SimdScalarDouble,
-    HwEventKind::SimdPackedSingle,
-    HwEventKind::SimdScalarSingle,
-    HwEventKind::LoadsRetired,
-    HwEventKind::StoresRetired,
-    HwEventKind::BranchesRetired,
-    HwEventKind::BranchMispredictions,
-    HwEventKind::DtlbMisses,
-    HwEventKind::L1Accesses,
-    HwEventKind::L1Misses,
-    HwEventKind::L2Accesses,
-    HwEventKind::L2Misses,
-    HwEventKind::L2LinesIn,
-];
-
-/// The per-socket (uncore) event kinds the demo application exercises.
-const DEMO_UNCORE_KINDS: [HwEventKind; 8] = [
-    HwEventKind::L2LinesOut,
-    HwEventKind::L3Accesses,
-    HwEventKind::L3Misses,
-    HwEventKind::L3LinesIn,
-    HwEventKind::L3LinesOut,
-    HwEventKind::MemoryReads,
-    HwEventKind::MemoryWrites,
-    HwEventKind::UncoreCycles,
-];
+/// The demo application exercises every kind: those declared before this
+/// one on each measured hardware thread, this one and later per socket.
+const DEMO_FIRST_SOCKET_KIND: HwEventKind = HwEventKind::L2LinesOut;
 
 /// Event rates of the demo application per second of virtual time:
 /// `(memory-phase rate, compute-phase rate)`. Core-local kinds are per
@@ -520,8 +491,9 @@ pub fn demo_slice(machine: &SimMachine, cpus: &[usize], t0: f64, t1: f64) -> Eve
     let topo = machine.topology();
     let frequency_hz = machine.clock().frequency_hz;
     let mut sample = EventSample::new(topo.num_hw_threads(), topo.sockets as usize);
+    let (thread_kinds, socket_kinds) = HwEventKind::ALL.split_at(DEMO_FIRST_SOCKET_KIND as usize);
     for &cpu in cpus {
-        for kind in DEMO_THREAD_KINDS {
+        for &kind in thread_kinds {
             let delta =
                 demo_cumulative(kind, t1, frequency_hz) - demo_cumulative(kind, t0, frequency_hz);
             sample.threads[cpu].add(kind, delta);
@@ -534,7 +506,7 @@ pub fn demo_slice(machine: &SimMachine, cpus: &[usize], t0: f64, t1: f64) -> Eve
     sockets.sort_unstable();
     sockets.dedup();
     for socket in sockets {
-        for kind in DEMO_UNCORE_KINDS {
+        for &kind in socket_kinds {
             let delta =
                 demo_cumulative(kind, t1, frequency_hz) - demo_cumulative(kind, t0, frequency_hz);
             sample.sockets[socket].add(kind, delta);

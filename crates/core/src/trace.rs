@@ -817,10 +817,17 @@ mod tests {
             let _outer = span_with(cat::CORE, || "utest.outer".to_string());
             count(cat::CORE, "utest.counter", 2);
             std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _inner = span_with(cat::CORE, || "utest.inner".to_string());
-                    count(cat::CORE, "utest.counter", 3);
-                });
+                // Join explicitly: the scope's implicit wait can return
+                // before the thread's exit flush (a thread-local
+                // destructor) has run, while `join` waits for the thread
+                // to terminate.
+                scope
+                    .spawn(|| {
+                        let _inner = span_with(cat::CORE, || "utest.inner".to_string());
+                        count(cat::CORE, "utest.counter", 3);
+                    })
+                    .join()
+                    .expect("recording thread");
             });
         }
         let events = stop();

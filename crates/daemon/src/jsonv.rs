@@ -315,30 +315,58 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            // `pos` ends on the escape's last hex digit.
+                            let at = self.pos - 1;
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            let ch = if (0xD800..0xDC00).contains(&code) {
+                                // High surrogate: ASCII-only serializers
+                                // write astral characters as a pair.
+                                let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                    Some(b"\\u") => self.hex4(self.pos + 3)?,
+                                    _ => return Err(format!("lone high surrogate at byte {at}")),
+                                };
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(format!("invalid low surrogate at byte {at}"));
+                                }
+                                self.pos += 6;
+                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                            } else {
+                                // `None` only for 0xDC00..0xE000.
+                                char::from_u32(code)
+                            };
+                            out.push(ch.ok_or_else(|| format!("lone low surrogate at byte {at}"))?);
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain bytes up to the next quote or escape:
+                    // both are ASCII, so the run ends on a character
+                    // boundary of valid UTF-8.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
+        }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        match self.bytes.get(at..at + 4) {
+            Some(hex) if hex.iter().all(u8::is_ascii_hexdigit) => {
+                Ok(hex.iter().fold(0, |code, &b| {
+                    (code << 4) | (b as char).to_digit(16).expect("checked hex digit")
+                }))
+            }
+            Some(_) => Err(format!("bad \\u escape at byte {at}")),
+            None => Err("truncated \\u escape".to_string()),
         }
     }
 
@@ -373,6 +401,19 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_halves_are_rejected() {
+        let pair = JsonValue::parse(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(pair, JsonValue::Str("a\u{1F600}b".to_string()));
+        assert_eq!(JsonValue::parse(r#""\u00e9\u0041""#).unwrap(), JsonValue::Str("éA".into()));
+        for bad in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ud83d\u0041""#, r#""\ude00""#] {
+            assert!(JsonValue::parse(bad).unwrap_err().contains("surrogate"), "{bad}");
+        }
+        for bad in [r#""\u12""#, r#""\u+123""#, r#""\uzzzz""#] {
+            assert!(JsonValue::parse(bad).unwrap_err().contains("\\u escape"), "{bad}");
+        }
+    }
 
     #[test]
     fn u64_counts_round_trip_bit_exactly() {

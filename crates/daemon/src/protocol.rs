@@ -985,6 +985,18 @@ mod tests {
     }
 
     #[test]
+    fn astral_characters_survive_the_wire() {
+        let frame =
+            Frame::Error { kind: "usage".into(), message: "bad group 'M\u{1F600}M'".into() };
+        let line = frame.to_line();
+        assert_eq!(Frame::from_line(&line).unwrap(), frame);
+        // ASCII-only peers send the character as an escaped surrogate pair.
+        let escaped = line.replace('\u{1F600}', r"\ud83d\ude00");
+        assert_ne!(escaped, line);
+        assert_eq!(Frame::from_line(&escaped).unwrap(), frame);
+    }
+
+    #[test]
     fn error_frames_classify_the_error_kind() {
         let err = LikwidError::Protocol("bad".into());
         assert!(matches!(

@@ -35,7 +35,8 @@ impl EventEngine {
     }
 
     /// Credit all programmed and enabled counters of `machine` with the
-    /// activity described by `sample`.
+    /// activity described by `sample`. The machine's register file is
+    /// locked once for the whole sample, not once per register access.
     pub fn apply(&self, machine: &SimMachine, sample: &EventSample) {
         match self.arch.vendor() {
             Vendor::Intel => self.apply_intel(machine, sample),
@@ -52,7 +53,8 @@ impl EventEngine {
     }
 
     fn apply_intel(&self, machine: &SimMachine, sample: &EventSample) {
-        let msr = machine.msr_file();
+        let space = machine.msr_file().space();
+        let mut msr = space.write();
         let num_pmc = self.arch.num_pmc() as u32;
         let num_fixed = self.arch.num_fixed_counters() as u32;
 
@@ -83,7 +85,7 @@ impl EventEngine {
                     self.thread_count(sample, cpu, event.kind)
                 };
                 if delta > 0 {
-                    let _ = msr.increment(cpu, Msr::IA32_PMC0 + n, delta);
+                    let _ = msr.hardware_increment(cpu, Msr::IA32_PMC0 + n, delta);
                 }
             }
 
@@ -99,7 +101,11 @@ impl EventEngine {
                         if enable != 0 && global & (1 << (32 + n)) != 0 {
                             let delta = self.thread_count(sample, cpu, *kind);
                             if delta > 0 {
-                                let _ = msr.increment(cpu, Msr::IA32_FIXED_CTR0 + n as u32, delta);
+                                let _ = msr.hardware_increment(
+                                    cpu,
+                                    Msr::IA32_FIXED_CTR0 + n as u32,
+                                    delta,
+                                );
                             }
                         }
                     }
@@ -132,7 +138,7 @@ impl EventEngine {
                     };
                     let delta = self.socket_count(sample, socket as usize, event.kind);
                     if delta > 0 {
-                        let _ = msr.increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
+                        let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
                     }
                 }
                 if let Ok(fixed_ctrl) = msr.read(cpu, Msr::MSR_UNCORE_FIXED_CTR_CTRL) {
@@ -140,7 +146,7 @@ impl EventEngine {
                         let delta =
                             self.socket_count(sample, socket as usize, HwEventKind::UncoreCycles);
                         if delta > 0 {
-                            let _ = msr.increment(cpu, Msr::MSR_UNCORE_FIXED_CTR0, delta);
+                            let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_FIXED_CTR0, delta);
                         }
                     }
                 }
@@ -149,7 +155,8 @@ impl EventEngine {
     }
 
     fn apply_amd(&self, machine: &SimMachine, sample: &EventSample) {
-        let msr = machine.msr_file();
+        let space = machine.msr_file().space();
+        let mut msr = space.write();
         for cpu in 0..machine.num_hw_threads() {
             for n in 0..4u32 {
                 let Ok(sel) = msr.read(cpu, Msr::AMD_PERFEVTSEL0 + n) else { continue };
@@ -166,7 +173,7 @@ impl EventEngine {
                     self.thread_count(sample, cpu, event.kind)
                 };
                 if delta > 0 {
-                    let _ = msr.increment(cpu, Msr::AMD_PMC0 + n, delta);
+                    let _ = msr.hardware_increment(cpu, Msr::AMD_PMC0 + n, delta);
                 }
             }
         }

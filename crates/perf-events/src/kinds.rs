@@ -6,8 +6,12 @@
 //! simulated run — or a slice of one — as an [`EventSample`]: per hardware
 //! thread the core-local quantities, per socket the uncore quantities. The
 //! counting engine then credits whatever counters are programmed.
-
-use std::collections::HashMap;
+//!
+//! An [`EventRecord`] is a fixed array with one count per kind, indexed by
+//! the kind's declaration position: recording, reading and merging
+//! activity never hashes or allocates. A kind that was never set and one
+//! set to 0 are the same record, and iteration yields the non-zero kinds
+//! in declaration order.
 
 /// Microarchitectural quantities the simulated hardware can count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +69,38 @@ pub enum HwEventKind {
 }
 
 impl HwEventKind {
+    /// Number of kinds.
+    pub const COUNT: usize = HwEventKind::ALL.len();
+
+    /// Every kind, in declaration order.
+    pub const ALL: [HwEventKind; 25] = [
+        HwEventKind::InstructionsRetired,
+        HwEventKind::CoreCycles,
+        HwEventKind::ReferenceCycles,
+        HwEventKind::SimdPackedDouble,
+        HwEventKind::SimdScalarDouble,
+        HwEventKind::SimdPackedSingle,
+        HwEventKind::SimdScalarSingle,
+        HwEventKind::LoadsRetired,
+        HwEventKind::StoresRetired,
+        HwEventKind::BranchesRetired,
+        HwEventKind::BranchMispredictions,
+        HwEventKind::DtlbMisses,
+        HwEventKind::L1Accesses,
+        HwEventKind::L1Misses,
+        HwEventKind::L2Accesses,
+        HwEventKind::L2Misses,
+        HwEventKind::L2LinesIn,
+        HwEventKind::L2LinesOut,
+        HwEventKind::L3Accesses,
+        HwEventKind::L3Misses,
+        HwEventKind::L3LinesIn,
+        HwEventKind::L3LinesOut,
+        HwEventKind::MemoryReads,
+        HwEventKind::MemoryWrites,
+        HwEventKind::UncoreCycles,
+    ];
+
     /// Whether this quantity lives in the uncore (per package) rather than
     /// in a core.
     pub fn is_uncore(self) -> bool {
@@ -81,13 +117,19 @@ impl HwEventKind {
     }
 }
 
-/// Core-local event quantities of one hardware thread over a sample period.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadEventRecord {
-    counts: HashMap<HwEventKind, u64>,
+/// Event quantities over a sample period, one count per [`HwEventKind`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventRecord {
+    counts: [u64; HwEventKind::COUNT],
 }
 
-impl ThreadEventRecord {
+/// Core-local event quantities of one hardware thread.
+pub type ThreadEventRecord = EventRecord;
+
+/// Uncore event quantities of one socket.
+pub type SocketEventRecord = EventRecord;
+
+impl EventRecord {
     /// Empty record.
     pub fn new() -> Self {
         Self::default()
@@ -95,59 +137,31 @@ impl ThreadEventRecord {
 
     /// Set the count of a kind (overwrites).
     pub fn set(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        self.counts.insert(kind, value);
+        self.counts[kind as usize] = value;
         self
     }
 
     /// Add to the count of a kind.
     pub fn add(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        *self.counts.entry(kind).or_insert(0) += value;
+        self.counts[kind as usize] += value;
         self
     }
 
     /// The count of a kind (0 if never set).
     pub fn get(&self, kind: HwEventKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind as usize]
     }
 
-    /// Iterate over all non-zero kinds.
+    /// Iterate over all non-zero kinds, in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = (HwEventKind, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-}
-
-/// Uncore event quantities of one socket over a sample period.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SocketEventRecord {
-    counts: HashMap<HwEventKind, u64>,
-}
-
-impl SocketEventRecord {
-    /// Empty record.
-    pub fn new() -> Self {
-        Self::default()
+        HwEventKind::ALL.into_iter().zip(self.counts).filter(|&(_, v)| v != 0)
     }
 
-    /// Set the count of a kind (overwrites).
-    pub fn set(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        self.counts.insert(kind, value);
-        self
-    }
-
-    /// Add to the count of a kind.
-    pub fn add(&mut self, kind: HwEventKind, value: u64) -> &mut Self {
-        *self.counts.entry(kind).or_insert(0) += value;
-        self
-    }
-
-    /// The count of a kind (0 if never set).
-    pub fn get(&self, kind: HwEventKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Iterate over all non-zero kinds.
-    pub fn iter(&self) -> impl Iterator<Item = (HwEventKind, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+    /// Add every count of `other` to this record.
+    fn merge(&mut self, other: &EventRecord) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -180,14 +194,10 @@ impl EventSample {
             self.sockets.resize(other.sockets.len(), SocketEventRecord::default());
         }
         for (mine, theirs) in self.threads.iter_mut().zip(&other.threads) {
-            for (kind, value) in theirs.iter() {
-                mine.add(kind, value);
-            }
+            mine.merge(theirs);
         }
         for (mine, theirs) in self.sockets.iter_mut().zip(&other.sockets) {
-            for (&kind, &value) in theirs.counts.iter() {
-                mine.add(kind, value);
-            }
+            mine.merge(theirs);
         }
     }
 }
@@ -205,12 +215,48 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_every_kind_at_its_index() {
+        for (index, kind) in HwEventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "{kind:?}");
+        }
+        assert_eq!(HwEventKind::UncoreCycles as usize + 1, HwEventKind::COUNT, "last variant");
+    }
+
+    #[test]
     fn thread_record_set_add_get() {
         let mut r = ThreadEventRecord::new();
         r.set(HwEventKind::InstructionsRetired, 100);
         r.add(HwEventKind::InstructionsRetired, 50);
         assert_eq!(r.get(HwEventKind::InstructionsRetired), 150);
         assert_eq!(r.get(HwEventKind::CoreCycles), 0);
+    }
+
+    #[test]
+    fn iteration_yields_non_zero_kinds_in_declaration_order() {
+        let mut r = ThreadEventRecord::new();
+        r.set(HwEventKind::UncoreCycles, 3);
+        r.set(HwEventKind::L1Misses, 0);
+        r.set(HwEventKind::InstructionsRetired, 1);
+        r.add(HwEventKind::L2Misses, 2);
+        let kinds: Vec<(HwEventKind, u64)> = r.iter().collect();
+        assert_eq!(
+            kinds,
+            [
+                (HwEventKind::InstructionsRetired, 1),
+                (HwEventKind::L2Misses, 2),
+                (HwEventKind::UncoreCycles, 3)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_kind_set_to_zero_equals_an_absent_kind() {
+        let mut zeroed = SocketEventRecord::new();
+        zeroed.set(HwEventKind::MemoryReads, 0);
+        assert_eq!(zeroed, SocketEventRecord::new());
+        zeroed.add(HwEventKind::MemoryReads, 5).set(HwEventKind::MemoryReads, 0);
+        assert_eq!(zeroed, SocketEventRecord::new());
+        assert_eq!(zeroed.iter().count(), 0);
     }
 
     #[test]

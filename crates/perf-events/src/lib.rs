@@ -32,6 +32,6 @@ pub mod tables;
 
 pub use engine::EventEngine;
 pub use event::{CounterClass, CounterSlot, EventDefinition, EventTable};
-pub use kinds::{EventSample, HwEventKind, SocketEventRecord, ThreadEventRecord};
+pub use kinds::{EventRecord, EventSample, HwEventKind, SocketEventRecord, ThreadEventRecord};
 pub use multiplex::MultiplexSchedule;
 pub use perfmon::{PerfMon, PerfMonError};

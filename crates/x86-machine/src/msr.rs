@@ -14,8 +14,13 @@
 //! counters (package scope) that `likwid-perfctr` guards with socket locks,
 //! and for the prefetcher bits in `IA32_MISC_ENABLE` (core scope) that
 //! `likwid-features` toggles.
+//!
+//! Every counter read, program and hardware increment of a measurement
+//! goes through this file, so [`MsrSpace`] is a flat register file: one
+//! sorted address list resolves an address to an index into a vector of
+//! registers, each holding its descriptor and, per scope instance, the
+//! architectural value next to its full-width shadow.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -126,18 +131,33 @@ impl MsrDescriptor {
     }
 }
 
-/// The machine-wide MSR state: descriptors plus storage per scope instance.
+/// One scope instance of a register: the architectural value next to its
+/// full-64-bit shadow. Counters wrap at their architectural width in
+/// `value`, while `wide` accumulates the true total — the wide-counter
+/// reference that overflow-correction tests and multi-wrap diagnostics
+/// compare against.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    value: u64,
+    wide: u64,
+}
+
+/// One implemented register: its descriptor and one [`Cell`] per scope
+/// instance (thread index, global core index, or socket index).
+#[derive(Debug)]
+struct Register {
+    desc: MsrDescriptor,
+    cells: Vec<Cell>,
+}
+
+/// The machine-wide MSR state: a flat register file. `addresses` is the
+/// sorted list of implemented addresses and `registers[i]` holds the
+/// register at `addresses[i]`, so every access is one binary search over a
+/// few dozen `u32`s followed by direct indexing.
 #[derive(Debug)]
 pub struct MsrSpace {
-    descriptors: HashMap<u32, MsrDescriptor>,
-    /// Storage: for each MSR address, a vector indexed by the scope-instance
-    /// number (thread index, global core index, or socket index).
-    values: HashMap<u32, Vec<u64>>,
-    /// Full-64-bit shadow of every register: counters wrap at their
-    /// architectural width in `values`, while the shadow accumulates the
-    /// true total — the wide-counter reference that overflow-correction
-    /// tests and multi-wrap diagnostics compare against.
-    wide: HashMap<u32, Vec<u64>>,
+    addresses: Vec<u32>,
+    registers: Vec<Register>,
     /// For mapping hardware threads to scope instances.
     thread_core: Vec<usize>,
     thread_socket: Vec<usize>,
@@ -159,72 +179,74 @@ impl MsrSpace {
         let num_cores = topo.num_cores();
         let num_sockets = topo.sockets as usize;
 
-        let mut space = MsrSpace {
-            descriptors: HashMap::new(),
-            values: HashMap::new(),
-            wide: HashMap::new(),
+        let mut map = register_map(arch);
+        map.sort_by_key(|desc| desc.address);
+        assert!(map.windows(2).all(|w| w[0].address < w[1].address), "duplicate MSR address");
+        let registers: Vec<Register> = map
+            .into_iter()
+            .map(|desc| {
+                let instances = match desc.scope {
+                    MsrScope::Thread => num_threads,
+                    MsrScope::Core => num_cores,
+                    MsrScope::Package => num_sockets,
+                };
+                let reset = Cell { value: desc.reset_value, wide: desc.reset_value };
+                Register { cells: vec![reset; instances], desc }
+            })
+            .collect();
+        MsrSpace {
+            addresses: registers.iter().map(|r| r.desc.address).collect(),
+            registers,
             thread_core,
             thread_socket,
             num_threads,
             faults: None,
-        };
-        for desc in register_map(arch) {
-            let instances = match desc.scope {
-                MsrScope::Thread => num_threads,
-                MsrScope::Core => num_cores,
-                MsrScope::Package => num_sockets,
-            };
-            space.values.insert(desc.address, vec![desc.reset_value; instances]);
-            space.wide.insert(desc.address, vec![desc.reset_value; instances]);
-            space.descriptors.insert(desc.address, desc);
         }
-        space
     }
 
-    fn instance(&self, desc: &MsrDescriptor, cpu: usize) -> usize {
-        match desc.scope {
+    /// Resolve `(cpu, address)` to the register's index and the cpu's scope
+    /// instance of it.
+    fn locate(&self, cpu: usize, address: u32) -> Result<(usize, usize)> {
+        if cpu >= self.num_threads {
+            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
+        }
+        let index = self
+            .addresses
+            .binary_search(&address)
+            .map_err(|_| MachineError::UnknownMsr { cpu, address })?;
+        let instance = match self.registers[index].desc.scope {
             MsrScope::Thread => cpu,
             MsrScope::Core => self.thread_core[cpu],
             MsrScope::Package => self.thread_socket[cpu],
-        }
+        };
+        Ok((index, instance))
     }
 
     /// Read an MSR as seen from hardware thread `cpu`.
     pub fn read(&self, cpu: usize, address: u32) -> Result<u64> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let idx = self.instance(desc, cpu);
-        Ok(self.values[&address][idx] & desc.value_mask())
+        let (index, instance) = self.locate(cpu, address)?;
+        let reg = &self.registers[index];
+        Ok(reg.cells[instance].value & reg.desc.value_mask())
     }
 
     /// Write an MSR as seen from hardware thread `cpu`.
     pub fn write(&mut self, cpu: usize, address: u32, value: u64) -> Result<()> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        if !desc.writable {
+        let (index, instance) = self.locate(cpu, address)?;
+        let reg = &mut self.registers[index];
+        if !reg.desc.writable {
             return Err(MachineError::ReadOnlyMsr { cpu, address });
         }
-        if value & desc.reserved_mask != 0 {
+        if value & reg.desc.reserved_mask != 0 {
             return Err(MachineError::ReservedBits {
                 cpu,
                 address,
                 value,
-                reserved_mask: desc.reserved_mask,
+                reserved_mask: reg.desc.reserved_mask,
             });
         }
-        let mask = desc.value_mask();
-        let idx = self.instance(desc, cpu);
-        if let Some(slot) = self.values.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = value & mask;
-        }
-        if let Some(slot) = self.wide.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = value & mask;
+        let masked = value & reg.desc.value_mask();
+        if let Some(cell) = reg.cells.get_mut(instance) {
+            *cell = Cell { value: masked, wide: masked };
         }
         Ok(())
     }
@@ -248,14 +270,8 @@ impl MsrSpace {
             if faults.is_stuck(cpu, address) {
                 // Validate as usual so stuck registers do not also change
                 // the error surface, then drop the value on the floor.
-                if cpu >= self.num_threads {
-                    return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-                }
-                let desc = self
-                    .descriptors
-                    .get(&address)
-                    .ok_or(MachineError::UnknownMsr { cpu, address })?;
-                if !desc.writable {
+                let (index, _) = self.locate(cpu, address)?;
+                if !self.registers[index].desc.writable {
                     return Err(MachineError::ReadOnlyMsr { cpu, address });
                 }
                 return Ok(());
@@ -269,20 +285,15 @@ impl MsrSpace {
     pub fn attach_faults(&mut self, plan: FaultPlan) {
         if plan.dirty {
             let seed = plan.seed;
-            for (&address, desc) in &self.descriptors {
-                if !desc.writable || !is_perf_register(address) {
+            for reg in &mut self.registers {
+                let address = reg.desc.address;
+                if !reg.desc.writable || !is_perf_register(address) {
                     continue;
                 }
-                let mask = desc.value_mask() & !desc.reserved_mask;
-                if let Some(values) = self.values.get_mut(&address) {
-                    for (instance, slot) in values.iter_mut().enumerate() {
-                        *slot = dirty_value(seed, address, instance) & mask;
-                    }
-                }
-                if let Some(wide) = self.wide.get_mut(&address) {
-                    for (instance, slot) in wide.iter_mut().enumerate() {
-                        *slot = dirty_value(seed, address, instance) & mask;
-                    }
+                let mask = reg.desc.value_mask() & !reg.desc.reserved_mask;
+                for (instance, cell) in reg.cells.iter_mut().enumerate() {
+                    let dirty = dirty_value(seed, address, instance) & mask;
+                    *cell = Cell { value: dirty, wide: dirty };
                 }
             }
         }
@@ -299,42 +310,29 @@ impl MsrSpace {
     /// faults — this is the machine-side ground truth that wraparound
     /// corrections are validated against.
     pub fn wide_value(&self, cpu: usize, address: u32) -> Result<u64> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let idx = self.instance(desc, cpu);
-        Ok(self.wide[&address][idx])
+        let (index, instance) = self.locate(cpu, address)?;
+        Ok(self.registers[index].cells[instance].wide)
     }
 
     /// Whether an MSR address is implemented.
     pub fn has_register(&self, address: u32) -> bool {
-        self.descriptors.contains_key(&address)
+        self.addresses.binary_search(&address).is_ok()
     }
 
     /// All implemented MSR addresses (sorted), useful for diagnostics.
     pub fn known_registers(&self) -> Vec<u32> {
-        let mut addrs: Vec<u32> = self.descriptors.keys().copied().collect();
-        addrs.sort_unstable();
-        addrs
+        self.addresses.clone()
     }
 
     /// Internal hook used by the counting engine: add to a counter register
     /// without permission checks (hardware increments are not `wrmsr`s).
     pub fn hardware_increment(&mut self, cpu: usize, address: u32, delta: u64) -> Result<()> {
-        if cpu >= self.num_threads {
-            return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
-        }
-        let desc =
-            self.descriptors.get(&address).ok_or(MachineError::UnknownMsr { cpu, address })?;
-        let mask = desc.value_mask();
-        let idx = self.instance(desc, cpu);
-        if let Some(slot) = self.values.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = (*slot).wrapping_add(delta) & mask;
-        }
-        if let Some(slot) = self.wide.get_mut(&address).and_then(|v| v.get_mut(idx)) {
-            *slot = (*slot).wrapping_add(delta);
+        let (index, instance) = self.locate(cpu, address)?;
+        let reg = &mut self.registers[index];
+        let mask = reg.desc.value_mask();
+        if let Some(cell) = reg.cells.get_mut(instance) {
+            cell.value = cell.value.wrapping_add(delta) & mask;
+            cell.wide = cell.wide.wrapping_add(delta);
         }
         Ok(())
     }

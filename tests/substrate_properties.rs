@@ -1,6 +1,8 @@
 //! Property-based tests over the substrate crates: invariants that must
 //! hold for arbitrary inputs, not just the machines of the paper.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use likwid_suite::affinity::{parse_pin_list, PthreadPinner, SkipMask};
@@ -10,7 +12,175 @@ use likwid_suite::cache_sim::{
 };
 use likwid_suite::likwid::perfctr::Formula;
 use likwid_suite::likwid::topology::CpuTopology;
+use likwid_suite::likwid::LikwidError;
+use likwid_suite::x86_machine::fault::FaultPlan;
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
+
+/// Identifiers and numbers the structured formula generator draws from.
+const OPERANDS: [&str; 10] =
+    ["A", "B", "C", "time", "inverseClock", "0", "2", "0.5", "1.0E-06", "64.0"];
+
+/// Names the random bindings draw from (`D` is not an operand).
+const NAMES: [&str; 6] = ["A", "B", "C", "D", "time", "inverseClock"];
+
+/// Item prefixes and values of structured `--inject` specs, hostile ones
+/// included.
+const FAULT_KEYS: [&str; 8] = ["seed=", "read=", "write=", "stuck=", "dead=", "dirty", "", "x="];
+const FAULT_VALUES: [&str; 14] = [
+    "",
+    "7",
+    "0.3x4",
+    "0.2",
+    "1.5",
+    "NaN",
+    "-0.1x99",
+    "0.5x",
+    "0x3B0@1",
+    "0XFFFFFFFFFF@0",
+    "1@200",
+    "@",
+    "18446744073709551616",
+    "\u{1F600}",
+];
+
+/// An always-parseable formula: operands joined by binary operators, with
+/// some operands negated and some runs parenthesised, as chosen by the bits
+/// of `shape`.
+fn structured_formula(operands: &[&str], ops: &[&str], shape: u64) -> String {
+    let mut src = String::new();
+    let mut open = 0;
+    for (i, operand) in operands.iter().enumerate() {
+        if i > 0 {
+            src.push_str(ops[(i - 1) % ops.len()]);
+        }
+        let bits = shape >> ((i * 3) % 60);
+        if bits & 1 == 1 {
+            src.push('(');
+            open += 1;
+        }
+        if bits & 2 == 2 {
+            src.push('-');
+        }
+        src.push_str(operand);
+        if bits & 4 == 4 && open > 0 {
+            src.push(')');
+            open -= 1;
+        }
+    }
+    src.push_str(&")".repeat(open));
+    src
+}
+
+/// Reference evaluator for bound formulas: evaluates straight from the
+/// source while parsing it, looking variables up in a name map. Same
+/// grammar, same operation order, same division-by-zero rule and the same
+/// "unbound variable" message, so it agrees with [`Formula`] on every
+/// source that parses.
+mod map_reference {
+    use std::collections::HashMap;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Token {
+        Number(f64),
+        Ident(String),
+        Op(char),
+    }
+
+    fn tokenize(src: &str) -> Vec<Token> {
+        let chars: Vec<char> = src.chars().collect();
+        let mut tokens = Vec::new();
+        let mut i = 0;
+        while i < chars.len() {
+            let c = chars[i];
+            if c.is_ascii_digit() || c == '.' {
+                let start = i;
+                while i < chars.len()
+                    && (chars[i].is_ascii_digit()
+                        || matches!(chars[i], '.' | 'e' | 'E')
+                        || (matches!(chars[i], '+' | '-') && matches!(chars[i - 1], 'e' | 'E')))
+                {
+                    i += 1;
+                }
+                let text: String = chars[start..i].iter().collect();
+                tokens.push(Token::Number(text.parse().expect("number of a parsed formula")));
+            } else if c.is_ascii_alphabetic() || c == '_' {
+                let start = i;
+                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                    i += 1;
+                }
+                tokens.push(Token::Ident(chars[start..i].iter().collect()));
+            } else {
+                if c != ' ' && c != '\t' {
+                    tokens.push(Token::Op(c));
+                }
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    struct Eval<'a> {
+        tokens: Vec<Token>,
+        pos: usize,
+        vars: &'a HashMap<String, f64>,
+    }
+
+    impl Eval<'_> {
+        fn peek_op(&self) -> Option<char> {
+            match self.tokens.get(self.pos) {
+                Some(Token::Op(c)) => Some(*c),
+                _ => None,
+            }
+        }
+
+        fn expression(&mut self) -> Result<f64, String> {
+            let mut lhs = self.term()?;
+            while let Some(op @ ('+' | '-')) = self.peek_op() {
+                self.pos += 1;
+                let rhs = self.term()?;
+                lhs = if op == '+' { lhs + rhs } else { lhs - rhs };
+            }
+            Ok(lhs)
+        }
+
+        fn term(&mut self) -> Result<f64, String> {
+            let mut lhs = self.factor()?;
+            while let Some(op @ ('*' | '/')) = self.peek_op() {
+                self.pos += 1;
+                let rhs = self.factor()?;
+                lhs = match op {
+                    '*' => lhs * rhs,
+                    _ if rhs == 0.0 => 0.0,
+                    _ => lhs / rhs,
+                };
+            }
+            Ok(lhs)
+        }
+
+        fn factor(&mut self) -> Result<f64, String> {
+            let token = self.tokens[self.pos].clone();
+            self.pos += 1;
+            match token {
+                Token::Op('-') => Ok(-self.factor()?),
+                Token::Number(v) => Ok(v),
+                Token::Ident(name) => {
+                    self.vars.get(&name).copied().ok_or(format!("unbound variable '{name}'"))
+                }
+                Token::Op('(') => {
+                    let inner = self.expression()?;
+                    self.pos += 1;
+                    Ok(inner)
+                }
+                other => panic!("{other:?} cannot start a factor of a parsed formula"),
+            }
+        }
+    }
+
+    /// Evaluate `src`, which must be a formula that parses.
+    pub fn evaluate(src: &str, vars: &HashMap<String, f64>) -> Result<f64, String> {
+        Eval { tokens: tokenize(src), pos: 0, vars }.expression()
+    }
+}
 
 /// A small synthetic hierarchy for property runs.
 fn tiny_hierarchy(prefetch_on: bool) -> HierarchyConfig {
@@ -116,11 +286,70 @@ proptest! {
     /// simple linear combinations.
     #[test]
     fn formula_linear_combination(a in -1.0e6..1.0e6f64, b in -1.0e6..1.0e6f64, x in -1.0e3..1.0e3f64) {
-        let f = Formula::parse("A*X+B").unwrap();
-        let vars: std::collections::HashMap<String, f64> =
-            [("A".to_string(), a), ("B".to_string(), b), ("X".to_string(), x)].into_iter().collect();
-        let value = f.evaluate(&vars).unwrap();
+        let f = Formula::parse("A*X+B").unwrap().bind(&["A", "B", "X"]);
+        let value = f.evaluate(&[a, b, x]).unwrap();
         prop_assert!((value - (a * x + b)).abs() <= 1e-6 * (1.0 + value.abs()));
+    }
+
+    /// A formula bound to a name layout evaluates exactly like a name-map
+    /// binding: same value bit for bit, and the same "unbound
+    /// variable" error for names the layout lacks. A name listed twice
+    /// binds to its last position, as repeated inserts into a map keep the
+    /// last value; a trailing `time` shadows an earlier one.
+    #[test]
+    fn bound_formulas_evaluate_like_a_name_map(
+        raw in "[A-Za-z0-9+*/()., -]{0,40}",
+        operands in prop::collection::vec(prop::sample::select(OPERANDS.to_vec()), 1..7),
+        ops in prop::collection::vec(prop::sample::select(vec!["+", "-", "*", "/"]), 6..7),
+        shape in 0u64..u64::MAX,
+        bindings in prop::collection::vec(
+            (prop::sample::select(NAMES.to_vec()), -1.0e3..1.0e3f64, prop::bool::ANY), 0..8),
+        time in (prop::bool::ANY, -1.0..1.0f64),
+    ) {
+        let mut pairs: Vec<(String, f64)> = bindings
+            .iter()
+            .map(|&(name, value, zero)| (name.to_string(), if zero { 0.0 } else { value }))
+            .collect();
+        // Arbitrary identifiers of the raw source: bind every other one.
+        if let Ok(f) = Formula::parse(&raw) {
+            for (i, name) in f.variables().into_iter().enumerate() {
+                if (shape >> (i % 64)) & 1 == 1 {
+                    pairs.push((name, (i as f64 + 1.5) * 7.25));
+                }
+            }
+        }
+        if time.0 {
+            pairs.push(("time".to_string(), time.1));
+        }
+        let map: HashMap<String, f64> = pairs.iter().cloned().collect();
+        let names: Vec<&str> = pairs.iter().map(|(name, _)| name.as_str()).collect();
+        let values: Vec<f64> = pairs.iter().map(|(_, value)| *value).collect();
+
+        for src in [raw.clone(), structured_formula(&operands, &ops, shape)] {
+            let Ok(formula) = Formula::parse(&src) else { continue };
+            let bound = formula.bind(&names).evaluate(&values);
+            match (bound, map_reference::evaluate(&src, &map)) {
+                (Ok(got), Ok(want)) => prop_assert_eq!(got.to_bits(), want.to_bits(), "{}", src),
+                (Err(LikwidError::Formula(got)), Err(want)) => prop_assert_eq!(got, want, "{}", src),
+                (got, want) => prop_assert!(false, "{src}: bound {got:?}, map {want:?}"),
+            }
+        }
+    }
+
+    /// The `--inject` fault-spec parser is total: arbitrary text yields a
+    /// plan or an error, never a panic.
+    #[test]
+    fn fault_spec_parser_is_total(
+        raw in ".{0,48}",
+        soup in "[a-z0-9=,@xX.eE+ -]{0,48}",
+        items in prop::collection::vec(
+            (prop::sample::select(FAULT_KEYS.to_vec()), prop::sample::select(FAULT_VALUES.to_vec())),
+            0..6),
+    ) {
+        let structured: Vec<String> = items.iter().map(|(key, value)| format!("{key}{value}")).collect();
+        for spec in [raw, soup, structured.join(",")] {
+            let _ = FaultPlan::parse(&spec);
+        }
     }
 
     /// Arbitrary garbage never makes the formula parser panic.
