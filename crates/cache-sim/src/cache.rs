@@ -23,9 +23,9 @@ pub enum Eviction {
 /// All per-set bookkeeping lives in flat contiguous arrays: tags in one
 /// dense `u64` slab (scanned without chasing line structs), valid and dirty
 /// flags as one bitmask word per set (so "first invalid way" is a single
-/// `trailing_zeros`), replacement stamps in one slab. When the set count is
-/// a power of two — true for every machine preset — the set index is a bit
-/// mask instead of a division.
+/// `trailing_zeros`), per-set recency lists in one byte slab. When the set
+/// count is a power of two — true for every machine preset — the set index
+/// is a bit mask instead of a division.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
@@ -168,8 +168,8 @@ impl SetAssocCache {
     pub fn fill_absent(&mut self, line_addr: u64, dirty: bool) -> Eviction {
         debug_assert!(!self.contains(line_addr), "fill_absent of a present line");
         let set = self.set_index(line_addr);
-        // Victim selection: the first invalid way if any, else the oldest
-        // stamp among the (all-valid) ways.
+        // Victim selection: the first invalid way if any, else the least
+        // recently touched of the (all-valid) ways.
         let invalid = !self.valid[set] & self.full_mask;
         let (victim_way, eviction) = if invalid != 0 {
             ((invalid.trailing_zeros()) as usize, Eviction::None)

@@ -5,6 +5,10 @@
 //! numbers this suite reproduces, the exact policy only matters at the
 //! margin; both true LRU and a round-robin/FIFO policy are provided, and
 //! tests pin down the eviction order they produce.
+//!
+//! Each set's state is a recency list of way numbers, one byte per way
+//! plus a count byte, so the simulator's host memory stays dominated by
+//! the tags rather than by replacement bookkeeping.
 
 /// Replacement policy selection for one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,42 +21,68 @@ pub enum ReplacementPolicy {
 
 /// Replacement state for *all* sets of one cache, stored contiguously.
 ///
-/// Stores an age value per way (`stamps[set * ways + way]`); the semantics
-/// of the value depend on the policy (LRU: last-touch stamp, FIFO: fill
-/// stamp). Each set advances its own tick counter, so the behaviour per set
-/// is identical to an independent per-set state — but the storage is two
-/// flat arrays instead of one heap allocation per set, which keeps the
-/// simulator's per-lookup work inside a single cache-friendly slab.
+/// Each set owns `ways + 1` bytes of one flat array: the number of ways
+/// touched so far, then those ways ordered from most to least recently
+/// touched. A touch is a fill under both policies and also a hit under LRU,
+/// so under FIFO the list is fill order. Ways never touched rank as older
+/// than every touched way, lowest-numbered first. Each set keeps its own
+/// order, so the behaviour per set is identical to an independent per-set
+/// state, without one heap allocation per set.
 #[derive(Debug, Clone)]
 pub struct FlatReplacement {
     policy: ReplacementPolicy,
     ways: usize,
-    /// `stamps[set * ways + way]` — age stamp of one way.
-    stamps: Vec<u64>,
-    /// `ticks[set]` — per-set monotone clock.
-    ticks: Vec<u64>,
+    /// `order[set * (ways + 1)]` — touched-way count of one set, followed
+    /// by that many way numbers, most recently touched first.
+    order: Vec<u8>,
 }
 
 impl FlatReplacement {
     /// State for `sets` sets of `ways` ways each.
     pub fn new(policy: ReplacementPolicy, sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "replacement state needs at least one set and way");
-        FlatReplacement { policy, ways, stamps: vec![0; sets * ways], ticks: vec![0; sets] }
+        assert!(ways <= usize::from(u8::MAX), "way numbers are stored as bytes");
+        FlatReplacement { policy, ways, order: vec![0; sets * (ways + 1)] }
     }
 
-    /// Record a fill into `way` of `set`.
+    /// Record a fill into `way` of `set`: move the way to the front of the
+    /// set's recency list, adding it if it was never touched.
     pub fn on_fill(&mut self, set: usize, way: usize) {
-        self.ticks[set] += 1;
-        self.stamps[set * self.ways + way] = self.ticks[set];
+        debug_assert!(way < self.ways, "way {way} out of range");
+        let stride = self.ways + 1;
+        let (count, list) = self.order[set * stride..(set + 1) * stride]
+            .split_first_mut()
+            .expect("a set's slot holds its count byte");
+        let touched = usize::from(*count);
+        let way = way as u8;
+        // Repeated hits on the newest line take this path.
+        if touched > 0 && list[0] == way {
+            return;
+        }
+        let end = match list[..touched].iter().position(|&w| w == way) {
+            Some(at) => at,
+            None => {
+                *count += 1;
+                touched
+            }
+        };
+        list.copy_within(..end, 1);
+        list[0] = way;
     }
 
     /// Record a hit on `way` of `set`.
     pub fn on_hit(&mut self, set: usize, way: usize) {
         if self.policy == ReplacementPolicy::Lru {
-            self.ticks[set] += 1;
-            self.stamps[set * self.ways + way] = self.ticks[set];
+            self.on_fill(set, way);
         }
         // FIFO ignores hits: age is fill order only.
+    }
+
+    /// The touched ways of `set`, most recently touched first.
+    fn recency(&self, set: usize) -> &[u8] {
+        let base = set * (self.ways + 1);
+        let touched = usize::from(self.order[base]);
+        &self.order[base + 1..base + 1 + touched]
     }
 
     /// Choose a victim among the ways of `set`; ways for which `valid`
@@ -67,28 +97,24 @@ impl FlatReplacement {
         self.oldest_way(set)
     }
 
-    /// The way of `set` with the oldest stamp (ties broken toward way 0),
-    /// for callers that already know every way is valid.
+    /// The least recently touched way of `set`, or the lowest-numbered way
+    /// never touched if there is one, for callers that already know every
+    /// way is valid.
     pub fn oldest_way(&self, set: usize) -> usize {
-        let base = set * self.ways;
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for way in 0..self.ways {
-            let stamp = self.stamps[base + way];
-            if stamp < oldest {
-                oldest = stamp;
-                victim = way;
-            }
+        let recency = self.recency(set);
+        if recency.len() == self.ways {
+            return usize::from(recency[self.ways - 1]);
         }
-        victim
+        (0..self.ways)
+            .find(|&way| !recency.contains(&(way as u8)))
+            .expect("a set with fewer touched ways than ways has an untouched way")
     }
 
     /// Whether a hit on `way` of `set` would leave the eviction order
-    /// unchanged: FIFO ignores hits, and under LRU a touch of the way that
-    /// already carries the set's newest stamp only inflates the tick.
+    /// unchanged: FIFO ignores hits, and under LRU a touch of the most
+    /// recently touched way moves nothing.
     pub fn hit_is_order_neutral(&self, set: usize, way: usize) -> bool {
-        self.policy == ReplacementPolicy::Fifo
-            || self.stamps[set * self.ways + way] == self.ticks[set]
+        self.policy == ReplacementPolicy::Fifo || self.recency(set).first() == Some(&(way as u8))
     }
 
     /// Number of ways tracked per set.
@@ -183,6 +209,19 @@ mod tests {
         assert_eq!(st.choose_victim(0, |_| true), 0);
         st.on_fill(0, 0);
         assert_eq!(st.choose_victim(0, |_| true), 1);
+    }
+
+    #[test]
+    fn untouched_ways_are_oldest_lowest_first() {
+        let mut st = one_set(ReplacementPolicy::Lru, 4);
+        assert_eq!(st.oldest_way(0), 0);
+        st.on_fill(0, 0);
+        st.on_fill(0, 2);
+        assert_eq!(st.oldest_way(0), 1, "way 1 was never touched");
+        st.on_hit(0, 1);
+        assert_eq!(st.oldest_way(0), 3);
+        st.on_hit(0, 3);
+        assert_eq!(st.oldest_way(0), 0, "every way touched: the least recent");
     }
 
     #[test]

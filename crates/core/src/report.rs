@@ -963,14 +963,21 @@ mod json {
         }
     }
 
+    /// Deepest array/object nesting the parser accepts. It recurses once
+    /// per level, so the bound keeps a hostile document from overflowing
+    /// the stack; a report nests only a few levels.
+    pub(super) const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
         fn new(text: &'a str) -> Self {
-            Parser { bytes: text.as_bytes(), pos: 0 }
+            Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
         }
 
         fn error(&self, msg: &str) -> String {
@@ -1001,8 +1008,8 @@ mod json {
 
         fn parse_value(&mut self) -> Result<JsonValue, String> {
             match self.peek() {
-                Some(b'{') => self.parse_object(),
-                Some(b'[') => self.parse_array(),
+                Some(b'{') => self.nested(Self::parse_object),
+                Some(b'[') => self.nested(Self::parse_array),
                 Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
                 Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
                 Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -1010,6 +1017,21 @@ mod json {
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
                 _ => Err(self.error("expected a value")),
             }
+        }
+
+        /// Parse an array or object one level deeper, refusing to pass
+        /// [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<JsonValue, String>,
+        ) -> Result<JsonValue, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+            }
+            self.depth += 1;
+            let value = parse(self);
+            self.depth -= 1;
+            value
         }
 
         fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -1495,6 +1517,19 @@ mod tests {
         assert!(Report::from_json("{\"title\":\"\\ud835x\",\"sections\":[]}").is_err());
         assert!(Report::from_json("{\"title\":\"\\udc65\",\"sections\":[]}").is_err());
         assert!(Report::from_json("{\"title\":\"\\ud835\\ud835\",\"sections\":[]}").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let doc = |sections: &str| format!("{{\"title\":\"x\",\"sections\":{sections}}}");
+        // The root object is one of the levels.
+        let err = Report::from_json(&doc(&nest(json::MAX_DEPTH))).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = Report::from_json(&doc(&nest(json::MAX_DEPTH - 1))).unwrap_err();
+        assert!(!err.contains("nesting"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        assert!(Report::from_json(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -1014,4 +1014,12 @@ mod tests {
             assert!(matches!(err, LikwidError::Protocol(_)), "'{bad}' gave {err:?}");
         }
     }
+
+    #[test]
+    fn deeply_nested_lines_are_protocol_errors_not_stack_overflows() {
+        for deep in ["[".repeat(100_000), "{\"frame\":".repeat(100_000)] {
+            let err = Frame::from_line(&deep).unwrap_err();
+            assert!(matches!(&err, LikwidError::Protocol(m) if m.contains("nesting")), "{err:?}");
+        }
+    }
 }

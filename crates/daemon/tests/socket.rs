@@ -2,6 +2,8 @@
 //! socket, driven by [`SocketClient`] — session streaming, ping/pong,
 //! error frames for bad requests, and shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -134,6 +136,36 @@ fn bad_requests_get_typed_error_frames_and_the_connection_survives() {
         // After all that abuse the connection still serves a session.
         let accumulator = client.run_session(&request("0", "FLOPS_DP"), |_| {}).expect("runs");
         assert_eq!(accumulator.intervals().len(), 3);
+    });
+}
+
+#[test]
+fn deeply_nested_line_gets_an_error_frame_and_the_connection_survives() {
+    with_server("deep", |path| {
+        // A raw stream: `SocketClient::send` encodes a `JsonValue`, and this
+        // line is deliberately too deep to build as one.
+        let stream = UnixStream::connect(path).expect("connect");
+        let mut writer = stream.try_clone().expect("clone socket");
+        let mut reader = BufReader::new(stream);
+        let mut next_frame = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read frame");
+            Frame::from_line(&line).expect("well-formed frame")
+        };
+        assert!(matches!(next_frame(), Frame::Hello { .. }));
+
+        let deep = "[".repeat(100_000) + "\n";
+        writer.write_all(deep.as_bytes()).expect("send deep line");
+        match next_frame() {
+            Frame::Error { kind, message } => {
+                assert_eq!(kind, "protocol");
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+
+        writer.write_all(b"{\"cmd\":\"status\"}\n").expect("send status");
+        assert!(matches!(next_frame(), Frame::Status(_)));
     });
 }
 

@@ -397,4 +397,12 @@ mod tests {
         let report = compare_report(&out);
         assert_eq!(report.value("compare", "verdict").unwrap().as_str(), Some("ok"));
     }
+
+    #[test]
+    fn deeply_nested_documents_are_errors_not_stack_overflows() {
+        let err = Trajectory::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let doc = format!("{{\"bench\":\"fleet\",\"points\":{}}}", "[".repeat(100_000));
+        assert!(Trajectory::parse(&doc).is_err());
+    }
 }

@@ -7,9 +7,13 @@ use proptest::prelude::*;
 
 use likwid_suite::affinity::{parse_pin_list, PthreadPinner, SkipMask};
 use likwid_suite::cache_sim::{
-    Access, AccessKind, CacheLevelConfig, HierarchyConfig, NodeCacheSystem, NumaPolicy,
-    PrefetchConfig, ReplacementPolicy, WritePolicy,
+    Access, AccessKind, CacheLevelConfig, FlatReplacement, HierarchyConfig, NodeCacheSystem,
+    NumaPolicy, PrefetchConfig, ReplacementPolicy, WritePolicy,
 };
+use likwid_suite::daemon::jsonv::JsonValue;
+use likwid_suite::daemon::{Frame, IntervalFrame, OpenRequest};
+use likwid_suite::fleet::trajectory::TrajectoryPoint;
+use likwid_suite::fleet::Trajectory;
 use likwid_suite::likwid::perfctr::Formula;
 use likwid_suite::likwid::topology::CpuTopology;
 use likwid_suite::likwid::LikwidError;
@@ -42,6 +46,83 @@ const FAULT_VALUES: [&str; 14] = [
     "18446744073709551616",
     "\u{1F600}",
 ];
+
+/// JSON fragments the hostile-input generators splice together: structure,
+/// escapes (lone surrogates included), numbers, literals, frame vocabulary
+/// and non-ASCII text.
+const JSON_FRAGMENTS: [&str; 24] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\\",
+    "\\u",
+    "d83d",
+    "\\ude00",
+    "-",
+    "1e308",
+    "18446744073709551616",
+    "0.5",
+    "true",
+    "null",
+    "\"frame\"",
+    "\"interval\"",
+    "\"points\"",
+    "\"bench\":\"fleet\"",
+    " ",
+    "\u{e9}",
+    "\u{1F600}",
+];
+
+/// A valid document with `cut` bytes starting at `at` replaced by
+/// `splice`; the document is ASCII, so every byte offset is a char
+/// boundary.
+fn mutate(doc: &str, at: usize, cut: usize, splice: &str) -> String {
+    assert!(doc.is_ascii());
+    let at = at % (doc.len() + 1);
+    let end = (at + cut).min(doc.len());
+    format!("{}{splice}{}", &doc[..at], &doc[end..])
+}
+
+/// The age-stamp replacement model — a per-way stamp of the last touch
+/// and a per-set tick — as the reference that `FlatReplacement`'s recency
+/// lists must match victim for victim.
+struct StampModel {
+    lru: bool,
+    ways: usize,
+    stamps: Vec<u64>,
+    ticks: Vec<u64>,
+}
+
+impl StampModel {
+    fn new(lru: bool, sets: usize, ways: usize) -> Self {
+        StampModel { lru, ways, stamps: vec![0; sets * ways], ticks: vec![0; sets] }
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize) {
+        self.ticks[set] += 1;
+        self.stamps[set * self.ways + way] = self.ticks[set];
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize) {
+        if self.lru {
+            self.on_fill(set, way);
+        }
+    }
+
+    /// Oldest stamp, ties (never-touched ways) broken toward way 0.
+    fn oldest_way(&self, set: usize) -> usize {
+        let stamps = &self.stamps[set * self.ways..(set + 1) * self.ways];
+        (0..self.ways).min_by_key(|&way| stamps[way]).expect("at least one way")
+    }
+
+    fn hit_is_order_neutral(&self, set: usize, way: usize) -> bool {
+        !self.lru || self.stamps[set * self.ways + way] == self.ticks[set]
+    }
+}
 
 /// An always-parseable formula: operands joined by binary operators, with
 /// some operands negated and some runs parenthesised, as chosen by the bits
@@ -356,6 +437,113 @@ proptest! {
     #[test]
     fn formula_parser_is_total(src in "[A-Za-z0-9+*/()., -]{0,40}") {
         let _ = Formula::parse(&src);
+    }
+
+    /// Recency lists evict exactly like per-way age stamps, under both
+    /// policies. Touches reach only the first `reach` ways, so some ways
+    /// (and sometimes whole sets) are never touched.
+    #[test]
+    fn recency_lists_replace_like_age_stamps(
+        lru in prop::bool::ANY,
+        ways in 1usize..65,
+        sets in 1usize..5,
+        reach in 1usize..65,
+        ops in prop::collection::vec((prop::bool::ANY, 0usize..4, 0usize..64), 0..160),
+    ) {
+        let policy = if lru { ReplacementPolicy::Lru } else { ReplacementPolicy::Fifo };
+        let mut lists = FlatReplacement::new(policy, sets, ways);
+        let mut stamps = StampModel::new(lru, sets, ways);
+        let reach = reach.min(ways);
+        for (step, (fill, set, way)) in ops.into_iter().enumerate() {
+            let (set, way) = (set % sets, way % reach);
+            if fill {
+                lists.on_fill(set, way);
+                stamps.on_fill(set, way);
+            } else {
+                lists.on_hit(set, way);
+                stamps.on_hit(set, way);
+            }
+            for set in 0..sets {
+                prop_assert_eq!(lists.oldest_way(set), stamps.oldest_way(set), "step {} set {}", step, set);
+                // A hit needs a filled way, so no cache asks about a set
+                // with no touches (where every stamp equals the tick, 0).
+                if stamps.ticks[set] == 0 {
+                    continue;
+                }
+                for way in 0..ways {
+                    prop_assert_eq!(
+                        lists.hit_is_order_neutral(set, way),
+                        stamps.hit_is_order_neutral(set, way),
+                        "step {} set {} way {}", step, set, way
+                    );
+                }
+            }
+        }
+    }
+
+    /// The daemon's NDJSON decoders are total: arbitrary text, JSON-token
+    /// soup and damaged valid lines yield a frame (client side) or an
+    /// `open` request (server side), or an error, never a panic.
+    #[test]
+    fn ndjson_decoders_are_total(
+        raw in ".{0,64}",
+        soup in prop::collection::vec(prop::sample::select(JSON_FRAGMENTS.to_vec()), 0..40),
+        edit in (0usize..512, 0usize..16, prop::sample::select(JSON_FRAGMENTS.to_vec())),
+    ) {
+        let interval = Frame::Interval(IntervalFrame {
+            session: 3,
+            index: 1,
+            group: 0,
+            t_start_s: 0.5,
+            t_end_s: 1.0,
+            counts: vec![vec![u64::MAX, 7]],
+            metrics: vec![vec![f64::NAN, 2.5]],
+        });
+        let error = Frame::Error { kind: "usage".into(), message: "no such group".into() };
+        let open = OpenRequest {
+            machine: Some("nehalem-ep-2s".into()),
+            cpus: "S0:0-1".into(),
+            group: "MEM".into(),
+            interval: "1ms".into(),
+            duration: "4ms".into(),
+        };
+        let (at, cut, splice) = edit;
+        for line in [
+            raw,
+            soup.concat(),
+            mutate(&interval.to_line(), at, cut, splice),
+            mutate(&error.to_line(), at, cut, splice),
+            mutate(&open.to_json().encode(), at, cut, splice),
+        ] {
+            let _ = Frame::from_line(&line);
+            if let Ok(command) = JsonValue::parse(line.trim()) {
+                let _ = OpenRequest::from_json(&command);
+            }
+        }
+    }
+
+    /// `Trajectory::parse` is total in the same sense.
+    #[test]
+    fn trajectory_parser_is_total(
+        raw in ".{0,64}",
+        soup in prop::collection::vec(prop::sample::select(JSON_FRAGMENTS.to_vec()), 0..40),
+        edit in (0usize..512, 0usize..16, prop::sample::select(JSON_FRAGMENTS.to_vec())),
+    ) {
+        let point = TrajectoryPoint {
+            key: "triad|westmere-ep-2s|t=2".into(),
+            status: "ok".into(),
+            samples: 5,
+            median: Some(1234.5),
+            min: Some(1000.0),
+            max: None,
+            spread: Some(0.01),
+        };
+        let doc = Trajectory { epoch: "epoch-001".into(), unit: "MB/s".into(), points: vec![point] }
+            .encode();
+        let (at, cut, splice) = edit;
+        for text in [raw, soup.concat(), mutate(&doc, at, cut, splice)] {
+            let _ = Trajectory::parse(&text);
+        }
     }
 }
 
