@@ -860,7 +860,7 @@ impl NodeCacheSystem {
 
     /// Invalidate `line` in **every** instance of this node on behalf of a
     /// store issued outside it — the cross-shard half of
-    /// [`NodeCacheSystem::invalidate_other_copies`], used by the sharded
+    /// the intra-node `invalidate_other_copies` walk, used by the sharded
     /// engine's serial fallback. The storing thread lives in another shard,
     /// so no own-path exclusion applies; invalidated dirty copies are
     /// dropped without a write-back, exactly like the intra-node walk (the

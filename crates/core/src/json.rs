@@ -1,13 +1,15 @@
-//! A small lossless JSON codec for the daemon protocol.
+//! The suite's one lossless JSON codec.
 //!
-//! The core crate's report renderer has its own (private) JSON document
-//! model; the daemon needs one property that model does not provide: raw
-//! counter values are `u64` and must survive the wire bit-exactly, so the
-//! value type distinguishes [`JsonValue::UInt`] from [`JsonValue::Num`].
-//! Reals are encoded with Rust's shortest-round-trip `Display`, so every
-//! finite `f64` parses back to the same bits; the non-finite values a
-//! metric formula can produce are spelled as the strings `"NaN"`, `"inf"`
-//! and `"-inf"` (JSON has no literal for them).
+//! Every JSON document the suite reads or writes goes through
+//! [`JsonValue`]: [`report::Json`](crate::report::Json) reports, the
+//! daemon's NDJSON frames, the fleet's memo entries and trajectories, and
+//! [`trace::chrome_json`](crate::trace::chrome_json) traces. Raw counter
+//! values are `u64` and must survive bit-exactly, so the value type
+//! distinguishes [`JsonValue::UInt`] from [`JsonValue::Num`]. Reals are
+//! encoded with Rust's shortest-round-trip `Display`, so every finite `f64`
+//! parses back to the same bits; the non-finite values a metric formula
+//! can produce are spelled as the strings `"NaN"`, `"inf"` and `"-inf"`
+//! (JSON has no literal for them).
 
 use std::fmt::Write as _;
 
@@ -15,7 +17,7 @@ use std::fmt::Write as _;
 /// recurses once per level, so the bound keeps one hostile line from
 /// overflowing the stack; every document this suite writes nests only a
 /// few levels.
-const MAX_DEPTH: usize = 128;
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +175,7 @@ impl JsonValue {
     }
 }
 
-/// Convenience builder for object frames.
+/// Convenience builder for objects with literal keys.
 pub fn obj(members: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }

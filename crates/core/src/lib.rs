@@ -20,6 +20,9 @@
 //!   prefetchers and other switchable processor features.
 //! * [`report`] — the typed report document model every tool produces, and
 //!   the ASCII/CSV/JSON renderers behind the [`report::Render`] trait.
+//! * [`json`] — the one lossless JSON codec behind reports, NDJSON frames,
+//!   memo entries, trajectories and Chrome traces (64-bit counts and
+//!   `f64` bits stay exact).
 //! * [`output`] — the low-level ASCII table/box rendering primitives.
 //! * [`args`] — the declarative [`args::ArgSpec`] command-line parser shared
 //!   by every binary (including the common `-O`/`-o` output switches).
@@ -32,6 +35,7 @@ pub mod args;
 pub mod cli;
 pub mod error;
 pub mod features;
+pub mod json;
 pub mod marker;
 pub mod output;
 pub mod perfctr;

@@ -1,10 +1,11 @@
 //! The structured report document model.
 //!
 //! Every tool and figure generator in the suite builds a [`Report`] — a
-//! typed document of [`Section`]s holding [`Table`]s, [`KeyValues`] lists or
-//! free [`Body::Text`] blocks over typed [`Value`]s — instead of pushing
-//! pre-rendered strings. Formatting is a separate, second step: the three
-//! renderers behind the [`Render`] trait turn one and the same document into
+//! typed document of [`Section`]s holding [`Table`]s,
+//! [`KeyValues`](Body::KeyValues) lists or free [`Body::Text`] blocks over
+//! typed [`Value`]s — instead of pushing pre-rendered strings. Formatting
+//! is a separate, second step: the three renderers behind the [`Render`]
+//! trait turn one and the same document into
 //!
 //! * [`Ascii`] — the classic terminal output (byte-identical to the
 //!   listings of the paper; pinned by the golden-file tests),
@@ -19,6 +20,7 @@
 //! the typed value. Scriptable consumers read the values; the ASCII
 //! renderer honours the overrides.
 
+use crate::json::{obj, JsonValue};
 use crate::output;
 
 pub mod stream;
@@ -425,7 +427,11 @@ impl Report {
     /// Parse a report back from its [`Json`] rendering (the round-trip
     /// property the golden tests pin: `from_json(Json.render(r)) == r`).
     pub fn from_json(text: &str) -> Result<Report, String> {
-        json::parse_report(text)
+        let root = JsonValue::parse(text)?;
+        Ok(Report {
+            title: str_member(&root, "title", "report")?,
+            sections: list_member(&root, "sections", "report", Section::from_json)?,
+        })
     }
 }
 
@@ -716,23 +722,20 @@ impl Render for Csv {
 }
 
 /// The JSON renderer: a lossless serialization of the document (typed
-/// values, headings, rules and ASCII overrides included), hand-rolled so
-/// the workspace stays dependency-free. [`Report::from_json`] parses the
-/// output back into an equal `Report`.
+/// values, headings, rules and ASCII overrides included) through the
+/// suite's [`crate::json`] codec, one compact line per section.
+/// [`Report::from_json`] parses the output back into an equal `Report`.
 pub struct Json;
 
 impl Render for Json {
     fn render(&self, report: &Report) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"title\": ");
-        json::write_string(&mut out, &report.title);
+        out.push_str(&JsonValue::Str(report.title.clone()).encode());
         out.push_str(",\n  \"sections\": [");
         for (i, section) in report.sections.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json::write_section(&mut out, section);
+            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            out.push_str(&section.to_json().encode());
         }
         if !report.sections.is_empty() {
             out.push_str("\n  ");
@@ -742,523 +745,185 @@ impl Render for Json {
     }
 }
 
-/// Hand-rolled JSON writer and reader for [`Report`] documents.
-mod json {
-    use super::{
-        Body, Heading, KvEntry, Report, Row, Section, Series, Table, TableStyle, TimeSeries, Value,
-    };
+/// A required member of a JSON object.
+fn member<'a>(v: &'a JsonValue, key: &str, what: &str) -> Result<&'a JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("{what} without '{key}'"))
+}
 
-    pub(super) fn write_string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
+fn str_member(v: &JsonValue, key: &str, what: &str) -> Result<String, String> {
+    member(v, key, what)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{what}: '{key}' must be a string"))
+}
+
+/// An array member decoded item by item.
+fn list_member<T>(
+    v: &JsonValue,
+    key: &str,
+    what: &str,
+    item: impl Fn(&JsonValue) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    member(v, key, what)?
+        .as_arr()
+        .ok_or_else(|| format!("{what}: '{key}' must be an array"))?
+        .iter()
+        .map(item)
+        .collect()
+}
+
+/// An optional ASCII override: absent or `null` is `None`.
+fn opt_str_member(v: &JsonValue, key: &str) -> Result<Option<String>, String> {
+    match v.get(key) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(JsonValue::Str(s)) => Ok(Some(s.clone())),
+        Some(_) => Err(format!("'{key}' must be a string or null")),
+    }
+}
+
+fn real_from_json(v: &JsonValue) -> Result<f64, String> {
+    v.as_f64().ok_or_else(|| "expected a real".to_string())
+}
+
+fn str_json(s: &str) -> JsonValue {
+    JsonValue::Str(s.to_string())
+}
+
+fn opt_str_json(s: &Option<String>) -> JsonValue {
+    s.as_deref().map_or(JsonValue::Null, str_json)
+}
+
+fn arr_json<T>(items: &[T], item: impl Fn(&T) -> JsonValue) -> JsonValue {
+    JsonValue::Arr(items.iter().map(item).collect())
+}
+
+impl Value {
+    fn to_json(&self) -> JsonValue {
+        let (kind, v) = match self {
+            Value::Count(v) => ("count", JsonValue::UInt(*v)),
+            Value::Real(v) => ("real", JsonValue::real(*v)),
+            Value::Str(s) => ("str", str_json(s)),
+            Value::CpuId(c) => ("cpu", JsonValue::UInt(*c as u64)),
+            Value::Bytes(b) => ("bytes", JsonValue::UInt(*b)),
+        };
+        obj(vec![("type", str_json(kind)), ("v", v)])
     }
 
-    fn write_value(out: &mut String, value: &Value) {
-        match value {
-            Value::Count(v) => out.push_str(&format!("{{\"type\":\"count\",\"v\":{v}}}")),
-            Value::Real(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{{\"type\":\"real\",\"v\":{v}}}"));
-                } else {
-                    out.push_str("{\"type\":\"real\",\"v\":");
-                    write_string(out, &super::format_real(*v));
-                    out.push('}');
-                }
-            }
-            Value::Str(s) => {
-                out.push_str("{\"type\":\"str\",\"v\":");
-                write_string(out, s);
-                out.push('}');
-            }
-            Value::CpuId(c) => out.push_str(&format!("{{\"type\":\"cpu\",\"v\":{c}}}")),
-            Value::Bytes(b) => out.push_str(&format!("{{\"type\":\"bytes\",\"v\":{b}}}")),
-        }
+    fn from_json(v: &JsonValue) -> Result<Value, String> {
+        let kind = str_member(v, "type", "value")?;
+        let payload = member(v, "v", "value")?;
+        let uint = || payload.as_u64().ok_or_else(|| format!("{kind} payload must be a count"));
+        Ok(match kind.as_str() {
+            "count" => Value::Count(uint()?),
+            "cpu" => Value::CpuId(uint()? as usize),
+            "bytes" => Value::Bytes(uint()?),
+            "real" => Value::Real(real_from_json(payload)?),
+            "str" => Value::Str(payload.as_str().ok_or("str payload must be a string")?.into()),
+            other => return Err(format!("unknown value type '{other}'")),
+        })
+    }
+}
+
+impl KvEntry {
+    fn to_json(&self) -> JsonValue {
+        obj(vec![
+            ("key", str_json(&self.key)),
+            ("value", self.value.to_json()),
+            ("ascii", opt_str_json(&self.ascii)),
+        ])
     }
 
-    fn write_opt_string(out: &mut String, s: &Option<String>) {
-        match s {
-            Some(s) => write_string(out, s),
-            None => out.push_str("null"),
-        }
+    fn from_json(v: &JsonValue) -> Result<KvEntry, String> {
+        Ok(KvEntry {
+            key: str_member(v, "key", "entry")?,
+            value: Value::from_json(member(v, "value", "entry")?)?,
+            ascii: opt_str_member(v, "ascii")?,
+        })
+    }
+}
+
+impl Row {
+    fn to_json(&self) -> JsonValue {
+        obj(vec![
+            ("values", arr_json(&self.values, Value::to_json)),
+            ("ascii", opt_str_json(&self.ascii)),
+        ])
     }
 
-    /// A raw f64 array element: a JSON number for finite values, the
-    /// conventional string spelling for NaN/±inf.
-    fn write_real_token(out: &mut String, v: f64) {
-        if v.is_finite() {
-            out.push_str(&format!("{v}"));
-        } else {
-            write_string(out, &super::format_real(v));
-        }
+    fn from_json(v: &JsonValue) -> Result<Row, String> {
+        Ok(Row {
+            values: list_member(v, "values", "row", Value::from_json)?,
+            ascii: opt_str_member(v, "ascii")?,
+        })
+    }
+}
+
+impl Series {
+    fn to_json(&self) -> JsonValue {
+        obj(vec![
+            ("metric", str_json(&self.metric)),
+            ("cpu", JsonValue::UInt(self.cpu as u64)),
+            ("values", arr_json(&self.values, |&v| JsonValue::real(v))),
+        ])
     }
 
-    fn write_real_array(out: &mut String, values: &[f64]) {
-        out.push('[');
-        for (i, &v) in values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_real_token(out, v);
-        }
-        out.push(']');
+    fn from_json(v: &JsonValue) -> Result<Series, String> {
+        Ok(Series {
+            metric: str_member(v, "metric", "series")?,
+            cpu: member(v, "cpu", "series")?.as_u64().ok_or("series cpu must be a count")? as usize,
+            values: list_member(v, "values", "series", real_from_json)?,
+        })
     }
+}
 
-    pub(super) fn write_section(out: &mut String, section: &Section) {
-        out.push_str("{\"id\":");
-        write_string(out, &section.id);
-        out.push_str(",\"heading\":");
-        match &section.heading {
-            Heading::None => out.push_str("null"),
-            Heading::Line(s) => {
-                out.push_str("{\"kind\":\"line\",\"text\":");
-                write_string(out, s);
-                out.push('}');
-            }
-            Heading::Boxed(s) => {
-                out.push_str("{\"kind\":\"boxed\",\"text\":");
-                write_string(out, s);
-                out.push('}');
-            }
-        }
-        out.push_str(&format!(
-            ",\"rule_before\":{},\"rule_after\":{},\"body\":",
-            section.rule_before, section.rule_after
-        ));
-        match &section.body {
+impl Section {
+    fn to_json(&self) -> JsonValue {
+        let heading =
+            |kind: &str, text: &str| obj(vec![("kind", str_json(kind)), ("text", str_json(text))]);
+        let heading = match &self.heading {
+            Heading::None => JsonValue::Null,
+            Heading::Line(s) => heading("line", s),
+            Heading::Boxed(s) => heading("boxed", s),
+        };
+        let kind = |kind: &str| ("kind", str_json(kind));
+        let body = match &self.body {
             Body::KeyValues(entries) => {
-                out.push_str("{\"kind\":\"keyvalues\",\"entries\":[");
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"key\":");
-                    write_string(out, &e.key);
-                    out.push_str(",\"value\":");
-                    write_value(out, &e.value);
-                    out.push_str(",\"ascii\":");
-                    write_opt_string(out, &e.ascii);
-                    out.push('}');
-                }
-                out.push_str("]}");
+                obj(vec![kind("keyvalues"), ("entries", arr_json(entries, KvEntry::to_json))])
             }
             Body::Table(table) => {
-                out.push_str("{\"kind\":\"table\",\"style\":");
-                write_string(
-                    out,
-                    match table.style {
-                        TableStyle::Bordered => "bordered",
-                        TableStyle::Plain => "plain",
-                    },
-                );
-                out.push_str(",\"columns\":[");
-                for (i, c) in table.columns.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(out, c);
-                }
-                out.push_str("],\"ascii_header\":");
-                write_opt_string(out, &table.ascii_header);
-                out.push_str(",\"rows\":[");
-                for (i, row) in table.rows.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"values\":[");
-                    for (j, v) in row.values.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        write_value(out, v);
-                    }
-                    out.push_str("],\"ascii\":");
-                    write_opt_string(out, &row.ascii);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Body::Text(text) => {
-                out.push_str("{\"kind\":\"text\",\"text\":");
-                write_string(out, text);
-                out.push('}');
-            }
-            Body::TimeSeries(ts) => {
-                out.push_str("{\"kind\":\"timeseries\",\"timestamps\":");
-                write_real_array(out, &ts.timestamps);
-                out.push_str(",\"series\":[");
-                for (i, s) in ts.series.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"metric\":");
-                    write_string(out, &s.metric);
-                    out.push_str(&format!(",\"cpu\":{},\"values\":", s.cpu));
-                    write_real_array(out, &s.values);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push('}');
-    }
-
-    /// A parsed generic JSON value. Numbers keep their raw token so 64-bit
-    /// counts survive without a detour through `f64`.
-    #[derive(Debug, Clone, PartialEq)]
-    enum JsonValue {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Array(Vec<JsonValue>),
-        Object(Vec<(String, JsonValue)>),
-    }
-
-    impl JsonValue {
-        fn get(&self, key: &str) -> Option<&JsonValue> {
-            match self {
-                JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        fn as_str(&self) -> Option<&str> {
-            match self {
-                JsonValue::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        fn as_array(&self) -> Option<&[JsonValue]> {
-            match self {
-                JsonValue::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        fn as_bool(&self) -> Option<bool> {
-            match self {
-                JsonValue::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        fn as_opt_string(&self) -> Result<Option<String>, String> {
-            match self {
-                JsonValue::Null => Ok(None),
-                JsonValue::Str(s) => Ok(Some(s.clone())),
-                _ => Err("expected string or null".into()),
-            }
-        }
-    }
-
-    /// Deepest array/object nesting the parser accepts. It recurses once
-    /// per level, so the bound keeps a hostile document from overflowing
-    /// the stack; a report nests only a few levels.
-    pub(super) const MAX_DEPTH: usize = 128;
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-        /// Arrays and objects currently open.
-        depth: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn new(text: &'a str) -> Self {
-            Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
-        }
-
-        fn error(&self, msg: &str) -> String {
-            format!("JSON parse error at byte {}: {msg}", self.pos)
-        }
-
-        fn skip_ws(&mut self) {
-            while self.pos < self.bytes.len()
-                && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Option<u8> {
-            self.skip_ws();
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek() == Some(c) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.error(&format!("expected '{}'", c as char)))
-            }
-        }
-
-        fn parse_value(&mut self) -> Result<JsonValue, String> {
-            match self.peek() {
-                Some(b'{') => self.nested(Self::parse_object),
-                Some(b'[') => self.nested(Self::parse_array),
-                Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-                Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-                Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-                Some(b'n') => self.parse_keyword("null", JsonValue::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-                _ => Err(self.error("expected a value")),
-            }
-        }
-
-        /// Parse an array or object one level deeper, refusing to pass
-        /// [`MAX_DEPTH`].
-        fn nested(
-            &mut self,
-            parse: fn(&mut Self) -> Result<JsonValue, String>,
-        ) -> Result<JsonValue, String> {
-            if self.depth == MAX_DEPTH {
-                return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
-            }
-            self.depth += 1;
-            let value = parse(self);
-            self.depth -= 1;
-            value
-        }
-
-        fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(value)
-            } else {
-                Err(self.error(&format!("expected '{word}'")))
-            }
-        }
-
-        fn parse_number(&mut self) -> Result<JsonValue, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while self.pos < self.bytes.len()
-                && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                self.pos += 1;
-            }
-            if start == self.pos {
-                return Err(self.error("expected a number"));
-            }
-            Ok(JsonValue::Num(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("bad number"))?
-                    .to_string(),
-            ))
-        }
-
-        fn parse_hex4(&mut self) -> Result<u32, String> {
-            let hex = self
-                .bytes
-                .get(self.pos..self.pos + 4)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .ok_or_else(|| self.error("bad \\u escape"))?;
-            let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
-            self.pos += 4;
-            Ok(code)
-        }
-
-        fn parse_string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let Some(&c) = self.bytes.get(self.pos) else {
-                    return Err(self.error("unterminated string"));
+                let style = match table.style {
+                    TableStyle::Bordered => "bordered",
+                    TableStyle::Plain => "plain",
                 };
-                self.pos += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let Some(&esc) = self.bytes.get(self.pos) else {
-                            return Err(self.error("unterminated escape"));
-                        };
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let code = self.parse_hex4()?;
-                                let ch = if (0xD800..0xDC00).contains(&code) {
-                                    // High surrogate: serializers that force
-                                    // ASCII (e.g. Python's json) encode
-                                    // non-BMP characters as surrogate pairs.
-                                    if self.bytes.get(self.pos) != Some(&b'\\')
-                                        || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                    {
-                                        return Err(self.error("lone high surrogate"));
-                                    }
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(self.error("invalid low surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| self.error("bad surrogate pair"))?
-                                } else if (0xDC00..0xE000).contains(&code) {
-                                    return Err(self.error("lone low surrogate"));
-                                } else {
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.error("bad \\u code point"))?
-                                };
-                                out.push(ch);
-                            }
-                            _ => return Err(self.error("unknown escape")),
-                        }
-                    }
-                    _ => {
-                        // Continue a multi-byte UTF-8 sequence verbatim.
-                        let len = utf8_len(c);
-                        let chunk = self
-                            .bytes
-                            .get(self.pos - 1..self.pos - 1 + len)
-                            .ok_or_else(|| self.error("truncated UTF-8"))?;
-                        out.push_str(
-                            std::str::from_utf8(chunk).map_err(|_| self.error("bad UTF-8"))?,
-                        );
-                        self.pos += len - 1;
-                    }
-                }
+                obj(vec![
+                    kind("table"),
+                    ("style", str_json(style)),
+                    ("columns", arr_json(&table.columns, |c| str_json(c))),
+                    ("ascii_header", opt_str_json(&table.ascii_header)),
+                    ("rows", arr_json(&table.rows, Row::to_json)),
+                ])
             }
-        }
-
-        fn parse_array(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            loop {
-                items.push(self.parse_value()?);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Array(items));
-                    }
-                    _ => return Err(self.error("expected ',' or ']'")),
-                }
-            }
-        }
-
-        fn parse_object(&mut self) -> Result<JsonValue, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(JsonValue::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                let value = self.parse_value()?;
-                fields.push((key, value));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(JsonValue::Object(fields));
-                    }
-                    _ => return Err(self.error("expected ',' or '}'")),
-                }
-            }
-        }
+            Body::Text(text) => obj(vec![kind("text"), ("text", str_json(text))]),
+            Body::TimeSeries(ts) => obj(vec![
+                kind("timeseries"),
+                ("timestamps", arr_json(&ts.timestamps, |&v| JsonValue::real(v))),
+                ("series", arr_json(&ts.series, Series::to_json)),
+            ]),
+        };
+        obj(vec![
+            ("id", str_json(&self.id)),
+            ("heading", heading),
+            ("rule_before", JsonValue::Bool(self.rule_before)),
+            ("rule_after", JsonValue::Bool(self.rule_after)),
+            ("body", body),
+        ])
     }
 
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0xF0..=0xF7 => 4,
-            0xE0..=0xEF => 3,
-            0xC0..=0xDF => 2,
-            _ => 1,
-        }
-    }
-
-    fn read_real_token(v: &JsonValue) -> Result<f64, String> {
-        match v {
-            JsonValue::Num(raw) => raw.parse().map_err(|_| format!("bad real '{raw}'")),
-            JsonValue::Str(s) => match s.as_str() {
-                "NaN" => Ok(f64::NAN),
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                other => Err(format!("bad non-finite real '{other}'")),
-            },
-            _ => Err("expected a real number".into()),
-        }
-    }
-
-    fn read_real_array(v: &JsonValue) -> Result<Vec<f64>, String> {
-        v.as_array()
-            .ok_or_else(|| "expected an array of reals".to_string())?
-            .iter()
-            .map(read_real_token)
-            .collect()
-    }
-
-    fn read_value(v: &JsonValue) -> Result<Value, String> {
-        let kind = v
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "value without a type".to_string())?;
-        let payload = v.get("v").ok_or_else(|| "value without a payload".to_string())?;
-        match kind {
-            "count" | "cpu" | "bytes" => {
-                let JsonValue::Num(raw) = payload else {
-                    return Err(format!("{kind} payload must be a number"));
-                };
-                let n: u64 = raw.parse().map_err(|_| format!("bad {kind} '{raw}'"))?;
-                Ok(match kind {
-                    "count" => Value::Count(n),
-                    "cpu" => Value::CpuId(n as usize),
-                    _ => Value::Bytes(n),
-                })
-            }
-            "real" => Ok(Value::Real(read_real_token(payload)?)),
-            "str" => Ok(Value::Str(
-                payload.as_str().ok_or_else(|| "str payload must be a string".to_string())?.into(),
-            )),
-            other => Err(format!("unknown value type '{other}'")),
-        }
-    }
-
-    fn read_section(v: &JsonValue) -> Result<Section, String> {
-        let id = v
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "section without an id".to_string())?
-            .to_string();
+    fn from_json(v: &JsonValue) -> Result<Section, String> {
         let heading = match v.get("heading") {
             None | Some(JsonValue::Null) => Heading::None,
             Some(h) => {
-                let text = h
-                    .get("text")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| "heading without text".to_string())?
-                    .to_string();
+                let text = str_member(h, "text", "heading")?;
                 match h.get("kind").and_then(JsonValue::as_str) {
                     Some("line") => Heading::Line(text),
                     Some("boxed") => Heading::Boxed(text),
@@ -1266,133 +931,40 @@ mod json {
                 }
             }
         };
-        let rule_before = v.get("rule_before").and_then(JsonValue::as_bool).unwrap_or(false);
-        let rule_after = v.get("rule_after").and_then(JsonValue::as_bool).unwrap_or(false);
-        let body_json = v.get("body").ok_or_else(|| "section without a body".to_string())?;
-        let body = match body_json.get("kind").and_then(JsonValue::as_str) {
+        let b = member(v, "body", "section")?;
+        let body = match b.get("kind").and_then(JsonValue::as_str) {
             Some("keyvalues") => {
-                let entries = body_json
-                    .get("entries")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| "keyvalues without entries".to_string())?;
-                let mut out = Vec::with_capacity(entries.len());
-                for e in entries {
-                    out.push(KvEntry {
-                        key: e
-                            .get("key")
-                            .and_then(JsonValue::as_str)
-                            .ok_or_else(|| "entry without a key".to_string())?
-                            .to_string(),
-                        value: read_value(
-                            e.get("value").ok_or_else(|| "entry without a value".to_string())?,
-                        )?,
-                        ascii: e.get("ascii").map(JsonValue::as_opt_string).transpose()?.flatten(),
-                    });
-                }
-                Body::KeyValues(out)
+                Body::KeyValues(list_member(b, "entries", "keyvalues", KvEntry::from_json)?)
             }
-            Some("table") => {
-                let style = match body_json.get("style").and_then(JsonValue::as_str) {
+            Some("table") => Body::Table(Table {
+                style: match b.get("style").and_then(JsonValue::as_str) {
                     Some("bordered") => TableStyle::Bordered,
                     Some("plain") => TableStyle::Plain,
                     _ => return Err("unknown table style".into()),
-                };
-                let columns = body_json
-                    .get("columns")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| "table without columns".to_string())?
-                    .iter()
-                    .map(|c| {
-                        c.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "column names must be strings".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let ascii_header = body_json
-                    .get("ascii_header")
-                    .map(JsonValue::as_opt_string)
-                    .transpose()?
-                    .flatten();
-                let mut rows = Vec::new();
-                for r in body_json
-                    .get("rows")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| "table without rows".to_string())?
-                {
-                    let values = r
-                        .get("values")
-                        .and_then(JsonValue::as_array)
-                        .ok_or_else(|| "row without values".to_string())?
-                        .iter()
-                        .map(read_value)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let ascii = r.get("ascii").map(JsonValue::as_opt_string).transpose()?.flatten();
-                    rows.push(Row { values, ascii });
-                }
-                Body::Table(Table { columns, rows, style, ascii_header })
-            }
-            Some("text") => Body::Text(
-                body_json
-                    .get("text")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| "text body without text".to_string())?
-                    .to_string(),
-            ),
-            Some("timeseries") => {
-                let timestamps = read_real_array(
-                    body_json
-                        .get("timestamps")
-                        .ok_or_else(|| "timeseries without timestamps".to_string())?,
-                )?;
-                let mut series = Vec::new();
-                for s in body_json
-                    .get("series")
-                    .and_then(JsonValue::as_array)
-                    .ok_or_else(|| "timeseries without series".to_string())?
-                {
-                    let metric = s
-                        .get("metric")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| "series without a metric name".to_string())?
-                        .to_string();
-                    let cpu: usize = match s.get("cpu") {
-                        Some(JsonValue::Num(raw)) => {
-                            raw.parse().map_err(|_| format!("bad series cpu '{raw}'"))?
-                        }
-                        _ => return Err("series without a cpu".into()),
-                    };
-                    let values = read_real_array(
-                        s.get("values").ok_or_else(|| "series without values".to_string())?,
-                    )?;
-                    series.push(Series { metric, cpu, values });
-                }
-                Body::TimeSeries(TimeSeries { timestamps, series })
-            }
+                },
+                columns: list_member(b, "columns", "table", |c| {
+                    c.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| "column names must be strings".into())
+                })?,
+                ascii_header: opt_str_member(b, "ascii_header")?,
+                rows: list_member(b, "rows", "table", Row::from_json)?,
+            }),
+            Some("text") => Body::Text(str_member(b, "text", "text body")?),
+            Some("timeseries") => Body::TimeSeries(TimeSeries {
+                timestamps: list_member(b, "timestamps", "timeseries", real_from_json)?,
+                series: list_member(b, "series", "timeseries", Series::from_json)?,
+            }),
             _ => return Err("unknown body kind".into()),
         };
-        Ok(Section { id, heading, rule_before, rule_after, body })
-    }
-
-    pub(super) fn parse_report(text: &str) -> Result<Report, String> {
-        let mut parser = Parser::new(text);
-        let root = parser.parse_value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing data after document"));
-        }
-        let title = root
-            .get("title")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "report without a title".to_string())?
-            .to_string();
-        let sections = root
-            .get("sections")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "report without sections".to_string())?
-            .iter()
-            .map(read_section)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Report { title, sections })
+        let flag = |key: &str| v.get(key).and_then(JsonValue::as_bool).unwrap_or(false);
+        Ok(Section {
+            id: str_member(v, "id", "section")?,
+            heading,
+            rule_before: flag("rule_before"),
+            rule_after: flag("rule_after"),
+            body,
+        })
     }
 }
 
@@ -1524,9 +1096,9 @@ mod tests {
         let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         let doc = |sections: &str| format!("{{\"title\":\"x\",\"sections\":{sections}}}");
         // The root object is one of the levels.
-        let err = Report::from_json(&doc(&nest(json::MAX_DEPTH))).unwrap_err();
+        let err = Report::from_json(&doc(&nest(crate::json::MAX_DEPTH))).unwrap_err();
         assert!(err.contains("nesting deeper than 128"), "{err}");
-        let err = Report::from_json(&doc(&nest(json::MAX_DEPTH - 1))).unwrap_err();
+        let err = Report::from_json(&doc(&nest(crate::json::MAX_DEPTH - 1))).unwrap_err();
         assert!(!err.contains("nesting"), "{err}");
         // Far past the limit: an error, not a stack overflow.
         assert!(Report::from_json(&"[".repeat(100_000)).is_err());

@@ -1,7 +1,7 @@
 //! Row-at-a-time rendering for live measurement streams.
 //!
-//! The post-mortem [`Render`](super::Render) trait consumes a finished
-//! [`Report`](super::Report); a daemon session instead emits one row of
+//! The post-mortem [`Render`] trait consumes a finished
+//! [`Report`]; a daemon session instead emits one row of
 //! metric values per interval while the measurement is still running.  A
 //! [`StreamRender`] turns that trickle into terminal output incrementally:
 //! `begin` prints the column header once, `row` prints each interval as it

@@ -44,6 +44,7 @@ use std::time::Instant;
 
 use crate::args::{ArgSpec, ParsedArgs};
 use crate::error::{LikwidError, Result};
+use crate::json::{obj, JsonValue};
 use crate::report::{Body, KvEntry, OutputFormat, Report, Row, Section, Table, Value};
 
 /// Subsystem categories; each maps to one trace "process".
@@ -400,43 +401,33 @@ pub fn count_with(category: &'static str, name: impl FnOnce() -> String, delta: 
     });
 }
 
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Nanoseconds → the microsecond `ts`/`dur` fields of the trace format
 /// (fractional when needed; f64 `Display` is shortest-round-trip).
-fn micros(ns: u64) -> String {
-    format!("{}", ns as f64 / 1000.0)
+fn micros(ns: u64) -> JsonValue {
+    JsonValue::Num(ns as f64 / 1000.0)
 }
 
 /// Render events as Chrome trace-event JSON (Perfetto-loadable).
 pub fn chrome_json(events: &[TraceEvent]) -> String {
-    let mut lines: Vec<String> = Vec::with_capacity(events.len() + 16);
+    let text = |s: &str| JsonValue::Str(s.to_string());
+    let mut out: Vec<JsonValue> = Vec::with_capacity(events.len() + 16);
     // Metadata: name each used process and thread track.
+    let meta = |kind: &str, pid: u64, tid: u64, name: String| {
+        obj(vec![
+            ("name", text(kind)),
+            ("ph", text("M")),
+            ("pid", JsonValue::UInt(pid)),
+            ("tid", JsonValue::UInt(tid)),
+            ("args", obj(vec![("name", JsonValue::Str(name))])),
+        ])
+    };
     let mut pids: Vec<u64> = Vec::new();
     let mut tracks: Vec<(u64, u64)> = Vec::new();
     for e in events {
         let (pid, name) = process_of(e.cat);
         if !pids.contains(&pid) {
             pids.push(pid);
-            lines.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape_json(name)
-            ));
+            out.push(meta("process_name", pid, 0, name.to_string()));
         }
         if !tracks.contains(&(pid, e.tid)) {
             tracks.push((pid, e.tid));
@@ -445,60 +436,46 @@ pub fn chrome_json(events: &[TraceEvent]) -> String {
             } else {
                 format!("thread-{}", e.tid)
             };
-            lines.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
-                 \"args\":{{\"name\":\"{track}\"}}}}",
-                e.tid
-            ));
+            out.push(meta("thread_name", pid, e.tid, track));
         }
     }
     let mut totals: BTreeMap<(u64, String), i64> = BTreeMap::new();
     for e in events {
         let (pid, _) = process_of(e.cat);
-        let common = format!(
-            "\"cat\":\"{}\",\"pid\":{pid},\"tid\":{},\"ts\":{}",
-            escape_json(e.cat),
-            e.tid,
-            micros(e.ts_ns)
-        );
-        let args_json = |args: &[(&'static str, String)]| {
-            let body: Vec<String> = args
-                .iter()
-                .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-                .collect();
-            body.join(",")
+        let common = |ph: &str| {
+            vec![
+                ("ph", text(ph)),
+                ("cat", text(e.cat)),
+                ("pid", JsonValue::UInt(pid)),
+                ("tid", JsonValue::UInt(e.tid)),
+                ("ts", micros(e.ts_ns)),
+            ]
         };
-        match &e.phase {
-            Phase::Begin => {
-                lines.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"B\",{common},\"args\":{{{}}}}}",
-                    escape_json(&e.name),
-                    args_json(&e.args)
-                ));
-            }
-            Phase::End => {
-                lines.push(format!("{{\"ph\":\"E\",{common}}}"));
-            }
-            Phase::Complete { dur_ns } => {
-                lines.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",{common},\"dur\":{},\"args\":{{{}}}}}",
-                    escape_json(&e.name),
-                    micros(*dur_ns),
-                    args_json(&e.args)
-                ));
-            }
+        let named = |ph: &str, tail: Vec<(&'static str, JsonValue)>| {
+            let mut members = vec![("name", text(&e.name))];
+            members.extend(common(ph));
+            members.extend(tail);
+            members
+        };
+        let args = || ("args", obj(e.args.iter().map(|(k, v)| (*k, text(v))).collect()));
+        let members = match &e.phase {
+            Phase::Begin => named("B", vec![args()]),
+            Phase::End => common("E"),
+            Phase::Complete { dur_ns } => named("X", vec![("dur", micros(*dur_ns)), args()]),
             Phase::Counter { delta } => {
                 let total = totals.entry((pid, e.name.clone())).or_insert(0);
                 *total += delta;
-                lines.push(format!(
-                    "{{\"name\":\"{}\",\"ph\":\"C\",{common},\"args\":{{\"value\":{}}}}}",
-                    escape_json(&e.name),
-                    *total
-                ));
+                let value =
+                    u64::try_from(*total).map_or(JsonValue::Num(*total as f64), JsonValue::UInt);
+                named("C", vec![("args", obj(vec![("value", value)]))])
             }
-        }
+        };
+        out.push(obj(members));
     }
-    format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}\n", lines.join(","))
+    let mut text =
+        obj(vec![("traceEvents", JsonValue::Arr(out)), ("displayTimeUnit", text("ms"))]).encode();
+    text.push('\n');
+    text
 }
 
 /// Render events as folded stacks (`proc;outer;inner <self-ns>` lines),
@@ -737,6 +714,24 @@ mod tests {
     #[test]
     fn chrome_json_has_balanced_phases_and_running_counter_totals() {
         let text = chrome_json(&sample_events());
+        // Byte pin of the whole document.
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"traceEvents":[{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"likwid-fleet"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"thread-1"}},"#,
+                r#"{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"likwid-cache-sim"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":4,"tid":2,"args":{"name":"thread-2"}},"#,
+                r#"{"name":"sweep","ph":"B","cat":"fleet","pid":2,"tid":1,"ts":1,"args":{}},"#,
+                r#"{"name":"point","ph":"B","cat":"fleet","pid":2,"tid":1,"ts":2,"args":{}},"#,
+                r#"{"ph":"E","cat":"fleet","pid":2,"tid":1,"ts":5},"#,
+                r#"{"ph":"E","cat":"fleet","pid":2,"tid":1,"ts":9},"#,
+                r#"{"name":"epoch.parallel","ph":"X","cat":"cachesim","pid":4,"tid":2,"ts":3,"dur":4,"args":{}},"#,
+                r#"{"name":"memo_hit","ph":"C","cat":"fleet","pid":2,"tid":1,"ts":4,"args":{"value":1}},"#,
+                r#"{"name":"memo_hit","ph":"C","cat":"fleet","pid":2,"tid":1,"ts":6,"args":{"value":3}}],"displayTimeUnit":"ms"}"#,
+                "\n"
+            )
+        );
         assert!(text.starts_with("{\"traceEvents\":["));
         assert_eq!(text.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(text.matches("\"ph\":\"E\"").count(), 2);

@@ -18,8 +18,8 @@ use likwid::perfctr::TimelineResult;
 use likwid::report::{Series, TimeSeries};
 use likwid::{LikwidError, Result};
 
-use crate::jsonv::JsonValue;
 use crate::protocol::{DoneFrame, Frame, IntervalFrame, OpenRequest, OpenedFrame};
+use likwid::json::JsonValue;
 
 /// Accumulates one session's frame stream and reconstructs the post-mortem
 /// result.
@@ -219,7 +219,7 @@ impl SocketClient {
     /// broker's state mutex, so it returns promptly even while other
     /// clients stream measurement sessions.
     pub fn status(&mut self) -> Result<crate::broker::DaemonStatus> {
-        self.send(&crate::jsonv::obj(vec![("cmd", JsonValue::Str("status".into()))]))?;
+        self.send(&likwid::json::obj(vec![("cmd", JsonValue::Str("status".into()))]))?;
         match self.next_frame()? {
             Frame::Status(status) => Ok(status),
             Frame::Error { kind, message } => Err(error_from_frame(&kind, message)),

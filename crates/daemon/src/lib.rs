@@ -15,13 +15,18 @@
 //!   which rebuilds a bit-identical post-mortem
 //!   [`likwid::perfctr::TimelineResult`] from the frame stream.
 //! * [`server`] — the socket accept loop and connection handlers.
-//! * [`jsonv`] — the lossless JSON codec (64-bit counts stay exact).
+//!
+//! Frames are encoded and decoded with [`likwid::json`], the suite's one
+//! lossless JSON codec (64-bit counts stay exact).
 
 pub mod broker;
 pub mod client;
-pub mod jsonv;
 pub mod protocol;
 pub mod server;
+
+/// The codec's former home. `selfbench/src/main.rs` still imports
+/// `likwid_daemon::jsonv`; everything else uses [`likwid::json`].
+pub use likwid::json as jsonv;
 
 pub use broker::{
     ActivitySource, BrokerStats, Daemon, DaemonStatus, SessionConfig, SessionHandle, SessionStatus,

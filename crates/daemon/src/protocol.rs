@@ -18,7 +18,7 @@
 //! * `done` — the post-mortem result: aggregate and extrapolated counts,
 //!   the full per-group aggregate results, the cross-session coverage
 //!   scale. Interval frames and the `done` frame together reconstruct the
-//!   complete [`TimelineResult`] bit-identically (see
+//!   complete [`likwid::perfctr::TimelineResult`] bit-identically (see
 //!   [`crate::client::StreamAccumulator`]).
 //! * `status` (command) — ask for an observability snapshot of the broker;
 //!   answered immediately from the state mutex, never blocking (or blocked
@@ -34,7 +34,7 @@
 //! reals use shortest-round-trip encoding, so reconstruction is bit-exact.
 
 use crate::broker::{DaemonStatus, SessionStatus, UncoreStatus};
-use crate::jsonv::{obj, JsonValue};
+use likwid::json::{obj, JsonValue};
 use likwid::perfctr::session::{Diagnostic, GroupCounts};
 use likwid::perfctr::{PerfCtrResults, TimelineInterval};
 use likwid::{LikwidError, Result};

@@ -20,8 +20,8 @@ use likwid::Result;
 use likwid_x86_machine::SimMachine;
 
 use crate::broker::Daemon;
-use crate::jsonv::JsonValue;
 use crate::protocol::{Frame, OpenRequest, PROTOCOL_VERSION, SERVER_NAME};
+use likwid::json::JsonValue;
 
 /// Accept-loop poll interval while checking the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);

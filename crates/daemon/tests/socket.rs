@@ -7,8 +7,8 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use likwid::json::{obj, JsonValue};
 use likwid::LikwidError;
-use likwid_daemon::jsonv::{obj, JsonValue};
 use likwid_daemon::{Frame, OpenRequest, SocketClient};
 use likwid_x86_machine::{MachinePreset, SimMachine};
 

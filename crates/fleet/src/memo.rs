@@ -22,7 +22,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use likwid_daemon::jsonv::{self, JsonValue};
+use likwid::json::JsonValue;
 
 use crate::point::{result_from_json, result_to_json, PointResult};
 use crate::spec::ExperimentPoint;
@@ -63,7 +63,7 @@ impl MemoStore {
         let digest = point.digest_hex().ok()?;
         let canonical = point.canonical().ok()?;
         let text = fs::read_to_string(self.entry_path(&digest)).ok()?;
-        let doc = jsonv::JsonValue::parse(&text).ok()?;
+        let doc = JsonValue::parse(&text).ok()?;
         if doc.get("spec")?.as_str()? != canonical {
             return None;
         }
@@ -113,7 +113,7 @@ impl MemoStore {
             };
             let key = fs::read_to_string(&path)
                 .ok()
-                .and_then(|text| jsonv::JsonValue::parse(&text).ok())
+                .and_then(|text| JsonValue::parse(&text).ok())
                 .and_then(|doc| doc.get("key")?.as_str().map(str::to_string))
                 .unwrap_or_else(|| "<unreadable>".to_string());
             out.push((digest, key));

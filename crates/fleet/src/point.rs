@@ -9,7 +9,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use likwid_daemon::{jsonv::JsonValue, Daemon};
+use likwid::json::JsonValue;
+use likwid_daemon::Daemon;
 
 use crate::spec::ExperimentPoint;
 
@@ -116,7 +117,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Serialize a result for the memo store (lossless: the jsonv codec
+/// Serialize a result for the memo store (lossless: the `likwid::json` codec
 /// renders f64 shortest-round-trip).
 pub fn result_to_json(result: &PointResult) -> JsonValue {
     JsonValue::Obj(vec![

@@ -9,8 +9,8 @@
 //! points (unpinned runs have large interquartile ranges by design) earn
 //! proportionally wider tolerance bands.
 
+use likwid::json::JsonValue;
 use likwid::report::{Body, KvEntry, Report, Row, Section, Table, Value};
-use likwid_daemon::jsonv::JsonValue;
 use likwid_workloads::BoxStats;
 
 use crate::memo::CODE_EPOCH;

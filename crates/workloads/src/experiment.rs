@@ -16,7 +16,7 @@ use likwid::marker::MarkerApi;
 use likwid::perfctr::{
     MeasurementSpec, PerfCtr, PerfCtrConfig, PerfCtrResults, TimelineResult, TimelineSession,
 };
-use likwid_perf_events::EventEngine;
+use likwid_perf_events::{EventEngine, EventSample};
 use likwid_x86_machine::{FaultPlan, MachinePreset, Msr, Prefetcher, SimMachine, Vendor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,134 +222,13 @@ impl Experiment {
     /// region named after the workload, the simulated activity is credited
     /// through the counting engine, and the region results are read back.
     pub fn run(&self, workload: &dyn Workload) -> likwid::Result<ExperimentResult> {
-        if matches!(&self.policy, PlacementPolicy::LikwidPin(list) if list.is_empty()) {
-            return Err(likwid::LikwidError::Usage("empty pin list".into()));
-        }
-        if self.timeline.is_some() && self.counters.is_none() {
-            return Err(likwid::LikwidError::Usage(
-                "timeline mode requires a counter specification (-g)".into(),
-            ));
-        }
-        // Aggregate mode measures exactly one group per run; a multiplexed
-        // group list would silently report only the active group. Timeline
-        // mode rotates the groups across intervals, so the list is allowed
-        // there.
-        if self.timeline.is_none()
-            && matches!(&self.counters, Some(MeasurementSpec::Groups(kinds)) if kinds.len() > 1)
-        {
-            return Err(likwid::LikwidError::Usage(
-                "the experiment harness measures one event group per aggregate run; multiplexed \
-                 group lists are supported in timeline mode and by the likwid-perfctr session API"
-                    .into(),
-            ));
-        }
+        self.validate(None)?;
         let machine = SimMachine::new(self.preset);
         self.apply_prefetchers(&machine)?;
         if let Some(plan) = &self.inject {
             machine.inject_faults(plan.clone());
         }
-        let runtime = OpenMpRuntime::new(self.personality, self.preset);
-        let topo = machine.topology();
-        let threads = self.resolved_threads();
-
-        let mut runs = Vec::with_capacity(self.samples);
-        let mut placements = Vec::with_capacity(self.samples);
-        let mut counters = None;
-        let mut timeline = None;
-        let mut measured_cpus = Vec::new();
-
-        for i in 0..self.samples {
-            let sample_started = likwid::trace::now();
-            let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, i));
-            let placement = runtime.resolve_placement(topo, threads, &self.policy, &mut rng);
-
-            let run = match (&self.counters, i) {
-                (Some(spec), 0) if self.timeline.is_some() => {
-                    let interval_s = self.timeline.expect("checked above");
-                    let cpus = placement.measured_cpus();
-                    let mut session = TimelineSession::new(
-                        &machine,
-                        PerfCtrConfig { cpus: cpus.clone(), spec: spec.clone() },
-                        interval_s,
-                    )?;
-                    session.start()?;
-                    let mut trace = ProgressTrace::default();
-                    let run = workload.run_traced(&machine, &placement, &mut trace);
-                    let estimated = (trace.runtime_s() / interval_s).ceil();
-                    if estimated > likwid::perfctr::timeline::MAX_INTERVALS as f64 {
-                        return Err(likwid::LikwidError::Usage(format!(
-                            "interval {interval_s} s yields {estimated:.0} sampling points over \
-                             a {} s run (max {})",
-                            trace.runtime_s(),
-                            likwid::perfctr::timeline::MAX_INTERVALS
-                        )));
-                    }
-                    let engine = EventEngine::new(&machine);
-                    for (t0, t1, sample) in slice_samples(&machine, &trace, interval_s) {
-                        engine.apply(&machine, &sample);
-                        session.tick(t1 - t0)?;
-                    }
-                    let result = session.finish()?;
-                    // Single-group timelines expose their aggregate through
-                    // the familiar counters field too; multiplexed lists
-                    // live in the timeline result only.
-                    if result.group_names.len() == 1 {
-                        counters = Some(result.aggregate_results[0].clone());
-                    }
-                    timeline = Some(result);
-                    measured_cpus = cpus;
-                    run
-                }
-                (Some(spec), 0) => {
-                    let cpus = placement.measured_cpus();
-                    let mut session = PerfCtr::new(
-                        &machine,
-                        PerfCtrConfig { cpus: cpus.clone(), spec: spec.clone() },
-                    )?;
-                    session.start()?;
-                    let mut marker = MarkerApi::init(cpus.len(), 1);
-                    let region = marker.register_region(workload.name());
-                    for (t, &cpu) in cpus.iter().enumerate() {
-                        marker.start_region(t, cpu, &session)?;
-                    }
-                    let run = workload.run(&machine, &placement);
-                    let sample = sample_from_simulation(&machine, &run.stats, &run.profile);
-                    EventEngine::new(&machine).apply(&machine, &sample);
-                    for (t, &cpu) in cpus.iter().enumerate() {
-                        marker.stop_region(t, cpu, region, &session)?;
-                    }
-                    session.stop()?;
-                    counters = Some(marker.region_results(region, &session)?);
-                    measured_cpus = cpus;
-                    run
-                }
-                _ => workload.run(&machine, &placement),
-            };
-            likwid::trace::complete_since(
-                likwid::trace::cat::WORKLOADS,
-                sample_started,
-                || "sample".to_string(),
-                || {
-                    vec![
-                        ("workload", workload.name().to_string()),
-                        ("index", i.to_string()),
-                        ("measured", (i == 0 && self.counters.is_some()).to_string()),
-                    ]
-                },
-            );
-            runs.push(run);
-            placements.push(placement);
-        }
-
-        Ok(ExperimentResult {
-            workload: workload.name().to_string(),
-            preset: self.preset,
-            runs,
-            placements,
-            counters,
-            timeline,
-            measured_cpus,
-        })
+        self.sample_loop(workload, &machine, None)
     }
 
     /// [`Experiment::run`], but the measured sample's counter session is
@@ -372,37 +251,76 @@ impl Experiment {
         workload: &dyn Workload,
         daemon: &likwid_daemon::Daemon<'_>,
     ) -> likwid::Result<ExperimentResult> {
-        let interval_s = self.timeline.ok_or_else(|| {
-            likwid::LikwidError::Usage(
-                "via_daemon requires timeline mode (Experiment::timeline)".into(),
-            )
-        })?;
-        let spec = self.counters.clone().ok_or_else(|| {
-            likwid::LikwidError::Usage(
-                "via_daemon requires a counter specification (Experiment::counters)".into(),
-            )
-        })?;
-        if self.preset != daemon.machine().preset() {
-            return Err(likwid::LikwidError::Usage(format!(
-                "machine mismatch: the experiment wants '{}', the daemon simulates '{}'",
-                self.preset.id(),
-                daemon.machine().preset().id()
-            )));
-        }
-        if self.inject.is_some() {
-            return Err(likwid::LikwidError::Usage(
-                "via_daemon measures the daemon's machine; arm fault injection there instead"
-                    .into(),
-            ));
+        self.validate(Some(daemon))?;
+        self.sample_loop(workload, daemon.machine(), Some(daemon))
+    }
+
+    /// The input checks of [`Experiment::run`] and, with a daemon,
+    /// [`Experiment::via_daemon`].
+    fn validate(&self, daemon: Option<&likwid_daemon::Daemon<'_>>) -> likwid::Result<()> {
+        let usage = |msg: String| Err(likwid::LikwidError::Usage(msg));
+        if let Some(daemon) = daemon {
+            if self.timeline.is_none() {
+                return usage("via_daemon requires timeline mode (Experiment::timeline)".into());
+            }
+            if self.counters.is_none() {
+                return usage(
+                    "via_daemon requires a counter specification (Experiment::counters)".into(),
+                );
+            }
+            if self.preset != daemon.machine().preset() {
+                return usage(format!(
+                    "machine mismatch: the experiment wants '{}', the daemon simulates '{}'",
+                    self.preset.id(),
+                    daemon.machine().preset().id()
+                ));
+            }
+            if self.inject.is_some() {
+                return usage(
+                    "via_daemon measures the daemon's machine; arm fault injection there instead"
+                        .into(),
+                );
+            }
         }
         if matches!(&self.policy, PlacementPolicy::LikwidPin(list) if list.is_empty()) {
-            return Err(likwid::LikwidError::Usage("empty pin list".into()));
+            return usage("empty pin list".into());
         }
+        match self.timeline {
+            Some(_) if self.counters.is_none() => {
+                usage("timeline mode requires a counter specification (-g)".into())
+            }
+            Some(interval_s) if !(interval_s.is_finite() && interval_s > 0.0) => {
+                usage(format!("timeline interval must be positive, got {interval_s}"))
+            }
+            // Aggregate mode measures exactly one group per run; a
+            // multiplexed group list would silently report only the active
+            // group. Timeline mode rotates the groups across intervals, so
+            // the list is allowed there.
+            None if matches!(&self.counters, Some(MeasurementSpec::Groups(kinds)) if kinds.len() > 1) => {
+                usage(
+                    "the experiment harness measures one event group per aggregate run; \
+                     multiplexed group lists are supported in timeline mode and by the \
+                     likwid-perfctr session API"
+                        .into(),
+                )
+            }
+            _ => Ok(()),
+        }
+    }
 
-        let machine = daemon.machine();
+    /// The validated sample loop behind [`Experiment::run`] and
+    /// [`Experiment::via_daemon`]: one seeded placement and workload run
+    /// per sample, sample 0 measured by the configured counter session.
+    fn sample_loop(
+        &self,
+        workload: &dyn Workload,
+        machine: &SimMachine,
+        daemon: Option<&likwid_daemon::Daemon<'_>>,
+    ) -> likwid::Result<ExperimentResult> {
         let runtime = OpenMpRuntime::new(self.personality, self.preset);
         let topo = machine.topology();
         let threads = self.resolved_threads();
+        let span = if daemon.is_some() { "sample.daemon" } else { "sample" };
 
         let mut runs = Vec::with_capacity(self.samples);
         let mut placements = Vec::with_capacity(self.samples);
@@ -415,51 +333,49 @@ impl Experiment {
             let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, i));
             let placement = runtime.resolve_placement(topo, threads, &self.policy, &mut rng);
 
-            let run = if i == 0 {
-                let cpus = placement.measured_cpus();
-                let mut trace = ProgressTrace::default();
-                let run = workload.run_traced(machine, &placement, &mut trace);
-                let duration_s = trace.runtime_s();
-                let estimated = (duration_s / interval_s).ceil();
-                if estimated > likwid::perfctr::timeline::MAX_INTERVALS as f64 {
-                    return Err(likwid::LikwidError::Usage(format!(
-                        "interval {interval_s} s yields {estimated:.0} sampling points over \
-                         a {duration_s} s run (max {})",
-                        likwid::perfctr::timeline::MAX_INTERVALS
-                    )));
+            let run = match (&self.counters, i) {
+                (Some(spec), 0) => {
+                    measured_cpus = placement.measured_cpus();
+                    let config = PerfCtrConfig { cpus: measured_cpus.clone(), spec: spec.clone() };
+                    match self.timeline {
+                        None => {
+                            let (run, results) =
+                                measure_aggregate(workload, machine, &placement, config)?;
+                            counters = Some(results);
+                            run
+                        }
+                        Some(interval_s) => {
+                            let (run, result) = match daemon {
+                                None => measure_timeline(
+                                    workload, machine, &placement, config, interval_s,
+                                )?,
+                                Some(daemon) => measure_replay(
+                                    workload, &placement, config, interval_s, daemon,
+                                )?,
+                            };
+                            // Single-group timelines expose their aggregate
+                            // through the familiar counters field too;
+                            // multiplexed lists live in the timeline result
+                            // only.
+                            if result.group_names.len() == 1 {
+                                counters = Some(result.aggregate_results[0].clone());
+                            }
+                            timeline = Some(result);
+                            run
+                        }
+                    }
                 }
-                let samples = slice_samples(machine, &trace, interval_s)
-                    .into_iter()
-                    .map(|(_, _, sample)| sample)
-                    .collect();
-                let config = likwid_daemon::SessionConfig {
-                    cpus: cpus.clone(),
-                    spec: spec.clone(),
-                    interval_s,
-                    duration_s,
-                };
-                let mut handle =
-                    daemon.open_session(config, likwid_daemon::ActivitySource::Replay(samples))?;
-                while handle.next_interval()?.is_some() {}
-                let (_done, result) = handle.finish()?;
-                if result.group_names.len() == 1 {
-                    counters = Some(result.aggregate_results[0].clone());
-                }
-                timeline = Some(result);
-                measured_cpus = cpus;
-                run
-            } else {
-                workload.run(machine, &placement)
+                _ => workload.run(machine, &placement),
             };
             likwid::trace::complete_since(
                 likwid::trace::cat::WORKLOADS,
                 sample_started,
-                || "sample.daemon".to_string(),
+                || span.to_string(),
                 || {
                     vec![
                         ("workload", workload.name().to_string()),
                         ("index", i.to_string()),
-                        ("measured", (i == 0).to_string()),
+                        ("measured", (i == 0 && self.counters.is_some()).to_string()),
                     ]
                 },
             );
@@ -477,6 +393,104 @@ impl Experiment {
             measured_cpus,
         })
     }
+}
+
+/// Aggregate mode: a private `PerfCtr` session read back through a marker
+/// region named after the workload.
+fn measure_aggregate(
+    workload: &dyn Workload,
+    machine: &SimMachine,
+    placement: &Placement,
+    config: PerfCtrConfig,
+) -> likwid::Result<(WorkloadRun, PerfCtrResults)> {
+    let cpus = config.cpus.clone();
+    let mut session = PerfCtr::new(machine, config)?;
+    session.start()?;
+    let mut marker = MarkerApi::init(cpus.len(), 1);
+    let region = marker.register_region(workload.name());
+    for (t, &cpu) in cpus.iter().enumerate() {
+        marker.start_region(t, cpu, &session)?;
+    }
+    let run = workload.run(machine, placement);
+    let sample = sample_from_simulation(machine, &run.stats, &run.profile);
+    EventEngine::new(machine).apply(machine, &sample);
+    for (t, &cpu) in cpus.iter().enumerate() {
+        marker.stop_region(t, cpu, region, &session)?;
+    }
+    session.stop()?;
+    Ok((run, marker.region_results(region, &session)?))
+}
+
+/// Timeline mode: a private `TimelineSession`, programmed before the run
+/// and ticked at every interval boundary of the sliced activity.
+fn measure_timeline(
+    workload: &dyn Workload,
+    machine: &SimMachine,
+    placement: &Placement,
+    config: PerfCtrConfig,
+    interval_s: f64,
+) -> likwid::Result<(WorkloadRun, TimelineResult)> {
+    let mut session = TimelineSession::new(machine, config, interval_s)?;
+    session.start()?;
+    let (run, _, slices) = traced_slices(workload, machine, placement, interval_s)?;
+    let engine = EventEngine::new(machine);
+    for (t0, t1, sample) in slices {
+        engine.apply(machine, &sample);
+        session.tick(t1 - t0)?;
+    }
+    Ok((run, session.finish()?))
+}
+
+/// Daemon mode: the sliced activity replayed through a daemon session,
+/// opened after the run.
+fn measure_replay(
+    workload: &dyn Workload,
+    placement: &Placement,
+    config: PerfCtrConfig,
+    interval_s: f64,
+    daemon: &likwid_daemon::Daemon<'_>,
+) -> likwid::Result<(WorkloadRun, TimelineResult)> {
+    let machine = daemon.machine();
+    let (run, duration_s, slices) = traced_slices(workload, machine, placement, interval_s)?;
+    let samples = slices.into_iter().map(|(_, _, sample)| sample).collect();
+    let config = likwid_daemon::SessionConfig {
+        cpus: config.cpus,
+        spec: config.spec,
+        interval_s,
+        duration_s,
+    };
+    let mut handle = daemon.open_session(config, likwid_daemon::ActivitySource::Replay(samples))?;
+    while handle.next_interval()?.is_some() {}
+    let (_done, result) = handle.finish()?;
+    Ok((run, result))
+}
+
+/// `(t_start, t_end, activity)` slices of a traced run, as
+/// [`slice_samples`] returns them.
+type Slices = Vec<(f64, f64, EventSample)>;
+
+/// Run the measured sample traced and slice its activity at the interval
+/// boundaries: the run, its virtual duration and the slices. Rejects an
+/// interval that would cut the run into more than
+/// [`MAX_INTERVALS`](likwid::perfctr::timeline::MAX_INTERVALS) slices.
+fn traced_slices(
+    workload: &dyn Workload,
+    machine: &SimMachine,
+    placement: &Placement,
+    interval_s: f64,
+) -> likwid::Result<(WorkloadRun, f64, Slices)> {
+    let mut trace = ProgressTrace::default();
+    let run = workload.run_traced(machine, placement, &mut trace);
+    let duration_s = trace.runtime_s();
+    let estimated = (duration_s / interval_s).ceil();
+    if estimated > likwid::perfctr::timeline::MAX_INTERVALS as f64 {
+        return Err(likwid::LikwidError::Usage(format!(
+            "interval {interval_s} s yields {estimated:.0} sampling points over \
+             a {duration_s} s run (max {})",
+            likwid::perfctr::timeline::MAX_INTERVALS
+        )));
+    }
+    Ok((run, duration_s, slice_samples(machine, &trace, interval_s)))
 }
 
 /// The outcome of an experiment: one [`WorkloadRun`] per sample, plus the
@@ -664,15 +678,21 @@ mod tests {
     #[test]
     fn timeline_mode_rejects_bad_intervals_and_missing_counters() {
         let kernel = StreamingKernel::copy(1 << 20, 1);
+        let machine = SimMachine::new(MachinePreset::Core2Quad);
+        let daemon = likwid_daemon::Daemon::new(&machine);
         for bad in [0.0, -1.0, f64::NAN] {
-            let err = Experiment::on(MachinePreset::Core2Quad)
+            let exp = Experiment::on(MachinePreset::Core2Quad)
                 .placement(PlacementPolicy::LikwidPin(vec![0]))
                 .group(EventGroupKind::FLOPS_DP)
-                .timeline(bad)
-                .run(&kernel)
-                .unwrap_err();
+                .timeline(bad);
+            let err = exp.run(&kernel).unwrap_err();
             assert!(matches!(err, likwid::LikwidError::Usage(_)), "{bad}: {err:?}");
+            // The daemon path shares the check: a usage error, not a panic
+            // in the slicer.
+            let err = exp.via_daemon(&kernel, &daemon).unwrap_err();
+            assert!(matches!(err, likwid::LikwidError::Usage(_)), "via_daemon {bad}: {err:?}");
         }
+        assert!(daemon.is_quiescent(), "rejected runs open no session");
         let err = Experiment::on(MachinePreset::Core2Quad)
             .placement(PlacementPolicy::LikwidPin(vec![0]))
             .timeline(1e-3)

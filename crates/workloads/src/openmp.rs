@@ -51,7 +51,7 @@ impl CompilerPersonality {
         matches!(self, CompilerPersonality::IntelIcc)
     }
 
-    /// Memory traffic per triad iteration in bytes (a[i] = b[i] + s*c[i]
+    /// Memory traffic per triad iteration in bytes (`a[i] = b[i] + s*c[i]`
     /// moves two loads and one store of 8 bytes each, plus a write-allocate
     /// line read unless the store is non-temporal).
     pub fn triad_bytes_per_iteration(self) -> f64 {

@@ -1,6 +1,6 @@
 //! Clock and time-stamp counter model.
 //!
-//! `likwid-perfCtr` derives its "Runtime [s]" metric from
+//! `likwid-perfCtr` derives its "Runtime \[s\]" metric from
 //! `CPU_CLK_UNHALTED_CORE / clock`, and `likwid-topology` prints the nominal
 //! clock ("CPU clock: 2.93 GHz"). On real hardware the clock is determined
 //! either from `MSR_PLATFORM_INFO` (Nehalem+) or by calibrating the TSC

@@ -10,6 +10,8 @@
 //! 2. **JSON round-trips**: `Report::from_json(Json.render(r)) == r`.
 //! 3. **CSV mirrors the document model**: section markers, row counts and
 //!    per-record field counts all match the typed document.
+//!
+//! One perfctr invocation also pins its JSON rendering byte for byte.
 
 use likwid_suite::likwid::cli;
 use likwid_suite::likwid::report::{Body, Csv, Json, Render, Report};
@@ -215,6 +217,18 @@ fn perfctr_reports_round_trip_on_two_presets() {
             1,
         );
     }
+}
+
+#[test]
+fn perfctr_json_matches_the_golden() {
+    let report =
+        cli::perfctr_report(&args(&["--machine", "nehalem-ep-2s", "-c", "0-7", "-g", "MEM"]))
+            .unwrap();
+    assert_eq!(
+        Json.render(&report),
+        include_str!("golden/perfctr_nehalem-ep-2s.json"),
+        "-O json must be byte-stable"
+    );
 }
 
 #[test]

@@ -10,11 +10,14 @@ use likwid_suite::cache_sim::{
     Access, AccessKind, CacheLevelConfig, FlatReplacement, HierarchyConfig, NodeCacheSystem,
     NumaPolicy, PrefetchConfig, ReplacementPolicy, WritePolicy,
 };
-use likwid_suite::daemon::jsonv::JsonValue;
 use likwid_suite::daemon::{Frame, IntervalFrame, OpenRequest};
 use likwid_suite::fleet::trajectory::TrajectoryPoint;
 use likwid_suite::fleet::Trajectory;
+use likwid_suite::likwid::json::JsonValue;
 use likwid_suite::likwid::perfctr::Formula;
+use likwid_suite::likwid::report::{
+    Body, Json, KvEntry, Render, Report, Row, Section, Table, Value,
+};
 use likwid_suite::likwid::topology::CpuTopology;
 use likwid_suite::likwid::LikwidError;
 use likwid_suite::x86_machine::fault::FaultPlan;
@@ -291,6 +294,19 @@ fn tiny_hierarchy(prefetch_on: bool) -> HierarchyConfig {
     }
 }
 
+/// Characters from arbitrary code points, surrogates skipped. Each draw
+/// picks a width class first, so control characters, the BMP and astral
+/// planes all occur.
+fn text_from(points: &[(u32, u32)]) -> String {
+    let widths = [0x80, 0x800, 0x1_0000, 0x11_0000];
+    points.iter().filter_map(|&(class, cp)| char::from_u32(cp % widths[class as usize])).collect()
+}
+
+/// Same bits, or both NaN (the codec keeps the class, not the payload).
+fn same_real(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -519,6 +535,70 @@ proptest! {
             if let Ok(command) = JsonValue::parse(line.trim()) {
                 let _ = OpenRequest::from_json(&command);
             }
+        }
+    }
+
+    /// The JSON codec is lossless: strings over arbitrary code points,
+    /// every `u64` as `UInt`, and `f64` bit patterns through
+    /// `JsonValue::real` (finite bit-exact, non-finite by class), both as
+    /// bare values and inside `Report` titles and cells.
+    #[test]
+    fn json_codec_round_trips_strings_counts_and_reals(
+        points in prop::collection::vec((0u32..4, 0u32..0x11_0000), 0..24),
+        count in 0u64..u64::MAX,
+        bits in 0u64..u64::MAX,
+    ) {
+        let text = text_from(&points);
+        prop_assert_eq!(
+            JsonValue::parse(&JsonValue::Str(text.clone()).encode()),
+            Ok(JsonValue::Str(text.clone()))
+        );
+        for n in [count, !count, count >> (count % 64), 0, u64::MAX] {
+            prop_assert_eq!(JsonValue::parse(&JsonValue::UInt(n).encode()), Ok(JsonValue::UInt(n)));
+        }
+        // Every exponent bit set: a NaN, or ±inf with the mantissa cleared.
+        let exp = 0x7FF0_0000_0000_0000;
+        let reals = [
+            f64::from_bits(bits),
+            f64::from_bits(bits | exp),
+            f64::from_bits(bits & (1 << 63) | exp),
+        ];
+        for v in reals {
+            let back = JsonValue::parse(&JsonValue::real(v).encode()).ok().and_then(|j| j.as_f64());
+            prop_assert!(back.is_some_and(|b| same_real(b, v)), "{v:e} ({bits:#x}) came back as {back:?}");
+        }
+
+        let mut report = Report::new(text.clone());
+        let mut table = Table::plain(vec![text.clone(), "count".into(), "real".into()]);
+        for v in reals {
+            let cells = vec![Value::Str(text.clone()), Value::Count(count), Value::Real(v)];
+            table.push(Row::new(cells));
+        }
+        report.push(Section::new(
+            text.clone(),
+            Body::KeyValues(
+                reals.iter().map(|&v| KvEntry::new(text.clone(), Value::Real(v))).collect(),
+            ),
+        ));
+        report.push(Section::new("table", Body::Table(table)));
+        let back = Report::from_json(&Json.render(&report));
+        prop_assert!(back.is_ok(), "{back:?}");
+        let back = back.unwrap();
+        prop_assert_eq!(&back.title, &text);
+        prop_assert_eq!(back.sections.len(), 2);
+        prop_assert_eq!(&back.sections[0].id, &text);
+        let Body::KeyValues(entries) = &back.sections[0].body else {
+            panic!("keyvalues section came back as {:?}", back.sections[0].body);
+        };
+        let Some(table) = back.table("table") else { panic!("table section lost") };
+        prop_assert_eq!(&table.columns[0], &text);
+        for (i, v) in reals.into_iter().enumerate() {
+            prop_assert_eq!(&entries[i].key, &text);
+            prop_assert!(entries[i].value.as_real().is_some_and(|b| same_real(b, v)));
+            let row = &table.rows[i].values;
+            prop_assert_eq!(&row[0], &Value::Str(text.clone()));
+            prop_assert_eq!(&row[1], &Value::Count(count));
+            prop_assert!(matches!(row[2], Value::Real(b) if same_real(b, v)), "{:?} vs {v:e}", row[2]);
         }
     }
 

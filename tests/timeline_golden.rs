@@ -2,8 +2,8 @@
 //! subsystem:
 //!
 //! 1. `likwid-perfctr -t` (timeline over the synthetic demo application,
-//!    multiplexed `FLOPS_DP,MEM` group list) is byte-stable in ASCII and
-//!    CSV;
+//!    multiplexed `FLOPS_DP,MEM` group list) is byte-stable in ASCII, CSV
+//!    and JSON;
 //! 2. the time-resolved Jacobi case-study figure (`fig12_jacobi_timeline`)
 //!    is byte-stable in ASCII and CSV, and its series show the blocked vs
 //!    naive phase structure;
@@ -33,6 +33,16 @@ fn perfctr_timeline_ascii_and_csv_match_the_goldens() {
         Csv.render(&report),
         include_str!("golden/perfctr_timeline_westmere-ep-2s.csv"),
         "timeline CSV must be byte-stable"
+    );
+}
+
+#[test]
+fn perfctr_timeline_json_matches_the_golden() {
+    let report = cli::perfctr_report(&args(&PERFCTR_TIMELINE_ARGS)).unwrap();
+    assert_eq!(
+        Json.render(&report),
+        include_str!("golden/perfctr_timeline_westmere-ep-2s.json"),
+        "timeline JSON must be byte-stable"
     );
 }
 

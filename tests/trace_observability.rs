@@ -20,10 +20,10 @@ use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
 
-use likwid_suite::daemon::jsonv::JsonValue;
 use likwid_suite::daemon::Daemon;
 use likwid_suite::fleet::cli::fleet_main;
 use likwid_suite::likwid::cli::{tool_main, Tool};
+use likwid_suite::likwid::json::JsonValue;
 use likwid_suite::likwid::perfctr::parse_measurement_spec;
 use likwid_suite::likwid::report::{Ascii, Render};
 use likwid_suite::likwid::trace;
