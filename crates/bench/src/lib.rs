@@ -3,10 +3,9 @@
 //! Every figure and table of the paper's evaluation (Section IV) has a
 //! binary in `src/bin/` that regenerates it against the simulated machines;
 //! the shared logic lives here so that the binaries stay thin and the
-//! integration tests can call the same functions. The Criterion benches in
-//! `benches/` measure the cost of the building blocks themselves (topology
-//! probing, counter programming, marker/PAPI API overhead, cache-simulator
-//! throughput, the workload models).
+//! integration tests can call the same functions. The cost of the building
+//! blocks themselves is measured by the suite's self-benchmark
+//! (`selfbench/`), not here.
 //!
 //! Output: every generator builds a typed [`likwid::Report`] — one table
 //! row per x-axis point, columns `min / q1 / median / q3 / max` for the

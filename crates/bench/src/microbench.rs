@@ -23,9 +23,7 @@ use likwid::error::{LikwidError, Result};
 use likwid::perfctr::parse_measurement_spec;
 use likwid::report::{Body, KvEntry, Report, Row, Section, Table, Value};
 use likwid_affinity::parse_pin_list_lenient;
-use likwid_workloads::kernels::{
-    kernel_by_name_with_workers, kernel_description, kernel_names, parse_size,
-};
+use likwid_workloads::kernels::{kernel_by_name, kernel_description, kernel_names, parse_size};
 use likwid_workloads::{Experiment, PlacementPolicy};
 
 /// The argument specification of the `likwid-bench` binary.
@@ -44,12 +42,6 @@ pub fn likwid_bench_spec() -> ArgSpec {
             )
             .flag("-i", None, Some("iters"), "passes over the working set (default 1)")
             .flag("-a", None, None, "list the registered kernels")
-            .flag(
-                "-W",
-                None,
-                Some("workers"),
-                "simulation worker threads for sharded kernels (default 1; never changes results)",
-            )
             .flag(
                 "-T",
                 None,
@@ -91,25 +83,13 @@ pub fn likwid_bench_report(parsed: &ParsedArgs) -> Result<Report> {
         Some(raw) => parse_size(raw)
             .ok_or_else(|| LikwidError::Usage(format!("bad working set size '{raw}'")))?,
     };
-    let passes: u64 = match parsed.value("-i") {
-        None => 1,
-        Some(raw) => {
-            raw.parse().map_err(|_| LikwidError::Usage(format!("bad iteration count '{raw}'")))?
-        }
-    };
-    let workers: usize = match parsed.value("-W") {
-        None => 1,
-        Some(raw) => match raw.parse() {
-            Ok(w) if w >= 1 => w,
-            _ => return Err(LikwidError::Usage(format!("bad worker count '{raw}'"))),
-        },
-    };
+    let passes = parsed.count("-i", 1)? as u64;
     let preset = parse_machine(parsed)?;
     let topo = preset.topology();
     let pin_expr = parsed.value("-c").unwrap_or("S0:0");
     let cpus = parse_pin_list_lenient(pin_expr, &topo)
         .map_err(|e| LikwidError::Usage(format!("bad pin list '{pin_expr}': {e}")))?;
-    let workload = kernel_by_name_with_workers(kernel_name, working_set, passes, workers)
+    let workload = kernel_by_name(kernel_name, working_set, passes)
         .ok_or_else(|| LikwidError::Usage(format!("unknown kernel '{kernel_name}' (try -a)")))?;
 
     let mut experiment = Experiment::on(preset)
@@ -257,6 +237,15 @@ mod tests {
             let err = report_for(&["-t", "copy", "-g", "MEM", "-T", bad]).unwrap_err();
             assert!(matches!(err, LikwidError::Usage(_)), "'{bad}' gave {err:?}");
         }
+        // An absurdly small interval trips the sampling-point guard, whose
+        // message stays short instead of printing 300-digit numbers.
+        match report_for(&["-t", "copy", "-g", "MEM", "-T", "1e-300s"]).unwrap_err() {
+            LikwidError::Usage(msg) => {
+                assert!(msg.contains("sampling points"), "got {msg}");
+                assert!(msg.len() < 200, "{} characters: {msg}", msg.len());
+            }
+            other => panic!("got {other:?}"),
+        }
     }
 
     #[test]
@@ -306,28 +295,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_parses_and_does_not_change_the_report() {
-        let base = &[
-            "-t",
-            "coherence",
-            "-w",
-            "1MB",
-            "-c",
-            "S0:0-1@S1:0-1",
-            "-g",
-            "MEM",
-            "--machine",
-            "nehalem-ep-2s",
-        ];
-        let reference = report_for(base).unwrap();
-        for workers in ["1", "2", "4"] {
-            let mut with_workers = base.to_vec();
-            with_workers.extend(["-W", workers]);
-            assert_eq!(report_for(&with_workers).unwrap(), reference, "-W {workers}");
-        }
+    fn iteration_count_must_be_a_positive_integer() {
         for bad in ["0", "many"] {
-            let err = report_for(&["-t", "coherence", "-W", bad]).unwrap_err();
-            assert!(matches!(err, LikwidError::Usage(_)), "'{bad}' gave {err:?}");
+            let err = report_for(&["-t", "copy", "-i", bad]).unwrap_err();
+            match err {
+                LikwidError::Usage(msg) => assert!(msg.starts_with("-i:"), "'{bad}' gave {msg}"),
+                other => panic!("'{bad}' gave {other:?}"),
+            }
         }
     }
 

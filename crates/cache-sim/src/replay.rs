@@ -1,14 +1,14 @@
-//! Epoch-batched replay queues: the access-stream format of the parallel
-//! sharded simulator.
+//! Epoch-batched replay queues: the batched access-stream format of the
+//! simulator.
 //!
 //! A [`ReplayQueue`] is a sequence of *epochs*; each epoch is an ordered
 //! list of `(thread, RunOp)` batched access runs. The semantics of a queue
-//! are defined by the sequential drain [`NodeCacheSystem::replay`]: within
-//! an epoch the ops execute **in push order**, and epochs execute one after
-//! another. The sharded engine ([`crate::shard::ShardedCacheSystem`]) is
-//! required to produce bit-identical statistics to that sequential drain
-//! for every queue — epochs whose shards provably do not interact run in
-//! parallel, everything else falls back to the sequential order.
+//! are defined by the sequential drain [`NodeCacheSystem::replay`] that the
+//! tools use: within an epoch the ops execute **in push order**, and epochs
+//! execute one after another. The library's sharded engine
+//! ([`crate::shard::ShardedCacheSystem`]) must reproduce that drain
+//! bit-identically, running epochs whose shards provably do not interact
+//! in parallel and everything else in the sequential order.
 //!
 //! Workload drivers emit one epoch per natural synchronisation point
 //! (a Jacobi time step, a pass over a working set, a producer/consumer

@@ -8,6 +8,10 @@
 //! drain [`NodeCacheSystem::replay`] for every queue and every worker
 //! count.
 //!
+//! No tool runs this engine; it stays as the subject of the self-benchmark's
+//! `cache_sim.shard.*` probe and as the third arm of the equivalence suites
+//! until a benchmark change retires that probe and this module with it.
+//!
 //! # Why sharding is sound
 //!
 //! In this model a demand access walks only the issuing thread's own lookup
@@ -62,8 +66,6 @@ use crate::stats::{CacheStats, LevelStats, MemoryStats, NodeStats};
 /// Configurations that fail the check (or have a single socket) run as one
 /// shard — always correct, never parallel.
 struct ShardPlan {
-    /// Shard index → socket id (ascending).
-    sockets: Vec<u32>,
     shard_of_thread: Vec<usize>,
     local_thread: Vec<usize>,
     /// Shard → local thread index → global thread id (in global rank order).
@@ -83,7 +85,6 @@ impl ShardPlan {
         let n = config.num_threads;
         let line_size = config.levels.first().map(|l| l.line_size).unwrap_or(64);
         ShardPlan {
-            sockets: vec![config.thread_socket.first().copied().unwrap_or(0)],
             shard_of_thread: vec![0; n],
             local_thread: (0..n).collect(),
             global_threads: vec![(0..n).collect()],
@@ -166,7 +167,6 @@ impl ShardPlan {
             })
             .collect();
         ShardPlan {
-            sockets,
             shard_of_thread,
             local_thread,
             global_threads,
@@ -386,12 +386,6 @@ pub struct ShardedCacheSystem {
 }
 
 impl ShardedCacheSystem {
-    /// Build a sharded simulator with one worker (no threads spawned; the
-    /// analysis and merge paths are still exercised).
-    pub fn new(config: HierarchyConfig) -> Self {
-        Self::with_workers(config, 1)
-    }
-
     /// Build a sharded simulator replaying independent epochs on up to
     /// `workers` worker threads (capped by the shard count; a node has one
     /// shard per socket with threads).
@@ -413,30 +407,10 @@ impl ShardedCacheSystem {
         }
     }
 
-    /// The configuration of the whole (unsharded) node.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
     /// Number of shards (one per socket with threads; 1 when the topology
     /// is not shardable).
     pub fn num_shards(&self) -> usize {
         self.plan.num_shards()
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Change the worker count (tears down the pool; it is rebuilt lazily).
-    /// Never changes any simulation result — only wall-clock time.
-    pub fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
-        if workers != self.workers {
-            self.workers = workers;
-            self.pool = None;
-        }
     }
 
     /// Epochs that were proven independent and replayed shard-parallel.
@@ -702,7 +676,7 @@ impl ShardedCacheSystem {
     }
 
     /// Per-shard statistics snapshots (local instance/thread indexing).
-    pub fn shard_stats(&self) -> Vec<NodeStats> {
+    fn shard_stats(&self) -> Vec<NodeStats> {
         self.shards.iter().map(|s| s.as_ref().expect("shard present").stats()).collect()
     }
 
@@ -745,35 +719,6 @@ impl ShardedCacheSystem {
             }
         }
         NodeStats { levels, memory, thread_loads, thread_stores }
-    }
-
-    /// Reset all counters on every shard (cache contents, directory and
-    /// prefetcher state are preserved, like [`NodeCacheSystem::reset_stats`]).
-    pub fn reset_stats(&mut self) {
-        for shard in &mut self.shards {
-            shard.as_mut().expect("shard present").reset_stats();
-        }
-    }
-
-    /// LLC statistics of one socket — answered by the shard that owns the
-    /// socket, so per-socket accounting is exact without a full merge.
-    pub fn llc_stats_of_socket(&self, socket: u32) -> CacheStats {
-        match self.plan.sockets.iter().position(|&s| s == socket) {
-            Some(shard) => {
-                self.shards[shard].as_ref().expect("shard present").llc_stats_of_socket(socket)
-            }
-            None => Default::default(),
-        }
-    }
-
-    /// Memory statistics of one socket's controller, summed over all shards
-    /// (every shard classifies its own traffic onto the node's domains).
-    pub fn memory_stats_of_socket(&self, socket: u32) -> MemoryStats {
-        let mut total = MemoryStats::default();
-        for shard in &self.shards {
-            total.merge(&shard.as_ref().expect("shard present").memory_stats_of_socket(socket));
-        }
-        total
     }
 }
 
@@ -914,28 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn per_socket_accessors_match_the_sequential_engine() {
-        let queue = partitioned_queue(5);
-        let mut sequential = NodeCacheSystem::new(two_socket_config());
-        sequential.replay(&queue);
-        let mut sharded = ShardedCacheSystem::with_workers(two_socket_config(), 2);
-        sharded.replay(&queue);
-        for socket in 0..2 {
-            assert_eq!(
-                sharded.llc_stats_of_socket(socket),
-                sequential.llc_stats_of_socket(socket),
-                "LLC accounting of socket {socket}"
-            );
-            assert_eq!(
-                sharded.memory_stats_of_socket(socket),
-                sequential.memory_stats_of_socket(socket),
-                "memory accounting of socket {socket}"
-            );
-        }
-        assert_eq!(sharded.llc_stats_of_socket(7), Default::default(), "threadless socket");
-    }
-
-    #[test]
     fn single_socket_topologies_run_as_one_shard() {
         let mut config = two_socket_config();
         config.thread_socket = vec![0, 0, 0, 0];
@@ -949,19 +872,6 @@ mod tests {
         sharded.replay(&queue);
         assert_eq!(sharded.stats(), sequential.stats());
         assert_eq!(sharded.epochs_parallel(), 0, "one shard never counts as parallel");
-    }
-
-    #[test]
-    fn worker_count_changes_mid_run_do_not_change_results() {
-        let mut sequential = NodeCacheSystem::new(two_socket_config());
-        sequential.replay(&partitioned_queue(6));
-        let mut sharded = ShardedCacheSystem::with_workers(two_socket_config(), 2);
-        sharded.replay(&partitioned_queue(2));
-        sharded.set_workers(1);
-        sharded.replay(&partitioned_queue_tail(2, 2));
-        sharded.set_workers(4);
-        sharded.replay(&partitioned_queue_tail(4, 2));
-        assert_eq!(sharded.stats(), sequential.stats());
     }
 
     #[test]
@@ -1019,19 +929,5 @@ mod tests {
         assert_eq!(err.shard, 0);
 
         std::panic::set_hook(hook);
-    }
-
-    /// Epochs `skip..skip + len` of the deterministic partitioned stream —
-    /// the LCG is advanced past the skipped epochs so the tail matches.
-    fn partitioned_queue_tail(skip: usize, len: usize) -> ReplayQueue {
-        let full = partitioned_queue(skip + len);
-        let mut queue = ReplayQueue::new(4);
-        for epoch in &full.epochs()[skip..] {
-            queue.begin_epoch();
-            for &(thread, op) in epoch {
-                queue.push(thread, op);
-            }
-        }
-        queue
     }
 }

@@ -275,6 +275,22 @@ impl ParsedArgs {
         }
     }
 
+    /// Parse a positive-count flag (`likwid-bench -i`, `likwid-fleet
+    /// -n`/`-W`): `default` when the flag is absent, the value when it is a
+    /// positive integer, and a [`LikwidError::Usage`] error naming the flag
+    /// for zero and non-numbers.
+    pub fn count(&self, flag: &str, default: usize) -> Result<usize> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(raw) => match raw.parse::<usize>() {
+                Ok(n) if n > 0 => Ok(n),
+                _ => Err(LikwidError::Usage(format!(
+                    "{flag}: bad count '{raw}' (expected a positive integer)"
+                ))),
+            },
+        }
+    }
+
     /// The effective output target: format from `-O`, falling back to the
     /// `-o` file extension, falling back to ASCII.
     pub fn output(&self) -> Result<OutputTarget> {

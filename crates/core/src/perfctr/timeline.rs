@@ -432,6 +432,21 @@ pub const DEMO_DURATION_S: f64 = 10e-3;
 /// sampling points than this is rejected as a usage error.
 pub const MAX_INTERVALS: usize = 100_000;
 
+/// The one [`MAX_INTERVALS`] guard of every time-resolved mode: a
+/// [`LikwidError::Usage`] error when `interval_s` cuts `duration_s` into
+/// more sampling points than that. The numbers print in their shortest
+/// round-trip form, so an absurd interval yields a short message.
+pub fn check_sampling_points(interval_s: f64, duration_s: f64) -> Result<()> {
+    let points = (duration_s / interval_s).ceil();
+    if points > MAX_INTERVALS as f64 {
+        return Err(LikwidError::Usage(format!(
+            "{interval_s:?} s intervals yield {points:?} sampling points over {duration_s:?} s \
+             (max {MAX_INTERVALS})"
+        )));
+    }
+    Ok(())
+}
+
 /// The demo application exercises every kind: those declared before this
 /// one on each measured hardware thread, this one and later per socket.
 const DEMO_FIRST_SOCKET_KIND: HwEventKind = HwEventKind::L2LinesOut;
@@ -524,13 +539,7 @@ pub fn run_demo_timeline(
     duration_s: f64,
 ) -> Result<TimelineResult> {
     let mut session = TimelineSession::new(machine, config, interval_s)?;
-    let n = (duration_s / interval_s).ceil().max(1.0);
-    if n > MAX_INTERVALS as f64 {
-        return Err(LikwidError::Usage(format!(
-            "interval {interval_s} s yields {n:.0} sampling points over {duration_s} s \
-             (max {MAX_INTERVALS})"
-        )));
-    }
+    check_sampling_points(interval_s, duration_s)?;
     let cpus = session.session().cpus().to_vec();
     let engine = EventEngine::new(machine);
     session.start()?;

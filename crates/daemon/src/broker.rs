@@ -44,7 +44,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use likwid::perfctr::timeline::MAX_INTERVALS;
+use likwid::perfctr::timeline::check_sampling_points;
 use likwid::perfctr::{
     parse_interval, parse_measurement_spec, MeasurementSpec, PerfCtrConfig, TimelineResult,
     TimelineSession,
@@ -226,13 +226,7 @@ impl<'m> Daemon<'m> {
         };
         let interval_s = parse_interval(&request.interval).map_err(|e| demote("interval", e))?;
         let duration_s = parse_interval(&request.duration).map_err(|e| demote("duration", e))?;
-        let points = (duration_s / interval_s).ceil();
-        if points > MAX_INTERVALS as f64 {
-            return Err(LikwidError::Protocol(format!(
-                "interval {interval_s} s yields {points:.0} sampling points over {duration_s} s \
-                 (max {MAX_INTERVALS})"
-            )));
-        }
+        check_sampling_points(interval_s, duration_s).map_err(|e| demote("interval", e))?;
 
         Ok(SessionConfig { cpus, spec, interval_s, duration_s })
     }

@@ -175,15 +175,6 @@ fn parse_threads(parsed: &ParsedArgs) -> Result<ThreadsAxis> {
     }
 }
 
-fn parse_count(parsed: &ParsedArgs, flag: &str, default: usize) -> Result<usize> {
-    match parsed.value(flag) {
-        Some(text) => text
-            .parse::<usize>()
-            .map_err(|_| LikwidError::Usage(format!("{flag}: bad count '{text}'"))),
-        None => Ok(default),
-    }
-}
-
 /// Build the sweep named by the axis flags.
 pub fn sweep_from_args(parsed: &ParsedArgs) -> Result<SweepSpec> {
     let seed = match parsed.value("--seed") {
@@ -199,7 +190,7 @@ pub fn sweep_from_args(parsed: &ParsedArgs) -> Result<SweepSpec> {
         placements: parse_placements(parsed)?,
         prefetchers: parse_prefetchers(parsed)?,
         threads: parse_threads(parsed)?,
-        samples: parse_count(parsed, "-n", 1)?,
+        samples: parsed.count("-n", 1)?,
         seed: SeedRule::XorThreads(seed),
         counters: parsed.value("-g").map(str::to_string),
         timeline: parsed.interval("-T")?,
@@ -217,7 +208,7 @@ fn run_command(parsed: &ParsedArgs) -> Result<i32> {
     let sweep = sweep_from_args(parsed)?;
     let store = memo_from_args(parsed);
     let opts = RunOptions {
-        workers: parse_count(parsed, "-W", default_workers())?,
+        workers: parsed.count("-W", default_workers())?,
         memo: store.as_ref(),
         daemons: &[],
     };
@@ -369,6 +360,7 @@ mod tests {
             vec!["run", "-C", "fortran"],
             vec!["run", "-F", "maybe"],
             vec!["run", "-N", "two"],
+            vec!["run", "-n", "0"],
             vec!["run", "-b", "a-lot"],
         ] {
             let parsed = fleet_spec().parse(&args(&bad)).unwrap();

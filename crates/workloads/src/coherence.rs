@@ -1,11 +1,11 @@
-//! A multi-socket store-coherence workload for the sharded simulator.
+//! A multi-socket store-coherence workload (the `coherence` kernel).
 //!
-//! `StoreCoherence` models the pattern the sequential simulator was slowest
-//! at: producer/consumer ring traffic inside every socket plus a private
-//! store stream per thread. All addresses are partitioned by socket with
-//! multi-megabyte guard gaps, so the emitted [`ReplayQueue`] epochs are
-//! provably independent across sockets and the sharded engine replays them
-//! in parallel — while staying bit-identical to the sequential drain.
+//! `StoreCoherence` models producer/consumer ring traffic inside every
+//! socket plus a private store stream per thread, emitted as an
+//! epoch-batched [`ReplayQueue`] and drained through
+//! [`NodeCacheSystem::replay`]. All addresses are partitioned by socket
+//! with multi-megabyte guard gaps, so the epochs are provably independent
+//! across sockets; the sharded engine's tests replay the same queue.
 //!
 //! Per epoch, each socket group runs a fixed number of rounds; one round is
 //!
@@ -17,7 +17,7 @@
 //!    region, so the stream keeps missing the upper cache levels once the
 //!    region exceeds them).
 
-use likwid_cache_sim::{HierarchyConfig, NumaPolicy, ReplayQueue, RunOp, ShardedCacheSystem};
+use likwid_cache_sim::{HierarchyConfig, NodeCacheSystem, NumaPolicy, ReplayQueue, RunOp};
 use likwid_x86_machine::SimMachine;
 
 use crate::exec::ExecutionProfile;
@@ -39,21 +39,13 @@ pub struct StoreCoherence {
     /// Private-stream bytes per thread (the `-w` working set).
     private_bytes: u64,
     passes: u64,
-    /// Worker threads for the sharded replay (never changes any result).
-    workers: usize,
 }
 
 impl StoreCoherence {
     /// A coherence run whose per-thread private stream covers
-    /// `working_set_bytes`, replayed `passes` times with one worker.
+    /// `working_set_bytes`, replayed `passes` times.
     pub fn new(working_set_bytes: u64, passes: u64) -> Self {
-        StoreCoherence { private_bytes: working_set_bytes, passes: passes.max(1), workers: 1 }
-    }
-
-    /// Set the sharded-replay worker count (`likwid-bench -W`).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
+        StoreCoherence { private_bytes: working_set_bytes, passes: passes.max(1) }
     }
 
     /// Private-stream lines per thread: the working set in whole lines,
@@ -150,7 +142,7 @@ impl Workload for StoreCoherence {
             machine,
             NumaPolicy::interleave_over(4096, topo.sockets.max(1)),
         );
-        let mut sys = ShardedCacheSystem::with_workers(hierarchy, self.workers);
+        let mut sys = NodeCacheSystem::new(hierarchy);
         let queue = self.replay_queue(machine, placement);
         sys.replay(&queue);
         let stats = sys.stats();
@@ -199,7 +191,7 @@ impl Workload for StoreCoherence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use likwid_cache_sim::NodeCacheSystem;
+    use likwid_cache_sim::ShardedCacheSystem;
     use likwid_x86_machine::MachinePreset;
 
     #[test]
@@ -237,14 +229,20 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_measured_stats() {
+        // The tool drains the queue sequentially; the library's sharded
+        // engine must measure the same statistics at any worker count.
         let machine = SimMachine::new(MachinePreset::NehalemEp2S);
         let placement = Placement::pinned(vec![0, 1, 4, 5]);
-        let base = StoreCoherence::new(512 << 10, 1).run(&machine, &placement);
+        let kernel = StoreCoherence::new(512 << 10, 1);
+        let run = kernel.run(&machine, &placement);
+        let hierarchy =
+            HierarchyConfig::from_machine(&machine, NumaPolicy::interleave_over(4096, 2));
+        let queue = kernel.replay_queue(&machine, &placement);
+        assert_eq!(run.iterations, queue.total_accesses());
         for workers in [2, 4] {
-            let run =
-                StoreCoherence::new(512 << 10, 1).with_workers(workers).run(&machine, &placement);
-            assert_eq!(run.stats, base.stats, "{workers} workers");
-            assert_eq!(run.iterations, base.iterations);
+            let mut sharded = ShardedCacheSystem::with_workers(hierarchy.clone(), workers);
+            sharded.replay(&queue);
+            assert_eq!(sharded.stats(), run.stats, "{workers} workers");
         }
     }
 }

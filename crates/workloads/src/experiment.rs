@@ -482,14 +482,7 @@ fn traced_slices(
     let mut trace = ProgressTrace::default();
     let run = workload.run_traced(machine, placement, &mut trace);
     let duration_s = trace.runtime_s();
-    let estimated = (duration_s / interval_s).ceil();
-    if estimated > likwid::perfctr::timeline::MAX_INTERVALS as f64 {
-        return Err(likwid::LikwidError::Usage(format!(
-            "interval {interval_s} s yields {estimated:.0} sampling points over \
-             a {duration_s} s run (max {})",
-            likwid::perfctr::timeline::MAX_INTERVALS
-        )));
-    }
+    likwid::perfctr::timeline::check_sampling_points(interval_s, duration_s)?;
     Ok((run, duration_s, slice_samples(machine, &trace, interval_s)))
 }
 

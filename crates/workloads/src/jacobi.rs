@@ -21,7 +21,6 @@
 
 use likwid_cache_sim::{
     AccessKind, HierarchyConfig, NodeCacheSystem, NodeStats, NumaPolicy, ReplayQueue, RunOp,
-    ShardedCacheSystem,
 };
 use likwid_x86_machine::{MachinePreset, SimMachine};
 
@@ -186,37 +185,14 @@ impl<'m> Jacobi<'m> {
         self.finish(config, sys.stats(), snapshots, trace)
     }
 
-    /// Run a threaded variant through the parallel sharded engine with
-    /// `workers` simulation worker threads. The address stream is emitted as
-    /// an epoch-batched [`ReplayQueue`] (see
-    /// [`Jacobi::threaded_replay_queue`]); results are bit-identical to a
-    /// sequential drain of the same queue whatever the worker count. The
-    /// wavefront variant pipelines every plane through shared ring buffers —
-    /// there is no independent work to shard — so it falls back to the
-    /// sequential path.
-    pub fn run_sharded(&self, config: &JacobiConfig, workers: usize) -> JacobiResult {
-        if config.variant == JacobiVariant::Wavefront {
-            return self.run(config);
-        }
-        assert!(!config.placement.is_empty(), "at least one worker thread is required");
-        let home_socket =
-            self.machine.topology().hw_thread(config.placement[0]).map(|t| t.socket).unwrap_or(0);
-        let hierarchy = HierarchyConfig::from_machine(
-            self.machine,
-            NumaPolicy::SingleNode { socket: home_socket },
-        );
-        let mut sys = ShardedCacheSystem::with_workers(hierarchy, workers);
-        sys.replay(&self.threaded_replay_queue(config));
-        self.finish(config, sys.stats(), None, None)
-    }
-
     /// The threaded sweep as an epoch-batched replay queue. Each time step
     /// becomes two epochs: an *interior* epoch whose stores keep a two-plane
     /// margin to the thread's block boundaries (so each thread's loads stay
     /// inside its own block and socket shards proceed independently), and a
     /// *boundary* epoch with the remaining planes, whose stencil loads reach
     /// into the neighbour blocks and which the sharded engine therefore
-    /// replays serially when the blocks straddle sockets.
+    /// replays serially when the blocks straddle sockets. Only the sharded
+    /// engine's tests and self-benchmark probe replay this queue.
     pub fn threaded_replay_queue(&self, config: &JacobiConfig) -> ReplayQueue {
         assert!(
             config.variant != JacobiVariant::Wavefront,
@@ -714,6 +690,7 @@ impl JacobiWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_cache_sim::ShardedCacheSystem;
 
     /// Grid size used by the heavier tests: large enough that the two grids
     /// (≈18 MB) stream through the Nehalem preset's 8 MB L3 without reuse
@@ -870,28 +847,7 @@ mod tests {
                     variant.name()
                 );
             }
-            // The full sharded run agrees with itself at any worker count.
-            let one = jacobi.run_sharded(&config, 1);
-            let four = jacobi.run_sharded(&config, 4);
-            assert_eq!(one.stats, four.stats);
-            assert_eq!(one.mlups, four.mlups);
         }
-    }
-
-    #[test]
-    fn sharded_wavefront_falls_back_to_the_sequential_run() {
-        let machine = nehalem();
-        let config = JacobiConfig {
-            size: 48,
-            time_steps: 4,
-            placement: vec![0, 1, 2, 3],
-            variant: JacobiVariant::Wavefront,
-        };
-        let jacobi = Jacobi::new(&machine);
-        let direct = jacobi.run(&config);
-        let sharded = jacobi.run_sharded(&config, 4);
-        assert_eq!(sharded.stats, direct.stats);
-        assert_eq!(sharded.mlups, direct.mlups);
     }
 
     #[test]

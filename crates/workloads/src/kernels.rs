@@ -376,19 +376,6 @@ pub fn kernel_by_name(
     working_set_bytes: u64,
     passes: u64,
 ) -> Option<Box<dyn Workload>> {
-    kernel_by_name_with_workers(name, working_set_bytes, passes, 1)
-}
-
-/// Instantiate a registered kernel with an explicit simulation worker count
-/// (`likwid-bench -W`). Workers parallelise the sharded replay of kernels
-/// that use it (`coherence`); every other kernel ignores the value, and no
-/// kernel's results depend on it.
-pub fn kernel_by_name_with_workers(
-    name: &str,
-    working_set_bytes: u64,
-    passes: u64,
-    workers: usize,
-) -> Option<Box<dyn Workload>> {
     Some(match name {
         "copy" => Box::new(StreamingKernel::copy(working_set_bytes, passes)),
         "scale" => Box::new(StreamingKernel::scale(working_set_bytes, passes)),
@@ -396,9 +383,7 @@ pub fn kernel_by_name_with_workers(
         "triad" => Box::new(StreamingKernel::triad(working_set_bytes, passes)),
         "daxpy" => Box::new(StreamingKernel::daxpy(working_set_bytes, passes)),
         "chase" => Box::new(PointerChase::new(working_set_bytes, passes)),
-        "coherence" => {
-            Box::new(StoreCoherence::new(working_set_bytes, passes).with_workers(workers))
-        }
+        "coherence" => Box::new(StoreCoherence::new(working_set_bytes, passes)),
         _ => return None,
     })
 }

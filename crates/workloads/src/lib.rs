@@ -63,10 +63,7 @@ pub use coherence::StoreCoherence;
 pub use exec::{slice_samples, ExecutionProfile, ProgressTick, ProgressTrace};
 pub use experiment::{sample_seed, Experiment, ExperimentResult};
 pub use jacobi::{JacobiConfig, JacobiResult, JacobiVariant, JacobiWorkload};
-pub use kernels::{
-    kernel_by_name, kernel_by_name_with_workers, kernel_names, parse_size, PointerChase,
-    StreamingKernel,
-};
+pub use kernels::{kernel_by_name, kernel_names, parse_size, PointerChase, StreamingKernel};
 pub use openmp::{CompilerPersonality, KmpAffinity, OpenMpRuntime, PlacementPolicy};
 pub use perfmodel::{BandwidthModel, StreamKernelModel};
 pub use stats::BoxStats;

@@ -56,6 +56,23 @@ fn pointer_chase_matches_the_golden() {
 }
 
 #[test]
+fn coherence_kernel_matches_the_golden() {
+    let report = report_for(&[
+        "-t",
+        "coherence",
+        "-w",
+        "1MB",
+        "-c",
+        "S0:0-1@S1:0-1",
+        "-g",
+        "MEM",
+        "--machine",
+        "nehalem-ep-2s",
+    ]);
+    assert_round_trip(&report, include_str!("golden/likwid_bench_coherence_nehalem-ep-2s.txt"));
+}
+
+#[test]
 fn daxpy_mem_acceptance_scenario_runs_on_every_machine_preset() {
     for &preset in MachinePreset::all() {
         let report = report_for(&[
