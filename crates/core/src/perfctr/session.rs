@@ -505,39 +505,42 @@ impl<'m> PerfCtr<'m> {
                 "start() called while the session is already counting (stop() it first)".into(),
             ));
         }
-        let slots: Vec<CounterSlot> =
-            self.groups[self.active_group].events.iter().map(|(_, slot, _)| *slot).collect();
-        let mut heal = self.heal.borrow_mut();
-        for &cpu in &self.cpus {
-            if heal.cpu_is_dead(cpu) {
-                continue;
-            }
-            match self.perfmon.start_slots(cpu, &slots) {
-                Ok(()) => {}
-                Err(e) if is_permanent_io(&e) => heal.mark_cpu_dead(cpu, &e),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        drop(heal);
+        let slots = self.active_slots();
+        self.on_live_cpus(|perfmon, cpu| perfmon.start_slots(cpu, &slots))?;
         self.running = true;
         self.started = true;
         Ok(())
     }
 
-    /// Stop counting on all measured hardware threads.
-    pub fn stop(&mut self) -> Result<()> {
+    /// The active group's counter slots, in programming order.
+    fn active_slots(&self) -> Vec<CounterSlot> {
+        self.groups[self.active_group].events.iter().map(|(_, slot, _)| *slot).collect()
+    }
+
+    /// Apply a counter operation to every measured cpu still alive. A cpu
+    /// whose MSR device fails permanently is dropped with a diagnostic
+    /// instead of failing the run.
+    fn on_live_cpus(
+        &self,
+        op: impl Fn(&PerfMon, usize) -> std::result::Result<(), PerfMonError>,
+    ) -> Result<()> {
         let mut heal = self.heal.borrow_mut();
         for &cpu in &self.cpus {
             if heal.cpu_is_dead(cpu) {
                 continue;
             }
-            match self.perfmon.stop(cpu) {
+            match op(&self.perfmon, cpu) {
                 Ok(()) => {}
                 Err(e) if is_permanent_io(&e) => heal.mark_cpu_dead(cpu, &e),
                 Err(e) => return Err(e.into()),
             }
         }
-        drop(heal);
+        Ok(())
+    }
+
+    /// Stop counting on all measured hardware threads.
+    pub fn stop(&mut self) -> Result<()> {
+        self.on_live_cpus(|perfmon, cpu| perfmon.stop(cpu))?;
         self.running = false;
         Ok(())
     }
@@ -656,9 +659,10 @@ impl<'m> PerfCtr<'m> {
     /// what the extrapolation divides by.
     pub fn finish(&mut self) -> Result<()> {
         if self.suspended {
-            // A suspended session already folded everything it measured (and
-            // zeroed its counters) at suspend time; whatever the registers
-            // hold now was put there by another session borrowing them.
+            // A suspended session already folded everything it measured at
+            // suspend time; whatever the registers hold now is either
+            // already folded or was put there by another session
+            // borrowing them.
             return Ok(());
         }
         if self.running {
@@ -677,15 +681,18 @@ impl<'m> PerfCtr<'m> {
     /// Yield the hardware between cross-session time slices (the
     /// `likwid-perfctrd` broker multiplexes counter programming *between*
     /// sessions sharing cpus, extending the in-session group rotation of
-    /// [`PerfCtr::switch_group`] across session boundaries): stop counting,
-    /// fold the live counts of the active group into its accumulator, and
-    /// reprogram the group. Reprogramming zeroes every counter, so a later
-    /// [`PerfCtr::finish`] cannot double-count the folded values — and a
-    /// foreign session may borrow the registers in between without
-    /// corrupting this session's state.
+    /// [`PerfCtr::switch_group`] across session boundaries): stop the
+    /// active group's counter slots and fold their live counts into the
+    /// group's accumulator. The registers keep their values and their
+    /// disabled programming; a foreign session may borrow and reprogram
+    /// them before [`PerfCtr::resume`] reprograms them for this one, and
+    /// [`PerfCtr::finish`] of a suspended session reads nothing, so the
+    /// folded counts are never counted twice.
     pub fn suspend(&mut self) -> Result<()> {
         if self.running {
-            self.stop()?;
+            let slots = self.active_slots();
+            self.on_live_cpus(|perfmon, cpu| perfmon.stop_slots(cpu, &slots))?;
+            self.running = false;
         }
         let counts = self.read_counts()?;
         let active = self.active_group;
@@ -694,7 +701,6 @@ impl<'m> PerfCtr<'m> {
                 self.accumulated[active][ei][ci] += v;
             }
         }
-        self.program_group(active)?;
         self.suspended = true;
         Ok(())
     }

@@ -178,8 +178,8 @@ impl<'m> TimelineSession<'m> {
     }
 
     /// Yield the hardware between cross-session time slices (see
-    /// [`PerfCtr::suspend`]): the live counts are folded into the session's
-    /// accumulator and the counters are released in a zeroed state, so the
+    /// [`PerfCtr::suspend`]): the session's counter slots are stopped and
+    /// their live counts folded into its accumulator, so the
     /// `likwid-perfctrd` broker can hand the registers to another session
     /// sharing the same cpus.
     pub fn suspend(&mut self) -> Result<()> {

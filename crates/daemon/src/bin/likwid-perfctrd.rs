@@ -102,9 +102,10 @@ fn run_client(parsed: &likwid::ParsedArgs, path: &Path) -> Result<String> {
         OutputFormat::Json => {
             // Raw NDJSON passthrough: re-encode each frame on its own line
             // as it arrives (one JSON document per line).
+            let mut line = String::new();
             client.run_session(&request, |frame| {
-                let mut out = stdout.lock();
-                let _ = out.write_all(frame.to_line().as_bytes());
+                frame.encode_line(&mut line);
+                let _ = stdout.lock().write_all(line.as_bytes());
             })?;
             Ok(String::new())
         }

@@ -7,11 +7,11 @@
 //! their cpu sets intersect (plus the per-socket uncore units, handled
 //! separately). The broker's invariant is simple: **between any two
 //! intervals, no session's counters are live**. Every session suspends its
-//! counters (folding the live counts into its accumulator and releasing the
-//! registers zeroed) at the end of each interval, and resumes (reprogram +
-//! zero + start) at the start of the next. Any inter-interval machine state
-//! is therefore safe for any session to reprogram; a session that never
-//! shares a cpu measures bit-identically to a standalone
+//! counters (stopping its own counter slots and folding their live counts
+//! into its accumulator) at the end of each interval, and resumes
+//! (reprogram + zero + start) at the start of the next. Any inter-interval
+//! machine state is therefore safe for any session to reprogram; a session
+//! that never shares a cpu measures bit-identically to a standalone
 //! [`TimelineSession`] run.
 //!
 //! *Core turn-taking* uses monotonic tickets: each admitted session holds a
@@ -813,10 +813,11 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
         let wall_extra = self.daemon.wall_extra(self.id);
         let time_scale =
             if wall_extra > 0.0 && measured > 0.0 { 1.0 + wall_extra / measured } else { 1.0 };
-        // finish() folds the residual register counts one last time; hold
-        // the credit lock so that read can never observe another session's
-        // live window on shared cpus (suspended registers are zeroed and
-        // stopped, so between windows the residual is exactly zero).
+        // A session suspended after its last interval has folded every
+        // count, and its finish() reads no register. One left counting by
+        // a failed interval folds the registers one last time; the credit
+        // lock keeps that read out of another session's live window on
+        // shared cpus.
         let result = {
             let _credit = self.daemon.credit.lock().unwrap();
             session.finish_scaled(time_scale)

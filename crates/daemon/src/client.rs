@@ -175,6 +175,8 @@ impl StreamAccumulator {
 pub struct SocketClient {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
+    /// The last frame's line, its buffer reused for the next.
+    line: String,
 }
 
 impl SocketClient {
@@ -184,7 +186,8 @@ impl SocketClient {
             .map_err(|e| LikwidError::Protocol(format!("connect {}: {e}", path.display())))?;
         let writer =
             stream.try_clone().map_err(|e| LikwidError::Protocol(format!("clone socket: {e}")))?;
-        let mut client = SocketClient { reader: BufReader::new(stream), writer };
+        let mut client =
+            SocketClient { reader: BufReader::new(stream), writer, line: String::new() };
         let hello = client.next_frame()?;
         match &hello {
             Frame::Hello { .. } => Ok((client, hello)),
@@ -204,15 +207,15 @@ impl SocketClient {
     /// Read the next frame. EOF is a protocol error (the server always
     /// terminates a session stream with `done` or `error`).
     pub fn next_frame(&mut self) -> Result<Frame> {
-        let mut line = String::new();
+        self.line.clear();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_line(&mut self.line)
             .map_err(|e| LikwidError::Protocol(format!("recv: {e}")))?;
         if n == 0 {
             return Err(LikwidError::Protocol("connection closed by server".into()));
         }
-        Frame::from_line(&line)
+        Frame::from_line(&self.line)
     }
 
     /// Ask the daemon for its observability snapshot. Answered from the

@@ -32,9 +32,21 @@
 //!
 //! All counter values cross the wire as JSON integers ([`u64`] exactly);
 //! reals use shortest-round-trip encoding, so reconstruction is bit-exact.
+//!
+//! `frame` is the first member of every server frame, as it has always
+//! been. Every frame is written through [`likwid::json::Writer`], with no
+//! [`JsonValue`] tree; the server encodes each connection's frames into
+//! one reused line buffer ([`Frame::encode_line`]). [`Frame::from_line`]
+//! reads the leading `frame` member with [`likwid::json::Reader`] and
+//! decodes an `interval` frame straight into an [`IntervalFrame`], its
+//! other members in any order and unknown members skipped; only the rare
+//! kinds are decoded through a tree. A command line may be at most
+//! [`crate::server::MAX_COMMAND_LINE`] bytes long.
+
+use std::cell::RefCell;
 
 use crate::broker::{DaemonStatus, SessionStatus, UncoreStatus};
-use likwid::json::{obj, JsonValue};
+use likwid::json::{obj, JsonValue, Reader, Writer};
 use likwid::perfctr::session::{Diagnostic, GroupCounts};
 use likwid::perfctr::{PerfCtrResults, TimelineInterval};
 use likwid::{LikwidError, Result};
@@ -272,21 +284,32 @@ pub enum Frame {
     Ok,
 }
 
-fn usize_arr(values: &[usize]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| JsonValue::UInt(v as u64)).collect())
+fn usizes(w: &mut Writer<'_>, values: &[usize]) {
+    w.arr(|w| {
+        for &v in values {
+            w.uint(v as u64);
+        }
+    });
 }
 
-fn counts_arr(counts: &GroupCounts) -> JsonValue {
-    JsonValue::Arr(
-        counts
-            .iter()
-            .map(|per_cpu| JsonValue::Arr(per_cpu.iter().map(|&v| JsonValue::UInt(v)).collect()))
-            .collect(),
-    )
+fn uints(w: &mut Writer<'_>, values: &[u64]) {
+    w.arr(|w| {
+        for &v in values {
+            w.uint(v);
+        }
+    });
 }
 
-fn reals_arr(values: &[f64]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| JsonValue::real(v)).collect())
+fn reals(w: &mut Writer<'_>, values: &[f64]) {
+    w.arr(|w| {
+        for &v in values {
+            w.real(v);
+        }
+    });
+}
+
+fn counts(w: &mut Writer<'_>, counts: &GroupCounts) {
+    w.arr(|w| counts.iter().for_each(|row| uints(w, row)));
 }
 
 fn parse_usize_arr(value: &JsonValue, what: &str) -> Result<Vec<usize>> {
@@ -329,20 +352,32 @@ fn parse_reals_arr(value: &JsonValue, what: &str) -> Result<Vec<f64>> {
         .collect()
 }
 
+fn malformed(e: String) -> LikwidError {
+    LikwidError::Protocol(format!("malformed frame: {e}"))
+}
+
+fn missing(name: &str) -> LikwidError {
+    LikwidError::Protocol(format!("frame: missing '{name}'"))
+}
+
+fn not_integer(name: &str) -> LikwidError {
+    LikwidError::Protocol(format!("frame: '{name}' must be an integer"))
+}
+
+fn not_real(name: &str) -> LikwidError {
+    LikwidError::Protocol(format!("frame: '{name}' must be a real"))
+}
+
 fn required<'v>(value: &'v JsonValue, name: &str) -> Result<&'v JsonValue> {
-    value.get(name).ok_or_else(|| LikwidError::Protocol(format!("frame: missing '{name}'")))
+    value.get(name).ok_or_else(|| missing(name))
 }
 
 fn required_u64(value: &JsonValue, name: &str) -> Result<u64> {
-    required(value, name)?
-        .as_u64()
-        .ok_or_else(|| LikwidError::Protocol(format!("frame: '{name}' must be an integer")))
+    required(value, name)?.as_u64().ok_or_else(|| not_integer(name))
 }
 
 fn required_f64(value: &JsonValue, name: &str) -> Result<f64> {
-    required(value, name)?
-        .as_f64()
-        .ok_or_else(|| LikwidError::Protocol(format!("frame: '{name}' must be a real")))
+    required(value, name)?.as_f64().ok_or_else(|| not_real(name))
 }
 
 fn required_str(value: &JsonValue, name: &str) -> Result<String> {
@@ -352,221 +387,276 @@ fn required_str(value: &JsonValue, name: &str) -> Result<String> {
         .ok_or_else(|| LikwidError::Protocol(format!("frame: '{name}' must be a string")))
 }
 
-impl Frame {
-    /// Encode the frame as one NDJSON line (no trailing newline).
-    pub fn to_json(&self) -> JsonValue {
-        match self {
-            Frame::Hello { server, protocol, machine } => obj(vec![
-                ("frame", JsonValue::Str("hello".into())),
-                ("server", JsonValue::Str(server.clone())),
-                ("protocol", JsonValue::UInt(*protocol)),
-                ("machine", JsonValue::Str(machine.clone())),
-            ]),
-            Frame::Opened(f) => obj(vec![
-                ("frame", JsonValue::Str("opened".into())),
-                ("session", JsonValue::UInt(f.session)),
-                ("machine", JsonValue::Str(f.machine.clone())),
-                ("cpus", usize_arr(&f.cpus)),
-                ("socket_lock_owners", usize_arr(&f.socket_lock_owners)),
-                ("interval_s", JsonValue::real(f.interval_s)),
-                ("duration_s", JsonValue::real(f.duration_s)),
-                ("uncore", JsonValue::Bool(f.uncore)),
-                (
-                    "groups",
-                    JsonValue::Arr(
-                        f.groups
-                            .iter()
-                            .map(|g| {
-                                obj(vec![
-                                    ("name", JsonValue::Str(g.name.clone())),
-                                    (
-                                        "events",
-                                        JsonValue::Arr(
-                                            g.events
-                                                .iter()
-                                                .map(|(name, slot)| {
-                                                    JsonValue::Arr(vec![
-                                                        JsonValue::Str(name.clone()),
-                                                        JsonValue::Str(slot.name()),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "metrics",
-                                        JsonValue::Arr(
-                                            g.metrics
-                                                .iter()
-                                                .map(|m| JsonValue::Str(m.clone()))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Frame::Interval(f) => obj(vec![
-                ("frame", JsonValue::Str("interval".into())),
-                ("session", JsonValue::UInt(f.session)),
-                ("index", JsonValue::UInt(f.index as u64)),
-                ("group", JsonValue::UInt(f.group as u64)),
-                ("t_start_s", JsonValue::real(f.t_start_s)),
-                ("t_end_s", JsonValue::real(f.t_end_s)),
-                ("counts", counts_arr(&f.counts)),
-                ("metrics", JsonValue::Arr(f.metrics.iter().map(|row| reals_arr(row)).collect())),
-            ]),
-            Frame::Done(f) => obj(vec![
-                ("frame", JsonValue::Str("done".into())),
-                ("session", JsonValue::UInt(f.session)),
-                ("duration_s", JsonValue::real(f.duration_s)),
-                ("intervals", JsonValue::UInt(f.intervals as u64)),
-                ("time_scale", JsonValue::real(f.time_scale)),
-                ("aggregate", JsonValue::Arr(f.aggregate.iter().map(counts_arr).collect())),
-                ("extrapolated", JsonValue::Arr(f.extrapolated.iter().map(counts_arr).collect())),
-                (
-                    "results",
-                    JsonValue::Arr(
-                        f.results
-                            .iter()
-                            .map(|r| {
-                                obj(vec![
-                                    ("group", JsonValue::Str(r.group_name.clone())),
-                                    ("cpus", usize_arr(&r.cpus)),
-                                    (
-                                        "events",
-                                        JsonValue::Arr(
-                                            r.events
-                                                .iter()
-                                                .map(|(name, slot, counts)| {
-                                                    JsonValue::Arr(vec![
-                                                        JsonValue::Str(name.clone()),
-                                                        JsonValue::Str(slot.name()),
-                                                        JsonValue::Arr(
-                                                            counts
-                                                                .iter()
-                                                                .map(|&v| JsonValue::UInt(v))
-                                                                .collect(),
-                                                        ),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "metrics",
-                                        JsonValue::Arr(
-                                            r.metrics
-                                                .iter()
-                                                .map(|(name, values)| {
-                                                    JsonValue::Arr(vec![
-                                                        JsonValue::Str(name.clone()),
-                                                        reals_arr(values),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "diagnostics",
-                                        JsonValue::Arr(
-                                            r.diagnostics
-                                                .iter()
-                                                .map(|(subject, reason)| {
-                                                    JsonValue::Arr(vec![
-                                                        JsonValue::Str(subject.clone()),
-                                                        JsonValue::Str(reason.clone()),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Frame::Status(s) => obj(vec![
-                ("frame", JsonValue::Str("status".into())),
-                (
-                    "sessions",
-                    JsonValue::Arr(
-                        s.sessions
-                            .iter()
-                            .map(|sess| {
-                                let mut members = vec![
-                                    ("session", JsonValue::UInt(sess.id)),
-                                    ("cpus", usize_arr(&sess.cpus)),
-                                    ("phase", JsonValue::Str(sess.phase.clone())),
-                                ];
-                                if let Some(ticket) = sess.ticket {
-                                    members.push(("ticket", JsonValue::UInt(ticket)));
-                                }
-                                members.push(("wall_extra_s", JsonValue::real(sess.wall_extra_s)));
-                                obj(members)
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "queue_depth",
-                    JsonValue::Arr(
-                        s.queue_depth
-                            .iter()
-                            .map(|&(cpu, depth)| {
-                                JsonValue::Arr(vec![
-                                    JsonValue::UInt(cpu as u64),
-                                    JsonValue::UInt(depth as u64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "uncore",
-                    JsonValue::Arr(
-                        s.uncore
-                            .iter()
-                            .map(|u| {
-                                let mut members =
-                                    vec![("socket", JsonValue::UInt(u64::from(u.socket)))];
-                                if let Some(holder) = u.holder {
-                                    members.push(("holder", JsonValue::UInt(holder)));
-                                }
-                                members.push((
-                                    "waiters",
-                                    JsonValue::Arr(
-                                        u.waiters.iter().map(|&w| JsonValue::UInt(w)).collect(),
-                                    ),
-                                ));
-                                obj(members)
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Frame::Error { kind, message } => obj(vec![
-                ("frame", JsonValue::Str("error".into())),
-                ("error", JsonValue::Str(kind.clone())),
-                ("message", JsonValue::Str(message.clone())),
-            ]),
-            Frame::Pong => obj(vec![("frame", JsonValue::Str("pong".into()))]),
-            Frame::Ok => obj(vec![("frame", JsonValue::Str("ok".into()))]),
+/// Whether the document opens with a `"frame"` member naming `kind`. On
+/// `true` the reader stands after that member.
+fn leads_with(reader: &mut Reader<'_>, kind: &str) -> bool {
+    reader.begin_obj().is_ok()
+        && matches!(reader.next_key(), Ok(Some(key)) if key == "frame")
+        && matches!(reader.str(), Ok(k) if k == kind)
+}
+
+/// Enter the array at the cursor, or consume the value there and fail with
+/// `message`.
+fn begin_arr(r: &mut Reader<'_>, message: &str) -> Result<()> {
+    if r.peek() == Some(b'[') {
+        r.begin_arr().map_err(malformed)
+    } else {
+        r.value().map_err(malformed)?;
+        Err(LikwidError::Protocol(message.to_string()))
+    }
+}
+
+thread_local! {
+    /// Reused staging for [`read_rows`]: the items of an array of arrays,
+    /// as bits, and the item count after each row.
+    static STAGING: RefCell<(Vec<u64>, Vec<usize>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// An array of arrays of items. The items are staged in a reused
+/// thread-local buffer and copied out once the array is closed, so every
+/// returned vector is allocated once, at its final length. `item` reads
+/// one item as bits, which `from_bits` turns back; `errors` are the
+/// messages for a non-array, a non-array row and a mistyped item.
+fn read_rows<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> std::result::Result<Option<u64>, String>,
+    from_bits: fn(u64) -> T,
+    errors: [&str; 3],
+) -> Result<Vec<Vec<T>>> {
+    STAGING.with(|staging| {
+        let (items, ends) = &mut *staging.borrow_mut();
+        items.clear();
+        ends.clear();
+        begin_arr(r, errors[0])?;
+        while r.next_item().map_err(malformed)? {
+            begin_arr(r, errors[1])?;
+            while r.next_item().map_err(malformed)? {
+                let value = item(r).map_err(malformed)?;
+                items.push(value.ok_or_else(|| LikwidError::Protocol(errors[2].to_string()))?);
+            }
+            ends.push(items.len());
         }
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        Ok(starts
+            .zip(ends.iter())
+            .map(|(start, &end)| items[start..end].iter().map(|&bits| from_bits(bits)).collect())
+            .collect())
+    })
+}
+
+impl IntervalFrame {
+    /// Read an interval frame's members after its leading `frame` member:
+    /// in any order, unknown ones skipped.
+    fn read(r: &mut Reader<'_>) -> Result<IntervalFrame> {
+        let uint = |r: &mut Reader<'_>, name| {
+            r.uint().map_err(malformed)?.ok_or_else(|| not_integer(name))
+        };
+        let real =
+            |r: &mut Reader<'_>, name| r.real().map_err(malformed)?.ok_or_else(|| not_real(name));
+        let (mut session, mut index, mut group) = (None, None, None);
+        let (mut t_start_s, mut t_end_s, mut counts, mut metrics) = (None, None, None, None);
+        while let Some(key) = r.next_key().map_err(malformed)? {
+            match &*key {
+                "session" => session = Some(uint(r, "session")?),
+                "index" => index = Some(uint(r, "index")? as usize),
+                "group" => group = Some(uint(r, "group")? as usize),
+                "t_start_s" => t_start_s = Some(real(r, "t_start_s")?),
+                "t_end_s" => t_end_s = Some(real(r, "t_end_s")?),
+                "counts" => {
+                    counts = Some(read_rows(
+                        r,
+                        Reader::uint,
+                        |bits| bits,
+                        [
+                            "interval.counts: expected array",
+                            "interval.counts: expected array of arrays",
+                            "interval.counts: expected count",
+                        ],
+                    )?)
+                }
+                "metrics" => {
+                    metrics = Some(read_rows(
+                        r,
+                        |r| Ok(r.real()?.map(f64::to_bits)),
+                        f64::from_bits,
+                        [
+                            "interval: metrics must be array",
+                            "interval.metrics: expected array",
+                            "interval.metrics: expected real",
+                        ],
+                    )?)
+                }
+                _ => {
+                    r.value().map_err(malformed)?;
+                }
+            }
+        }
+        Ok(IntervalFrame {
+            session: session.ok_or_else(|| missing("session"))?,
+            index: index.ok_or_else(|| missing("index"))?,
+            group: group.ok_or_else(|| missing("group"))?,
+            t_start_s: t_start_s.ok_or_else(|| missing("t_start_s"))?,
+            t_end_s: t_end_s.ok_or_else(|| missing("t_end_s"))?,
+            counts: counts.ok_or_else(|| missing("counts"))?,
+            metrics: metrics.ok_or_else(|| missing("metrics"))?,
+        })
+    }
+}
+
+impl Frame {
+    /// The frame's kind, its leading `frame` member.
+    fn kind(&self) -> &'static str {
+        match self {
+            Frame::Hello { .. } => "hello",
+            Frame::Opened(_) => "opened",
+            Frame::Interval(_) => "interval",
+            Frame::Done(_) => "done",
+            Frame::Status(_) => "status",
+            Frame::Error { .. } => "error",
+            Frame::Pong => "pong",
+            Frame::Ok => "ok",
+        }
+    }
+
+    /// Write the frame through a streaming JSON writer, `frame` first.
+    fn write(&self, w: &mut Writer<'_>) {
+        w.obj(|w| {
+            w.key("frame").str(self.kind());
+            match self {
+                Frame::Hello { server, protocol, machine } => {
+                    w.key("server").str(server);
+                    w.key("protocol").uint(*protocol);
+                    w.key("machine").str(machine);
+                }
+                Frame::Opened(f) => {
+                    w.key("session").uint(f.session);
+                    w.key("machine").str(&f.machine);
+                    usizes(w.key("cpus"), &f.cpus);
+                    usizes(w.key("socket_lock_owners"), &f.socket_lock_owners);
+                    w.key("interval_s").real(f.interval_s);
+                    w.key("duration_s").real(f.duration_s);
+                    w.key("uncore").bool(f.uncore);
+                    w.key("groups").arr(|w| {
+                        for g in &f.groups {
+                            w.obj(|w| {
+                                w.key("name").str(&g.name);
+                                w.key("events").arr(|w| {
+                                    for (name, slot) in &g.events {
+                                        w.arr(|w| {
+                                            w.str(name).str(&slot.name());
+                                        });
+                                    }
+                                });
+                                w.key("metrics").arr(|w| {
+                                    for m in &g.metrics {
+                                        w.str(m);
+                                    }
+                                });
+                            });
+                        }
+                    });
+                }
+                Frame::Interval(f) => {
+                    w.key("session").uint(f.session);
+                    w.key("index").uint(f.index as u64);
+                    w.key("group").uint(f.group as u64);
+                    w.key("t_start_s").real(f.t_start_s);
+                    w.key("t_end_s").real(f.t_end_s);
+                    counts(w.key("counts"), &f.counts);
+                    w.key("metrics").arr(|w| f.metrics.iter().for_each(|row| reals(w, row)));
+                }
+                Frame::Done(f) => {
+                    w.key("session").uint(f.session);
+                    w.key("duration_s").real(f.duration_s);
+                    w.key("intervals").uint(f.intervals as u64);
+                    w.key("time_scale").real(f.time_scale);
+                    w.key("aggregate").arr(|w| f.aggregate.iter().for_each(|c| counts(w, c)));
+                    w.key("extrapolated").arr(|w| f.extrapolated.iter().for_each(|c| counts(w, c)));
+                    w.key("results").arr(|w| {
+                        for r in &f.results {
+                            w.obj(|w| {
+                                w.key("group").str(&r.group_name);
+                                usizes(w.key("cpus"), &r.cpus);
+                                w.key("events").arr(|w| {
+                                    for (name, slot, values) in &r.events {
+                                        w.arr(|w| uints(w.str(name).str(&slot.name()), values));
+                                    }
+                                });
+                                w.key("metrics").arr(|w| {
+                                    for (name, values) in &r.metrics {
+                                        w.arr(|w| reals(w.str(name), values));
+                                    }
+                                });
+                                w.key("diagnostics").arr(|w| {
+                                    for (subject, reason) in &r.diagnostics {
+                                        w.arr(|w| {
+                                            w.str(subject).str(reason);
+                                        });
+                                    }
+                                });
+                            });
+                        }
+                    });
+                }
+                Frame::Status(s) => {
+                    w.key("sessions").arr(|w| {
+                        for sess in &s.sessions {
+                            w.obj(|w| {
+                                w.key("session").uint(sess.id);
+                                usizes(w.key("cpus"), &sess.cpus);
+                                w.key("phase").str(&sess.phase);
+                                if let Some(ticket) = sess.ticket {
+                                    w.key("ticket").uint(ticket);
+                                }
+                                w.key("wall_extra_s").real(sess.wall_extra_s);
+                            });
+                        }
+                    });
+                    w.key("queue_depth").arr(|w| {
+                        for &(cpu, depth) in &s.queue_depth {
+                            usizes(w, &[cpu, depth]);
+                        }
+                    });
+                    w.key("uncore").arr(|w| {
+                        for u in &s.uncore {
+                            w.obj(|w| {
+                                w.key("socket").uint(u64::from(u.socket));
+                                if let Some(holder) = u.holder {
+                                    w.key("holder").uint(holder);
+                                }
+                                uints(w.key("waiters"), &u.waiters);
+                            });
+                        }
+                    });
+                }
+                Frame::Error { kind, message } => {
+                    w.key("error").str(kind);
+                    w.key("message").str(message);
+                }
+                Frame::Pong | Frame::Ok => {}
+            }
+        });
     }
 
     /// Encode as one NDJSON line including the trailing newline.
     pub fn to_line(&self) -> String {
-        let mut line = self.to_json().encode();
-        line.push('\n');
+        let mut line = String::new();
+        self.encode_line(&mut line);
         line
     }
 
-    /// Decode a frame from a parsed JSON object.
-    pub fn from_json(value: &JsonValue) -> Result<Frame> {
+    /// Encode as one NDJSON line, trailing newline included, into `line`,
+    /// replacing its contents. A buffer reused across frames stops
+    /// allocating once it has held the longest of them.
+    pub fn encode_line(&self, line: &mut String) {
+        line.clear();
+        self.write(&mut Writer::new(line));
+        line.push('\n');
+    }
+
+    /// Decode one of the rare frame kinds from a parsed JSON object.
+    fn from_json(value: &JsonValue) -> Result<Frame> {
         let kind = required_str(value, "frame")?;
         match kind.as_str() {
             "hello" => Ok(Frame::Hello {
@@ -638,20 +728,9 @@ impl Frame {
                     groups,
                 }))
             }
-            "interval" => Ok(Frame::Interval(IntervalFrame {
-                session: required_u64(value, "session")?,
-                index: required_u64(value, "index")? as usize,
-                group: required_u64(value, "group")? as usize,
-                t_start_s: required_f64(value, "t_start_s")?,
-                t_end_s: required_f64(value, "t_end_s")?,
-                counts: parse_counts_arr(required(value, "counts")?, "interval.counts")?,
-                metrics: required(value, "metrics")?
-                    .as_arr()
-                    .ok_or_else(|| LikwidError::Protocol("interval: metrics must be array".into()))?
-                    .iter()
-                    .map(|row| parse_reals_arr(row, "interval.metrics"))
-                    .collect::<Result<Vec<_>>>()?,
-            })),
+            "interval" => {
+                Err(LikwidError::Protocol("interval: 'frame' must be the first member".into()))
+            }
             "done" => {
                 let results = required(value, "results")?
                     .as_arr()
@@ -853,11 +932,18 @@ impl Frame {
         }
     }
 
-    /// Decode a frame from one NDJSON line.
+    /// Decode a frame from one NDJSON line. An interval frame is read
+    /// straight into its [`IntervalFrame`]; the rare kinds go through a
+    /// [`JsonValue`] tree.
     pub fn from_line(line: &str) -> Result<Frame> {
-        let value = JsonValue::parse(line.trim())
-            .map_err(|e| LikwidError::Protocol(format!("malformed frame: {e}")))?;
-        Frame::from_json(&value)
+        let line = line.trim();
+        let mut reader = Reader::new(line);
+        if leads_with(&mut reader, "interval") {
+            let frame = IntervalFrame::read(&mut reader)?;
+            reader.finish().map_err(malformed)?;
+            return Ok(Frame::Interval(frame));
+        }
+        Frame::from_json(&JsonValue::parse(line).map_err(malformed)?)
     }
 
     /// Classify a [`LikwidError`] into an error frame. The broker answers
@@ -1013,6 +1099,43 @@ mod tests {
             let err = Frame::from_line(bad).unwrap_err();
             assert!(matches!(err, LikwidError::Protocol(_)), "'{bad}' gave {err:?}");
         }
+    }
+
+    #[test]
+    fn interval_decode_errors_name_the_member() {
+        let good = concat!(
+            r#"{"frame":"interval","session":1,"index":0,"group":0,"#,
+            r#""t_start_s":0,"t_end_s":0.5,"counts":[[1]],"metrics":[[2.5]]}"#
+        );
+        assert!(matches!(Frame::from_line(good), Ok(Frame::Interval(_))));
+        for (from, to, message) in [
+            (r#""session":1,"#, "", "frame: missing 'session'"),
+            (r#""index":0"#, r#""index":"0""#, "frame: 'index' must be an integer"),
+            (r#""index":0"#, r#""index":-1"#, "frame: 'index' must be an integer"),
+            (r#""t_end_s":0.5"#, r#""t_end_s":null"#, "frame: 't_end_s' must be a real"),
+            ("[[1]]", "[[1.5]]", "interval.counts: expected count"),
+            ("[[1]]", "[1]", "interval.counts: expected array of arrays"),
+            ("[[1]]", "{}", "interval.counts: expected array"),
+            ("[[2.5]]", "[[\"2.5\"]]", "interval.metrics: expected real"),
+            ("[[2.5]]", "7", "interval: metrics must be array"),
+            ("[[1]]", "[[01]]", "malformed frame: bad number '01' at byte 91"),
+            ("}", "}x", "malformed frame: trailing characters at byte 113"),
+            (
+                r#""frame":"interval","session":1"#,
+                r#""session":1,"frame":"interval""#,
+                "interval: 'frame' must be the first member",
+            ),
+        ] {
+            let line = good.replacen(from, to, 1);
+            assert_ne!(line, good);
+            match Frame::from_line(&line) {
+                Err(LikwidError::Protocol(m)) => assert_eq!(m, message, "{line}"),
+                other => panic!("{line} gave {other:?}"),
+            }
+        }
+        // Unknown members are skipped, wherever they stand.
+        let noted = good.replace(r#""group""#, r#""note":{"x":[1,"y"]},"group""#);
+        assert_eq!(Frame::from_line(&noted).unwrap(), Frame::from_line(good).unwrap());
     }
 
     #[test]

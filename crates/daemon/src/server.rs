@@ -10,7 +10,7 @@
 //! write failure (the client vanished) aborts the in-flight session, which
 //! releases its broker slot and uncore locks.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,6 +77,33 @@ pub fn serve(machine: &SimMachine, socket_path: &Path, shutdown: &AtomicBool) ->
     Ok(())
 }
 
+/// Longest command line a connection may send, newline excluded. A longer
+/// one is answered with a `protocol` error frame and the connection is
+/// closed, so a peer that never sends a newline cannot grow a handler's
+/// buffer without bound. Real commands are a few hundred bytes; the cap
+/// still admits a hostile 100,000-level nesting line, which the JSON
+/// reader refuses with an ordinary error frame.
+pub const MAX_COMMAND_LINE: usize = 128 * 1024;
+
+/// A connection's socket writer and the one line buffer every frame it
+/// sends is encoded into.
+struct Outbox {
+    stream: UnixStream,
+    line: String,
+}
+
+impl Outbox {
+    /// Send one frame; false when the client is gone.
+    fn send(&mut self, frame: &Frame) -> bool {
+        frame.encode_line(&mut self.line);
+        self.stream.write_all(self.line.as_bytes()).is_ok()
+    }
+
+    fn error(&mut self, message: String) -> bool {
+        self.send(&Frame::Error { kind: "protocol".to_string(), message })
+    }
+}
+
 /// Serve one connection. Errors answering a request become `error` frames;
 /// errors writing to the socket end the connection (and abort any
 /// in-flight session via the handle's drop).
@@ -84,8 +111,8 @@ fn handle_connection(daemon: &Daemon<'_>, stream: UnixStream, shutdown: &AtomicB
     // A finite read timeout lets an idle handler notice a daemon shutdown
     // instead of blocking the scope join forever.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
+    let mut out = match stream.try_clone() {
+        Ok(stream) => Outbox { stream, line: String::new() },
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
@@ -95,16 +122,19 @@ fn handle_connection(daemon: &Daemon<'_>, stream: UnixStream, shutdown: &AtomicB
         protocol: PROTOCOL_VERSION,
         machine: daemon.machine().preset().id().to_string(),
     };
-    if writer.write_all(hello.to_line().as_bytes()).is_err() {
+    if !out.send(&hello) {
         return;
     }
 
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        // On timeout, read_line may have consumed a partial line into the
-        // buffer — keep it and retry; clear only after processing.
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
+        // On timeout, read_until may have consumed a partial line into the
+        // buffer — keep it and retry; clear only after processing. The
+        // budget stops one byte past the cap, which marks the line as
+        // too long.
+        let budget = (MAX_COMMAND_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return,
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -114,60 +144,42 @@ fn handle_connection(daemon: &Daemon<'_>, stream: UnixStream, shutdown: &AtomicB
             }
             Err(_) => return,
         }
-        let text = std::mem::take(&mut line);
-        if text.trim().is_empty() {
-            continue;
+        if line.last() != Some(&b'\n') && line.len() > MAX_COMMAND_LINE {
+            out.error(format!("command line longer than {MAX_COMMAND_LINE} bytes"));
+            return;
         }
-        let command = match JsonValue::parse(text.trim()) {
+        let bytes = std::mem::take(&mut line);
+        let command = match std::str::from_utf8(&bytes) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => JsonValue::parse(text.trim()),
+            Err(e) => Err(e.to_string()),
+        };
+        let command = match command {
             Ok(value) => value,
             Err(e) => {
-                let frame = Frame::Error {
-                    kind: "protocol".to_string(),
-                    message: format!("malformed command: {e}"),
-                };
-                if writer.write_all(frame.to_line().as_bytes()).is_err() {
+                if !out.error(format!("malformed command: {e}")) {
                     return;
                 }
                 continue;
             }
         };
-        match command.get("cmd").and_then(JsonValue::as_str) {
-            Some("open") => {
-                if !serve_session(daemon, &command, &mut writer) {
-                    return;
-                }
-            }
-            Some("ping") => {
-                if writer.write_all(Frame::Pong.to_line().as_bytes()).is_err() {
-                    return;
-                }
-            }
-            Some("status") => {
-                // Answered from the broker's state mutex alone: the snapshot
-                // never waits on a measurement turn, so a monitoring client
-                // can poll while sessions stream.
-                let frame = Frame::Status(daemon.status());
-                if writer.write_all(frame.to_line().as_bytes()).is_err() {
-                    return;
-                }
-            }
+        let served = match command.get("cmd").and_then(JsonValue::as_str) {
+            Some("open") => serve_session(daemon, &command, &mut out),
+            Some("ping") => out.send(&Frame::Pong),
+            // Answered from the broker's state mutex alone: the snapshot
+            // never waits on a measurement turn, so a monitoring client
+            // can poll while sessions stream.
+            Some("status") => out.send(&Frame::Status(daemon.status())),
             Some("shutdown") => {
                 shutdown.store(true, Ordering::SeqCst);
-                let _ = writer.write_all(Frame::Ok.to_line().as_bytes());
+                out.send(&Frame::Ok);
                 return;
             }
-            other => {
-                let frame = Frame::Error {
-                    kind: "protocol".to_string(),
-                    message: match other {
-                        Some(cmd) => format!("unknown command '{cmd}'"),
-                        None => "missing 'cmd'".to_string(),
-                    },
-                };
-                if writer.write_all(frame.to_line().as_bytes()).is_err() {
-                    return;
-                }
-            }
+            Some(cmd) => out.error(format!("unknown command '{cmd}'")),
+            None => out.error("missing 'cmd'".to_string()),
+        };
+        if !served {
+            return;
         }
     }
 }
@@ -176,27 +188,25 @@ fn handle_connection(daemon: &Daemon<'_>, stream: UnixStream, shutdown: &AtomicB
 /// (the caller stops serving it); request errors are answered with an
 /// `error` frame and return true — the broker and the connection stay
 /// healthy.
-fn serve_session(daemon: &Daemon<'_>, command: &JsonValue, writer: &mut UnixStream) -> bool {
-    let outcome = (|| -> Result<()> {
+fn serve_session(daemon: &Daemon<'_>, command: &JsonValue, out: &mut Outbox) -> bool {
+    let outcome = (|| -> Result<bool> {
         let request = OpenRequest::from_json(command)?;
         let mut handle = daemon.open(&request)?;
-        let opened = Frame::Opened(handle.opened().clone());
-        if writer.write_all(opened.to_line().as_bytes()).is_err() {
-            return Ok(()); // connection gone; handle drop aborts the session
+        // A failed send means the connection is gone; the handle's drop
+        // aborts the session.
+        if !out.send(&Frame::Opened(handle.opened().clone())) {
+            return Ok(false);
         }
         while let Some(interval) = handle.next_interval()? {
-            let frame = Frame::Interval(interval);
-            if writer.write_all(frame.to_line().as_bytes()).is_err() {
-                return Ok(());
+            if !out.send(&Frame::Interval(interval)) {
+                return Ok(false);
             }
         }
         let (done, _result) = handle.finish()?;
-        let _ = writer.write_all(Frame::Done(done).to_line().as_bytes());
-        Ok(())
+        Ok(out.send(&Frame::Done(done)))
     })();
-    if let Err(e) = outcome {
-        let frame = Frame::from_error(&e);
-        return writer.write_all(frame.to_line().as_bytes()).is_ok();
+    match outcome {
+        Ok(alive) => alive,
+        Err(e) => out.send(&Frame::from_error(&e)),
     }
-    true
 }

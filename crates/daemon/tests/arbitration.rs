@@ -1,14 +1,16 @@
 //! Socket-lock and turn arbitration: uncore sessions on the same socket
 //! serialize FIFO, uncore sessions on disjoint sockets overlap, dropped
 //! clients release every lock and slot (no leaks after repeated
-//! connect/abandon cycles), and time-sliced sessions sharing cpus are
-//! extrapolated by their measured coverage.
+//! connect/abandon cycles), time-sliced sessions sharing cpus are
+//! extrapolated by their measured coverage, and time-sliced streams stay
+//! exact on a machine with faulty MSRs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use likwid_daemon::{Daemon, DaemonStatus, OpenRequest};
+use likwid_daemon::{Daemon, DaemonStatus, DoneFrame, OpenRequest, StreamAccumulator};
+use likwid_x86_machine::fault::FaultPlan;
 use likwid_x86_machine::{MachinePreset, SimMachine};
 
 fn request(cpus: &str, group: &str, interval: &str, duration: &str) -> OpenRequest {
@@ -319,4 +321,54 @@ fn status_snapshots_sessions_queues_and_uncore_without_blocking() {
     });
     assert!(daemon.is_quiescent());
     assert_eq!(daemon.status(), DaemonStatus::default(), "quiescent broker, empty snapshot");
+}
+
+/// Drive a session to completion through the stream accumulator, which
+/// checks the frame order; returns the verified stream's `done` frame.
+fn stream_to_completion(daemon: &Daemon<'_>, request: &OpenRequest) -> DoneFrame {
+    let mut handle = daemon.open(request).expect("session admitted");
+    let mut stream = StreamAccumulator::new(handle.opened().clone());
+    while let Some(frame) = handle.next_interval().expect("interval, not an error") {
+        stream.push(frame).expect("in-order frame");
+    }
+    let (done, _result) = handle.finish().expect("finish");
+    stream.complete(done.clone()).expect("done matches the stream");
+    stream.verify_telescoping().expect("interval deltas telescope to the aggregate");
+    done
+}
+
+#[test]
+fn time_sliced_streams_telescope_on_faulty_msrs() {
+    for plan in ["seed=99,read=0.8x6,write=0.8x6,dirty", "stuck=0x186@0"] {
+        let machine = SimMachine::new(MachinePreset::WestmereEp2S);
+        machine.inject_faults(FaultPlan::parse(plan).expect("valid plan"));
+        let daemon = Daemon::new(&machine);
+        // A multiplexed uncore session and a core-only one, time-sliced
+        // on the shared cpus 2 and 3; each holds PMC0 on its cpus.
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                stream_to_completion(&daemon, &request("0-3", "FLOPS_DP,MEM", "1ms", "8ms"))
+            });
+            let b = scope
+                .spawn(|| stream_to_completion(&daemon, &request("2-5", "FLOPS_DP", "1ms", "8ms")));
+            (a.join().expect("session a"), b.join().expect("session b"))
+        });
+        let diagnostics: Vec<&(String, String)> =
+            [&a, &b].iter().flat_map(|done| &done.results).flat_map(|r| &r.diagnostics).collect();
+        if plan.starts_with("stuck") {
+            // cpu 0's PERFEVTSEL0 never takes a write: a diagnostic, not
+            // an error frame, and only session a measures cpu 0.
+            assert!(
+                diagnostics.iter().any(
+                    |(subject, _)| subject.starts_with("PMC0") && subject.ends_with("on cpu 0")
+                ),
+                "{plan}: {diagnostics:?}"
+            );
+            assert!(b.results.iter().all(|r| r.diagnostics.is_empty()), "{plan}: {b:?}");
+        } else {
+            // Transient faults are retried away without a trace.
+            assert!(diagnostics.is_empty(), "{plan}: {diagnostics:?}");
+        }
+        assert!(daemon.is_quiescent(), "{plan}");
+    }
 }

@@ -170,6 +170,44 @@ fn deeply_nested_line_gets_an_error_frame_and_the_connection_survives() {
 }
 
 #[test]
+fn an_endless_command_line_is_refused_and_the_daemon_keeps_serving() {
+    with_server("endless", |path| {
+        let stream = UnixStream::connect(path).expect("connect");
+        let mut writer = stream.try_clone().expect("clone socket");
+        let mut reader = BufReader::new(stream);
+        let mut next_line = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).map(|_| line)
+        };
+        assert!(matches!(Frame::from_line(&next_line().unwrap()), Ok(Frame::Hello { .. })));
+
+        // 1 MiB and no newline. The handler stops reading at the cap and
+        // closes the connection, so the tail of the write may fail.
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b' '; 1 << 20]);
+        });
+        match Frame::from_line(&next_line().expect("read frame")).expect("error frame") {
+            Frame::Error { kind, message } => {
+                assert_eq!(kind, "protocol");
+                assert!(message.contains("longer than"), "{message}");
+            }
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        // Closed: end of stream, or a reset because the handler left the
+        // rest of the flood unread.
+        match next_line() {
+            Ok(line) => assert_eq!(line, "", "the refused connection is closed"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+        }
+        flood.join().expect("flood thread");
+
+        let (mut client, _hello) = SocketClient::connect(path).expect("second connect");
+        let status = client.status().expect("status answered");
+        assert!(status.sessions.is_empty(), "{status:?}");
+    });
+}
+
+#[test]
 fn concurrent_clients_core_and_uncore() {
     with_server("concurrent", |path| {
         std::thread::scope(|scope| {

@@ -397,6 +397,35 @@ impl PerfMon {
         Ok(())
     }
 
+    /// Disable counting of exactly the given counter slots of `cpu`, the
+    /// mirror of [`PerfMon::start_slots`]: clear the global control
+    /// registers and the enable bit of each given select register, leaving
+    /// every other select untouched. Counters retain their values.
+    ///
+    /// [`PerfMon::stop`] scans every select register on the cpu; a
+    /// `likwid-perfctrd` session that suspends after each interval knows
+    /// which slots it started and stops only those.
+    pub fn stop_slots(&self, cpu: usize, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
+        let dev = self.device(cpu)?;
+        if self.vendor == Vendor::Intel {
+            ignore_unknown(self.wr(dev, Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
+            ignore_unknown(self.wr(dev, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+        }
+        for &slot in slots {
+            // AMD parts have only PMCs (see `slot_registers`).
+            if self.vendor == Vendor::Amd && !matches!(slot, CounterSlot::Pmc(_)) {
+                continue;
+            }
+            if let (Some(addr), _) = slot_registers(self.vendor, slot) {
+                let v = self.rd(dev, addr)?;
+                if v != 0 {
+                    self.wr(dev, addr, v & !evtsel::ENABLE)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Disable counting on `cpu` (counters retain their values).
     pub fn stop(&self, cpu: usize) -> Result<(), PerfMonError> {
         let dev = self.device(cpu)?;

@@ -19,6 +19,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use likwid_suite::cache_sim::{HierarchyConfig, NodeCacheSystem, NumaPolicy};
+use likwid_suite::daemon::{ActivitySource, Daemon, Frame, IntervalFrame, OpenRequest};
 use likwid_suite::likwid::trace;
 use likwid_suite::perf_events::{HwEventKind, SocketEventRecord, ThreadEventRecord};
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
@@ -133,4 +134,69 @@ fn instrumentation_points_allocate_nothing_while_tracing_is_off() {
         }
     });
     assert_eq!(allocations, 0);
+}
+
+/// Every interval frame of a short in-process daemon session.
+fn session_frames(cpus: &str, group: &str) -> Vec<IntervalFrame> {
+    let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+    let daemon = Daemon::new(&machine);
+    let request = OpenRequest {
+        machine: None,
+        cpus: cpus.to_string(),
+        group: group.to_string(),
+        interval: "100us".to_string(),
+        duration: "5ms".to_string(),
+    };
+    let config = daemon.validate(&request).expect("valid request");
+    let mut handle = daemon.open_session(config, ActivitySource::Demo).expect("admitted");
+    let mut frames = Vec::new();
+    while let Some(frame) = handle.next_interval().expect("interval") {
+        frames.push(frame);
+    }
+    frames
+}
+
+/// Session kinds whose frames have more rows and columns than a growing
+/// vector's first allocation holds (four), so growth would show.
+const SESSIONS: [(&str, &str); 3] = [
+    ("0-7", "MEM"),
+    ("2-7", "FLOPS_DP,MEM"),
+    (
+        "0-5",
+        "INSTR_RETIRED_ANY:FIXC0,CPU_CLK_UNHALTED_CORE:FIXC1,CPU_CLK_UNHALTED_REF:FIXC2,\
+         FP_COMP_OPS_EXE_SSE_FP_PACKED:PMC0,FP_COMP_OPS_EXE_SSE_FP_SCALAR:PMC1,\
+         UNC_L3_LINES_IN_ANY:UPMC0",
+    ),
+];
+
+#[test]
+fn a_warm_line_buffer_encodes_interval_frames_without_allocating() {
+    for (cpus, group) in SESSIONS {
+        let mut frames = session_frames(cpus, group).into_iter().map(Frame::Interval);
+        let mut line = String::new();
+        frames.next().expect("a first interval").encode_line(&mut line);
+        for frame in frames {
+            assert_eq!(allocations_in(|| frame.encode_line(&mut line)), 0, "-c {cpus} -g {group}");
+            assert_eq!(line, frame.to_line());
+        }
+    }
+}
+
+#[test]
+fn decoding_an_interval_line_allocates_only_what_the_frame_owns() {
+    for (cpus, group) in SESSIONS {
+        let frames = session_frames(cpus, group);
+        // The thread's first decode sizes the decoder's reused staging.
+        Frame::from_line(&Frame::Interval(frames[0].clone()).to_line()).expect("decodes");
+        for frame in frames {
+            let line = Frame::Interval(frame).to_line();
+            let mut decoded = None;
+            let allocations = allocations_in(|| decoded = Some(Frame::from_line(&line)));
+            let Some(Ok(Frame::Interval(frame))) = decoded else {
+                panic!("{line} did not decode to an interval frame");
+            };
+            let owned = 2 + frame.counts.len() + frame.metrics.len();
+            assert!(allocations <= owned as u64, "{allocations} > {owned} for {line}");
+        }
+    }
 }

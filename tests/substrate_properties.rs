@@ -13,7 +13,7 @@ use likwid_suite::cache_sim::{
 use likwid_suite::daemon::{Frame, IntervalFrame, OpenRequest};
 use likwid_suite::fleet::trajectory::TrajectoryPoint;
 use likwid_suite::fleet::Trajectory;
-use likwid_suite::likwid::json::JsonValue;
+use likwid_suite::likwid::json::{obj, JsonValue};
 use likwid_suite::likwid::perfctr::Formula;
 use likwid_suite::likwid::report::{
     Body, Json, KvEntry, Render, Report, Row, Section, Table, Value,
@@ -307,6 +307,75 @@ fn same_real(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
+/// Reals the interval-codec property mixes into raw bit patterns: the
+/// non-finite values, both zeros, subnormals and the extremes.
+const SPECIAL_REALS: [f64; 9] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2250738585072e-308,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+];
+
+/// A special real for `pick` below their count, else the raw bits.
+fn real_from((bits, pick): (u64, usize)) -> f64 {
+    SPECIAL_REALS.get(pick).copied().unwrap_or(f64::from_bits(bits))
+}
+
+/// Reshape a flat draw into `rows` rows of `width` (cycling the draw).
+fn rows_of<T: Copy>(flat: &[T], rows: usize, width: usize) -> Vec<Vec<T>> {
+    (0..rows).map(|r| (0..width).map(|c| flat[(r * width + c) % flat.len()]).collect()).collect()
+}
+
+/// An interval frame as a tree, members in wire order.
+fn interval_tree(f: &IntervalFrame) -> Vec<(&'static str, JsonValue)> {
+    let arr = |items: Vec<JsonValue>| JsonValue::Arr(items);
+    vec![
+        ("frame", JsonValue::Str("interval".into())),
+        ("session", JsonValue::UInt(f.session)),
+        ("index", JsonValue::UInt(f.index as u64)),
+        ("group", JsonValue::UInt(f.group as u64)),
+        ("t_start_s", JsonValue::real(f.t_start_s)),
+        ("t_end_s", JsonValue::real(f.t_end_s)),
+        (
+            "counts",
+            arr(f
+                .counts
+                .iter()
+                .map(|row| arr(row.iter().map(|&v| JsonValue::UInt(v)).collect()))
+                .collect()),
+        ),
+        (
+            "metrics",
+            arr(f
+                .metrics
+                .iter()
+                .map(|row| arr(row.iter().map(|&v| JsonValue::real(v)).collect()))
+                .collect()),
+        ),
+    ]
+}
+
+/// Whether a decoded frame is the original, reals compared bit for bit
+/// (NaN by class: the wire spells every NaN `"NaN"`).
+fn same_interval(a: &IntervalFrame, b: &IntervalFrame) -> bool {
+    let reals = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same_real(p, q))
+    };
+    a.session == b.session
+        && a.index == b.index
+        && a.group == b.group
+        && same_real(a.t_start_s, b.t_start_s)
+        && same_real(a.t_end_s, b.t_end_s)
+        && a.counts == b.counts
+        && a.metrics.len() == b.metrics.len()
+        && a.metrics.iter().zip(&b.metrics).all(|(x, y)| reals(x, y))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -535,6 +604,88 @@ proptest! {
             if let Ok(command) = JsonValue::parse(line.trim()) {
                 let _ = OpenRequest::from_json(&command);
             }
+        }
+    }
+
+    /// The streaming interval codec agrees with the tree codec: the
+    /// writer's line is byte-identical to `JsonValue::encode` of the same
+    /// frame, `from_line` returns the frame bit-exactly, whitespace,
+    /// reordered members and unknown members do not change the decoded
+    /// frame, and a missing member, a fractional or negative count or
+    /// trailing bytes are protocol errors.
+    #[test]
+    fn streaming_interval_codec_agrees_with_the_tree_codec(
+        ids in (0u64..u64::MAX, 0usize..1 << 20, 0usize..4, prop::bool::ANY),
+        times in ((0u64..u64::MAX, 0usize..12), (0u64..u64::MAX, 0usize..12)),
+        shape in (0usize..6, 0usize..5, 0usize..4, prop::bool::ANY),
+        counts in prop::collection::vec((0u64..u64::MAX, 0usize..4), 1..24),
+        metrics in prop::collection::vec((0u64..u64::MAX, 0usize..18), 1..24),
+        edit in (0usize..8, 0usize..9, 0usize..8),
+    ) {
+        let (events, cpus, metric_rows, custom) = shape;
+        let counts: Vec<u64> = counts
+            .iter()
+            .map(|&(v, pick)| [u64::MAX, 0, v, v >> (v % 64)][pick])
+            .collect();
+        let metrics: Vec<f64> = metrics.into_iter().map(real_from).collect();
+        let frame = IntervalFrame {
+            session: if ids.3 { u64::MAX } else { ids.0 },
+            index: ids.1,
+            group: ids.2,
+            t_start_s: real_from(times.0),
+            t_end_s: real_from(times.1),
+            counts: rows_of(&counts, events, cpus),
+            // Custom event lists carry no metric rows.
+            metrics: if custom { Vec::new() } else { rows_of(&metrics, metric_rows, cpus) },
+        };
+        let members = interval_tree(&frame);
+        let tree = |members: &[(&str, JsonValue)]| {
+            JsonValue::Obj(members.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
+        };
+        let line = Frame::Interval(frame.clone()).to_line();
+        prop_assert_eq!(&line, &(tree(&members).encode() + "\n"));
+        let decoded = |text: &str| match Frame::from_line(text) {
+            Ok(Frame::Interval(back)) => Ok(back),
+            Ok(other) => panic!("{text} decoded as {other:?}"),
+            Err(e) => Err(e),
+        };
+        let back = decoded(&line);
+        prop_assert!(back.as_ref().is_ok_and(|b| same_interval(b, &frame)), "{line} -> {back:?}");
+
+        // Members after `frame` in any order, an unknown member among
+        // them, whitespace around every token.
+        let (rotate, unknown_at, _) = edit;
+        let mut shuffled = members[1..].to_vec();
+        let len = shuffled.len();
+        shuffled.rotate_left(rotate % len);
+        let note = JsonValue::Arr(vec![JsonValue::Str("x\ty".into()), JsonValue::Null, obj(vec![])]);
+        shuffled.insert(unknown_at % (shuffled.len() + 1), ("note", note));
+        shuffled.insert(0, members[0].clone());
+        let spaced = format!(
+            " \t{}\r\n",
+            tree(&shuffled).encode().replace(',', " ,\n").replace(':', "\t: ").replace('[', "[ ")
+        );
+        let back = decoded(&spaced);
+        prop_assert!(back.as_ref().is_ok_and(|b| same_interval(b, &frame)), "{spaced} -> {back:?}");
+
+        // A missing member.
+        let mut partial = members.clone();
+        partial.remove(1 + edit.2 % (members.len() - 1));
+        let err = decoded(&tree(&partial).encode());
+        prop_assert!(matches!(err, Err(LikwidError::Protocol(_))), "{err:?}");
+        // A fractional or negative count.
+        if events > 0 && cpus > 0 {
+            for bad in [JsonValue::Num(0.5), JsonValue::Num(-1.0)] {
+                let mut damaged = members.clone();
+                damaged[6].1 = JsonValue::Arr(vec![JsonValue::Arr(vec![bad])]);
+                let err = decoded(&tree(&damaged).encode());
+                prop_assert!(matches!(&err, Err(LikwidError::Protocol(m)) if m.contains("count")), "{err:?}");
+            }
+        }
+        // Trailing bytes.
+        for tail in ["x", "{}", "0", ","] {
+            let err = decoded(&format!("{}{tail}", line.trim_end()));
+            prop_assert!(matches!(&err, Err(LikwidError::Protocol(m)) if m.contains("trailing")), "{err:?}");
         }
     }
 
