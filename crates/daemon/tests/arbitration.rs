@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use likwid_daemon::{Daemon, DaemonStatus, DoneFrame, OpenRequest, StreamAccumulator};
+use likwid_daemon::{Daemon, DaemonStatus, DoneFrame, Frame, OpenRequest, StreamAccumulator};
 use likwid_x86_machine::fault::FaultPlan;
 use likwid_x86_machine::{MachinePreset, SimMachine};
 
@@ -371,4 +371,34 @@ fn time_sliced_streams_telescope_on_faulty_msrs() {
         }
         assert!(daemon.is_quiescent(), "{plan}");
     }
+}
+
+/// The NDJSON frames of one in-process session on `westmere-ep-2s` under
+/// seeded transient faults, dirty registers and a cpu whose MSR device
+/// dies partway through the stream.
+fn faulty_session_lines() -> String {
+    let plan = "seed=99,read=0.8x6,write=0.8x6,dirty,dead=2@2500";
+    let machine = SimMachine::new(MachinePreset::WestmereEp2S);
+    machine.inject_faults(FaultPlan::parse(plan).expect("valid plan"));
+    let daemon = Daemon::new(&machine);
+    let mut handle =
+        daemon.open(&request("0-3", "FLOPS_DP,MEM", "500us", "10ms")).expect("session admitted");
+    let mut lines = Frame::Opened(handle.opened().clone()).to_line();
+    while let Some(frame) = handle.next_interval().expect("interval, not an error") {
+        lines.push_str(&Frame::Interval(frame).to_line());
+    }
+    let (done, _result) = handle.finish().expect("finish");
+    lines.push_str(&Frame::Done(done).to_line());
+    assert!(daemon.is_quiescent());
+    lines
+}
+
+#[test]
+fn a_cpu_dying_mid_stream_reproduces_the_fault_golden() {
+    // Fault plans count device accesses: which registers are touched, in
+    // which order, decides every transient fault and the moment cpu 2
+    // dies. Any change to that sequence changes these bytes.
+    let lines = faulty_session_lines();
+    assert_eq!(lines, include_str!("golden/daemon_faults_westmere-ep-2s.ndjson"));
+    assert!(lines.contains("\"cpu 2\""), "cpu 2 dies within the session");
 }
