@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 
-use likwid_perf_events::perfmon::slot_registers;
+use likwid_perf_events::perfmon::CpuCounters;
 use likwid_perf_events::{
     CounterSlot, EventDefinition, EventTable, MultiplexSchedule, PerfMon, PerfMonError,
 };
@@ -161,6 +161,16 @@ impl ResolvedGroup {
 /// Raw counts of one group: `counts[event_index][cpu_index]`.
 pub type GroupCounts = Vec<Vec<u64>>;
 
+/// Shape `counts` as `events` rows of `cpus` zeros. A buffer that already
+/// has this shape is zeroed in place, without allocating.
+fn zero_counts(counts: &mut GroupCounts, events: usize, cpus: usize) {
+    counts.resize_with(events, Vec::new);
+    for row in counts {
+        row.clear();
+        row.resize(cpus, 0);
+    }
+}
+
 /// One degradation recorded by the self-healing session: what was dropped
 /// or corrected, and why. Rendered as the `diagnostics` section of the
 /// report, so a partially broken machine still produces a complete run.
@@ -250,6 +260,12 @@ fn is_permanent_io(e: &PerfMonError) -> bool {
 /// of each socket programs and reads the package-level counters), and — in
 /// multiplexing mode — rotates through the groups with round-robin
 /// accounting.
+///
+/// Programming, starting and stopping lock the machine's register file
+/// once per cpu ([`PerfMon::on_cpu`]). Folding live counts into the
+/// accumulators reads into one reused buffer per group, and metric
+/// evaluation reuses one row buffer, so a session that suspends and
+/// resumes every interval allocates nothing once warm.
 pub struct PerfCtr<'m> {
     machine: &'m SimMachine,
     cpus: Vec<usize>,
@@ -262,9 +278,17 @@ pub struct PerfCtr<'m> {
     schedule: MultiplexSchedule,
     /// Accumulated raw counts per group (multiplex mode).
     accumulated: Vec<GroupCounts>,
-    /// `(counter register, width mask)` per `[group][event]`, for
+    /// The live counts last folded into `accumulated`, per group: a reused
+    /// read buffer.
+    live: Vec<GroupCounts>,
+    /// The counter slots of every group, in programming order.
+    slots: Vec<Vec<CounterSlot>>,
+    /// Width mask of the counter behind each `[group][event]`, for
     /// wraparound-correct delta computation.
-    slot_meta: Vec<Vec<(u32, u64)>>,
+    masks: Vec<Vec<u64>>,
+    /// The `[inverseClock, counts…, time]` rows of metric evaluation, one
+    /// per measured cpu, reused across evaluations.
+    metric_rows: RefCell<Vec<f64>>,
     /// Wraparound/degradation tracking (interior mutability: reads heal).
     heal: RefCell<HealState>,
     running: bool,
@@ -334,21 +358,22 @@ impl<'m> PerfCtr<'m> {
 
         let perfmon = PerfMon::new(machine, &config.cpus)?;
         let num_groups = groups.len();
-        let accumulated =
+        let accumulated: Vec<GroupCounts> =
             groups.iter().map(|g| vec![vec![0u64; config.cpus.len()]; g.events.len()]).collect();
-
-        let vendor = machine.vendor();
-        let slot_meta: Vec<Vec<(u32, u64)>> = groups
+        let slots: Vec<Vec<CounterSlot>> =
+            groups.iter().map(|g| g.events.iter().map(|(_, slot, _)| *slot).collect()).collect();
+        let masks = slots
             .iter()
-            .map(|g| {
-                g.events
+            .map(|group| {
+                group
                     .iter()
-                    .map(|(_, slot, _)| {
-                        let (_, counter) = slot_registers(vendor, *slot);
-                        let bits = table.counter_bits(*slot);
-                        let mask =
-                            if bits == 0 || bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
-                        (counter, mask)
+                    .map(|&slot| {
+                        let bits = table.counter_bits(slot);
+                        if bits == 0 || bits >= 64 {
+                            u64::MAX
+                        } else {
+                            (1u64 << bits) - 1
+                        }
                     })
                     .collect()
             })
@@ -369,8 +394,11 @@ impl<'m> PerfCtr<'m> {
             socket_owners,
             active_group: 0,
             schedule: MultiplexSchedule::new(num_groups),
+            live: accumulated.clone(),
             accumulated,
-            slot_meta,
+            slots,
+            masks,
+            metric_rows: RefCell::new(Vec::new()),
             heal,
             running: false,
             started: false,
@@ -428,12 +456,12 @@ impl<'m> PerfCtr<'m> {
     fn program_group(&mut self, index: usize) -> Result<()> {
         const MAX_PROGRAM_ATTEMPTS: u32 = 3;
         let group = &self.groups[index];
-        let msr_file = self.machine.msr_file();
         let mut heal = self.heal.borrow_mut();
         'cpus: for (ci, &cpu) in self.cpus.iter().enumerate() {
             if heal.cpu_is_dead(cpu) {
                 continue;
             }
+            let mut counters = self.perfmon.on_cpu(cpu)?;
             for (ei, (name, slot, def)) in group.events.iter().enumerate() {
                 if slot.is_uncore() && !self.owns_socket_lock(cpu) {
                     continue;
@@ -447,7 +475,7 @@ impl<'m> PerfCtr<'m> {
                 }
                 let mut programmed = false;
                 for _ in 0..MAX_PROGRAM_ATTEMPTS {
-                    match self.perfmon.setup(cpu, *slot, def) {
+                    match counters.setup(*slot, def) {
                         Ok(()) => {}
                         Err(e) if is_permanent_io(&e) => {
                             heal.mark_cpu_dead(cpu, &e);
@@ -455,7 +483,7 @@ impl<'m> PerfCtr<'m> {
                         }
                         Err(e) => return Err(e.into()),
                     }
-                    match self.perfmon.verify(cpu, *slot, def) {
+                    match counters.verify(*slot, def) {
                         Ok(true) => {
                             programmed = true;
                             break;
@@ -472,9 +500,7 @@ impl<'m> PerfCtr<'m> {
                     // The counter was just zeroed; resynchronise the wide
                     // (machine-side, unwrapped) baseline used for multi-wrap
                     // detection.
-                    let (reg, _) = self.slot_meta[index][ei];
-                    heal.slots[index][ei][ci].last_wide =
-                        msr_file.wide_value(cpu, reg).unwrap_or(0);
+                    heal.slots[index][ei][ci].last_wide = counters.wide_value(*slot).unwrap_or(0);
                 } else {
                     heal.slots[index][ei][ci].dead = true;
                     heal.diagnostics.push(Diagnostic {
@@ -505,31 +531,26 @@ impl<'m> PerfCtr<'m> {
                 "start() called while the session is already counting (stop() it first)".into(),
             ));
         }
-        let slots = self.active_slots();
-        self.on_live_cpus(|perfmon, cpu| perfmon.start_slots(cpu, &slots))?;
+        let slots = &self.slots[self.active_group];
+        self.on_live_cpus(|counters| counters.start_slots(slots))?;
         self.running = true;
         self.started = true;
         Ok(())
     }
 
-    /// The active group's counter slots, in programming order.
-    fn active_slots(&self) -> Vec<CounterSlot> {
-        self.groups[self.active_group].events.iter().map(|(_, slot, _)| *slot).collect()
-    }
-
-    /// Apply a counter operation to every measured cpu still alive. A cpu
-    /// whose MSR device fails permanently is dropped with a diagnostic
-    /// instead of failing the run.
+    /// Apply a counter operation to every measured cpu still alive, one
+    /// register-file lock per cpu. A cpu whose MSR device fails permanently
+    /// is dropped with a diagnostic instead of failing the run.
     fn on_live_cpus(
         &self,
-        op: impl Fn(&PerfMon, usize) -> std::result::Result<(), PerfMonError>,
+        op: impl Fn(&mut CpuCounters<'_>) -> std::result::Result<(), PerfMonError>,
     ) -> Result<()> {
         let mut heal = self.heal.borrow_mut();
         for &cpu in &self.cpus {
             if heal.cpu_is_dead(cpu) {
                 continue;
             }
-            match op(&self.perfmon, cpu) {
+            match self.perfmon.on_cpu(cpu).and_then(|mut counters| op(&mut counters)) {
                 Ok(()) => {}
                 Err(e) if is_permanent_io(&e) => heal.mark_cpu_dead(cpu, &e),
                 Err(e) => return Err(e.into()),
@@ -540,7 +561,7 @@ impl<'m> PerfCtr<'m> {
 
     /// Stop counting on all measured hardware threads.
     pub fn stop(&mut self) -> Result<()> {
-        self.on_live_cpus(|perfmon, cpu| perfmon.stop(cpu))?;
+        self.on_live_cpus(|counters| counters.stop())?;
         self.running = false;
         Ok(())
     }
@@ -558,36 +579,48 @@ impl<'m> PerfCtr<'m> {
     /// mis-corrected. Dead cpus/counters return their last good (frozen)
     /// value.
     pub fn read_counts(&self) -> Result<GroupCounts> {
+        let mut counts = GroupCounts::new();
+        self.read_counts_into(&mut counts)?;
+        Ok(counts)
+    }
+
+    /// [`PerfCtr::read_counts`] into a caller-owned buffer, reshaped to the
+    /// active group; a buffer that already has that shape is reused
+    /// without allocating.
+    pub fn read_counts_into(&self, counts: &mut GroupCounts) -> Result<()> {
         if !self.started {
             return Err(LikwidError::Session(
                 "read_counts() called before the session was ever start()ed".into(),
             ));
         }
-        let group = &self.groups[self.active_group];
-        let msr_file = self.machine.msr_file();
-        let mut counts = vec![vec![0u64; self.cpus.len()]; group.events.len()];
+        let active = self.active_group;
+        zero_counts(counts, self.slots[active].len(), self.cpus.len());
         let mut heal = self.heal.borrow_mut();
         let heal = &mut *heal;
-        for (ei, (_, slot, _)) in group.events.iter().enumerate() {
-            let (reg, mask) = self.slot_meta[self.active_group][ei];
+        for (ei, (&slot, &mask)) in self.slots[active].iter().zip(&self.masks[active]).enumerate() {
             for (ci, &cpu) in self.cpus.iter().enumerate() {
                 if slot.is_uncore() && !self.owns_socket_lock(cpu) {
                     continue;
                 }
-                if heal.cpu_is_dead(cpu) || heal.slots[self.active_group][ei][ci].dead {
-                    counts[ei][ci] = heal.slots[self.active_group][ei][ci].unwrapped;
+                if heal.cpu_is_dead(cpu) || heal.slots[active][ei][ci].dead {
+                    counts[ei][ci] = heal.slots[active][ei][ci].unwrapped;
                     continue;
                 }
-                let raw = match self.perfmon.read(cpu, *slot) {
-                    Ok(raw) => raw,
+                // One register-file lock for the device read and the
+                // machine-side shadow next to it.
+                let read = self.perfmon.on_cpu(cpu).and_then(|counters| {
+                    Ok((counters.read(slot)?, counters.wide_value(slot).ok()))
+                });
+                let (raw, wide) = match read {
+                    Ok(read) => read,
                     Err(e) if is_permanent_io(&e) => {
                         heal.mark_cpu_dead(cpu, &e);
-                        counts[ei][ci] = heal.slots[self.active_group][ei][ci].unwrapped;
+                        counts[ei][ci] = heal.slots[active][ei][ci].unwrapped;
                         continue;
                     }
                     Err(e) => return Err(e.into()),
                 };
-                let track = &mut heal.slots[self.active_group][ei][ci];
+                let track = &mut heal.slots[active][ei][ci];
                 let delta = raw.wrapping_sub(track.last_raw) & mask;
                 track.last_raw = raw;
                 track.unwrapped = track.unwrapped.wrapping_add(delta);
@@ -596,7 +629,7 @@ impl<'m> PerfCtr<'m> {
                 // shadow of every counter; a disagreement with the
                 // width-corrected delta means at least one full wrap period
                 // was lost inside this read interval.
-                if let Ok(wide) = msr_file.wide_value(cpu, reg) {
+                if let Some(wide) = wide {
                     let wide_delta = wide.wrapping_sub(track.last_wide);
                     track.last_wide = wide;
                     if wide_delta != delta && !track.wrap_warned {
@@ -613,14 +646,28 @@ impl<'m> PerfCtr<'m> {
                 }
             }
         }
-        Ok(counts)
+        Ok(())
     }
 
-    /// A zero counts matrix shaped like the active group — the baseline
-    /// right after programming (setup zeroes every counter, so no device
-    /// access is needed and no start-state is required).
-    pub fn zero_counts(&self) -> GroupCounts {
-        vec![vec![0u64; self.cpus.len()]; self.groups[self.active_group].events.len()]
+    /// Number of events of a group (the row count of its [`GroupCounts`]).
+    pub fn num_events(&self, group: usize) -> usize {
+        self.slots[group].len()
+    }
+
+    /// Read the active group's live counts and add them to its accumulator.
+    fn fold_live_counts(&mut self) -> Result<()> {
+        let active = self.active_group;
+        let mut live = std::mem::take(&mut self.live[active]);
+        let read = self.read_counts_into(&mut live);
+        if read.is_ok() {
+            for (sums, row) in self.accumulated[active].iter_mut().zip(&live) {
+                for (sum, &v) in sums.iter_mut().zip(row) {
+                    *sum += v;
+                }
+            }
+        }
+        self.live[active] = live;
+        read
     }
 
     /// Multiplexing: accumulate the active group's counts, rotate to the next
@@ -636,15 +683,9 @@ impl<'m> PerfCtr<'m> {
         if was_running {
             self.stop()?;
         }
-        let counts = self.read_counts()?;
-        let active = self.active_group;
-        for (ei, per_cpu) in counts.iter().enumerate() {
-            for (ci, &v) in per_cpu.iter().enumerate() {
-                self.accumulated[active][ei][ci] += v;
-            }
-        }
+        self.fold_live_counts()?;
         self.schedule.tick();
-        let next = (active + 1) % self.groups.len();
+        let next = (self.active_group + 1) % self.groups.len();
         self.program_group(next)?;
         if was_running {
             self.start()?;
@@ -668,14 +709,7 @@ impl<'m> PerfCtr<'m> {
         if self.running {
             self.stop()?;
         }
-        let counts = self.read_counts()?;
-        let active = self.active_group;
-        for (ei, per_cpu) in counts.iter().enumerate() {
-            for (ci, &v) in per_cpu.iter().enumerate() {
-                self.accumulated[active][ei][ci] += v;
-            }
-        }
-        Ok(())
+        self.fold_live_counts()
     }
 
     /// Yield the hardware between cross-session time slices (the
@@ -690,17 +724,11 @@ impl<'m> PerfCtr<'m> {
     /// folded counts are never counted twice.
     pub fn suspend(&mut self) -> Result<()> {
         if self.running {
-            let slots = self.active_slots();
-            self.on_live_cpus(|perfmon, cpu| perfmon.stop_slots(cpu, &slots))?;
+            let slots = &self.slots[self.active_group];
+            self.on_live_cpus(|counters| counters.stop_slots(slots))?;
             self.running = false;
         }
-        let counts = self.read_counts()?;
-        let active = self.active_group;
-        for (ei, per_cpu) in counts.iter().enumerate() {
-            for (ci, &v) in per_cpu.iter().enumerate() {
-                self.accumulated[active][ei][ci] += v;
-            }
-        }
+        self.fold_live_counts()?;
         self.suspended = true;
         Ok(())
     }
@@ -787,55 +815,10 @@ impl<'m> PerfCtr<'m> {
     /// the group's time formula (total runtime from the cycle counters) —
     /// the aggregate-mode binding.
     pub fn results_for_group(&self, group: usize, counts: &GroupCounts) -> Result<PerfCtrResults> {
-        self.results_for_group_with_time(group, counts, None)
-    }
-
-    /// Compute results for one *timeline interval* of a group: the derived
-    /// metrics' `time` variable is bound to the interval length `dt_s`, not
-    /// to the time formula, so rate metrics (MBytes/s, MFlops/s) come out
-    /// per interval. Aggregate-mode results ([`PerfCtr::results_for_group`])
-    /// keep the total-runtime binding.
-    pub fn results_for_group_at(
-        &self,
-        group: usize,
-        counts: &GroupCounts,
-        dt_s: f64,
-    ) -> Result<PerfCtrResults> {
-        self.results_for_group_with_time(group, counts, Some(dt_s))
-    }
-
-    fn results_for_group_with_time(
-        &self,
-        group: usize,
-        counts: &GroupCounts,
-        time_override: Option<f64>,
-    ) -> Result<PerfCtrResults> {
         let g = &self.groups[group];
-        let mut metrics = Vec::with_capacity(g.metrics.len());
-        if let Some(time_formula) = &g.time {
-            // One row per measured cpu in the bound layout:
-            // `[inverseClock, counts…, time]`.
-            let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
-            let width = g.events.len() + 2;
-            let mut rows = vec![0.0; width * self.cpus.len()];
-            for (ci, row) in rows.chunks_exact_mut(width).enumerate() {
-                row[0] = inverse_clock;
-                for (value, per_cpu) in row[1..width - 1].iter_mut().zip(counts) {
-                    *value = per_cpu[ci] as f64;
-                }
-                row[width - 1] = match time_override {
-                    Some(dt) => dt,
-                    None => time_formula.evaluate(&row[..width - 1])?,
-                };
-            }
-            for (name, f) in &g.metrics {
-                let per_cpu = rows
-                    .chunks_exact(width)
-                    .map(|row| f.evaluate(row))
-                    .collect::<Result<Vec<_>>>()?;
-                metrics.push((name.clone(), per_cpu));
-            }
-        }
+        let mut values = vec![vec![0.0; self.cpus.len()]; g.metrics.len()];
+        self.evaluate_metrics(group, counts, None, &mut values)?;
+        let metrics = g.metrics.iter().map(|(name, _)| name.clone()).zip(values).collect();
 
         Ok(PerfCtrResults {
             group_name: g.name.clone(),
@@ -849,6 +832,62 @@ impl<'m> PerfCtr<'m> {
             metrics,
             diagnostics: self.diagnostics(),
         })
+    }
+
+    /// The derived metrics of one *timeline interval* of a group: `time` is
+    /// bound to the interval length `dt_s`, not to the time formula, so
+    /// rate metrics (MBytes/s, MFlops/s) come out per interval, while
+    /// aggregate results ([`PerfCtr::results_for_group`]) keep the
+    /// total-runtime binding. Values only: `metrics` holds one row of
+    /// `cpus().len()` values per metric of the group, in definition order,
+    /// overwritten in place, so a reused buffer never allocates.
+    pub fn interval_metrics_into(
+        &self,
+        group: usize,
+        counts: &GroupCounts,
+        dt_s: f64,
+        metrics: &mut [Vec<f64>],
+    ) -> Result<()> {
+        self.evaluate_metrics(group, counts, Some(dt_s), metrics)
+    }
+
+    /// Evaluate a group's derived metrics into `metrics` (one row per
+    /// metric, one value per measured cpu). `time` is bound to
+    /// `time_override` when given, else to the group's time formula.
+    fn evaluate_metrics(
+        &self,
+        group: usize,
+        counts: &GroupCounts,
+        time_override: Option<f64>,
+        metrics: &mut [Vec<f64>],
+    ) -> Result<()> {
+        let g = &self.groups[group];
+        assert_eq!(metrics.len(), g.metrics.len(), "one row per metric of group {group}");
+        let Some(time_formula) = &g.time else { return Ok(()) };
+        // One row per measured cpu in the bound layout:
+        // `[inverseClock, counts…, time]`.
+        let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
+        let width = g.events.len() + 2;
+        let mut rows = self.metric_rows.borrow_mut();
+        rows.clear();
+        rows.resize(width * self.cpus.len(), 0.0);
+        for (ci, row) in rows.chunks_exact_mut(width).enumerate() {
+            row[0] = inverse_clock;
+            for (value, per_cpu) in row[1..width - 1].iter_mut().zip(counts) {
+                *value = per_cpu[ci] as f64;
+            }
+            row[width - 1] = match time_override {
+                Some(dt) => dt,
+                None => time_formula.evaluate(&row[..width - 1])?,
+            };
+        }
+        for ((_, f), values) in g.metrics.iter().zip(metrics) {
+            assert_eq!(values.len(), self.cpus.len(), "one value per measured cpu");
+            for (value, row) in values.iter_mut().zip(rows.chunks_exact(width)) {
+                *value = f.evaluate(row)?;
+            }
+        }
+        Ok(())
     }
 
     /// Convenience wrapper-mode flow: start, run `body`, stop, and return the
@@ -952,6 +991,7 @@ impl PerfCtrResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_perf_events::perfmon::slot_registers;
     use likwid_perf_events::{EventEngine, EventSample, HwEventKind};
     use likwid_x86_machine::MachinePreset;
 

@@ -85,12 +85,28 @@ pub struct TimelineInterval {
 /// interval's simulated activity through the counting engine and call
 /// [`TimelineSession::tick`] with the interval's virtual length; finally
 /// [`TimelineSession::finish`] yields the [`TimelineResult`].
+///
+/// Every buffer of an interval is kept per group and reused: the counts
+/// are read into the group's latest interval, the deltas are taken against
+/// the group's baseline in place, and the recorded deltas append to one
+/// flat vector ([`TimelineSession::reserve_intervals`] sizes it up front).
+/// Suspending and resuming zero the baseline in place, so a warm interval
+/// allocates nothing.
 pub struct TimelineSession<'m> {
     session: PerfCtr<'m>,
     interval_s: f64,
     elapsed_s: f64,
-    snapshot: GroupCounts,
-    intervals: Vec<TimelineInterval>,
+    /// Per group: the counts at its last sampling point, zero right after
+    /// the group was programmed.
+    baselines: Vec<GroupCounts>,
+    /// Per group: its most recent interval, the one [`TimelineSession::tick`]
+    /// returns.
+    latest: Vec<TimelineInterval>,
+    /// `(t_start_s, t_end_s, group)` of every recorded interval, in order.
+    spans: Vec<(f64, f64, usize)>,
+    /// The count deltas of every recorded interval, event rows in order,
+    /// one value per measured cpu.
+    recorded: Vec<u64>,
 }
 
 impl<'m> TimelineSession<'m> {
@@ -104,10 +120,29 @@ impl<'m> TimelineSession<'m> {
             )));
         }
         let session = PerfCtr::new(machine, config)?;
-        // Counters were just programmed (and thereby zeroed); the baseline
-        // snapshot is all zeros without touching the devices again.
-        let snapshot = session.zero_counts();
-        Ok(TimelineSession { session, interval_s, elapsed_s: 0.0, snapshot, intervals: Vec::new() })
+        // Counters were just programmed (and thereby zeroed); the baselines
+        // are all zeros without touching the devices again.
+        let cpus = session.cpus().len();
+        let zeros = |group| vec![vec![0; cpus]; session.num_events(group)];
+        let groups = 0..session.num_groups();
+        let baselines = groups.clone().map(zeros).collect();
+        let latest = groups
+            .map(|group| TimelineInterval {
+                t_start_s: 0.0,
+                t_end_s: 0.0,
+                group,
+                counts: zeros(group),
+            })
+            .collect();
+        Ok(TimelineSession {
+            session,
+            interval_s,
+            elapsed_s: 0.0,
+            baselines,
+            latest,
+            spans: Vec::new(),
+            recorded: Vec::new(),
+        })
     }
 
     /// The wrapped counter session.
@@ -118,6 +153,15 @@ impl<'m> TimelineSession<'m> {
     /// The configured sampling interval in seconds.
     pub fn interval_s(&self) -> f64 {
         self.interval_s
+    }
+
+    /// Reserve room for recording `intervals` more intervals, so that
+    /// recording them does not grow (reallocate) the history.
+    pub fn reserve_intervals(&mut self, intervals: usize) {
+        let widest =
+            (0..self.session.num_groups()).map(|g| self.session.num_events(g)).max().unwrap_or(0);
+        self.spans.reserve(intervals);
+        self.recorded.reserve(intervals * widest * self.session.cpus().len());
     }
 
     /// Start counting.
@@ -131,29 +175,29 @@ impl<'m> TimelineSession<'m> {
     /// counters, so the next interval starts from a clean slate). Returns
     /// the recorded interval, so streaming consumers (the `likwid-perfctrd`
     /// broker) can forward the deltas while the run is still in flight.
-    pub fn tick(&mut self, dt_s: f64) -> Result<TimelineInterval> {
+    pub fn tick(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
         if !dt_s.is_finite() || dt_s < 0.0 {
             return Err(LikwidError::Usage(format!("timeline tick of {dt_s} seconds")));
         }
-        let current = self.session.read_counts()?;
-        let counts: GroupCounts = current
-            .iter()
-            .zip(&self.snapshot)
-            .map(|(cur, prev)| cur.iter().zip(prev).map(|(&c, &p)| c.saturating_sub(p)).collect())
-            .collect();
-        let interval = TimelineInterval {
-            t_start_s: self.elapsed_s,
-            t_end_s: self.elapsed_s + dt_s,
-            group: self.session.active_group(),
-            counts,
-        };
+        let group = self.session.active_group();
+        let interval = &mut self.latest[group];
+        self.session.read_counts_into(&mut interval.counts)?;
+        // Delta against the baseline, which becomes the current reading.
+        for (row, baseline) in interval.counts.iter_mut().zip(&mut self.baselines[group]) {
+            for (count, base) in row.iter_mut().zip(baseline) {
+                let current = *count;
+                *count = current.saturating_sub(*base);
+                *base = current;
+            }
+        }
+        interval.t_start_s = self.elapsed_s;
+        interval.t_end_s = self.elapsed_s + dt_s;
         // The interval on the session's *virtual* clock: a complete event
         // on the virtual track of the first measured cpu, timestamped from
         // the deterministic timeline instead of the wall clock.
         if crate::trace::enabled() {
             let track = self.session.cpus().first().copied().unwrap_or(0) as u64;
-            let index = self.intervals.len();
-            let group = interval.group;
+            let index = self.spans.len();
             crate::trace::complete_virtual(
                 crate::trace::cat::CORE,
                 track,
@@ -163,18 +207,26 @@ impl<'m> TimelineSession<'m> {
                 || vec![("index", index.to_string()), ("group", group.to_string())],
             );
         }
-        self.intervals.push(interval.clone());
+        self.spans.push((interval.t_start_s, interval.t_end_s, group));
+        for row in &interval.counts {
+            self.recorded.extend_from_slice(row);
+        }
         self.elapsed_s += dt_s;
         if self.session.num_groups() > 1 {
             // switch_group folds the live counts into the group's
             // accumulator and reprograms (= zeroes) the next group's
             // counters.
             self.session.switch_group()?;
-            self.snapshot = self.session.zero_counts();
-        } else {
-            self.snapshot = current;
+            self.zero_baseline();
         }
-        Ok(interval)
+        Ok(&self.latest[group])
+    }
+
+    /// Zero the active group's baseline: its counters were just programmed.
+    fn zero_baseline(&mut self) {
+        for row in &mut self.baselines[self.session.active_group()] {
+            row.fill(0);
+        }
     }
 
     /// Yield the hardware between cross-session time slices (see
@@ -184,16 +236,16 @@ impl<'m> TimelineSession<'m> {
     /// sharing the same cpus.
     pub fn suspend(&mut self) -> Result<()> {
         self.session.suspend()?;
-        self.snapshot = self.session.zero_counts();
+        self.zero_baseline();
         Ok(())
     }
 
     /// Reclaim the hardware for the next time slice: reprogram (another
     /// session may have owned the registers in between), zero the baseline
-    /// snapshot and start counting.
+    /// and start counting.
     pub fn resume(&mut self) -> Result<()> {
         self.session.resume()?;
-        self.snapshot = self.session.zero_counts();
+        self.zero_baseline();
         Ok(())
     }
 
@@ -228,6 +280,26 @@ impl<'m> TimelineSession<'m> {
         let group_names: Vec<String> =
             (0..num_groups).map(|g| self.session.group_name(g).to_string()).collect();
 
+        // The recorded deltas, cut back into one interval per span.
+        let width = cpus.len();
+        let mut recorded = self.recorded.chunks_exact(width);
+        let intervals: Vec<TimelineInterval> = self
+            .spans
+            .iter()
+            .map(|&(t_start_s, t_end_s, group)| TimelineInterval {
+                t_start_s,
+                t_end_s,
+                group,
+                counts: recorded
+                    .by_ref()
+                    .take(self.session.num_events(group))
+                    .map(<[u64]>::to_vec)
+                    .collect(),
+            })
+            .collect();
+        // Rebuilt; the flat copy need not outlive it.
+        drop(std::mem::take(&mut self.recorded));
+
         let scale = |counts: GroupCounts| -> GroupCounts {
             if time_scale == 1.0 {
                 return counts;
@@ -257,32 +329,38 @@ impl<'m> TimelineSession<'m> {
         let mut timeseries = Vec::with_capacity(num_groups);
         for g in 0..num_groups {
             let intervals: Vec<&TimelineInterval> =
-                self.intervals.iter().filter(|iv| iv.group == g).collect();
+                intervals.iter().filter(|iv| iv.group == g).collect();
             let timestamps: Vec<f64> = intervals.iter().map(|iv| iv.t_end_s).collect();
-            let per_interval = intervals
-                .iter()
-                .map(|iv| {
-                    self.session.results_for_group_at(g, &iv.counts, iv.t_end_s - iv.t_start_s)
-                })
-                .collect::<Result<Vec<_>>>()?;
             let mut series = Vec::new();
-            if let Some(first) = per_interval.first() {
-                if first.metrics.is_empty() {
-                    // Custom event lists have no derived metrics: expose the
-                    // raw per-interval event counts instead.
-                    for (ei, (name, _, _)) in first.events.iter().enumerate() {
-                        for (ci, &cpu) in cpus.iter().enumerate() {
-                            let values =
-                                per_interval.iter().map(|r| r.events[ei].2[ci] as f64).collect();
-                            series.push(Series::new(name.clone(), cpu, values));
-                        }
+            let metric_names = self.session.metric_names(g);
+            if intervals.is_empty() {
+                // No interval of this group: no series.
+            } else if metric_names.is_empty() {
+                // Custom event lists have no derived metrics: expose the
+                // raw per-interval event counts instead.
+                for (ei, (name, _)) in self.session.group_events(g).into_iter().enumerate() {
+                    for (ci, &cpu) in cpus.iter().enumerate() {
+                        let values = intervals.iter().map(|iv| iv.counts[ei][ci] as f64).collect();
+                        series.push(Series::new(name.clone(), cpu, values));
                     }
-                } else {
-                    for (mi, (name, _)) in first.metrics.iter().enumerate() {
-                        for (ci, &cpu) in cpus.iter().enumerate() {
-                            let values = per_interval.iter().map(|r| r.metrics[mi].1[ci]).collect();
-                            series.push(Series::new(name.clone(), cpu, values));
-                        }
+                }
+            } else {
+                // One column per (metric, cpu), filled interval by interval
+                // through one reused row of metric values.
+                let mut values = vec![vec![0.0; cpus.len()]; metric_names.len()];
+                let mut columns =
+                    vec![Vec::with_capacity(intervals.len()); metric_names.len() * cpus.len()];
+                for iv in &intervals {
+                    let dt_s = iv.t_end_s - iv.t_start_s;
+                    self.session.interval_metrics_into(g, &iv.counts, dt_s, &mut values)?;
+                    for (column, &value) in columns.iter_mut().zip(values.iter().flatten()) {
+                        column.push(value);
+                    }
+                }
+                let mut columns = columns.into_iter();
+                for name in &metric_names {
+                    for (&cpu, values) in cpus.iter().zip(columns.by_ref()) {
+                        series.push(Series::new(name.clone(), cpu, values));
                     }
                 }
             }
@@ -295,7 +373,7 @@ impl<'m> TimelineSession<'m> {
             cpus,
             socket_lock_owners,
             group_names,
-            intervals: self.intervals,
+            intervals,
             aggregate,
             extrapolated,
             aggregate_results,
@@ -503,31 +581,44 @@ fn demo_cumulative(kind: HwEventKind, t: f64, frequency_hz: f64) -> u64 {
 /// thread runs the same alternating phase pattern, and the sockets hosting
 /// measured threads carry the uncore traffic.
 pub fn demo_slice(machine: &SimMachine, cpus: &[usize], t0: f64, t1: f64) -> EventSample {
+    let mut sample = EventSample::default();
+    demo_slice_into(&mut sample, machine, cpus, t0, t1);
+    sample
+}
+
+/// [`demo_slice`] into a reused sample: a sample already shaped for the
+/// machine is overwritten without allocating.
+pub fn demo_slice_into(
+    sample: &mut EventSample,
+    machine: &SimMachine,
+    cpus: &[usize],
+    t0: f64,
+    t1: f64,
+) {
     let topo = machine.topology();
     let frequency_hz = machine.clock().frequency_hz;
-    let mut sample = EventSample::new(topo.num_hw_threads(), topo.sockets as usize);
+    sample.reset(topo.num_hw_threads(), topo.sockets as usize);
+    let delta =
+        |kind| demo_cumulative(kind, t1, frequency_hz) - demo_cumulative(kind, t0, frequency_hz);
     let (thread_kinds, socket_kinds) = HwEventKind::ALL.split_at(DEMO_FIRST_SOCKET_KIND as usize);
+    let mut thread_deltas = [0u64; HwEventKind::COUNT];
+    for &kind in thread_kinds {
+        thread_deltas[kind as usize] = delta(kind);
+    }
     for &cpu in cpus {
         for &kind in thread_kinds {
-            let delta =
-                demo_cumulative(kind, t1, frequency_hz) - demo_cumulative(kind, t0, frequency_hz);
-            sample.threads[cpu].add(kind, delta);
+            sample.threads[cpu].add(kind, thread_deltas[kind as usize]);
         }
     }
-    let mut sockets: Vec<usize> = cpus
-        .iter()
-        .filter_map(|&cpu| topo.hw_thread(cpu).ok().map(|t| t.socket as usize))
-        .collect();
-    sockets.sort_unstable();
-    sockets.dedup();
-    for socket in sockets {
-        for &kind in socket_kinds {
-            let delta =
-                demo_cumulative(kind, t1, frequency_hz) - demo_cumulative(kind, t0, frequency_hz);
-            sample.sockets[socket].add(kind, delta);
+    for socket in 0..topo.sockets {
+        let hosts_a_cpu =
+            cpus.iter().any(|&cpu| topo.hw_thread(cpu).is_ok_and(|t| t.socket == socket));
+        if hosts_a_cpu {
+            for &kind in socket_kinds {
+                sample.sockets[socket as usize].add(kind, delta(kind));
+            }
         }
     }
-    sample
 }
 
 /// Run the CLI's timeline mode: observe the synthetic demo application for

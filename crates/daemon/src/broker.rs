@@ -44,7 +44,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use likwid::perfctr::timeline::check_sampling_points;
+use likwid::perfctr::timeline::{check_sampling_points, demo_slice_into};
 use likwid::perfctr::{
     parse_interval, parse_measurement_spec, MeasurementSpec, PerfCtrConfig, TimelineResult,
     TimelineSession,
@@ -367,7 +367,7 @@ impl<'m> Daemon<'m> {
             PerfCtrConfig { cpus: config.cpus.clone(), spec: config.spec.clone() },
             config.interval_s,
         );
-        let session = match session {
+        let mut session = match session {
             Ok(session) => session,
             Err(e) => {
                 self.release(id, true);
@@ -376,6 +376,9 @@ impl<'m> Daemon<'m> {
         };
         // Construction used the turn; hand it on.
         self.end_turn(id, 0.0, false);
+        // The interval walk of `next_interval` ends within one interval of
+        // this count, so the history never grows mid-stream.
+        session.reserve_intervals((config.duration_s / config.interval_s).ceil() as usize + 1);
 
         let schema = (0..session.session().num_groups())
             .map(|g| GroupSchema {
@@ -400,6 +403,9 @@ impl<'m> Daemon<'m> {
             id,
             session: Some(session),
             source,
+            sample: EventSample::default(),
+            spare_counts: Vec::new(),
+            spare_metrics: Vec::new(),
             opened,
             duration_s: config.duration_s,
             interval_s: config.interval_s,
@@ -462,8 +468,10 @@ impl<'m> Daemon<'m> {
     /// an uncollected result never blocks anyone), and wake waiters.
     fn end_turn(&self, id: u64, dt_s: f64, park: bool) {
         let mut state = self.state.lock().unwrap();
-        let me_cpus = state.slots.get(&id).expect("session slot exists").cpus.clone();
         if dt_s > 0.0 {
+            // The cpu list is lent out of the slot for the scan, not cloned.
+            let me_cpus =
+                std::mem::take(&mut state.slots.get_mut(&id).expect("session slot exists").cpus);
             for (&other_id, other) in state.slots.iter_mut() {
                 if other_id == id || !matches!(other.phase, Phase::Running(_)) {
                     continue;
@@ -472,6 +480,7 @@ impl<'m> Daemon<'m> {
                     other.wall_extra += dt_s;
                 }
             }
+            state.slots.get_mut(&id).unwrap().cpus = me_cpus;
         }
         let phase = if park {
             Phase::Parked
@@ -715,6 +724,12 @@ pub struct SessionHandle<'d, 'm> {
     id: u64,
     session: Option<TimelineSession<'m>>,
     source: ActivitySource,
+    /// The current interval's activity, refilled in place.
+    sample: EventSample,
+    /// Frame rows parked while the active group has fewer events or
+    /// metrics than the last one (multiplexed groups differ in size).
+    spare_counts: Vec<Vec<u64>>,
+    spare_metrics: Vec<Vec<f64>>,
     opened: OpenedFrame,
     duration_s: f64,
     interval_s: f64,
@@ -740,27 +755,36 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
     /// suspend the counters, hand the turn on. Returns `None` once the
     /// configured duration is covered.
     pub fn next_interval(&mut self) -> Result<Option<IntervalFrame>> {
+        let mut frame = IntervalFrame::default();
+        Ok(self.next_interval_into(&mut frame)?.then_some(frame))
+    }
+
+    /// [`SessionHandle::next_interval`] into a caller-owned frame, whose
+    /// rows are overwritten in place: once the frame has been through the
+    /// group rotation and back to the first group, an interval allocates
+    /// nothing. Returns false, leaving the frame as it was, once the
+    /// configured duration is covered; after an error the frame's contents
+    /// are unspecified.
+    pub fn next_interval_into(&mut self, frame: &mut IntervalFrame) -> Result<bool> {
         if self.measurement_complete {
-            return Ok(None);
+            return Ok(false);
         }
         let session = self.session.as_mut().expect("session alive until finish");
         let t1 = ((self.index + 1) as f64 * self.interval_s).min(self.duration_s);
         let dt = t1 - self.t0;
 
-        let sample = match &mut self.source {
-            ActivitySource::Demo => likwid::perfctr::timeline::demo_slice(
-                self.daemon.machine,
-                &self.opened.cpus,
-                self.t0,
-                t1,
-            ),
-            ActivitySource::Replay(samples) => samples.pop_front().unwrap_or_else(|| {
-                EventSample::new(
-                    self.daemon.machine.num_hw_threads(),
-                    self.daemon.machine.topology().sockets as usize,
-                )
-            }),
-        };
+        let machine = self.daemon.machine;
+        match &mut self.source {
+            ActivitySource::Demo => {
+                demo_slice_into(&mut self.sample, machine, &self.opened.cpus, self.t0, t1);
+            }
+            ActivitySource::Replay(samples) => match samples.pop_front() {
+                Some(sample) => self.sample = sample,
+                None => {
+                    self.sample.reset(machine.num_hw_threads(), machine.topology().sockets as usize)
+                }
+            },
+        }
 
         let window_started = trace::now();
         self.daemon.wait_turn(self.id);
@@ -768,23 +792,30 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
         // will program or count until we renew it. The credit lock makes
         // the whole live window atomic against *disjoint* sessions too,
         // so only this session's activity lands in its registers.
-        let outcome = (|| -> Result<IntervalFrame> {
+        let outcome = (|| -> Result<()> {
             let _credit = self.daemon.credit.lock().unwrap();
             session.resume()?;
-            self.daemon.engine.apply(self.daemon.machine, &sample);
+            self.daemon.engine.apply(machine, &self.sample);
             let interval = session.tick(dt)?;
+            frame.session = self.id;
+            frame.index = self.index;
+            frame.group = interval.group;
+            frame.t_start_s = interval.t_start_s;
+            frame.t_end_s = interval.t_end_s;
+            let cpus = self.opened.cpus.len();
+            reshape_rows(&mut frame.counts, &mut self.spare_counts, interval.counts.len(), cpus);
+            for (row, counts) in frame.counts.iter_mut().zip(&interval.counts) {
+                row.copy_from_slice(counts);
+            }
             session.suspend()?;
-            let results =
-                session.session().results_for_group_at(interval.group, &interval.counts, dt)?;
-            Ok(IntervalFrame {
-                session: self.id,
-                index: self.index,
-                group: interval.group,
-                t_start_s: interval.t_start_s,
-                t_end_s: interval.t_end_s,
-                counts: interval.counts,
-                metrics: results.metrics.into_iter().map(|(_, values)| values).collect(),
-            })
+            let metrics = self.opened.groups[frame.group].metrics.len();
+            reshape_rows(&mut frame.metrics, &mut self.spare_metrics, metrics, cpus);
+            session.session().interval_metrics_into(
+                frame.group,
+                &frame.counts,
+                dt,
+                &mut frame.metrics,
+            )
         })();
         let complete = t1 >= self.duration_s;
         self.daemon.end_turn(self.id, dt, complete && outcome.is_ok());
@@ -798,11 +829,11 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             || vec![("session", id.to_string()), ("index", index.to_string())],
         );
 
-        let frame = outcome?;
+        outcome?;
         self.t0 = t1;
         self.index += 1;
         self.measurement_complete = complete;
-        Ok(Some(frame))
+        Ok(true)
     }
 
     /// Finish the session: apply the cross-session coverage scale and
@@ -842,6 +873,28 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             results: result.aggregate_results.iter().map(ResultsFrame::from_results).collect(),
         };
         Ok((frame, result))
+    }
+}
+
+/// Shape `rows` as `n` rows of `width` zeros, parking surplus rows in
+/// `spare` and taking missing ones from it, so a frame whose row count
+/// alternates between groups stops allocating once it has seen each of
+/// them.
+fn reshape_rows<T: Copy + Default>(
+    rows: &mut Vec<Vec<T>>,
+    spare: &mut Vec<Vec<T>>,
+    n: usize,
+    width: usize,
+) {
+    while rows.len() > n {
+        spare.extend(rows.pop());
+    }
+    while rows.len() < n {
+        rows.push(spare.pop().unwrap_or_default());
+    }
+    for row in rows {
+        row.clear();
+        row.resize(width, T::default());
     }
 }
 

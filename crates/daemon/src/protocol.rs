@@ -147,7 +147,7 @@ pub struct OpenedFrame {
 /// One streamed interval: the live counterpart of [`TimelineInterval`] plus
 /// the interval's derived metric values (per metric, per cpu — `time`
 /// bound to the interval length).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntervalFrame {
     /// Session id.
     pub session: u64,

@@ -8,7 +8,9 @@
 //! (never blocking a measurement turn); `ping` answers `pong`; `shutdown`
 //! stops the daemon. Any
 //! write failure (the client vanished) aborts the in-flight session, which
-//! releases its broker slot and uncore locks.
+//! releases its broker slot and uncore locks. So does a client that stays
+//! connected but stops reading: once its socket buffer is full, a write
+//! that cannot proceed for [`WRITE_TIMEOUT`] fails the same way.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -20,11 +22,16 @@ use likwid::Result;
 use likwid_x86_machine::SimMachine;
 
 use crate::broker::Daemon;
-use crate::protocol::{Frame, OpenRequest, PROTOCOL_VERSION, SERVER_NAME};
+use crate::protocol::{Frame, IntervalFrame, OpenRequest, PROTOCOL_VERSION, SERVER_NAME};
 use likwid::json::JsonValue;
 
 /// Accept-loop poll interval while checking the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// How long one write to a client may block before the connection counts
+/// as dead. A client that stops reading would otherwise hold its session,
+/// turn ticket and uncore locks for good, and hang the daemon's shutdown.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Serve the daemon protocol on a Unix socket until `shutdown` becomes
 /// true (a client's `shutdown` command sets it). Removes a stale socket
@@ -109,8 +116,12 @@ impl Outbox {
 /// in-flight session via the handle's drop).
 fn handle_connection(daemon: &Daemon<'_>, stream: UnixStream, shutdown: &AtomicBool) {
     // A finite read timeout lets an idle handler notice a daemon shutdown
-    // instead of blocking the scope join forever.
+    // instead of blocking the scope join forever; the write timeout drops
+    // a client that stopped reading.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let mut out = match stream.try_clone() {
         Ok(stream) => Outbox { stream, line: String::new() },
         Err(_) => return,
@@ -197,8 +208,14 @@ fn serve_session(daemon: &Daemon<'_>, command: &JsonValue, out: &mut Outbox) -> 
         if !out.send(&Frame::Opened(handle.opened().clone())) {
             return Ok(false);
         }
-        while let Some(interval) = handle.next_interval()? {
-            if !out.send(&Frame::Interval(interval)) {
+        // One frame, refilled in place for every interval.
+        let mut frame = Frame::Interval(IntervalFrame::default());
+        loop {
+            let Frame::Interval(interval) = &mut frame else { unreachable!("an interval frame") };
+            if !handle.next_interval_into(interval)? {
+                break;
+            }
+            if !out.send(&frame) {
                 return Ok(false);
             }
         }

@@ -252,3 +252,52 @@ fn dropped_connection_mid_stream_frees_the_daemon() {
         assert_eq!(accumulator.intervals().len(), 3);
     });
 }
+
+#[test]
+fn a_client_that_stops_reading_cannot_wedge_the_daemon() {
+    with_server("stalled", |path| {
+        // Client 1 opens a long uncore session and then never reads a
+        // byte, not even the hello: its frames fill the socket buffer and
+        // the handler's next write blocks while socket 0's uncore lock is
+        // held. The connection stays open for the whole test.
+        let mut stalled = UnixStream::connect(path).expect("connect");
+        let open = OpenRequest {
+            interval: "100us".to_string(),
+            duration: "5s".to_string(),
+            ..request("0-3", "MEM")
+        };
+        stalled.write_all((open.to_json().encode() + "\n").as_bytes()).expect("send open");
+        let (mut monitor, _hello) = SocketClient::connect(path).expect("monitor connect");
+        let stalled_session = |status: &likwid_daemon::DaemonStatus| {
+            status.sessions.iter().any(|s| s.cpus == [0, 1, 2, 3])
+        };
+        for _ in 0..2000 {
+            if stalled_session(&monitor.status().expect("status")) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(stalled_session(&monitor.status().expect("status")), "session admitted");
+
+        // Client 2 needs the same uncore lock. It is admitted once the
+        // stalled connection's write times out and aborts its session; a
+        // read timeout turns a wedged daemon into a failure, not a hang.
+        let stream = UnixStream::connect(path).expect("connect");
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone socket");
+        let mut reader = BufReader::new(stream);
+        let mut next_frame = || {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a frame before the read timeout");
+            Frame::from_line(&line).expect("well-formed frame")
+        };
+        assert!(matches!(next_frame(), Frame::Hello { .. }));
+        let open = request("0-1", "MEM").to_json().encode() + "\n";
+        writer.write_all(open.as_bytes()).expect("send open");
+        assert!(matches!(next_frame(), Frame::Opened(_)), "second client admitted");
+
+        let status = monitor.status().expect("status");
+        assert!(!stalled_session(&status), "the stalled session is gone: {status:?}");
+        drop(stalled);
+    });
+}

@@ -15,7 +15,8 @@
 
 use std::collections::HashMap;
 
-use likwid_perf_events::{tables, CounterSlot, EventDefinition, EventTable, PerfMon};
+use likwid_perf_events::perfmon::CpuCounters;
+use likwid_perf_events::{tables, CounterSlot, EventDefinition, EventTable, PerfMon, PerfMonError};
 use likwid_x86_machine::SimMachine;
 
 /// PAPI-style preset events, mapped per architecture onto native events.
@@ -167,6 +168,15 @@ pub struct Papi<'m> {
     monitors: HashMap<usize, PerfMon>,
 }
 
+/// The counters of `cpu`, through the monitor opened for it.
+fn counters(monitors: &HashMap<usize, PerfMon>, cpu: usize) -> Result<CpuCounters<'_>, PapiError> {
+    monitors.get(&cpu).ok_or(PapiError::BadHandle)?.on_cpu(cpu).map_err(hardware)
+}
+
+fn hardware(e: PerfMonError) -> PapiError {
+    PapiError::Hardware(e.to_string())
+}
+
 impl<'m> Papi<'m> {
     /// `PAPI_library_init`.
     pub fn library_init(machine: &'m SimMachine) -> Self {
@@ -207,8 +217,7 @@ impl<'m> Papi<'m> {
             .into_iter()
             .find(|s| !used.contains(s))
             .ok_or(PapiError::CounterConflict)?;
-        let pm = self.monitors.get(&event_set.cpu).ok_or(PapiError::BadHandle)?;
-        pm.setup(event_set.cpu, slot, native).map_err(|e| PapiError::Hardware(e.to_string()))?;
+        counters(&self.monitors, event_set.cpu)?.setup(slot, native).map_err(hardware)?;
         event_set.events.push((preset, slot));
         Ok(())
     }
@@ -219,8 +228,7 @@ impl<'m> Papi<'m> {
         if event_set.running {
             return Err(PapiError::BadState);
         }
-        let pm = self.monitors.get(&event_set.cpu).ok_or(PapiError::BadHandle)?;
-        pm.start(event_set.cpu).map_err(|e| PapiError::Hardware(e.to_string()))?;
+        counters(&self.monitors, event_set.cpu)?.start().map_err(hardware)?;
         event_set.running = true;
         Ok(())
     }
@@ -228,14 +236,8 @@ impl<'m> Papi<'m> {
     /// `PAPI_read`: current values in the order the events were added.
     pub fn read(&self, set: usize) -> Result<Vec<u64>, PapiError> {
         let event_set = self.event_sets.get(set).ok_or(PapiError::BadHandle)?;
-        let pm = self.monitors.get(&event_set.cpu).ok_or(PapiError::BadHandle)?;
-        event_set
-            .events
-            .iter()
-            .map(|(_, slot)| {
-                pm.read(event_set.cpu, *slot).map_err(|e| PapiError::Hardware(e.to_string()))
-            })
-            .collect()
+        let counters = counters(&self.monitors, event_set.cpu)?;
+        event_set.events.iter().map(|(_, slot)| counters.read(*slot).map_err(hardware)).collect()
     }
 
     /// `PAPI_stop`: stop counting and return the final values.
@@ -245,8 +247,7 @@ impl<'m> Papi<'m> {
         if !event_set.running {
             return Err(PapiError::BadState);
         }
-        let pm = self.monitors.get(&event_set.cpu).ok_or(PapiError::BadHandle)?;
-        pm.stop(event_set.cpu).map_err(|e| PapiError::Hardware(e.to_string()))?;
+        counters(&self.monitors, event_set.cpu)?.stop().map_err(hardware)?;
         event_set.running = false;
         Ok(values)
     }

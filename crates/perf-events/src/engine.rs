@@ -21,12 +21,31 @@ use crate::tables;
 pub struct EventEngine {
     table: EventTable,
     arch: Microarch,
+    /// `((selector, uncore), kind)` for every selector of the table, sorted
+    /// by key: the kind [`EventTable::find_by_selector`] resolves, looked
+    /// up by binary search instead of a table scan per counter credit.
+    kinds: Vec<((u16, bool), HwEventKind)>,
 }
 
 impl EventEngine {
     /// Create the engine for a machine (selects the matching event table).
     pub fn new(machine: &SimMachine) -> Self {
-        EventEngine { table: tables::for_arch(machine.arch()), arch: machine.arch() }
+        let table = tables::for_arch(machine.arch());
+        let mut kinds: Vec<_> =
+            table.events.iter().map(|e| ((e.selector(), e.counters.is_uncore()), e.kind)).collect();
+        // A stable sort keeps table order among equal keys, so dedup keeps
+        // the first event of the table, as `find_by_selector` does.
+        kinds.sort_by_key(|&(key, _)| key);
+        kinds.dedup_by_key(|&mut (key, _)| key);
+        EventEngine { table, arch: machine.arch(), kinds }
+    }
+
+    /// The kind a programmed select value counts, if its selector names an
+    /// event of the table in the given counter class.
+    fn kind_of(&self, select: u64, uncore: bool) -> Option<HwEventKind> {
+        let key = (decode_selector(select), uncore);
+        let at = self.kinds.binary_search_by_key(&key, |&(key, _)| key).ok()?;
+        Some(self.kinds[at].1)
     }
 
     /// The event table used to map programmed selectors back to events.
@@ -63,26 +82,21 @@ impl EventEngine {
             // gate each counter through its own bit (PMCn through bit n,
             // FIXCn through bit 32+n); older parts only have the per-event
             // enable bits, modeled as an all-ones mask.
-            let global = match msr.read(cpu, Msr::IA32_PERF_GLOBAL_CTRL) {
-                Ok(v) => v,
-                Err(_) => u64::MAX,
-            };
+            let global = msr.read(cpu, Msr::IA32_PERF_GLOBAL_CTRL).unwrap_or(u64::MAX);
 
             for n in 0..num_pmc {
                 let Ok(sel) = msr.read(cpu, Msr::IA32_PERFEVTSEL0 + n) else { continue };
                 if !is_enabled(sel) || global & (1 << n) == 0 {
                     continue;
                 }
-                let Some(event) = self.table.find_by_selector(decode_selector(sel), false) else {
-                    continue;
-                };
-                let delta = if event.kind.is_uncore() {
+                let Some(kind) = self.kind_of(sel, false) else { continue };
+                let delta = if kind.is_uncore() {
                     // Some architectures expose package-level quantities
                     // through core counters; credit from the socket record.
                     let socket = machine.topology().hw_threads[cpu].socket as usize;
-                    self.socket_count(sample, socket, event.kind)
+                    self.socket_count(sample, socket, kind)
                 } else {
-                    self.thread_count(sample, cpu, event.kind)
+                    self.thread_count(sample, cpu, kind)
                 };
                 if delta > 0 {
                     let _ = msr.hardware_increment(cpu, Msr::IA32_PMC0 + n, delta);
@@ -132,11 +146,8 @@ impl EventEngine {
                     if !is_enabled(sel) || global & (1 << n) == 0 {
                         continue;
                     }
-                    let Some(event) = self.table.find_by_selector(decode_selector(sel), true)
-                    else {
-                        continue;
-                    };
-                    let delta = self.socket_count(sample, socket as usize, event.kind);
+                    let Some(kind) = self.kind_of(sel, true) else { continue };
+                    let delta = self.socket_count(sample, socket as usize, kind);
                     if delta > 0 {
                         let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
                     }
@@ -163,14 +174,12 @@ impl EventEngine {
                 if !is_enabled(sel) {
                     continue;
                 }
-                let Some(event) = self.table.find_by_selector(decode_selector(sel), false) else {
-                    continue;
-                };
-                let delta = if event.kind.is_uncore() {
+                let Some(kind) = self.kind_of(sel, false) else { continue };
+                let delta = if kind.is_uncore() {
                     let socket = machine.topology().hw_threads[cpu].socket as usize;
-                    self.socket_count(sample, socket, event.kind)
+                    self.socket_count(sample, socket, kind)
                 } else {
-                    self.thread_count(sample, cpu, event.kind)
+                    self.thread_count(sample, cpu, kind)
                 };
                 if delta > 0 {
                     let _ = msr.hardware_increment(cpu, Msr::AMD_PMC0 + n, delta);
@@ -194,20 +203,41 @@ mod tests {
     }
 
     #[test]
+    fn the_selector_index_resolves_what_the_table_scan_finds() {
+        for &preset in MachinePreset::all() {
+            let machine = SimMachine::new(preset);
+            let engine = EventEngine::new(&machine);
+            let table = engine.table();
+            for event in &table.events {
+                let select = crate::perfmon::encode_evtsel(event, true);
+                for uncore in [false, true] {
+                    let scanned = table.find_by_selector(event.selector(), uncore).map(|e| e.kind);
+                    assert_eq!(
+                        engine.kind_of(select, uncore),
+                        scanned,
+                        "{preset:?} {}",
+                        event.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn programmed_and_enabled_counters_advance() {
         let machine = SimMachine::new(MachinePreset::Core2Quad);
         let engine = EventEngine::new(&machine);
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[1]).unwrap();
         let e = table.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
-        pm.setup(1, CounterSlot::Pmc(0), e).unwrap();
-        pm.start(1).unwrap();
+        pm.on_cpu(1).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
+        pm.on_cpu(1).unwrap().start().unwrap();
 
         let mut sample = sample_with(&machine, 1, HwEventKind::SimdPackedDouble, 8_192_000);
         sample.threads[1].set(HwEventKind::InstructionsRetired, 1);
         engine.apply(&machine, &sample);
 
-        assert_eq!(pm.read(1, CounterSlot::Pmc(0)).unwrap(), 8_192_000);
+        assert_eq!(pm.on_cpu(1).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 8_192_000);
     }
 
     #[test]
@@ -217,11 +247,11 @@ mod tests {
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("SIMD_COMP_INST_RETIRED_SCALAR_DOUBLE").unwrap();
-        pm.setup(0, CounterSlot::Pmc(1), e).unwrap();
+        pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(1), e).unwrap();
         // No start(): the enable bit stays clear.
         let sample = sample_with(&machine, 0, HwEventKind::SimdScalarDouble, 1000);
         engine.apply(&machine, &sample);
-        assert_eq!(pm.read(0, CounterSlot::Pmc(1)).unwrap(), 0);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(1)).unwrap(), 0);
     }
 
     #[test]
@@ -232,13 +262,13 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0, 1]).unwrap();
         let e = table.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
         for cpu in [0, 1] {
-            pm.setup(cpu, CounterSlot::Pmc(0), e).unwrap();
-            pm.start(cpu).unwrap();
+            pm.on_cpu(cpu).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
+            pm.on_cpu(cpu).unwrap().start().unwrap();
         }
         let sample = sample_with(&machine, 1, HwEventKind::SimdPackedDouble, 500);
         engine.apply(&machine, &sample);
-        assert_eq!(pm.read(0, CounterSlot::Pmc(0)).unwrap(), 0);
-        assert_eq!(pm.read(1, CounterSlot::Pmc(0)).unwrap(), 500);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 0);
+        assert_eq!(pm.on_cpu(1).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 500);
     }
 
     #[test]
@@ -247,17 +277,23 @@ mod tests {
         let engine = EventEngine::new(&machine);
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[2]).unwrap();
-        pm.setup(2, CounterSlot::Fixed(0), table.find("INSTR_RETIRED_ANY").unwrap()).unwrap();
-        pm.setup(2, CounterSlot::Fixed(1), table.find("CPU_CLK_UNHALTED_CORE").unwrap()).unwrap();
-        pm.start(2).unwrap();
+        pm.on_cpu(2)
+            .unwrap()
+            .setup(CounterSlot::Fixed(0), table.find("INSTR_RETIRED_ANY").unwrap())
+            .unwrap();
+        pm.on_cpu(2)
+            .unwrap()
+            .setup(CounterSlot::Fixed(1), table.find("CPU_CLK_UNHALTED_CORE").unwrap())
+            .unwrap();
+        pm.on_cpu(2).unwrap().start().unwrap();
 
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.threads[2].set(HwEventKind::InstructionsRetired, 18_802_400);
         sample.threads[2].set(HwEventKind::CoreCycles, 28_583_800);
         engine.apply(&machine, &sample);
 
-        assert_eq!(pm.read(2, CounterSlot::Fixed(0)).unwrap(), 18_802_400);
-        assert_eq!(pm.read(2, CounterSlot::Fixed(1)).unwrap(), 28_583_800);
+        assert_eq!(pm.on_cpu(2).unwrap().read(CounterSlot::Fixed(0)).unwrap(), 18_802_400);
+        assert_eq!(pm.on_cpu(2).unwrap().read(CounterSlot::Fixed(1)).unwrap(), 28_583_800);
     }
 
     #[test]
@@ -269,16 +305,16 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0, 4]).unwrap();
         let e = table.find("UNC_L3_LINES_IN_ANY").unwrap();
         for cpu in [0usize, 4] {
-            pm.setup(cpu, CounterSlot::UncorePmc(0), e).unwrap();
-            pm.start(cpu).unwrap();
+            pm.on_cpu(cpu).unwrap().setup(CounterSlot::UncorePmc(0), e).unwrap();
+            pm.on_cpu(cpu).unwrap().start().unwrap();
         }
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.sockets[0].set(HwEventKind::L3LinesIn, 591_000_000);
         sample.sockets[1].set(HwEventKind::L3LinesIn, 1_000);
         engine.apply(&machine, &sample);
 
-        assert_eq!(pm.read(0, CounterSlot::UncorePmc(0)).unwrap(), 591_000_000);
-        assert_eq!(pm.read(4, CounterSlot::UncorePmc(0)).unwrap(), 1_000);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::UncorePmc(0)).unwrap(), 591_000_000);
+        assert_eq!(pm.on_cpu(4).unwrap().read(CounterSlot::UncorePmc(0)).unwrap(), 1_000);
     }
 
     #[test]
@@ -287,9 +323,15 @@ mod tests {
         let engine = EventEngine::new(&machine);
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[7]).unwrap();
-        pm.setup(7, CounterSlot::Pmc(0), table.find("RETIRED_INSTRUCTIONS").unwrap()).unwrap();
-        pm.setup(7, CounterSlot::Pmc(1), table.find("L3_FILLS_ALL_ALL_CORES").unwrap()).unwrap();
-        pm.start(7).unwrap();
+        pm.on_cpu(7)
+            .unwrap()
+            .setup(CounterSlot::Pmc(0), table.find("RETIRED_INSTRUCTIONS").unwrap())
+            .unwrap();
+        pm.on_cpu(7)
+            .unwrap()
+            .setup(CounterSlot::Pmc(1), table.find("L3_FILLS_ALL_ALL_CORES").unwrap())
+            .unwrap();
+        pm.on_cpu(7).unwrap().start().unwrap();
 
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.threads[7].set(HwEventKind::InstructionsRetired, 42);
@@ -298,8 +340,8 @@ mod tests {
         sample.sockets[0].set(HwEventKind::L3LinesIn, 111);
         engine.apply(&machine, &sample);
 
-        assert_eq!(pm.read(7, CounterSlot::Pmc(0)).unwrap(), 42);
-        assert_eq!(pm.read(7, CounterSlot::Pmc(1)).unwrap(), 777);
+        assert_eq!(pm.on_cpu(7).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 42);
+        assert_eq!(pm.on_cpu(7).unwrap().read(CounterSlot::Pmc(1)).unwrap(), 777);
     }
 
     #[test]
@@ -309,12 +351,12 @@ mod tests {
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("L1D_REPL").unwrap();
-        pm.setup(0, CounterSlot::Pmc(0), e).unwrap();
-        pm.start(0).unwrap();
+        pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
+        pm.on_cpu(0).unwrap().start().unwrap();
         let sample = sample_with(&machine, 0, HwEventKind::L1Misses, 10);
         engine.apply(&machine, &sample);
         engine.apply(&machine, &sample);
-        assert_eq!(pm.read(0, CounterSlot::Pmc(0)).unwrap(), 20);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 20);
     }
 
     #[test]
@@ -324,12 +366,16 @@ mod tests {
         let table = engine.table().clone();
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("L1D_REPL").unwrap();
-        pm.setup(0, CounterSlot::Pmc(0), e).unwrap();
-        pm.start(0).unwrap();
+        pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
+        pm.on_cpu(0).unwrap().start().unwrap();
         let sample = sample_with(&machine, 0, HwEventKind::L1Misses, 10);
         engine.apply(&machine, &sample);
-        pm.stop(0).unwrap();
+        pm.on_cpu(0).unwrap().stop().unwrap();
         engine.apply(&machine, &sample);
-        assert_eq!(pm.read(0, CounterSlot::Pmc(0)).unwrap(), 10, "no counting after stop");
+        assert_eq!(
+            pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(),
+            10,
+            "no counting after stop"
+        );
     }
 }

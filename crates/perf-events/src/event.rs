@@ -66,6 +66,13 @@ pub enum CounterClass {
     UncoreFixed,
 }
 
+impl CounterClass {
+    /// Whether events of this class count on uncore counters.
+    pub fn is_uncore(self) -> bool {
+        matches!(self, CounterClass::AnyUncorePmc | CounterClass::UncoreFixed)
+    }
+}
+
 /// One documented hardware event of an architecture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventDefinition {
@@ -131,11 +138,7 @@ impl EventTable {
     /// counter class (core or uncore), used by the counting engine to map a
     /// programmed PERFEVTSEL value back to an event.
     pub fn find_by_selector(&self, selector: u16, uncore: bool) -> Option<&EventDefinition> {
-        self.events.iter().find(|e| {
-            e.selector() == selector
-                && (matches!(e.counters, CounterClass::AnyUncorePmc | CounterClass::UncoreFixed)
-                    == uncore)
-        })
+        self.events.iter().find(|e| e.selector() == selector && e.counters.is_uncore() == uncore)
     }
 
     /// All counter slots that can carry the given event on this architecture.

@@ -185,6 +185,16 @@ impl EventSample {
         }
     }
 
+    /// Zero every count and shape the sample like
+    /// [`EventSample::new`]`(num_threads, num_sockets)`, reusing its
+    /// allocation.
+    pub fn reset(&mut self, num_threads: usize, num_sockets: usize) {
+        self.threads.clear();
+        self.threads.resize(num_threads, ThreadEventRecord::default());
+        self.sockets.clear();
+        self.sockets.resize(num_sockets, SocketEventRecord::default());
+    }
+
     /// Merge another sample (e.g. from a later execution phase) into this one.
     pub fn merge(&mut self, other: &EventSample) {
         if self.threads.len() < other.threads.len() {

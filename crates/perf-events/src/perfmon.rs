@@ -9,7 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use likwid_x86_machine::{
-    MachineError, Msr, MsrDevice, MsrPermission, SimMachine, Vendor, MAX_CONSECUTIVE_LIMIT,
+    MachineError, Msr, MsrBatch, MsrDevice, MsrPermission, SimMachine, Vendor,
+    MAX_CONSECUTIVE_LIMIT,
 };
 
 use crate::event::{CounterSlot, EventDefinition};
@@ -36,8 +37,8 @@ pub struct MsrRetryStats {
 pub enum PerfMonError {
     /// The underlying MSR access failed.
     Msr(MachineError),
-    /// The requested counter slot does not exist on this architecture.
-    NoSuchCounter(CounterSlot),
+    /// The monitor has no MSR device open for this hardware thread.
+    UnknownCpu(usize),
     /// The event cannot be scheduled on the requested counter slot.
     IncompatibleCounter {
         /// Event name.
@@ -51,7 +52,9 @@ impl std::fmt::Display for PerfMonError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PerfMonError::Msr(e) => write!(f, "MSR access failed: {e}"),
-            PerfMonError::NoSuchCounter(slot) => write!(f, "no such counter {}", slot.name()),
+            PerfMonError::UnknownCpu(cpu) => {
+                write!(f, "cpu {cpu} is not measured by this counter monitor")
+            }
             PerfMonError::IncompatibleCounter { event, slot } => {
                 write!(f, "event {event} cannot be counted on {}", slot.name())
             }
@@ -143,7 +146,9 @@ fn ignore_unknown(result: Result<(), PerfMonError>) -> Result<(), PerfMonError> 
 ///
 /// A `PerfMon` owns one read-write MSR device per hardware thread it
 /// measures, mirroring the real tool which opens one `/dev/cpu/<N>/msr` file
-/// descriptor per measured core.
+/// descriptor per measured core. All programming goes through
+/// [`PerfMon::on_cpu`], which locks the machine's register file once for a
+/// cpu's whole sequence of accesses.
 ///
 /// Every MSR access is retried up to [`MSR_RETRY_LIMIT`] times with
 /// deterministic exponential backoff on transient `EIO` failures, so an
@@ -192,165 +197,179 @@ impl PerfMon {
         true
     }
 
+    /// The hardware threads this monitor controls.
+    pub fn cpus(&self) -> Vec<usize> {
+        self.devices.iter().map(|(cpu, _)| *cpu).collect()
+    }
+
+    /// The counters of hardware thread `cpu`, with the machine's register
+    /// file locked until the returned handle is dropped. No other device of
+    /// the machine can be used meanwhile.
+    pub fn on_cpu(&self, cpu: usize) -> Result<CpuCounters<'_>, PerfMonError> {
+        let (_, device) =
+            self.devices.iter().find(|(c, _)| *c == cpu).ok_or(PerfMonError::UnknownCpu(cpu))?;
+        Ok(CpuCounters { perfmon: self, msr: device.batch() })
+    }
+}
+
+/// One hardware thread's counters, programmed under a single lock of the
+/// register file (see [`PerfMon::on_cpu`]). Each method issues exactly the
+/// `rdmsr`/`wrmsr` sequence it documents, each access retried on
+/// transient `EIO`.
+pub struct CpuCounters<'a> {
+    perfmon: &'a PerfMon,
+    msr: MsrBatch<'a>,
+}
+
+impl CpuCounters<'_> {
     /// `rdmsr` with bounded retry on transient EIO.
-    fn rd(&self, dev: &MsrDevice, address: u32) -> Result<u64, PerfMonError> {
+    fn rd(&self, address: u32) -> Result<u64, PerfMonError> {
         let mut attempt = 0;
         loop {
-            match dev.read(address) {
-                Err(MachineError::MsrIo { .. }) if self.note_retry(attempt) => attempt += 1,
+            match self.msr.read(address) {
+                Err(MachineError::MsrIo { .. }) if self.perfmon.note_retry(attempt) => attempt += 1,
                 other => return Ok(other?),
             }
         }
     }
 
     /// `wrmsr` with bounded retry on transient EIO.
-    fn wr(&self, dev: &MsrDevice, address: u32, value: u64) -> Result<(), PerfMonError> {
+    fn wr(&mut self, address: u32, value: u64) -> Result<(), PerfMonError> {
         let mut attempt = 0;
         loop {
-            match dev.write(address, value) {
-                Err(MachineError::MsrIo { .. }) if self.note_retry(attempt) => attempt += 1,
+            match self.msr.write(address, value) {
+                Err(MachineError::MsrIo { .. }) if self.perfmon.note_retry(attempt) => attempt += 1,
                 other => return Ok(other?),
             }
         }
     }
 
-    /// The hardware threads this monitor controls.
-    pub fn cpus(&self) -> Vec<usize> {
-        self.devices.iter().map(|(cpu, _)| *cpu).collect()
+    /// Set the enable bit of a programmed (nonzero) select register.
+    fn enable(&mut self, select: u32) -> Result<(), PerfMonError> {
+        let v = self.rd(select)?;
+        if v != 0 {
+            self.wr(select, v | evtsel::ENABLE)?;
+        }
+        Ok(())
     }
 
-    fn device(&self, cpu: usize) -> Result<&MsrDevice, PerfMonError> {
-        self.devices
-            .iter()
-            .find(|(c, _)| *c == cpu)
-            .map(|(_, d)| d)
-            .ok_or(PerfMonError::NoSuchCounter(CounterSlot::Pmc(255)))
+    /// Clear the enable bit of a programmed (nonzero) select register.
+    fn disable(&mut self, select: u32) -> Result<(), PerfMonError> {
+        let v = self.rd(select)?;
+        if v != 0 {
+            self.wr(select, v & !evtsel::ENABLE)?;
+        }
+        Ok(())
     }
 
-    /// Program `event` into `slot` on hardware thread `cpu` (disabled; use
-    /// [`PerfMon::start`] to enable all programmed counters atomically).
+    /// Apply `op` to the consecutive select registers from `base` on, up to
+    /// `count` of them, stopping at the first one not implemented.
+    fn each_select(
+        &mut self,
+        base: u32,
+        count: u32,
+        mut op: impl FnMut(&mut Self, u32) -> Result<(), PerfMonError>,
+    ) -> Result<(), PerfMonError> {
+        for n in 0..count {
+            match op(self, base + n) {
+                Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
+                other => other?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Program `event` into `slot` (disabled; [`CpuCounters::start`] or
+    /// [`CpuCounters::start_slots`] enable it).
     pub fn setup(
-        &self,
-        cpu: usize,
+        &mut self,
         slot: CounterSlot,
         event: &EventDefinition,
     ) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        let (select, counter) = slot_registers(self.vendor, slot);
+        let (select, counter) = slot_registers(self.perfmon.vendor, slot);
         match slot {
             CounterSlot::Fixed(n) => {
                 // Fixed counters are controlled by IA32_FIXED_CTR_CTRL: 4 bits
                 // per counter, bits 0/1 enable OS/USR counting. Replace the
                 // whole field rather than OR-ing so that dirty state left by
                 // another tool cannot survive in this counter's bits.
-                let ctrl = self.rd(dev, Msr::IA32_FIXED_CTR_CTRL)?;
+                let ctrl = self.rd(Msr::IA32_FIXED_CTR_CTRL)?;
                 let shift = 4 * n as u32;
-                self.wr(
-                    dev,
-                    Msr::IA32_FIXED_CTR_CTRL,
-                    (ctrl & !(0xF << shift)) | (0b011 << shift),
-                )?;
-                self.wr(dev, counter, 0)?;
+                self.wr(Msr::IA32_FIXED_CTR_CTRL, (ctrl & !(0xF << shift)) | (0b011 << shift))?;
+                self.wr(counter, 0)?;
             }
             CounterSlot::UncoreFixed => {
-                self.wr(dev, Msr::MSR_UNCORE_FIXED_CTR_CTRL, 1)?;
-                self.wr(dev, counter, 0)?;
+                self.wr(Msr::MSR_UNCORE_FIXED_CTR_CTRL, 1)?;
+                self.wr(counter, 0)?;
             }
             _ => {
                 let select = select.expect("PMC slots have a select register");
-                self.wr(dev, select, encode_evtsel(event, false))?;
-                self.wr(dev, counter, 0)?;
+                self.wr(select, encode_evtsel(event, false))?;
+                self.wr(counter, 0)?;
             }
         }
         Ok(())
     }
 
     /// Verify that the registers backing `slot` still hold the state
-    /// [`PerfMon::setup`] wrote for `event`: the disabled select encoding
-    /// and a zeroed counter. A mismatch means the write was lost (stuck
-    /// register) or foreign state survived — the caller should reprogram.
-    pub fn verify(
-        &self,
-        cpu: usize,
-        slot: CounterSlot,
-        event: &EventDefinition,
-    ) -> Result<bool, PerfMonError> {
-        let dev = self.device(cpu)?;
-        let (select, counter) = slot_registers(self.vendor, slot);
+    /// [`CpuCounters::setup`] wrote for `event`: the disabled select
+    /// encoding and a zeroed counter. A mismatch means the write was lost
+    /// (stuck register) or foreign state survived — the caller should
+    /// reprogram.
+    pub fn verify(&self, slot: CounterSlot, event: &EventDefinition) -> Result<bool, PerfMonError> {
+        let (select, counter) = slot_registers(self.perfmon.vendor, slot);
         let select_ok = match slot {
             CounterSlot::Fixed(n) => {
-                let ctrl = self.rd(dev, Msr::IA32_FIXED_CTR_CTRL)?;
+                let ctrl = self.rd(Msr::IA32_FIXED_CTR_CTRL)?;
                 (ctrl >> (4 * n as u32)) & 0xF == 0b011
             }
-            CounterSlot::UncoreFixed => self.rd(dev, Msr::MSR_UNCORE_FIXED_CTR_CTRL)? == 1,
+            CounterSlot::UncoreFixed => self.rd(Msr::MSR_UNCORE_FIXED_CTR_CTRL)? == 1,
             _ => {
                 let select = select.expect("PMC slots have a select register");
-                self.rd(dev, select)? == encode_evtsel(event, false)
+                self.rd(select)? == encode_evtsel(event, false)
             }
         };
-        Ok(select_ok && self.rd(dev, counter)? == 0)
+        Ok(select_ok && self.rd(counter)? == 0)
     }
 
-    /// Enable counting on all programmed counters of `cpu`.
-    pub fn start(&self, cpu: usize) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        match self.vendor {
+    /// Enable counting on all programmed counters.
+    pub fn start(&mut self) -> Result<(), PerfMonError> {
+        match self.perfmon.vendor {
             Vendor::Intel => {
                 // Set the enable bits in each programmed PERFEVTSEL, then the
                 // global enable mask for PMCs and fixed counters.
-                for n in 0..8u32 {
-                    let addr = Msr::IA32_PERFEVTSEL0 + n;
-                    match self.rd(dev, addr) {
-                        Ok(v) if v != 0 => self.wr(dev, addr, v | evtsel::ENABLE)?,
-                        Ok(_) => continue,
-                        Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
+                self.each_select(Msr::IA32_PERFEVTSEL0, 8, Self::enable)?;
                 // The global and uncore control registers do not exist on all
                 // generations (Pentium M has neither); ignore their absence —
                 // but only their absence, real I/O failures must surface.
                 let global = 0xFF | (0x7 << 32);
-                ignore_unknown(self.wr(dev, Msr::IA32_PERF_GLOBAL_CTRL, global))?;
-                ignore_unknown(self.wr(dev, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, (1 << 32) | 0xFF))?;
-                for n in 0..8u32 {
-                    let addr = Msr::MSR_UNCORE_PERFEVTSEL0 + n;
-                    match self.rd(dev, addr) {
-                        Ok(v) if v != 0 => self.wr(dev, addr, v | evtsel::ENABLE)?,
-                        Ok(_) => continue,
-                        Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
+                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, global))?;
+                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, (1 << 32) | 0xFF))?;
+                self.each_select(Msr::MSR_UNCORE_PERFEVTSEL0, 8, Self::enable)?;
             }
             Vendor::Amd => {
                 for n in 0..4u32 {
-                    let addr = Msr::AMD_PERFEVTSEL0 + n;
-                    let v = self.rd(dev, addr)?;
-                    if v != 0 {
-                        self.wr(dev, addr, v | evtsel::ENABLE)?;
-                    }
+                    self.enable(Msr::AMD_PERFEVTSEL0 + n)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Enable counting on exactly the given counter slots of `cpu`, leaving
-    /// every other select register untouched and setting only the matching
+    /// Enable counting on exactly the given counter slots, leaving every
+    /// other select register untouched and setting only the matching
     /// per-counter bits of the global control registers.
     ///
-    /// [`PerfMon::start`] mirrors the standalone tool: it flips the enable
-    /// bit of *every* programmed select register on the cpu, which is
-    /// correct when one measurement owns the whole PMU. Under the
+    /// [`CpuCounters::start`] mirrors the standalone tool: it flips the
+    /// enable bit of *every* programmed select register on the cpu, which
+    /// is correct when one measurement owns the whole PMU. Under the
     /// `likwid-perfctrd` broker several sessions time-share the registers,
     /// and a suspended session leaves its selects programmed (disabled);
     /// blanket-enabling them would let a foreign time slice count into the
     /// suspended session's counters. The slot-precise start closes exactly
     /// that hole.
-    pub fn start_slots(&self, cpu: usize, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        match self.vendor {
+    pub fn start_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
+        match self.perfmon.vendor {
             Vendor::Intel => {
                 let mut global = 0u64;
                 let mut uncore_global = 0u64;
@@ -363,33 +382,21 @@ impl PerfMon {
                         CounterSlot::UncoreFixed => uncore_global |= 1 << 32,
                         CounterSlot::Pmc(n) => {
                             global |= 1 << *n as u32;
-                            let addr = Msr::IA32_PERFEVTSEL0 + *n as u32;
-                            let v = self.rd(dev, addr)?;
-                            if v != 0 {
-                                self.wr(dev, addr, v | evtsel::ENABLE)?;
-                            }
+                            self.enable(Msr::IA32_PERFEVTSEL0 + *n as u32)?;
                         }
                         CounterSlot::UncorePmc(n) => {
                             uncore_global |= 1 << *n as u32;
-                            let addr = Msr::MSR_UNCORE_PERFEVTSEL0 + *n as u32;
-                            let v = self.rd(dev, addr)?;
-                            if v != 0 {
-                                self.wr(dev, addr, v | evtsel::ENABLE)?;
-                            }
+                            self.enable(Msr::MSR_UNCORE_PERFEVTSEL0 + *n as u32)?;
                         }
                     }
                 }
-                ignore_unknown(self.wr(dev, Msr::IA32_PERF_GLOBAL_CTRL, global))?;
-                ignore_unknown(self.wr(dev, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, uncore_global))?;
+                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, global))?;
+                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, uncore_global))?;
             }
             Vendor::Amd => {
                 for slot in slots {
                     if let CounterSlot::Pmc(n) = slot {
-                        let addr = Msr::AMD_PERFEVTSEL0 + *n as u32;
-                        let v = self.rd(dev, addr)?;
-                        if v != 0 {
-                            self.wr(dev, addr, v | evtsel::ENABLE)?;
-                        }
+                        self.enable(Msr::AMD_PERFEVTSEL0 + *n as u32)?;
                     }
                 }
             }
@@ -397,86 +404,65 @@ impl PerfMon {
         Ok(())
     }
 
-    /// Disable counting of exactly the given counter slots of `cpu`, the
-    /// mirror of [`PerfMon::start_slots`]: clear the global control
-    /// registers and the enable bit of each given select register, leaving
-    /// every other select untouched. Counters retain their values.
+    /// Disable counting of exactly the given counter slots, the mirror of
+    /// [`CpuCounters::start_slots`]: clear the global control registers and
+    /// the enable bit of each given select register, leaving every other
+    /// select untouched. Counters retain their values.
     ///
-    /// [`PerfMon::stop`] scans every select register on the cpu; a
+    /// [`CpuCounters::stop`] scans every select register on the cpu; a
     /// `likwid-perfctrd` session that suspends after each interval knows
     /// which slots it started and stops only those.
-    pub fn stop_slots(&self, cpu: usize, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        if self.vendor == Vendor::Intel {
-            ignore_unknown(self.wr(dev, Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
-            ignore_unknown(self.wr(dev, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+    pub fn stop_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
+        let vendor = self.perfmon.vendor;
+        if vendor == Vendor::Intel {
+            ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
+            ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
         }
         for &slot in slots {
             // AMD parts have only PMCs (see `slot_registers`).
-            if self.vendor == Vendor::Amd && !matches!(slot, CounterSlot::Pmc(_)) {
+            if vendor == Vendor::Amd && !matches!(slot, CounterSlot::Pmc(_)) {
                 continue;
             }
-            if let (Some(addr), _) = slot_registers(self.vendor, slot) {
-                let v = self.rd(dev, addr)?;
-                if v != 0 {
-                    self.wr(dev, addr, v & !evtsel::ENABLE)?;
-                }
+            if let (Some(select), _) = slot_registers(vendor, slot) {
+                self.disable(select)?;
             }
         }
         Ok(())
     }
 
-    /// Disable counting on `cpu` (counters retain their values).
-    pub fn stop(&self, cpu: usize) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        match self.vendor {
+    /// Disable counting (counters retain their values).
+    pub fn stop(&mut self) -> Result<(), PerfMonError> {
+        match self.perfmon.vendor {
             Vendor::Intel => {
-                ignore_unknown(self.wr(dev, Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
-                ignore_unknown(self.wr(dev, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
-                for n in 0..8u32 {
-                    let addr = Msr::IA32_PERFEVTSEL0 + n;
-                    match self.rd(dev, addr) {
-                        Ok(v) if v != 0 => self.wr(dev, addr, v & !evtsel::ENABLE)?,
-                        Ok(_) => continue,
-                        Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-                for n in 0..8u32 {
-                    let addr = Msr::MSR_UNCORE_PERFEVTSEL0 + n;
-                    match self.rd(dev, addr) {
-                        Ok(v) if v != 0 => self.wr(dev, addr, v & !evtsel::ENABLE)?,
-                        Ok(_) => continue,
-                        Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
+                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
+                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+                self.each_select(Msr::IA32_PERFEVTSEL0, 8, Self::disable)?;
+                self.each_select(Msr::MSR_UNCORE_PERFEVTSEL0, 8, Self::disable)?;
             }
             Vendor::Amd => {
                 for n in 0..4u32 {
-                    let addr = Msr::AMD_PERFEVTSEL0 + n;
-                    let v = self.rd(dev, addr)?;
-                    if v != 0 {
-                        self.wr(dev, addr, v & !evtsel::ENABLE)?;
-                    }
+                    self.disable(Msr::AMD_PERFEVTSEL0 + n)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Read the current value of a counter slot on `cpu`.
-    pub fn read(&self, cpu: usize, slot: CounterSlot) -> Result<u64, PerfMonError> {
-        let dev = self.device(cpu)?;
-        let (_, counter) = slot_registers(self.vendor, slot);
-        self.rd(dev, counter)
+    /// Read the current value of a counter slot.
+    pub fn read(&self, slot: CounterSlot) -> Result<u64, PerfMonError> {
+        self.rd(slot_registers(self.perfmon.vendor, slot).1)
     }
 
-    /// Reset a counter slot to zero on `cpu`.
-    pub fn reset(&self, cpu: usize, slot: CounterSlot) -> Result<(), PerfMonError> {
-        let dev = self.device(cpu)?;
-        let (_, counter) = slot_registers(self.vendor, slot);
-        self.wr(dev, counter, 0)
+    /// The machine-side unwrapped value of the counter behind `slot`: not a
+    /// device access, never faulted. Wraparound diagnostics compare the
+    /// width-corrected deltas of [`CpuCounters::read`] against it.
+    pub fn wide_value(&self, slot: CounterSlot) -> Result<u64, PerfMonError> {
+        Ok(self.msr.wide_value(slot_registers(self.perfmon.vendor, slot).1)?)
+    }
+
+    /// Reset a counter slot to zero.
+    pub fn reset(&mut self, slot: CounterSlot) -> Result<(), PerfMonError> {
+        self.wr(slot_registers(self.perfmon.vendor, slot).1, 0)
     }
 }
 
@@ -503,18 +489,18 @@ mod tests {
         let table = tables::for_arch(machine.arch());
         let pm = PerfMon::new(&machine, &[1]).unwrap();
         let event = table.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
-        pm.setup(1, CounterSlot::Pmc(0), event).unwrap();
+        pm.on_cpu(1).unwrap().setup(CounterSlot::Pmc(0), event).unwrap();
 
         let dev = machine.msr(1, MsrPermission::ReadOnly).unwrap();
         let sel = dev.read(Msr::IA32_PERFEVTSEL0).unwrap();
         assert_eq!(decode_selector(sel), event.selector());
         assert!(!is_enabled(sel), "setup leaves the counter disabled");
 
-        pm.start(1).unwrap();
+        pm.on_cpu(1).unwrap().start().unwrap();
         assert!(is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
         assert_ne!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 0);
 
-        pm.stop(1).unwrap();
+        pm.on_cpu(1).unwrap().stop().unwrap();
         assert!(!is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
         assert_eq!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 0);
     }
@@ -525,7 +511,7 @@ mod tests {
         let table = tables::for_arch(machine.arch());
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let instr = table.find("INSTR_RETIRED_ANY").unwrap();
-        pm.setup(0, CounterSlot::Fixed(0), instr).unwrap();
+        pm.on_cpu(0).unwrap().setup(CounterSlot::Fixed(0), instr).unwrap();
         let dev = machine.msr(0, MsrPermission::ReadOnly).unwrap();
         assert_eq!(dev.read(Msr::IA32_FIXED_CTR_CTRL).unwrap() & 0xF, 0b011);
     }
@@ -536,11 +522,11 @@ mod tests {
         let table = tables::for_arch(machine.arch());
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("UNC_L3_LINES_IN_ANY").unwrap();
-        pm.setup(0, CounterSlot::UncorePmc(0), e).unwrap();
-        pm.start(0).unwrap();
+        pm.on_cpu(0).unwrap().setup(CounterSlot::UncorePmc(0), e).unwrap();
+        pm.on_cpu(0).unwrap().start().unwrap();
         let dev = machine.msr(0, MsrPermission::ReadOnly).unwrap();
         assert!(is_enabled(dev.read(Msr::MSR_UNCORE_PERFEVTSEL0).unwrap()));
-        assert_eq!(pm.read(0, CounterSlot::UncorePmc(0)).unwrap(), 0);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::UncorePmc(0)).unwrap(), 0);
     }
 
     #[test]
@@ -549,11 +535,11 @@ mod tests {
         let table = tables::for_arch(machine.arch());
         let pm = PerfMon::new(&machine, &[3]).unwrap();
         let e = table.find("RETIRED_INSTRUCTIONS").unwrap();
-        pm.setup(3, CounterSlot::Pmc(2), e).unwrap();
-        pm.start(3).unwrap();
+        pm.on_cpu(3).unwrap().setup(CounterSlot::Pmc(2), e).unwrap();
+        pm.on_cpu(3).unwrap().start().unwrap();
         let dev = machine.msr(3, MsrPermission::ReadOnly).unwrap();
         assert!(is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
-        pm.stop(3).unwrap();
+        pm.on_cpu(3).unwrap().stop().unwrap();
         assert!(!is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
     }
 
@@ -563,9 +549,9 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         // Put a value into PMC0 directly through the machine side.
         machine.msr_file().increment(0, Msr::IA32_PMC0, 123).unwrap();
-        assert_eq!(pm.read(0, CounterSlot::Pmc(0)).unwrap(), 123);
-        pm.reset(0, CounterSlot::Pmc(0)).unwrap();
-        assert_eq!(pm.read(0, CounterSlot::Pmc(0)).unwrap(), 0);
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 123);
+        pm.on_cpu(0).unwrap().reset(CounterSlot::Pmc(0)).unwrap();
+        assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(), 0);
     }
 
     #[test]
@@ -573,6 +559,10 @@ mod tests {
         let machine = SimMachine::new(MachinePreset::Core2Quad);
         assert!(PerfMon::new(&machine, &[99]).is_err());
         let pm = PerfMon::new(&machine, &[0]).unwrap();
-        assert!(pm.read(3, CounterSlot::Pmc(0)).is_err(), "cpu 3 was not opened by this monitor");
+        // cpu 3 exists on the machine but was not opened by this monitor;
+        // the error names the cpu, not a counter.
+        let err = pm.on_cpu(3).err().expect("cpu 3 is not measured");
+        assert_eq!(err, PerfMonError::UnknownCpu(3));
+        assert_eq!(err.to_string(), "cpu 3 is not measured by this counter monitor");
     }
 }

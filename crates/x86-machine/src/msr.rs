@@ -16,14 +16,16 @@
 //! `likwid-features` toggles.
 //!
 //! Every counter read, program and hardware increment of a measurement
-//! goes through this file, so [`MsrSpace`] is a flat register file: one
-//! sorted address list resolves an address to an index into a vector of
-//! registers, each holding its descriptor and, per scope instance, the
-//! architectural value next to its full-width shadow.
+//! goes through this file, so [`MsrSpace`] is a flat register file: a
+//! direct-mapped index resolves an address to a vector of registers in
+//! constant time, each register holding its descriptor and, per scope
+//! instance, the architectural value next to its full-width shadow. A tool
+//! that programs one cpu's counters locks the file once for the whole
+//! sequence ([`MsrDevice::batch`]), not once per `rdmsr`/`wrmsr`.
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::error::{MachineError, Result};
 use crate::fault::{dirty_value, FaultPlan, FaultState};
@@ -150,14 +152,23 @@ struct Register {
     cells: Vec<Cell>,
 }
 
-/// The machine-wide MSR state: a flat register file. `addresses` is the
-/// sorted list of implemented addresses and `registers[i]` holds the
-/// register at `addresses[i]`, so every access is one binary search over a
-/// few dozen `u32`s followed by direct indexing.
+/// Low address bits that select an entry of [`MsrSpace`]'s index.
+const INDEX_BITS: u32 = 12;
+/// Index entry of an address with no register.
+const NO_REGISTER: u8 = u8::MAX;
+
+/// The machine-wide MSR state: a flat register file. `registers` is sorted
+/// by address, and `index` maps the low 12 bits of an address to
+/// the position of the one register with those bits. The register's own
+/// address is the tag that rejects every other address, so each access is
+/// one table load and one comparison. No two registers of a supported
+/// architecture share their low bits: the Intel blocks lie below `0x400`
+/// and the AMD blocks at `0xC001_0000..=0xC001_0007`, and
+/// [`MsrSpace::new`] asserts it.
 #[derive(Debug)]
 pub struct MsrSpace {
-    addresses: Vec<u32>,
     registers: Vec<Register>,
+    index: Box<[u8]>,
     /// For mapping hardware threads to scope instances.
     thread_core: Vec<usize>,
     thread_socket: Vec<usize>,
@@ -194,14 +205,20 @@ impl MsrSpace {
                 Register { cells: vec![reset; instances], desc }
             })
             .collect();
-        MsrSpace {
-            addresses: registers.iter().map(|r| r.desc.address).collect(),
-            registers,
-            thread_core,
-            thread_socket,
-            num_threads,
-            faults: None,
+        assert!(registers.len() < NO_REGISTER as usize, "too many MSRs for the index");
+        let mut index = vec![NO_REGISTER; 1 << INDEX_BITS].into_boxed_slice();
+        for (position, reg) in registers.iter().enumerate() {
+            let entry = &mut index[index_entry(reg.desc.address)];
+            assert_eq!(*entry, NO_REGISTER, "MSR {:#x} shares its index entry", reg.desc.address);
+            *entry = position as u8;
         }
+        MsrSpace { registers, index, thread_core, thread_socket, num_threads, faults: None }
+    }
+
+    /// The position of the register at `address` in `registers`.
+    fn position(&self, address: u32) -> Option<usize> {
+        let position = self.index[index_entry(address)] as usize;
+        (self.registers.get(position)?.desc.address == address).then_some(position)
     }
 
     /// Resolve `(cpu, address)` to the register's index and the cpu's scope
@@ -210,10 +227,7 @@ impl MsrSpace {
         if cpu >= self.num_threads {
             return Err(MachineError::NoSuchCpu { cpu, available: self.num_threads });
         }
-        let index = self
-            .addresses
-            .binary_search(&address)
-            .map_err(|_| MachineError::UnknownMsr { cpu, address })?;
+        let index = self.position(address).ok_or(MachineError::UnknownMsr { cpu, address })?;
         let instance = match self.registers[index].desc.scope {
             MsrScope::Thread => cpu,
             MsrScope::Core => self.thread_core[cpu],
@@ -316,12 +330,12 @@ impl MsrSpace {
 
     /// Whether an MSR address is implemented.
     pub fn has_register(&self, address: u32) -> bool {
-        self.addresses.binary_search(&address).is_ok()
+        self.position(address).is_some()
     }
 
     /// All implemented MSR addresses (sorted), useful for diagnostics.
     pub fn known_registers(&self) -> Vec<u32> {
-        self.addresses.clone()
+        self.registers.iter().map(|reg| reg.desc.address).collect()
     }
 
     /// Internal hook used by the counting engine: add to a counter register
@@ -336,6 +350,11 @@ impl MsrSpace {
         }
         Ok(())
     }
+}
+
+/// The entry of `address` in [`MsrSpace`]'s index.
+fn index_entry(address: u32) -> usize {
+    (address & ((1 << INDEX_BITS) - 1)) as usize
 }
 
 /// Whether an address belongs to the performance-counting register blocks
@@ -389,19 +408,54 @@ impl MsrDevice {
     /// `wrmsr`: write the register at `address`. Subject to any fault plan
     /// attached to the machine.
     pub fn write(&self, address: u32, value: u64) -> Result<()> {
-        if self.permission == MsrPermission::ReadOnly {
-            return Err(MachineError::PermissionDenied { cpu: self.cpu, address });
-        }
-        self.space.write().device_write(self.cpu, address, value)
+        self.batch().write(address, value)
     }
 
     /// Read-modify-write helper: set the bits in `set` and clear the bits in
     /// `clear`.
     pub fn update(&self, address: u32, set: u64, clear: u64) -> Result<u64> {
-        let old = self.read(address)?;
-        let new = (old & !clear) | set;
-        self.write(address, new)?;
+        let mut msr = self.batch();
+        let new = (msr.read(address)? & !clear) | set;
+        msr.write(address, new)?;
         Ok(new)
+    }
+
+    /// Lock the machine's register file once for a sequence of accesses
+    /// through this device. Every access of the batch is the same
+    /// `rdmsr`/`wrmsr` as [`MsrDevice::read`]/[`MsrDevice::write`], fault
+    /// plan included; only the lock is taken once. No other device or
+    /// [`MsrFile`] of the machine can be used while the batch lives.
+    pub fn batch(&self) -> MsrBatch<'_> {
+        MsrBatch { space: self.space.write(), cpu: self.cpu, permission: self.permission }
+    }
+}
+
+/// A sequence of one cpu's device accesses under a single lock of the
+/// register file (see [`MsrDevice::batch`]).
+pub struct MsrBatch<'a> {
+    space: RwLockWriteGuard<'a, MsrSpace>,
+    cpu: usize,
+    permission: MsrPermission,
+}
+
+impl MsrBatch<'_> {
+    /// `rdmsr`, as [`MsrDevice::read`].
+    pub fn read(&self, address: u32) -> Result<u64> {
+        self.space.device_read(self.cpu, address)
+    }
+
+    /// `wrmsr`, as [`MsrDevice::write`].
+    pub fn write(&mut self, address: u32, value: u64) -> Result<()> {
+        if self.permission == MsrPermission::ReadOnly {
+            return Err(MachineError::PermissionDenied { cpu: self.cpu, address });
+        }
+        self.space.device_write(self.cpu, address, value)
+    }
+
+    /// The machine-side unwrapped shadow of a register
+    /// ([`MsrSpace::wide_value`]): not a device access, never faulted.
+    pub fn wide_value(&self, address: u32) -> Result<u64> {
+        self.space.wide_value(self.cpu, address)
     }
 }
 
@@ -431,13 +485,6 @@ impl MsrFile {
     /// Hardware-side counter increment.
     pub fn increment(&self, cpu: usize, address: u32, delta: u64) -> Result<()> {
         self.space.write().hardware_increment(cpu, address, delta)
-    }
-
-    /// The width-unlimited shadow value of a counter register — the
-    /// machine-side ground truth for wraparound diagnostics (see
-    /// [`MsrSpace::wide_value`]).
-    pub fn wide_value(&self, cpu: usize, address: u32) -> Result<u64> {
-        self.space.read().wide_value(cpu, address)
     }
 
     /// Shared space handle (for constructing devices).

@@ -10,6 +10,12 @@
 //! * A `westmere-ep-2s` cache simulator (`NodeCacheSystem::new`) stays
 //!   under a fixed host-memory budget.
 //!
+//! * A warm daemon interval allocates nothing: from the demo activity
+//!   through programming, counting, reading and suspending the counters to
+//!   the derived metrics, `SessionHandle::next_interval_into` refills one
+//!   frame in place. `next_interval` allocates exactly the frame it
+//!   returns.
+//!
 //! The allocator counts per thread, so the test harness's own threads and
 //! neighbouring tests cannot disturb a measurement. Nothing in this binary
 //! starts the trace recorder.
@@ -168,6 +174,69 @@ const SESSIONS: [(&str, &str); 3] = [
          UNC_L3_LINES_IN_ANY:UPMC0",
     ),
 ];
+
+/// The session kinds of the `daemon_sessions` benchmark, on its
+/// `nehalem-ep-2s` node: uncore, multiplexed uncore and core-only.
+const DAEMON_KINDS: [(&str, &str); 3] =
+    [("0-3", "MEM"), ("2-5", "FLOPS_DP,MEM"), ("2-5", "FLOPS_DP")];
+
+#[test]
+fn a_warm_daemon_interval_allocates_nothing() {
+    for (cpus, group) in DAEMON_KINDS {
+        let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+        let daemon = Daemon::new(&machine);
+        let request = OpenRequest {
+            machine: None,
+            cpus: cpus.to_string(),
+            group: group.to_string(),
+            interval: "100us".to_string(),
+            duration: "10ms".to_string(),
+        };
+        let config = daemon.validate(&request).expect("valid request");
+        let mut handle = daemon.open_session(config, ActivitySource::Demo).expect("admitted");
+        // A rotation through the groups and back to the first sizes the
+        // frame, its parked rows and the session's per-group buffers.
+        let mut frame = IntervalFrame::default();
+        for _ in 0..3 {
+            assert!(handle.next_interval_into(&mut frame).expect("interval"));
+        }
+        let mut intervals = 0;
+        let allocations = allocations_in(|| {
+            while handle.next_interval_into(&mut frame).expect("interval") {
+                intervals += 1;
+            }
+        });
+        assert!(intervals >= 90, "-c {cpus} -g {group}: {intervals} intervals");
+        assert_eq!(allocations, 0, "-c {cpus} -g {group}: {allocations} allocations");
+    }
+}
+
+#[test]
+fn next_interval_allocates_only_the_frame_it_returns() {
+    for (cpus, group) in DAEMON_KINDS {
+        let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+        let daemon = Daemon::new(&machine);
+        let request = OpenRequest {
+            machine: None,
+            cpus: cpus.to_string(),
+            group: group.to_string(),
+            interval: "100us".to_string(),
+            duration: "2ms".to_string(),
+        };
+        let config = daemon.validate(&request).expect("valid request");
+        let mut handle = daemon.open_session(config, ActivitySource::Demo).expect("admitted");
+        for _ in 0..2 {
+            handle.next_interval().expect("interval").expect("a warm-up interval");
+        }
+        loop {
+            let mut next = None;
+            let allocations = allocations_in(|| next = handle.next_interval().expect("interval"));
+            let Some(frame) = next else { break };
+            let owned = 2 + frame.counts.len() + frame.metrics.len();
+            assert_eq!(allocations, owned as u64, "-c {cpus} -g {group}");
+        }
+    }
+}
 
 #[test]
 fn a_warm_line_buffer_encodes_interval_frames_without_allocating() {
