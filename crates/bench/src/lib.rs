@@ -637,22 +637,8 @@ pub fn api_overhead_ns(iterations: u32) -> (f64, f64) {
     (likwid_ns, papi_ns)
 }
 
-/// Parse args, build the report, render it in the selected format and
-/// resolve the target (the testable core of [`figure_bin_main`]). `-h`
-/// requests surface as `Ok(None)`.
-pub fn run_figure_bin(
-    spec: &ArgSpec,
-    args: &[String],
-    build: impl FnOnce(&ParsedArgs) -> likwid::Result<Report>,
-) -> likwid::Result<Option<(String, likwid::args::OutputTarget)>> {
-    match likwid::args::drive(spec, args, build)? {
-        likwid::args::Invocation::Help(_) => Ok(None),
-        likwid::args::Invocation::Rendered { text, target } => Ok(Some((text, target))),
-    }
-}
-
-/// Binary entry point shared by the thirteen figure/table binaries: the
-/// tools' driver ([`likwid::args::bin_main`]) applied to the process
+/// Binary entry point shared by the figure/table binaries and
+/// `likwid-bench`: the tools' driver ([`likwid::args::bin_main`]) applied to the process
 /// arguments. Returns the process exit code.
 pub fn figure_bin_main(
     spec: &ArgSpec,
@@ -690,6 +676,18 @@ mod tests {
         assert_eq!(figs.len(), 7);
         assert_eq!(figs[0].number, 4);
         assert_eq!(figs[6].number, 10);
+    }
+
+    #[test]
+    fn paper_thread_counts_cover_the_machine() {
+        for fig in stream_figures() {
+            let points = stream_figure_sweep(fig, 1, 1).expand().unwrap();
+            let counts: Vec<usize> = points.iter().map(|p| p.threads).collect();
+            let all: Vec<usize> = (1..=fig.preset.topology().num_hw_threads()).collect();
+            assert_eq!(counts, all, "figure {}", fig.number);
+        }
+        // The Westmere figures run 1..=24 threads.
+        assert_eq!(stream_figure_sweep(stream_figures()[0], 1, 1).expand().unwrap().len(), 24);
     }
 
     #[test]
@@ -768,27 +766,28 @@ mod tests {
 
     #[test]
     fn figure_bin_driver_renders_and_validates() {
+        use likwid::args::{drive, Invocation};
         let spec = stream_figure_spec("fig-test", "test figure");
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
 
-        let (text, target) = run_figure_bin(&spec, &args(&["2", "-O", "json"]), |parsed| {
+        let rendered = drive(&spec, &args(&["2", "-O", "json"]), |parsed| {
             let samples = parsed.positional_number(100)?;
             Ok(stream_figure_report(stream_figures()[1], samples, 5))
-        })
-        .unwrap()
-        .expect("not a help request");
+        });
+        let Ok(Invocation::Rendered { text, target }) = rendered else {
+            panic!("not a rendered report");
+        };
         assert!(target.path.is_none());
         let parsed = Report::from_json(&text).expect("valid JSON");
         assert!(parsed.table("series").is_some());
 
-        assert!(run_figure_bin(&spec, &args(&["-h"]), |_| Ok(Report::new("unused")))
-            .unwrap()
-            .is_none());
-        assert!(run_figure_bin(&spec, &args(&["two"]), |parsed| {
+        let help = drive(&spec, &args(&["-h"]), |_| Ok(Report::new("unused")));
+        assert!(matches!(help, Ok(Invocation::Help(_))));
+        assert!(drive(&spec, &args(&["two"]), |parsed| {
             parsed.positional_number(100)?;
             Ok(Report::new("unused"))
         })
         .is_err());
-        assert!(run_figure_bin(&spec, &args(&["--bogus"]), |_| Ok(Report::new("unused"))).is_err());
+        assert!(drive(&spec, &args(&["--bogus"]), |_| Ok(Report::new("unused"))).is_err());
     }
 }

@@ -360,8 +360,10 @@ pub enum Invocation {
 }
 
 /// Drive one invocation: parse the command line against the spec, resolve
-/// the output target, build the report and render it. Shared by all 17
-/// binaries and the string-level tool front ends.
+/// the output target, build the report and render it. Shared by the 19
+/// binaries of the four tools and of `likwid-bench` (through [`bin_main`])
+/// and by the string-level tool front ends ([`crate::cli::run_topology`]
+/// and its siblings), so `--trace` and `-o` behave the same on every path.
 pub fn drive(
     spec: &ArgSpec,
     args: &[String],

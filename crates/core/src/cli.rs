@@ -13,7 +13,7 @@
 use likwid_affinity::{SkipMask, ThreadingModel};
 use likwid_x86_machine::{MachinePreset, Prefetcher, SimMachine};
 
-use crate::args::{ArgSpec, OutputTarget, ParsedArgs};
+use crate::args::{drive, ArgSpec, Invocation, ParsedArgs};
 use crate::error::{LikwidError, Result};
 use crate::features::FeaturesTool;
 use crate::perfctr::supported_groups;
@@ -114,17 +114,6 @@ impl Tool {
         }
     }
 
-    /// Parse a command line and build the tool's report and output target.
-    /// `--help` requests surface as `Ok(None)`.
-    pub fn run(self, args: &[String]) -> Result<Option<(Report, OutputTarget)>> {
-        let parsed = self.spec().parse(args)?;
-        if parsed.help_requested() {
-            return Ok(None);
-        }
-        let target = parsed.output()?;
-        Ok(Some((self.build_report(&parsed)?, target)))
-    }
-
     fn build_report(self, parsed: &ParsedArgs) -> Result<Report> {
         match self {
             Tool::Topology => topology_report_from(parsed),
@@ -143,14 +132,14 @@ pub fn tool_main(tool: Tool, args: &[String]) -> i32 {
 }
 
 /// Run a tool and render its report (the string-level front end used by the
-/// tests and by embedders that do not need the typed document). Honours
-/// `-o` exactly like the binaries — the rendered text is also written to
-/// the file — and additionally returns it.
+/// tests and by embedders that do not need the typed document). Goes
+/// through [`crate::args::drive`] like the binaries, so `-o` and `--trace`
+/// behave exactly as there; the rendered text (or the help text) is
+/// returned as well as written to the `-o` file.
 fn run_tool(tool: Tool, args: &[String]) -> Result<String> {
-    match tool.run(args)? {
-        None => Ok(tool.spec().help_text()),
-        Some((report, target)) => {
-            let text = target.format.render(&report);
+    match drive(&tool.spec(), args, |parsed| tool.build_report(parsed))? {
+        Invocation::Help(help) => Ok(help),
+        Invocation::Rendered { text, target } => {
             target.write_file_if_requested(&text)?;
             Ok(text)
         }

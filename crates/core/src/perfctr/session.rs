@@ -452,7 +452,10 @@ impl<'m> PerfCtr<'m> {
     /// a counter that still does not hold its state after three rounds is
     /// dropped from the session with a diagnostic instead of failing the
     /// run. A cpu whose MSR device fails permanently (EIO surviving the
-    /// per-access retries inside [`PerfMon`]) is dropped entirely.
+    /// per-access retries inside [`PerfMon`]) is dropped entirely; a cpu
+    /// that is dead once programming ends reads zero for every event of the
+    /// group, so a later reprogramming never re-reports counts that were
+    /// already folded into the accumulators.
     fn program_group(&mut self, index: usize) -> Result<()> {
         const MAX_PROGRAM_ATTEMPTS: u32 = 3;
         let group = &self.groups[index];
@@ -510,6 +513,17 @@ impl<'m> PerfCtr<'m> {
                              {MAX_PROGRAM_ATTEMPTS} attempts; counter dropped"
                         ),
                     });
+                }
+            }
+        }
+        // A cpu that is dead once programming ends reads frozen zeros in
+        // this cycle: neither the tracking of an earlier cycle (skipped
+        // above) nor that of the slots reached before it died mid-way may
+        // resurface as a fresh count.
+        for (ci, &cpu) in self.cpus.iter().enumerate() {
+            if heal.cpu_is_dead(cpu) {
+                for event in &mut heal.slots[index] {
+                    event[ci] = SlotHeal { dead: event[ci].dead, ..SlotHeal::default() };
                 }
             }
         }
@@ -577,7 +591,8 @@ impl<'m> PerfCtr<'m> {
     /// the raw values alone; that case is detected against the machine-side
     /// wide shadow and reported as a diagnostic rather than silently
     /// mis-corrected. Dead cpus/counters return their last good (frozen)
-    /// value.
+    /// value since the group was last programmed, which is zero for a cpu
+    /// that was already dead when it was.
     pub fn read_counts(&self) -> Result<GroupCounts> {
         let mut counts = GroupCounts::new();
         self.read_counts_into(&mut counts)?;

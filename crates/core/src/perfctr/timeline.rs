@@ -962,6 +962,60 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_cpu_reads_zero_deltas_across_group_rotations() {
+        // Regression: reprogramming skipped a dead cpu without resetting its
+        // slot tracking, so every later rotation back to a group re-reported
+        // that group's frozen cumulative count as a fresh delta.
+        let machine = SimMachine::new(MachinePreset::WestmereEp2S);
+        machine.inject_faults(likwid_x86_machine::FaultPlan {
+            dead: vec![(1, 150)],
+            ..Default::default()
+        });
+        let mut session = TimelineSession::new(
+            &machine,
+            config(
+                MeasurementSpec::Groups(vec![EventGroupKind::FLOPS_DP, EventGroupKind::MEM]),
+                vec![0, 1],
+            ),
+            1e-3,
+        )
+        .unwrap();
+        let engine = EventEngine::new(&machine);
+        session.start().unwrap();
+        let mut died_at = None;
+        for i in 0..10 {
+            let (t0, t1) = (i as f64 * 1e-3, (i + 1) as f64 * 1e-3);
+            engine.apply(&machine, &demo_slice(&machine, &[0, 1], t0, t1));
+            let interval = session.tick(t1 - t0).unwrap();
+            let cpu1: u64 = interval.counts.iter().map(|row| row[1]).sum();
+            let cpu0: u64 = interval.counts.iter().map(|row| row[0]).sum();
+            assert!(cpu0 > 0, "interval {i}: the live cpu keeps counting");
+            match died_at {
+                None => assert!(cpu1 > 0, "interval {i}: cpu 1 counts until it dies"),
+                Some(d) => assert_eq!(cpu1, 0, "interval {i}: cpu 1 died in interval {d}"),
+            }
+            if died_at.is_none()
+                && session.session().diagnostics().iter().any(|d| d.subject == "cpu 1")
+            {
+                died_at = Some(i);
+            }
+        }
+        let died_at = died_at.expect("cpu 1 dies within the run");
+        assert!(died_at < 6, "cpu 1 dies early enough to see rotations, at {died_at}");
+        let result = session.finish().unwrap();
+        // The deltas still telescope to the aggregates on both cpus.
+        for (g, aggregate) in result.aggregate.iter().enumerate() {
+            for (ei, per_cpu) in aggregate.iter().enumerate() {
+                for (ci, &total) in per_cpu.iter().enumerate() {
+                    let summed: u64 =
+                        result.intervals_of_group(g).iter().map(|iv| iv.counts[ei][ci]).sum();
+                    assert_eq!(summed, total, "group {g} event {ei} cpu {ci}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn timeline_report_round_trips_and_carries_the_series() {
         use crate::report::{Json, Render, Report};
         let machine = SimMachine::new(MachinePreset::NehalemEp2S);

@@ -55,9 +55,7 @@ use likwid_affinity::parse_pin_list;
 use likwid_perf_events::{EventEngine, EventSample};
 use likwid_x86_machine::{MachinePreset, SimMachine};
 
-use crate::protocol::{
-    DoneFrame, GroupSchema, IntervalFrame, OpenRequest, OpenedFrame, ResultsFrame,
-};
+use crate::protocol::{DoneFrame, GroupSchema, IntervalFrame, OpenRequest, OpenedFrame};
 
 /// Where a session's per-interval activity comes from.
 pub enum ActivitySource {
@@ -870,7 +868,7 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             time_scale,
             aggregate: result.aggregate.clone(),
             extrapolated: result.extrapolated.clone(),
-            results: result.aggregate_results.iter().map(ResultsFrame::from_results).collect(),
+            results: result.aggregate_results.clone(),
         };
         Ok((frame, result))
     }

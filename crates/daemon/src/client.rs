@@ -165,7 +165,7 @@ impl StreamAccumulator {
             intervals: self.intervals.iter().map(IntervalFrame::to_interval).collect(),
             aggregate: done.aggregate.clone(),
             extrapolated: done.extrapolated.clone(),
-            aggregate_results: done.results.iter().map(|r| r.to_results()).collect(),
+            aggregate_results: done.results.clone(),
             timeseries,
         })
     }

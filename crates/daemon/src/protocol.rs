@@ -198,57 +198,8 @@ pub struct DoneFrame {
     /// Per-group coverage-extrapolated aggregate counts.
     pub extrapolated: Vec<GroupCounts>,
     /// Per-group aggregate results (events, derived metrics, diagnostics).
-    pub results: Vec<ResultsFrame>,
-}
-
-/// Wire form of [`PerfCtrResults`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultsFrame {
-    /// Group name.
-    pub group_name: String,
-    /// Measured threads.
-    pub cpus: Vec<usize>,
-    /// `(event name, slot, per-cpu counts)`.
-    pub events: Vec<(String, CounterSlot, Vec<u64>)>,
-    /// `(metric name, per-cpu values)`.
-    pub metrics: Vec<(String, Vec<f64>)>,
-    /// Degradations recorded by the self-healing session.
-    pub diagnostics: Vec<(String, String)>,
-}
-
-impl ResultsFrame {
-    /// Capture a core result set for the wire.
-    pub fn from_results(results: &PerfCtrResults) -> Self {
-        ResultsFrame {
-            group_name: results.group_name.clone(),
-            cpus: results.cpus.clone(),
-            events: results.events.clone(),
-            metrics: results.metrics.clone(),
-            diagnostics: results
-                .diagnostics
-                .iter()
-                .map(|d| (d.subject.clone(), d.reason.clone()))
-                .collect(),
-        }
-    }
-
-    /// Rebuild the core result set.
-    pub fn to_results(&self) -> PerfCtrResults {
-        PerfCtrResults {
-            group_name: self.group_name.clone(),
-            cpus: self.cpus.clone(),
-            events: self.events.clone(),
-            metrics: self.metrics.clone(),
-            diagnostics: self
-                .diagnostics
-                .iter()
-                .map(|(subject, reason)| Diagnostic {
-                    subject: subject.clone(),
-                    reason: reason.clone(),
-                })
-                .collect(),
-        }
-    }
+    /// On the wire each diagnostic is a `[subject, reason]` pair.
+    pub results: Vec<PerfCtrResults>,
 }
 
 /// A server-to-client frame.
@@ -589,9 +540,9 @@ impl Frame {
                                     }
                                 });
                                 w.key("diagnostics").arr(|w| {
-                                    for (subject, reason) in &r.diagnostics {
+                                    for d in &r.diagnostics {
                                         w.arr(|w| {
-                                            w.str(subject).str(reason);
+                                            w.str(&d.subject).str(&d.reason);
                                         });
                                     }
                                 });
@@ -830,10 +781,10 @@ impl Frame {
                                         LikwidError::Protocol("done: bad diagnostic".into())
                                     })?
                                     .to_string();
-                                Ok((subject, reason))
+                                Ok(Diagnostic { subject, reason })
                             })
                             .collect::<Result<Vec<_>>>()?;
-                        Ok(ResultsFrame {
+                        Ok(PerfCtrResults {
                             group_name: required_str(r, "group")?,
                             cpus: parse_usize_arr(required(r, "cpus")?, "done.cpus")?,
                             events,
@@ -1027,12 +978,15 @@ mod tests {
                 time_scale: 1.0,
                 aggregate: vec![vec![vec![10, 20]]],
                 extrapolated: vec![vec![vec![40, 80]]],
-                results: vec![ResultsFrame {
+                results: vec![PerfCtrResults {
                     group_name: "MEM".into(),
                     cpus: vec![0, 1],
                     events: vec![("E".into(), CounterSlot::Pmc(1), vec![40, 80])],
                     metrics: vec![("m".into(), vec![1.5, f64::INFINITY])],
-                    diagnostics: vec![("cpu 3".into(), "dropped".into())],
+                    diagnostics: vec![Diagnostic {
+                        subject: "cpu 3".into(),
+                        reason: "dropped".into(),
+                    }],
                 }],
             }),
             Frame::Status(DaemonStatus {

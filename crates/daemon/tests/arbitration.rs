@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use likwid::perfctr::session::Diagnostic;
 use likwid_daemon::{Daemon, DaemonStatus, DoneFrame, Frame, OpenRequest, StreamAccumulator};
 use likwid_x86_machine::fault::FaultPlan;
 use likwid_x86_machine::{MachinePreset, SimMachine};
@@ -353,15 +354,15 @@ fn time_sliced_streams_telescope_on_faulty_msrs() {
                 .spawn(|| stream_to_completion(&daemon, &request("2-5", "FLOPS_DP", "1ms", "8ms")));
             (a.join().expect("session a"), b.join().expect("session b"))
         });
-        let diagnostics: Vec<&(String, String)> =
+        let diagnostics: Vec<&Diagnostic> =
             [&a, &b].iter().flat_map(|done| &done.results).flat_map(|r| &r.diagnostics).collect();
         if plan.starts_with("stuck") {
             // cpu 0's PERFEVTSEL0 never takes a write: a diagnostic, not
             // an error frame, and only session a measures cpu 0.
             assert!(
-                diagnostics.iter().any(
-                    |(subject, _)| subject.starts_with("PMC0") && subject.ends_with("on cpu 0")
-                ),
+                diagnostics
+                    .iter()
+                    .any(|d| d.subject.starts_with("PMC0") && d.subject.ends_with("on cpu 0")),
                 "{plan}: {diagnostics:?}"
             );
             assert!(b.results.iter().all(|r| r.diagnostics.is_empty()), "{plan}: {b:?}");

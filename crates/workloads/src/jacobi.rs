@@ -22,7 +22,7 @@
 use likwid_cache_sim::{
     AccessKind, HierarchyConfig, NodeCacheSystem, NodeStats, NumaPolicy, ReplayQueue, RunOp,
 };
-use likwid_x86_machine::{MachinePreset, SimMachine};
+use likwid_x86_machine::SimMachine;
 
 use crate::exec::{ExecutionProfile, ProgressTrace};
 use crate::workload::{Placement, Workload, WorkloadRun};
@@ -595,12 +595,6 @@ impl<'m> Jacobi<'m> {
     }
 }
 
-/// Convenience: run one Table II style measurement on a machine preset.
-pub fn run_on_preset(preset: MachinePreset, config: &JacobiConfig) -> JacobiResult {
-    let machine = SimMachine::new(preset);
-    Jacobi::new(&machine).run(config)
-}
-
 /// The Jacobi smoother as a pluggable [`Workload`]: one variant at one grid
 /// size, executed for the placement the experiment harness resolves. An
 /// iteration is one lattice-site update, so
@@ -691,6 +685,7 @@ impl JacobiWorkload {
 mod tests {
     use super::*;
     use likwid_cache_sim::ShardedCacheSystem;
+    use likwid_x86_machine::MachinePreset;
 
     /// Grid size used by the heavier tests: large enough that the two grids
     /// (≈18 MB) stream through the Nehalem preset's 8 MB L3 without reuse

@@ -42,7 +42,7 @@
 //!
 //! Modules: an OpenMP-runtime model with compiler personalities
 //! ([`openmp`]), a bandwidth/roofline performance model ([`perfmodel`]),
-//! the STREAM triad sampling experiment ([`stream`]), the three Jacobi
+//! the STREAM triad workload ([`stream`]), the three Jacobi
 //! variants driven through the cache simulator ([`jacobi`]), the
 //! registered microbenchmark kernels ([`kernels`]), the harness itself
 //! ([`workload`], [`experiment`]), and the glue that turns simulated runs
@@ -67,5 +67,5 @@ pub use kernels::{kernel_by_name, kernel_names, parse_size, PointerChase, Stream
 pub use openmp::{CompilerPersonality, KmpAffinity, OpenMpRuntime, PlacementPolicy};
 pub use perfmodel::{BandwidthModel, StreamKernelModel};
 pub use stats::BoxStats;
-pub use stream::{StreamExperiment, StreamSample, StreamTriad};
+pub use stream::StreamTriad;
 pub use workload::{Placement, Workload, WorkloadRun};

@@ -158,13 +158,6 @@ impl OpenMpRuntime {
         }
     }
 
-    /// The pin list the paper uses for the pinned STREAM runs: threads
-    /// distributed round robin across sockets, physical cores first, SMT
-    /// threads last (equivalent to `-c S0:…@S1:…` with likwid-pin).
-    pub fn paper_scatter_pin_list(&self, topo: &TopologySpec, num_threads: usize) -> Vec<usize> {
-        scatter_placement(topo, num_threads)
-    }
-
     /// Resolve one sample's full [`Placement`]: where the threads compute,
     /// and where they ran while first-touching their data. Pinned runs
     /// first-touch exactly where they later run; unpinned runs draw a
@@ -224,7 +217,7 @@ mod tests {
         let runtime = OpenMpRuntime::new(CompilerPersonality::IntelIcc, preset);
         let mut rng = StdRng::seed_from_u64(1);
 
-        let list = runtime.paper_scatter_pin_list(&topo, 4);
+        let list = scatter_placement(&topo, 4);
         let p1 = runtime.place(&topo, 4, &PlacementPolicy::LikwidPin(list.clone()), &mut rng);
         let p2 = runtime.place(&topo, 4, &PlacementPolicy::LikwidPin(list), &mut rng);
         assert_eq!(p1, p2, "pinned placements do not vary between samples");

@@ -1,22 +1,19 @@
-//! The OpenMP STREAM triad experiment (Figures 4–10).
+//! The OpenMP STREAM triad workload (Figures 4–10).
 //!
 //! One *sample* is one run of the benchmark at a fixed thread count: the
 //! runtime places the threads (randomly if unpinned, deterministically if
 //! pinned), the arrays are first-touched under an initialisation placement,
-//! and the triad bandwidth follows from the bandwidth model. One *series*
-//! is 100 samples per thread count, summarised as a box plot — exactly the
+//! and the triad bandwidth follows from the bandwidth model. The
+//! [`crate::Experiment`] harness draws the samples; one *series* is 100
+//! samples per thread count, summarised as a box plot — exactly the
 //! procedure behind the paper's figures.
 
 use likwid_cache_sim::NodeStats;
-use likwid_x86_machine::{MachinePreset, SimMachine};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use likwid_x86_machine::SimMachine;
 
 use crate::exec::ExecutionProfile;
-use crate::experiment::sample_seed;
-use crate::openmp::{CompilerPersonality, OpenMpRuntime, PlacementPolicy};
+use crate::openmp::CompilerPersonality;
 use crate::perfmodel::{BandwidthModel, StreamKernelModel};
-use crate::stats::BoxStats;
 use crate::workload::{Placement, Workload, WorkloadRun};
 
 /// The OpenMP STREAM triad of Figures 4–10 as a pluggable [`Workload`]:
@@ -91,134 +88,62 @@ impl Workload for StreamTriad {
     }
 }
 
-/// The result of one benchmark run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamSample {
-    /// Reported triad bandwidth in MB/s.
-    pub bandwidth_mbs: f64,
-    /// Where the application threads ran.
-    pub placement: Vec<usize>,
-    /// Where the arrays were first touched.
-    pub init_placement: Vec<usize>,
-}
-
-/// One point of a figure series: a thread count and its box statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesPoint {
-    /// Number of application threads.
-    pub threads: usize,
-    /// Box statistics over all samples at this thread count.
-    pub stats: BoxStats,
-}
-
-/// The STREAM triad experiment on one machine with one compiler.
-pub struct StreamExperiment {
-    machine: SimMachine,
-    runtime: OpenMpRuntime,
-    /// Number of samples per thread count (100 in the paper).
-    pub samples_per_point: usize,
-}
-
-impl StreamExperiment {
-    /// Set up the experiment.
-    pub fn new(preset: MachinePreset, personality: CompilerPersonality) -> Self {
-        StreamExperiment {
-            machine: SimMachine::new(preset),
-            runtime: OpenMpRuntime::new(personality, preset),
-            samples_per_point: 100,
-        }
-    }
-
-    /// The machine the experiment runs on.
-    pub fn machine(&self) -> &SimMachine {
-        &self.machine
-    }
-
-    /// The compiler personality.
-    pub fn personality(&self) -> CompilerPersonality {
-        self.runtime.personality
-    }
-
-    /// The pinned placement used in the paper's pinned figures: round robin
-    /// across sockets, physical cores before SMT threads.
-    pub fn paper_pinned_policy(&self, num_threads: usize) -> PlacementPolicy {
-        PlacementPolicy::LikwidPin(
-            self.runtime.paper_scatter_pin_list(self.machine.topology(), num_threads),
-        )
-    }
-
-    /// Run one sample at `num_threads` threads under `policy`.
-    pub fn run_once(
-        &self,
-        num_threads: usize,
-        policy: &PlacementPolicy,
-        rng: &mut StdRng,
-    ) -> StreamSample {
-        let topo = self.machine.topology();
-        let placement = self.runtime.resolve_placement(topo, num_threads, policy, rng);
-        let run = StreamTriad::new(self.runtime.personality).run(&self.machine, &placement);
-        StreamSample {
-            bandwidth_mbs: run.bandwidth_mbs,
-            placement: placement.compute,
-            init_placement: placement.init,
-        }
-    }
-
-    /// Run the full sampling experiment at one thread count. Each sample
-    /// draws from its own RNG stream derived from the base seed (see
-    /// [`sample_seed`]), so raising `samples_per_point` extends the sample
-    /// set without perturbing the samples already drawn.
-    pub fn run_samples(&self, num_threads: usize, policy: &PlacementPolicy, seed: u64) -> Vec<f64> {
-        (0..self.samples_per_point)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
-                self.run_once(num_threads, policy, &mut rng).bandwidth_mbs
-            })
-            .collect()
-    }
-
-    /// Produce a figure series: box statistics for every thread count.
-    pub fn series(
-        &self,
-        thread_counts: impl IntoIterator<Item = usize>,
-        policy_for: impl Fn(usize) -> PlacementPolicy,
-        seed: u64,
-    ) -> Vec<SeriesPoint> {
-        thread_counts
-            .into_iter()
-            .map(|threads| {
-                let samples =
-                    self.run_samples(threads, &policy_for(threads), seed ^ threads as u64);
-                SeriesPoint {
-                    threads,
-                    stats: BoxStats::from_samples(&samples).expect("samples_per_point > 0"),
-                }
-            })
-            .collect()
-    }
-
-    /// The thread counts of the paper's Westmere figures (1..=24).
-    pub fn paper_thread_counts(&self) -> Vec<usize> {
-        (1..=self.machine.num_hw_threads()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::openmp::KmpAffinity;
+    use crate::experiment::Experiment;
+    use crate::openmp::{KmpAffinity, PlacementPolicy};
+    use crate::stats::BoxStats;
+    use likwid_affinity::pinlist::scatter_placement;
+    use likwid_x86_machine::MachinePreset;
 
-    fn experiment(personality: CompilerPersonality) -> StreamExperiment {
-        let mut e = StreamExperiment::new(MachinePreset::WestmereEp2S, personality);
-        e.samples_per_point = 30; // keep unit tests fast
-        e
+    /// The triad bandwidths of `samples` runs at `threads` threads under
+    /// `policy`: one point of a Figure 4–10 series.
+    fn bandwidths_of(
+        preset: MachinePreset,
+        personality: CompilerPersonality,
+        threads: usize,
+        policy: PlacementPolicy,
+        samples: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        Experiment::on(preset)
+            .personality(personality)
+            .placement(policy)
+            .threads(threads)
+            .samples(samples)
+            .seed(seed)
+            .run(&StreamTriad::new(personality))
+            .unwrap()
+            .bandwidths()
+    }
+
+    /// [`bandwidths_of`] on the Westmere node with 30 samples (keeps the
+    /// unit tests fast).
+    fn westmere(
+        personality: CompilerPersonality,
+        threads: usize,
+        policy: PlacementPolicy,
+        seed: u64,
+    ) -> BoxStats {
+        let samples =
+            bandwidths_of(MachinePreset::WestmereEp2S, personality, threads, policy, 30, seed);
+        BoxStats::from_samples(&samples).unwrap()
+    }
+
+    /// The pinned placement of the paper's pinned figures: round robin
+    /// across sockets, physical cores before SMT threads.
+    fn paper_pinned(preset: MachinePreset, threads: usize) -> PlacementPolicy {
+        PlacementPolicy::LikwidPin(scatter_placement(&preset.topology(), threads))
+    }
+
+    fn westmere_pinned(threads: usize) -> PlacementPolicy {
+        paper_pinned(MachinePreset::WestmereEp2S, threads)
     }
 
     #[test]
     fn pinned_runs_are_deterministic_and_fast() {
-        let e = experiment(CompilerPersonality::IntelIcc);
-        let samples = e.run_samples(12, &e.paper_pinned_policy(12), 42);
-        let stats = BoxStats::from_samples(&samples).unwrap();
+        let stats = westmere(CompilerPersonality::IntelIcc, 12, westmere_pinned(12), 42);
         assert!(stats.iqr() < 1.0, "pinned samples are identical, spread {}", stats.iqr());
         assert!(
             stats.median > 38_000.0,
@@ -229,14 +154,10 @@ mod tests {
 
     #[test]
     fn figure4_vs_figure5_unpinned_variance_and_pinned_stability() {
-        let e = experiment(CompilerPersonality::IntelIcc);
+        let icc = CompilerPersonality::IntelIcc;
         for threads in [2usize, 6, 12] {
-            let unpinned =
-                BoxStats::from_samples(&e.run_samples(threads, &PlacementPolicy::Unpinned, 7))
-                    .unwrap();
-            let pinned =
-                BoxStats::from_samples(&e.run_samples(threads, &e.paper_pinned_policy(threads), 7))
-                    .unwrap();
+            let unpinned = westmere(icc, threads, PlacementPolicy::Unpinned, 7);
+            let pinned = westmere(icc, threads, westmere_pinned(threads), 7);
             assert!(
                 unpinned.relative_spread().unwrap() > pinned.relative_spread().unwrap(),
                 "{threads} threads: unpinned spread {:?} must exceed pinned spread {:?}",
@@ -254,17 +175,10 @@ mod tests {
 
     #[test]
     fn figure6_kmp_scatter_matches_likwid_pin() {
-        let e = experiment(CompilerPersonality::IntelIcc);
+        let icc = CompilerPersonality::IntelIcc;
         for threads in [4usize, 8, 12] {
-            let pinned =
-                BoxStats::from_samples(&e.run_samples(threads, &e.paper_pinned_policy(threads), 3))
-                    .unwrap();
-            let kmp = BoxStats::from_samples(&e.run_samples(
-                threads,
-                &PlacementPolicy::Kmp(KmpAffinity::Scatter),
-                3,
-            ))
-            .unwrap();
+            let pinned = westmere(icc, threads, westmere_pinned(threads), 3);
+            let kmp = westmere(icc, threads, PlacementPolicy::Kmp(KmpAffinity::Scatter), 3);
             let diff = (pinned.median - kmp.median).abs() / pinned.median;
             assert!(diff < 0.02, "KMP scatter ≈ likwid-pin at {threads} threads ({diff})");
         }
@@ -272,12 +186,8 @@ mod tests {
 
     #[test]
     fn gcc_plateau_is_lower_than_icc_plateau() {
-        let icc = experiment(CompilerPersonality::IntelIcc);
-        let gcc = experiment(CompilerPersonality::Gcc);
-        let icc_peak =
-            BoxStats::from_samples(&icc.run_samples(12, &icc.paper_pinned_policy(12), 1)).unwrap();
-        let gcc_peak =
-            BoxStats::from_samples(&gcc.run_samples(12, &gcc.paper_pinned_policy(12), 1)).unwrap();
+        let icc_peak = westmere(CompilerPersonality::IntelIcc, 12, westmere_pinned(12), 1);
+        let gcc_peak = westmere(CompilerPersonality::Gcc, 12, westmere_pinned(12), 1);
         assert!(
             gcc_peak.median < 0.85 * icc_peak.median,
             "gcc ({}) must stay well below icc ({})",
@@ -289,9 +199,13 @@ mod tests {
 
     #[test]
     fn bandwidth_saturates_with_increasing_thread_count() {
-        let e = experiment(CompilerPersonality::IntelIcc);
-        let series = e.series([1usize, 2, 4, 6, 12, 24], |t| e.paper_pinned_policy(t), 5);
-        let medians: Vec<f64> = series.iter().map(|p| p.stats.median).collect();
+        // The figure convention: each thread count draws from seed ^ threads.
+        let medians: Vec<f64> = [1usize, 2, 4, 6, 12, 24]
+            .into_iter()
+            .map(|t| {
+                westmere(CompilerPersonality::IntelIcc, t, westmere_pinned(t), 5 ^ t as u64).median
+            })
+            .collect();
         assert!(medians[0] < 12_000.0);
         // Monotone non-decreasing up to the plateau, then flat within 10%.
         for w in medians.windows(2) {
@@ -303,16 +217,15 @@ mod tests {
 
     #[test]
     fn istanbul_figures_9_and_10_shape() {
-        let mut e =
-            StreamExperiment::new(MachinePreset::IstanbulH2S, CompilerPersonality::IntelIcc);
-        e.samples_per_point = 30;
-        let unpinned =
-            BoxStats::from_samples(&e.run_samples(6, &PlacementPolicy::Unpinned, 9)).unwrap();
-        let pinned =
-            BoxStats::from_samples(&e.run_samples(6, &e.paper_pinned_policy(6), 9)).unwrap();
+        let preset = MachinePreset::IstanbulH2S;
+        let icc = CompilerPersonality::IntelIcc;
+        let stats = |threads, policy| {
+            BoxStats::from_samples(&bandwidths_of(preset, icc, threads, policy, 30, 9)).unwrap()
+        };
+        let unpinned = stats(6, PlacementPolicy::Unpinned);
+        let pinned = stats(6, paper_pinned(preset, 6));
         assert!(unpinned.relative_spread().unwrap() > pinned.relative_spread().unwrap());
-        let full =
-            BoxStats::from_samples(&e.run_samples(12, &e.paper_pinned_policy(12), 9)).unwrap();
+        let full = stats(12, paper_pinned(preset, 12));
         assert!(
             full.median > 22_000.0 && full.median < 26_000.0,
             "Istanbul plateau ≈ 24-25 GB/s, got {}",
@@ -322,15 +235,22 @@ mod tests {
 
     #[test]
     fn adding_samples_never_perturbs_earlier_samples() {
-        // Regression: run_samples used to thread one sequential RNG through
-        // all samples, so growing the sample count (or consuming a different
-        // number of random draws per sample) shifted every later sample.
-        // Per-sample seed streams make the prefix stable.
-        let mut e = experiment(CompilerPersonality::IntelIcc);
-        e.samples_per_point = 5;
-        let short = e.run_samples(6, &PlacementPolicy::Unpinned, 11);
-        e.samples_per_point = 20;
-        let long = e.run_samples(6, &PlacementPolicy::Unpinned, 11);
+        // Regression: the sample loop used to thread one sequential RNG
+        // through all samples, so growing the sample count (or consuming a
+        // different number of random draws per sample) shifted every later
+        // sample. Per-sample seed streams make the prefix stable.
+        let run = |samples| {
+            bandwidths_of(
+                MachinePreset::WestmereEp2S,
+                CompilerPersonality::IntelIcc,
+                6,
+                PlacementPolicy::Unpinned,
+                samples,
+                11,
+            )
+        };
+        let short = run(5);
+        let long = run(20);
         assert_eq!(&long[..5], &short[..], "the first five samples are identical");
         let distinct: std::collections::HashSet<u64> = long.iter().map(|b| b.to_bits()).collect();
         assert!(distinct.len() > 1, "unpinned samples still vary");
@@ -338,23 +258,21 @@ mod tests {
 
     #[test]
     fn stream_triad_workload_matches_the_experiment_front_end() {
-        let e = experiment(CompilerPersonality::IntelIcc);
+        let preset = MachinePreset::WestmereEp2S;
         let placement: Vec<usize> = (0..12).collect();
         let run = StreamTriad::new(CompilerPersonality::IntelIcc)
-            .run(e.machine(), &Placement::pinned(placement.clone()));
-        let mut rng = StdRng::seed_from_u64(1);
-        let sample = e.run_once(12, &PlacementPolicy::LikwidPin(placement), &mut rng);
-        assert_eq!(run.bandwidth_mbs, sample.bandwidth_mbs);
+            .run(&SimMachine::new(preset), &Placement::pinned(placement.clone()));
+        let sampled = bandwidths_of(
+            preset,
+            CompilerPersonality::IntelIcc,
+            12,
+            PlacementPolicy::LikwidPin(placement),
+            1,
+            1,
+        );
+        assert_eq!(sampled, vec![run.bandwidth_mbs]);
         assert!(run.mflops > 0.0);
         assert!(run.runtime_s > 0.0);
         assert_eq!(run.iterations, 20_000_000);
-    }
-
-    #[test]
-    fn paper_thread_counts_cover_the_machine() {
-        let e = experiment(CompilerPersonality::IntelIcc);
-        let counts = e.paper_thread_counts();
-        assert_eq!(counts.first(), Some(&1));
-        assert_eq!(counts.last(), Some(&24));
     }
 }

@@ -4,34 +4,42 @@
 //!
 //! Run with `cargo run --release --example stream_pinning`.
 
+use likwid_suite::affinity::pinlist::scatter_placement;
 use likwid_suite::workloads::openmp::{CompilerPersonality, PlacementPolicy};
-use likwid_suite::workloads::stats::BoxStats;
-use likwid_suite::workloads::stream::StreamExperiment;
+use likwid_suite::workloads::stream::StreamTriad;
+use likwid_suite::workloads::Experiment;
 use likwid_suite::x86_machine::MachinePreset;
 
 fn main() {
-    let mut experiment =
-        StreamExperiment::new(MachinePreset::WestmereEp2S, CompilerPersonality::IntelIcc);
-    experiment.samples_per_point = 50;
+    let preset = MachinePreset::WestmereEp2S;
+    let personality = CompilerPersonality::IntelIcc;
+    // 50 samples per thread count, all drawn from base seed 42.
+    let stats = |threads: usize, policy: PlacementPolicy| {
+        Experiment::on(preset)
+            .personality(personality)
+            .placement(policy)
+            .threads(threads)
+            .samples(50)
+            .seed(42)
+            .run(&StreamTriad::new(personality))
+            .expect("a counter-less experiment cannot fail")
+            .bandwidth_stats()
+            .expect("at least one sample")
+    };
 
-    println!("STREAM triad on {}, Intel icc personality", experiment.machine().preset().id());
+    println!("STREAM triad on {}, Intel icc personality", preset.id());
     println!(
         "{:>7} | {:>28} | {:>28}",
         "threads", "unpinned median [q1..q3]", "likwid-pin median [q1..q3]"
     );
     for threads in [1usize, 2, 4, 6, 8, 12, 16, 24] {
-        let unpinned = BoxStats::from_samples(&experiment.run_samples(
+        let unpinned = stats(threads, PlacementPolicy::Unpinned);
+        // The paper's pinned runs: round robin across sockets, physical
+        // cores before SMT threads.
+        let pinned = stats(
             threads,
-            &PlacementPolicy::Unpinned,
-            42,
-        ))
-        .unwrap();
-        let pinned = BoxStats::from_samples(&experiment.run_samples(
-            threads,
-            &experiment.paper_pinned_policy(threads),
-            42,
-        ))
-        .unwrap();
+            PlacementPolicy::LikwidPin(scatter_placement(&preset.topology(), threads)),
+        );
         println!(
             "{:7} | {:10.0} [{:7.0}..{:7.0}] | {:10.0} [{:7.0}..{:7.0}]  MB/s",
             threads, unpinned.median, unpinned.q1, unpinned.q3, pinned.median, pinned.q1, pinned.q3

@@ -10,16 +10,22 @@ use likwid_suite::cache_sim::{
     Access, AccessKind, CacheLevelConfig, FlatReplacement, HierarchyConfig, NodeCacheSystem,
     NumaPolicy, PrefetchConfig, ReplacementPolicy, WritePolicy,
 };
-use likwid_suite::daemon::{Frame, IntervalFrame, OpenRequest};
+use likwid_suite::daemon::protocol::GroupSchema;
+use likwid_suite::daemon::{
+    DaemonStatus, DoneFrame, Frame, IntervalFrame, OpenRequest, OpenedFrame, SessionStatus,
+    UncoreStatus,
+};
 use likwid_suite::fleet::trajectory::TrajectoryPoint;
 use likwid_suite::fleet::Trajectory;
 use likwid_suite::likwid::json::{obj, JsonValue};
-use likwid_suite::likwid::perfctr::Formula;
+use likwid_suite::likwid::perfctr::session::Diagnostic;
+use likwid_suite::likwid::perfctr::{Formula, PerfCtrResults};
 use likwid_suite::likwid::report::{
     Body, Json, KvEntry, Render, Report, Row, Section, Table, Value,
 };
 use likwid_suite::likwid::topology::CpuTopology;
 use likwid_suite::likwid::LikwidError;
+use likwid_suite::perf_events::CounterSlot;
 use likwid_suite::x86_machine::fault::FaultPlan;
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
 
@@ -584,6 +590,50 @@ proptest! {
             counts: vec![vec![u64::MAX, 7]],
             metrics: vec![vec![f64::NAN, 2.5]],
         });
+        let opened = Frame::Opened(OpenedFrame {
+            session: 3,
+            machine: "nehalem_ep_2s".into(),
+            cpus: vec![0, 4],
+            socket_lock_owners: vec![0, 4],
+            interval_s: 1e-3,
+            duration_s: 4e-3,
+            uncore: true,
+            groups: vec![GroupSchema {
+                name: "MEM".into(),
+                events: vec![("UNC_QMC_NORMAL_READS_ANY".into(), CounterSlot::UncorePmc(0))],
+                metrics: vec!["Memory bandwidth [MBytes/s]".into()],
+            }],
+        });
+        // The done frame carries diagnostics: `[subject, reason]` pairs.
+        let done = Frame::Done(DoneFrame {
+            session: 3,
+            duration_s: 4e-3,
+            intervals: 4,
+            time_scale: 1.5,
+            aggregate: vec![vec![vec![10, 20]]],
+            extrapolated: vec![vec![vec![15, 30]]],
+            results: vec![PerfCtrResults {
+                group_name: "MEM".into(),
+                cpus: vec![0, 4],
+                events: vec![("E".into(), CounterSlot::Pmc(0), vec![15, 30])],
+                metrics: vec![("m".into(), vec![f64::NAN, 2.5])],
+                diagnostics: vec![Diagnostic {
+                    subject: "cpu 4".into(),
+                    reason: "dropped from the measurement".into(),
+                }],
+            }],
+        });
+        let status = Frame::Status(DaemonStatus {
+            sessions: vec![SessionStatus {
+                id: 3,
+                cpus: vec![0, 4],
+                phase: "running".into(),
+                ticket: Some(2),
+                wall_extra_s: 1e-3,
+            }],
+            queue_depth: vec![(0, 1), (4, 2)],
+            uncore: vec![UncoreStatus { socket: 0, holder: Some(3), waiters: vec![5] }],
+        });
         let error = Frame::Error { kind: "usage".into(), message: "no such group".into() };
         let open = OpenRequest {
             machine: Some("nehalem-ep-2s".into()),
@@ -596,7 +646,10 @@ proptest! {
         for line in [
             raw,
             soup.concat(),
+            mutate(&opened.to_line(), at, cut, splice),
             mutate(&interval.to_line(), at, cut, splice),
+            mutate(&done.to_line(), at, cut, splice),
+            mutate(&status.to_line(), at, cut, splice),
             mutate(&error.to_line(), at, cut, splice),
             mutate(&open.to_json().encode(), at, cut, splice),
         ] {

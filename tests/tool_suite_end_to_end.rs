@@ -94,7 +94,8 @@ fn topology_aware_pinning_measured_through_the_tool() {
 #[test]
 fn likwid_pin_placements_feed_the_stream_model() {
     use likwid_suite::workloads::openmp::{CompilerPersonality, PlacementPolicy};
-    use likwid_suite::workloads::stream::StreamExperiment;
+    use likwid_suite::workloads::stream::StreamTriad;
+    use likwid_suite::workloads::Experiment;
 
     let machine = SimMachine::new(MachinePreset::WestmereEp2S);
     let tool = PinTool::new(
@@ -105,11 +106,19 @@ fn likwid_pin_placements_feed_the_stream_model() {
     let placement: Vec<usize> =
         tool.worker_placement(6).into_iter().collect::<Option<Vec<_>>>().expect("fully pinned");
 
-    let mut experiment =
-        StreamExperiment::new(MachinePreset::WestmereEp2S, CompilerPersonality::IntelIcc);
-    experiment.samples_per_point = 20;
-    let pinned = experiment.run_samples(6, &PlacementPolicy::LikwidPin(placement), 11);
-    let unpinned = experiment.run_samples(6, &PlacementPolicy::Unpinned, 11);
+    let samples = |policy| {
+        Experiment::on(MachinePreset::WestmereEp2S)
+            .personality(CompilerPersonality::IntelIcc)
+            .placement(policy)
+            .threads(6)
+            .samples(20)
+            .seed(11)
+            .run(&StreamTriad::new(CompilerPersonality::IntelIcc))
+            .unwrap()
+            .bandwidths()
+    };
+    let pinned = samples(PlacementPolicy::LikwidPin(placement));
+    let unpinned = samples(PlacementPolicy::Unpinned);
 
     let pinned_median = median(&pinned);
     let unpinned_median = median(&unpinned);

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use likwid_suite::daemon::Daemon;
 use likwid_suite::fleet::cli::fleet_main;
-use likwid_suite::likwid::cli::{tool_main, Tool};
+use likwid_suite::likwid::cli::{run_perfctr, tool_main, Tool};
 use likwid_suite::likwid::json::JsonValue;
 use likwid_suite::likwid::perfctr::parse_measurement_spec;
 use likwid_suite::likwid::report::{Ascii, Render};
@@ -40,11 +40,32 @@ fn recorder_lock() -> MutexGuard<'static, ()> {
     RECORDER.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("likwid-trace-obs-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create tempdir");
-    dir
+/// A scratch directory in the system temp dir, removed (with everything in
+/// it) when the guard drops, so a failing test cleans up too.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("likwid-trace-obs-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create tempdir");
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -138,10 +159,32 @@ fn point_spans(events: &[JsonValue]) -> Vec<(String, String, String)> {
     points
 }
 
-/// Run likwid-perfctr through the binary driver into `-o <file>`, exactly
-/// like the shipped binary (the only in-process path that honours
-/// `--trace`), and return the rendered report.
-fn perfctr_to_file(dir: &Path, name: &str, base: &[&str], trace: Option<&Path>) -> String {
+/// An in-process likwid-perfctr entry point: the binary driver or the
+/// string-level front end.
+type PerfctrEntry = fn(&[String]);
+
+/// The shipped binary's entry point.
+fn binary_entry(argv: &[String]) {
+    assert_eq!(tool_main(Tool::Perfctr, argv), 0, "likwid-perfctr {argv:?} failed");
+}
+
+/// The string-level front end; the text it returns is what it wrote to
+/// the `-o` file.
+fn string_entry(argv: &[String]) {
+    let text = run_perfctr(argv).unwrap_or_else(|e| panic!("likwid-perfctr {argv:?}: {e}"));
+    let out = argv.iter().position(|a| a == "-o").map(|i| &argv[i + 1]).expect("-o given");
+    assert_eq!(read(Path::new(out)), text, "returned text differs from the -o file");
+}
+
+/// Run likwid-perfctr through `entry` into `-o <file>`, with `--trace`
+/// when a trace path is given, and return the rendered report.
+fn perfctr_to_file(
+    entry: PerfctrEntry,
+    dir: &Path,
+    name: &str,
+    base: &[&str],
+    trace: Option<&Path>,
+) -> String {
     let out = dir.join(name);
     let mut argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
     argv.push("-o".into());
@@ -150,26 +193,33 @@ fn perfctr_to_file(dir: &Path, name: &str, base: &[&str], trace: Option<&Path>) 
         argv.push("--trace".into());
         argv.push(trace.display().to_string());
     }
-    let code = tool_main(Tool::Perfctr, &argv);
-    assert_eq!(code, 0, "likwid-perfctr {argv:?} failed");
+    entry(&argv);
     read(&out)
 }
 
 #[test]
 fn perfctr_reports_are_byte_identical_with_tracing_on() {
     let _lock = recorder_lock();
-    let dir = tempdir("perfctr-neutral");
+    let dir = TempDir::new("perfctr-neutral");
     // Aggregate, stethoscope and timeline mode: the three perfctr paths.
     let cases: &[(&str, &[&str])] = &[
         ("aggregate", &["--machine", "westmere-ep-2s", "-c", "0,1", "-g", "FLOPS_DP"]),
         ("steth", &["--machine", "westmere-ep-2s", "-c", "0,1", "-g", "MEM", "-S", "10ms"]),
         ("timeline", &["--machine", "westmere-ep-2s", "-c", "0-3", "-g", "FLOPS_DP", "-t", "2ms"]),
     ];
-    for (tag, base) in cases {
-        let plain = perfctr_to_file(&dir, &format!("{tag}-plain.txt"), base, None);
-        let trace_file = dir.join(format!("{tag}.json"));
-        let traced = perfctr_to_file(&dir, &format!("{tag}-traced.txt"), base, Some(&trace_file));
-        assert_eq!(plain, traced, "{tag}: --trace changed the report");
+    // The binary driver and the string front end honour `--trace` alike.
+    let entries: [(&str, PerfctrEntry); 2] = [("bin", binary_entry), ("str", string_entry)];
+    for ((tag, base), (via, entry)) in cases.iter().flat_map(|c| entries.map(|e| (c, e))) {
+        let plain = perfctr_to_file(entry, &dir, &format!("{tag}-{via}-plain.txt"), base, None);
+        let trace_file = dir.join(format!("{tag}-{via}.json"));
+        let traced = perfctr_to_file(
+            entry,
+            &dir,
+            &format!("{tag}-{via}-traced.txt"),
+            base,
+            Some(&trace_file),
+        );
+        assert_eq!(plain, traced, "{tag} ({via}): --trace changed the report");
         let events = assert_valid_chrome_trace(&trace_file);
         if *tag == "timeline" {
             // Interval spans ride virtual-time tracks so wall-clock jitter
@@ -189,10 +239,10 @@ fn perfctr_reports_are_byte_identical_with_tracing_on() {
 #[test]
 fn folded_traces_are_flamegraph_ready() {
     let _lock = recorder_lock();
-    let dir = tempdir("perfctr-folded");
+    let dir = TempDir::new("perfctr-folded");
     let base = &["--machine", "westmere-ep-2s", "-c", "0,1", "-g", "FLOPS_DP", "-t", "2ms"];
     let trace_file = dir.join("t.folded");
-    perfctr_to_file(&dir, "report.txt", base, Some(&trace_file));
+    perfctr_to_file(binary_entry, &dir, "report.txt", base, Some(&trace_file));
     let folded = read(&trace_file);
     assert!(!folded.trim().is_empty(), "folded trace is empty");
     for line in folded.lines() {
@@ -207,7 +257,7 @@ fn folded_traces_are_flamegraph_ready() {
 #[test]
 fn fleet_sweep_reports_are_byte_identical_with_tracing_on() {
     let _lock = recorder_lock();
-    let dir = tempdir("fleet-neutral");
+    let dir = TempDir::new("fleet-neutral");
     let run = |store: &Path, report: &Path, trace: Option<&Path>| {
         let mut argv = vec![
             "run".to_string(),
@@ -242,7 +292,7 @@ fn fleet_sweep_reports_are_byte_identical_with_tracing_on() {
 #[test]
 fn traced_fleet_sweep_attributes_memoization_per_point() {
     let _lock = recorder_lock();
-    let dir = tempdir("fleet-memo");
+    let dir = TempDir::new("fleet-memo");
     let store = dir.join("store");
     let run = |trace: &Path, report: &str| {
         let argv = args(&[
@@ -353,16 +403,16 @@ proptest! {
         mode in prop::sample::select(vec!["aggregate", "steth", "timeline"]),
     ) {
         let _lock = recorder_lock();
-        let dir = tempdir("perfctr-prop");
+        let dir = TempDir::new("perfctr-prop");
         let mut base = vec!["--machine", "westmere-ep-2s", "-c", cpus, "-g", group];
         match mode {
             "steth" => base.extend_from_slice(&["-S", "10ms"]),
             "timeline" => base.extend_from_slice(&["-t", "2ms"]),
             _ => {}
         }
-        let plain = perfctr_to_file(&dir, "plain.txt", &base, None);
+        let plain = perfctr_to_file(binary_entry, &dir, "plain.txt", &base, None);
         let trace_file = dir.join("t.json");
-        let traced = perfctr_to_file(&dir, "traced.txt", &base, Some(&trace_file));
+        let traced = perfctr_to_file(binary_entry, &dir, "traced.txt", &base, Some(&trace_file));
         prop_assert_eq!(plain, traced, "-c {} -g {} ({})", cpus, group, mode);
         assert_valid_chrome_trace(&trace_file);
     }
