@@ -151,7 +151,7 @@ fn intel_group(
 /// Group definitions for Core 2 and Atom (two PMCs, no uncore, FSB memory
 /// events).
 fn core2_like(kind: EventGroupKind, atom: bool) -> Option<GroupDefinition> {
-    let loads = if atom { "INST_RETIRED_LOADS" } else { "INST_RETIRED_LOADS" };
+    let loads = "INST_RETIRED_LOADS";
     let l1_all = if atom { "L1D_CACHE_LD" } else { "L1D_ALL_REF" };
     let l1_repl = if atom { "L1D_CACHE_REPL" } else { "L1D_REPL" };
     let tlb = if atom { "DATA_TLB_MISSES_DTLB_MISS" } else { "DTLB_MISSES_ANY" };

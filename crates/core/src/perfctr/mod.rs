@@ -16,17 +16,20 @@
 //!
 //! Submodules: [`formula`] implements the derived-metric expression
 //! language, [`groups`] the preconfigured event groups of the paper's
-//! table, [`session`] the counter-programming session (including socket
+//! table, [`metrics`] the evaluation of their derived metrics over raw
+//! counts, [`session`] the counter-programming session (including socket
 //! locks for uncore events) and result rendering, and [`timeline`] the
 //! time-resolved measurement subsystem.
 
 pub mod formula;
 pub mod groups;
+pub mod metrics;
 pub mod session;
 pub mod timeline;
 
 pub use formula::{BoundFormula, Formula};
 pub use groups::{group_definition, supported_groups, EventGroupKind, GroupDefinition};
+pub use metrics::MetricEvaluator;
 pub use session::{
     multiplex_note, parse_event_spec, parse_measurement_spec, Diagnostic, GroupCounts,
     HealingStats, MeasurementSpec, PerfCtr, PerfCtrConfig, PerfCtrResults,

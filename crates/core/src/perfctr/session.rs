@@ -10,8 +10,8 @@ use likwid_perf_events::{
 use likwid_x86_machine::{MachineError, SimMachine};
 
 use crate::error::{LikwidError, Result};
-use crate::perfctr::formula::{BoundFormula, Formula};
 use crate::perfctr::groups::{group_definition, EventGroupKind, GroupDefinition};
+use crate::perfctr::metrics::MetricEvaluator;
 use crate::report::{Ascii, Body, Render, Report, Row, Section, Table, Value};
 
 /// What to measure.
@@ -100,14 +100,9 @@ pub fn multiplex_note() -> &'static str {
 #[derive(Debug, Clone)]
 struct ResolvedGroup {
     name: String,
+    /// The preconfigured group, or `None` for a custom event list.
+    kind: Option<EventGroupKind>,
     events: Vec<(String, CounterSlot, EventDefinition)>,
-    /// The time formula, bound to `inverseClock` followed by the counter
-    /// names in event order; present exactly when the group derives
-    /// metrics.
-    time: Option<BoundFormula>,
-    /// `(name, formula)` of every derived metric, bound to the time
-    /// formula's layout plus a trailing `time`.
-    metrics: Vec<(String, BoundFormula)>,
 }
 
 impl ResolvedGroup {
@@ -123,24 +118,7 @@ impl ResolvedGroup {
                     .ok_or_else(|| LikwidError::UnknownEvent(name.to_string()))
             })
             .collect::<Result<Vec<_>>>()?;
-        // The value layout of every evaluation: `inverseClock`, the
-        // counters, then `time` (last, so it shadows any earlier entry of
-        // that name).
-        let mut layout = vec!["inverseClock".to_string()];
-        layout.extend(events.iter().map(|(_, slot, _)| slot.name()));
-        let counters = layout.len();
-        layout.push("time".to_string());
-        let time = if def.metrics.is_empty() {
-            None
-        } else {
-            Some(Formula::parse(def.time_formula)?.bind(&layout[..counters]))
-        };
-        let metrics = def
-            .metrics
-            .iter()
-            .map(|(n, f)| Ok((n.to_string(), Formula::parse(f)?.bind(&layout))))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ResolvedGroup { name: def.kind.name().to_string(), events, time, metrics })
+        Ok(ResolvedGroup { name: def.kind.name().to_string(), kind: Some(def.kind), events })
     }
 
     fn from_custom(spec: &[(String, CounterSlot)], table: &EventTable) -> Result<Self> {
@@ -154,7 +132,7 @@ impl ResolvedGroup {
                     .ok_or_else(|| LikwidError::UnknownEvent(name.clone()))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(ResolvedGroup { name: "CUSTOM".to_string(), events, time: None, metrics: Vec::new() })
+        Ok(ResolvedGroup { name: "CUSTOM".to_string(), kind: None, events })
     }
 }
 
@@ -261,11 +239,12 @@ fn is_permanent_io(e: &PerfMonError) -> bool {
 /// multiplexing mode — rotates through the groups with round-robin
 /// accounting.
 ///
-/// Programming, starting and stopping lock the machine's register file
-/// once per cpu ([`PerfMon::on_cpu`]). Folding live counts into the
-/// accumulators reads into one reused buffer per group, and metric
-/// evaluation reuses one row buffer, so a session that suspends and
-/// resumes every interval allocates nothing once warm.
+/// Every start and stop touches exactly the active group's counter slots,
+/// and programming, starting, stopping and reading lock the machine's
+/// register file once per cpu ([`PerfMon::on_cpu`]). Folding live counts
+/// into the accumulators reads into one reused buffer per group, so a
+/// session that suspends and resumes every interval allocates nothing once
+/// warm.
 pub struct PerfCtr<'m> {
     machine: &'m SimMachine,
     cpus: Vec<usize>,
@@ -286,9 +265,8 @@ pub struct PerfCtr<'m> {
     /// Width mask of the counter behind each `[group][event]`, for
     /// wraparound-correct delta computation.
     masks: Vec<Vec<u64>>,
-    /// The `[inverseClock, counts…, time]` rows of metric evaluation, one
-    /// per measured cpu, reused across evaluations.
-    metric_rows: RefCell<Vec<f64>>,
+    /// The derived metrics of every group.
+    metrics: MetricEvaluator,
     /// Wraparound/degradation tracking (interior mutability: reads heal).
     heal: RefCell<HealState>,
     running: bool,
@@ -356,6 +334,13 @@ impl<'m> PerfCtr<'m> {
             }
         }
 
+        let events: Vec<Vec<(String, CounterSlot)>> = groups
+            .iter()
+            .map(|g| g.events.iter().map(|(name, slot, _)| (name.clone(), *slot)).collect())
+            .collect();
+        let kinds: Vec<_> = groups.iter().zip(&events).map(|(g, e)| (g.kind, &e[..])).collect();
+        let metrics = MetricEvaluator::new(machine.arch(), machine.clock(), &config.cpus, &kinds)?;
+
         let perfmon = PerfMon::new(machine, &config.cpus)?;
         let num_groups = groups.len();
         let accumulated: Vec<GroupCounts> =
@@ -398,7 +383,7 @@ impl<'m> PerfCtr<'m> {
             accumulated,
             slots,
             masks,
-            metric_rows: RefCell::new(Vec::new()),
+            metrics,
             heal,
             running: false,
             started: false,
@@ -573,9 +558,12 @@ impl<'m> PerfCtr<'m> {
         Ok(())
     }
 
-    /// Stop counting on all measured hardware threads.
+    /// Stop counting on all measured hardware threads: disable exactly the
+    /// active group's counter slots, the mirror of [`PerfCtr::start`].
+    /// Counters keep their values.
     pub fn stop(&mut self) -> Result<()> {
-        self.on_live_cpus(|counters| counters.stop())?;
+        let slots = &self.slots[self.active_group];
+        self.on_live_cpus(|counters| counters.stop_slots(slots))?;
         self.running = false;
         Ok(())
     }
@@ -600,8 +588,9 @@ impl<'m> PerfCtr<'m> {
     }
 
     /// [`PerfCtr::read_counts`] into a caller-owned buffer, reshaped to the
-    /// active group; a buffer that already has that shape is reused
-    /// without allocating.
+    /// active group; a buffer that already has this shape is reused
+    /// without allocating. The counters are read cpu by cpu, under one
+    /// register-file lock per cpu.
     pub fn read_counts_into(&self, counts: &mut GroupCounts) -> Result<()> {
         if !self.started {
             return Err(LikwidError::Session(
@@ -609,28 +598,33 @@ impl<'m> PerfCtr<'m> {
             ));
         }
         let active = self.active_group;
-        zero_counts(counts, self.slots[active].len(), self.cpus.len());
+        let slots = &self.slots[active];
+        zero_counts(counts, slots.len(), self.cpus.len());
         let mut heal = self.heal.borrow_mut();
         let heal = &mut *heal;
-        for (ei, (&slot, &mask)) in self.slots[active].iter().zip(&self.masks[active]).enumerate() {
-            for (ci, &cpu) in self.cpus.iter().enumerate() {
-                if slot.is_uncore() && !self.owns_socket_lock(cpu) {
+        let frozen = |heal: &HealState, ei: usize, ci: usize| heal.slots[active][ei][ci].unwrapped;
+        for (ci, &cpu) in self.cpus.iter().enumerate() {
+            let owner = self.owns_socket_lock(cpu);
+            let mut device = None;
+            for (ei, (&slot, &mask)) in slots.iter().zip(&self.masks[active]).enumerate() {
+                if slot.is_uncore() && !owner {
                     continue;
                 }
                 if heal.cpu_is_dead(cpu) || heal.slots[active][ei][ci].dead {
-                    counts[ei][ci] = heal.slots[active][ei][ci].unwrapped;
+                    counts[ei][ci] = frozen(heal, ei, ci);
                     continue;
                 }
-                // One register-file lock for the device read and the
-                // machine-side shadow next to it.
-                let read = self.perfmon.on_cpu(cpu).and_then(|counters| {
-                    Ok((counters.read(slot)?, counters.wide_value(slot).ok()))
-                });
-                let (raw, wide) = match read {
-                    Ok(read) => read,
+                // The device read and the machine-side shadow next to it,
+                // under the cpu's one register-file lock.
+                if device.is_none() {
+                    device = Some(self.perfmon.on_cpu(cpu)?);
+                }
+                let counters = device.as_ref().expect("opened above");
+                let (raw, wide) = match counters.read(slot) {
+                    Ok(raw) => (raw, counters.wide_value(slot).ok()),
                     Err(e) if is_permanent_io(&e) => {
                         heal.mark_cpu_dead(cpu, &e);
-                        counts[ei][ci] = heal.slots[active][ei][ci].unwrapped;
+                        counts[ei][ci] = frozen(heal, ei, ci);
                         continue;
                     }
                     Err(e) => return Err(e.into()),
@@ -669,13 +663,18 @@ impl<'m> PerfCtr<'m> {
         self.slots[group].len()
     }
 
-    /// Read the active group's live counts and add them to its accumulator.
-    fn fold_live_counts(&mut self) -> Result<()> {
+    /// Add the active group's live counts to its accumulator: `reading`
+    /// when the caller has just read them, else a fresh read.
+    fn fold(&mut self, reading: Option<&GroupCounts>) -> Result<()> {
         let active = self.active_group;
         let mut live = std::mem::take(&mut self.live[active]);
-        let read = self.read_counts_into(&mut live);
+        let read = match reading {
+            Some(_) => Ok(()),
+            None => self.read_counts_into(&mut live),
+        };
         if read.is_ok() {
-            for (sums, row) in self.accumulated[active].iter_mut().zip(&live) {
+            let reading = reading.unwrap_or(&live);
+            for (sums, row) in self.accumulated[active].iter_mut().zip(reading) {
                 for (sum, &v) in sums.iter_mut().zip(row) {
                     *sum += v;
                 }
@@ -689,6 +688,12 @@ impl<'m> PerfCtr<'m> {
     /// group, reprogram and keep running. Mirrors the round-robin counter
     /// reassignment of the real tool.
     pub fn switch_group(&mut self) -> Result<usize> {
+        self.rotate(None)
+    }
+
+    /// [`PerfCtr::switch_group`], folding `reading`, the active group's
+    /// counts just read, instead of reading them again.
+    pub(crate) fn rotate(&mut self, reading: Option<&GroupCounts>) -> Result<usize> {
         if self.groups.len() < 2 {
             return Err(LikwidError::Session(
                 "switch_group() needs at least two groups (multiplexing mode)".into(),
@@ -698,14 +703,21 @@ impl<'m> PerfCtr<'m> {
         if was_running {
             self.stop()?;
         }
-        self.fold_live_counts()?;
-        self.schedule.tick();
-        let next = (self.active_group + 1) % self.groups.len();
+        self.fold(reading)?;
+        let next = self.advance();
         self.program_group(next)?;
         if was_running {
             self.start()?;
         }
         Ok(next)
+    }
+
+    /// Account the active group's slice in the multiplex schedule and make
+    /// the next group the active one, without programming it.
+    fn advance(&mut self) -> usize {
+        self.schedule.tick();
+        self.active_group = (self.active_group + 1) % self.groups.len();
+        self.active_group
     }
 
     /// Finish a multiplexed measurement: stop counting and fold any residual
@@ -724,31 +736,35 @@ impl<'m> PerfCtr<'m> {
         if self.running {
             self.stop()?;
         }
-        self.fold_live_counts()
+        self.fold(None)
     }
 
     /// Yield the hardware between cross-session time slices (the
     /// `likwid-perfctrd` broker multiplexes counter programming *between*
     /// sessions sharing cpus, extending the in-session group rotation of
     /// [`PerfCtr::switch_group`] across session boundaries): stop the
-    /// active group's counter slots and fold their live counts into the
-    /// group's accumulator. The registers keep their values and their
-    /// disabled programming; a foreign session may borrow and reprogram
-    /// them before [`PerfCtr::resume`] reprograms them for this one, and
+    /// active group's counter slots and fold `reading`, the group's counts
+    /// as last read while it counted, into its accumulator. The counters
+    /// are not read again: nothing may count between that reading and the
+    /// suspend. A multiplexed session then advances to its next group
+    /// without programming it; [`PerfCtr::resume`] programs it. The
+    /// registers keep their values and their disabled programming, and a
+    /// foreign session may borrow and reprogram them before the resume;
     /// [`PerfCtr::finish`] of a suspended session reads nothing, so the
     /// folded counts are never counted twice.
-    pub fn suspend(&mut self) -> Result<()> {
+    pub fn suspend(&mut self, reading: &GroupCounts) -> Result<()> {
         if self.running {
-            let slots = &self.slots[self.active_group];
-            self.on_live_cpus(|counters| counters.stop_slots(slots))?;
-            self.running = false;
+            self.stop()?;
         }
-        self.fold_live_counts()?;
+        self.fold(Some(reading))?;
+        if self.groups.len() > 1 {
+            self.advance();
+        }
         self.suspended = true;
         Ok(())
     }
 
-    /// Reclaim the hardware after [`PerfCtr::suspend`]: reprogram the
+    /// Reclaim the hardware after [`PerfCtr::suspend`]: program the
     /// active group (another session may have owned the registers in
     /// between, so the stored configuration cannot be trusted) and start
     /// counting from zero.
@@ -772,7 +788,12 @@ impl<'m> PerfCtr<'m> {
     /// The derived-metric names of a group, in definition order (empty for
     /// custom event lists).
     pub fn metric_names(&self, group: usize) -> Vec<String> {
-        self.groups[group].metrics.iter().map(|(name, _)| name.clone()).collect()
+        self.metrics.metric_names(group)
+    }
+
+    /// The derived metrics of every group of this session.
+    pub fn metrics(&self) -> &MetricEvaluator {
+        &self.metrics
     }
 
     /// Whether any group of this session programs socket-level (uncore)
@@ -831,9 +852,8 @@ impl<'m> PerfCtr<'m> {
     /// the aggregate-mode binding.
     pub fn results_for_group(&self, group: usize, counts: &GroupCounts) -> Result<PerfCtrResults> {
         let g = &self.groups[group];
-        let mut values = vec![vec![0.0; self.cpus.len()]; g.metrics.len()];
-        self.evaluate_metrics(group, counts, None, &mut values)?;
-        let metrics = g.metrics.iter().map(|(name, _)| name.clone()).zip(values).collect();
+        let values = self.metrics.aggregate(group, counts)?;
+        let metrics = self.metrics.metric_names(group).into_iter().zip(values).collect();
 
         Ok(PerfCtrResults {
             group_name: g.name.clone(),
@@ -847,62 +867,6 @@ impl<'m> PerfCtr<'m> {
             metrics,
             diagnostics: self.diagnostics(),
         })
-    }
-
-    /// The derived metrics of one *timeline interval* of a group: `time` is
-    /// bound to the interval length `dt_s`, not to the time formula, so
-    /// rate metrics (MBytes/s, MFlops/s) come out per interval, while
-    /// aggregate results ([`PerfCtr::results_for_group`]) keep the
-    /// total-runtime binding. Values only: `metrics` holds one row of
-    /// `cpus().len()` values per metric of the group, in definition order,
-    /// overwritten in place, so a reused buffer never allocates.
-    pub fn interval_metrics_into(
-        &self,
-        group: usize,
-        counts: &GroupCounts,
-        dt_s: f64,
-        metrics: &mut [Vec<f64>],
-    ) -> Result<()> {
-        self.evaluate_metrics(group, counts, Some(dt_s), metrics)
-    }
-
-    /// Evaluate a group's derived metrics into `metrics` (one row per
-    /// metric, one value per measured cpu). `time` is bound to
-    /// `time_override` when given, else to the group's time formula.
-    fn evaluate_metrics(
-        &self,
-        group: usize,
-        counts: &GroupCounts,
-        time_override: Option<f64>,
-        metrics: &mut [Vec<f64>],
-    ) -> Result<()> {
-        let g = &self.groups[group];
-        assert_eq!(metrics.len(), g.metrics.len(), "one row per metric of group {group}");
-        let Some(time_formula) = &g.time else { return Ok(()) };
-        // One row per measured cpu in the bound layout:
-        // `[inverseClock, counts…, time]`.
-        let inverse_clock = 1.0 / self.machine.clock().frequency_hz;
-        let width = g.events.len() + 2;
-        let mut rows = self.metric_rows.borrow_mut();
-        rows.clear();
-        rows.resize(width * self.cpus.len(), 0.0);
-        for (ci, row) in rows.chunks_exact_mut(width).enumerate() {
-            row[0] = inverse_clock;
-            for (value, per_cpu) in row[1..width - 1].iter_mut().zip(counts) {
-                *value = per_cpu[ci] as f64;
-            }
-            row[width - 1] = match time_override {
-                Some(dt) => dt,
-                None => time_formula.evaluate(&row[..width - 1])?,
-            };
-        }
-        for ((_, f), values) in g.metrics.iter().zip(metrics) {
-            assert_eq!(values.len(), self.cpus.len(), "one value per measured cpu");
-            for (value, row) in values.iter_mut().zip(rows.chunks_exact(width)) {
-                *value = f.evaluate(row)?;
-            }
-        }
-        Ok(())
     }
 
     /// Convenience wrapper-mode flow: start, run `body`, stop, and return the

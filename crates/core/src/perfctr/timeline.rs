@@ -32,7 +32,7 @@ use likwid_x86_machine::SimMachine;
 
 use crate::error::{LikwidError, Result};
 use crate::perfctr::session::{GroupCounts, PerfCtr, PerfCtrConfig, PerfCtrResults};
-use crate::report::{Body, KvEntry, Report, Section, Series, TimeSeries, Value};
+use crate::report::{Body, KvEntry, Report, Section, TimeSeries, Value};
 
 /// Parse a duration expression: seconds as a plain float (`0.005`), or a
 /// number with an `s`, `ms` or `us` suffix (`5ms`, `250us`, `1.5s`).
@@ -171,11 +171,39 @@ impl<'m> TimelineSession<'m> {
 
     /// Close the current interval after `dt_s` seconds of virtual time:
     /// record the active group's count deltas and — in multiplexing mode —
-    /// rotate to the next group (the rotation reprograms and zeroes the
-    /// counters, so the next interval starts from a clean slate). Returns
-    /// the recorded interval, so streaming consumers (the `likwid-perfctrd`
-    /// broker) can forward the deltas while the run is still in flight.
+    /// rotate to the next group (the rotation folds the reading the deltas
+    /// came from, then reprograms and zeroes the counters, so the next
+    /// interval starts from a clean slate). Returns the recorded interval.
     pub fn tick(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
+        let group = self.record(dt_s)?;
+        if self.session.num_groups() > 1 {
+            self.session.rotate(Some(&self.baselines[group]))?;
+            self.zero_baseline();
+        }
+        Ok(&self.latest[group])
+    }
+
+    /// Close the current interval as [`TimelineSession::tick`] does, then
+    /// yield the hardware between cross-session time slices (see
+    /// [`PerfCtr::suspend`]): the session's counter slots are stopped and
+    /// the reading the interval's deltas came from is folded into its
+    /// accumulator, so the `likwid-perfctrd` broker can hand the registers
+    /// to another session sharing the same cpus. A multiplexed session
+    /// rotates to its next group without programming it;
+    /// [`TimelineSession::resume`] programs it. Returns the recorded
+    /// interval, so the broker can stream the deltas while the run is
+    /// still in flight.
+    pub fn tick_and_suspend(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
+        let group = self.record(dt_s)?;
+        self.session.suspend(&self.baselines[group])?;
+        Ok(&self.latest[group])
+    }
+
+    /// Record the active group's deltas over the next `dt_s` seconds with
+    /// one read of its counters, and return the group. Its baseline
+    /// becomes that reading: the cumulative counts since the group was
+    /// programmed.
+    fn record(&mut self, dt_s: f64) -> Result<usize> {
         if !dt_s.is_finite() || dt_s < 0.0 {
             return Err(LikwidError::Usage(format!("timeline tick of {dt_s} seconds")));
         }
@@ -212,14 +240,7 @@ impl<'m> TimelineSession<'m> {
             self.recorded.extend_from_slice(row);
         }
         self.elapsed_s += dt_s;
-        if self.session.num_groups() > 1 {
-            // switch_group folds the live counts into the group's
-            // accumulator and reprograms (= zeroes) the next group's
-            // counters.
-            self.session.switch_group()?;
-            self.zero_baseline();
-        }
-        Ok(&self.latest[group])
+        Ok(group)
     }
 
     /// Zero the active group's baseline: its counters were just programmed.
@@ -229,20 +250,9 @@ impl<'m> TimelineSession<'m> {
         }
     }
 
-    /// Yield the hardware between cross-session time slices (see
-    /// [`PerfCtr::suspend`]): the session's counter slots are stopped and
-    /// their live counts folded into its accumulator, so the
-    /// `likwid-perfctrd` broker can hand the registers to another session
-    /// sharing the same cpus.
-    pub fn suspend(&mut self) -> Result<()> {
-        self.session.suspend()?;
-        self.zero_baseline();
-        Ok(())
-    }
-
-    /// Reclaim the hardware for the next time slice: reprogram (another
-    /// session may have owned the registers in between), zero the baseline
-    /// and start counting.
+    /// Reclaim the hardware for the next time slice: program the active
+    /// group (another session may have owned the registers in between),
+    /// zero its baseline and start counting.
     pub fn resume(&mut self) -> Result<()> {
         self.session.resume()?;
         self.zero_baseline();
@@ -326,46 +336,7 @@ impl<'m> TimelineSession<'m> {
             .map(|g| self.session.results_for_group(g, &extrapolated[g]))
             .collect::<Result<Vec<_>>>()?;
 
-        let mut timeseries = Vec::with_capacity(num_groups);
-        for g in 0..num_groups {
-            let intervals: Vec<&TimelineInterval> =
-                intervals.iter().filter(|iv| iv.group == g).collect();
-            let timestamps: Vec<f64> = intervals.iter().map(|iv| iv.t_end_s).collect();
-            let mut series = Vec::new();
-            let metric_names = self.session.metric_names(g);
-            if intervals.is_empty() {
-                // No interval of this group: no series.
-            } else if metric_names.is_empty() {
-                // Custom event lists have no derived metrics: expose the
-                // raw per-interval event counts instead.
-                for (ei, (name, _)) in self.session.group_events(g).into_iter().enumerate() {
-                    for (ci, &cpu) in cpus.iter().enumerate() {
-                        let values = intervals.iter().map(|iv| iv.counts[ei][ci] as f64).collect();
-                        series.push(Series::new(name.clone(), cpu, values));
-                    }
-                }
-            } else {
-                // One column per (metric, cpu), filled interval by interval
-                // through one reused row of metric values.
-                let mut values = vec![vec![0.0; cpus.len()]; metric_names.len()];
-                let mut columns =
-                    vec![Vec::with_capacity(intervals.len()); metric_names.len() * cpus.len()];
-                for iv in &intervals {
-                    let dt_s = iv.t_end_s - iv.t_start_s;
-                    self.session.interval_metrics_into(g, &iv.counts, dt_s, &mut values)?;
-                    for (column, &value) in columns.iter_mut().zip(values.iter().flatten()) {
-                        column.push(value);
-                    }
-                }
-                let mut columns = columns.into_iter();
-                for name in &metric_names {
-                    for (&cpu, values) in cpus.iter().zip(columns.by_ref()) {
-                        series.push(Series::new(name.clone(), cpu, values));
-                    }
-                }
-            }
-            timeseries.push(TimeSeries { timestamps, series });
-        }
+        let timeseries = self.session.metrics().timeseries(&intervals)?;
 
         Ok(TimelineResult {
             interval_s: self.interval_s,
@@ -918,8 +889,7 @@ mod tests {
             session.resume().unwrap();
             let t1 = ((i + 1) as f64 * 1e-3).min(DEMO_DURATION_S);
             engine.apply(&machine, &demo_slice(&machine, &cpus, t0, t1));
-            session.tick(t1 - t0).unwrap();
-            session.suspend().unwrap();
+            session.tick_and_suspend(t1 - t0).unwrap();
             t0 = t1;
         }
         let sliced = session.finish().unwrap();

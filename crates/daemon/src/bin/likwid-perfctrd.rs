@@ -114,28 +114,44 @@ fn run_client(parsed: &likwid::ParsedArgs, path: &Path) -> Result<String> {
                 OutputFormat::Ascii => Box::new(LiveTable::new()),
                 _ => Box::new(CsvStream::new()),
             };
-            // Render rows live as the frames arrive; the aggregate report
-            // follows once the session is done.
+            // Render rows live as the frames arrive, deriving each row's
+            // metrics from its counts; the aggregate report follows once
+            // the session is done. The first frame that cannot be
+            // rendered ends the run with its error.
             let mut live = None;
+            let mut failed = None;
             let accumulator = client.run_session(&request, |frame| {
+                if failed.is_some() {
+                    return;
+                }
                 let mut out = stdout.lock();
                 match frame {
-                    Frame::Opened(opened) => {
-                        let header = stream_header(opened);
-                        let _ = out.write_all(renderer.begin(&header).as_bytes());
-                        live = Some((opened.clone(), header));
-                    }
+                    Frame::Opened(opened) => match opened.metric_evaluator() {
+                        Ok(metrics) => {
+                            let header = stream_header(opened);
+                            let _ = out.write_all(renderer.begin(&header).as_bytes());
+                            live = Some((opened.clone(), metrics, header));
+                        }
+                        Err(e) => failed = Some(e),
+                    },
                     Frame::Interval(interval) => {
-                        if let Some((opened, header)) = &live {
-                            let row = stream_row(opened, interval);
-                            let _ = out.write_all(renderer.row(header, &row).as_bytes());
+                        if let Some((opened, metrics, header)) = &live {
+                            match stream_row(opened, metrics, interval) {
+                                Ok(row) => {
+                                    let _ = out.write_all(renderer.row(header, &row).as_bytes());
+                                }
+                                Err(e) => failed = Some(e),
+                            }
                         }
                     }
                     _ => {}
                 }
             })?;
+            if let Some(e) = failed {
+                return Err(e);
+            }
             let header = match live {
-                Some((_, header)) => header,
+                Some((_, _, header)) => header,
                 None => stream_header(accumulator.opened()),
             };
             let report = accumulator.result()?.report();

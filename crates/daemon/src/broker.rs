@@ -6,12 +6,15 @@
 //! Counter registers are per-cpu, so two sessions conflict exactly when
 //! their cpu sets intersect (plus the per-socket uncore units, handled
 //! separately). The broker's invariant is simple: **between any two
-//! intervals, no session's counters are live**. Every session suspends its
-//! counters (stopping its own counter slots and folding their live counts
-//! into its accumulator) at the end of each interval, and resumes
-//! (reprogram + zero + start) at the start of the next. Any inter-interval
-//! machine state is therefore safe for any session to reprogram; a session
-//! that never shares a cpu measures bit-identically to a standalone
+//! intervals, no session's counters are live**. Each interval is one
+//! counter lifecycle: the session resumes (programs its active group,
+//! which zeroes the counters, and starts exactly its own slots), the
+//! interval's activity is credited, the tick reads every counter once, and
+//! the session suspends (stops its own slots and folds that same reading
+//! into its accumulator; a multiplexed session advances to its next group
+//! there, which the next resume programs). Any inter-interval machine
+//! state is therefore safe for any session to reprogram; a session that
+//! never shares a cpu measures bit-identically to a standalone
 //! [`TimelineSession`] run.
 //!
 //! *Core turn-taking* uses monotonic tickets: each admitted session holds a
@@ -403,7 +406,6 @@ impl<'m> Daemon<'m> {
             source,
             sample: EventSample::default(),
             spare_counts: Vec::new(),
-            spare_metrics: Vec::new(),
             opened,
             duration_s: config.duration_s,
             interval_s: config.interval_s,
@@ -724,10 +726,9 @@ pub struct SessionHandle<'d, 'm> {
     source: ActivitySource,
     /// The current interval's activity, refilled in place.
     sample: EventSample,
-    /// Frame rows parked while the active group has fewer events or
-    /// metrics than the last one (multiplexed groups differ in size).
+    /// Frame rows parked while the active group has fewer events than the
+    /// last one (multiplexed groups differ in size).
     spare_counts: Vec<Vec<u64>>,
-    spare_metrics: Vec<Vec<f64>>,
     opened: OpenedFrame,
     duration_s: f64,
     interval_s: f64,
@@ -749,8 +750,10 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
     }
 
     /// Run the next interval: wait for the session's turn, resume the
-    /// counters, credit the interval's activity, close the interval,
-    /// suspend the counters, hand the turn on. Returns `None` once the
+    /// counters, credit the interval's activity, close the interval with
+    /// one read of the counters and suspend them, hand the turn on. The
+    /// frame carries the interval's raw count deltas only; clients derive
+    /// metrics from them when they render. Returns `None` once the
     /// configured duration is covered.
     pub fn next_interval(&mut self) -> Result<Option<IntervalFrame>> {
         let mut frame = IntervalFrame::default();
@@ -794,7 +797,7 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             let _credit = self.daemon.credit.lock().unwrap();
             session.resume()?;
             self.daemon.engine.apply(machine, &self.sample);
-            let interval = session.tick(dt)?;
+            let interval = session.tick_and_suspend(dt)?;
             frame.session = self.id;
             frame.index = self.index;
             frame.group = interval.group;
@@ -805,19 +808,11 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             for (row, counts) in frame.counts.iter_mut().zip(&interval.counts) {
                 row.copy_from_slice(counts);
             }
-            session.suspend()?;
-            let metrics = self.opened.groups[frame.group].metrics.len();
-            reshape_rows(&mut frame.metrics, &mut self.spare_metrics, metrics, cpus);
-            session.session().interval_metrics_into(
-                frame.group,
-                &frame.counts,
-                dt,
-                &mut frame.metrics,
-            )
+            Ok(())
         })();
         let complete = t1 >= self.duration_s;
         self.daemon.end_turn(self.id, dt, complete && outcome.is_ok());
-        // The resume → apply → tick → suspend window, wall-clocked (the
+        // The resume → apply → tick-and-suspend window, wall-clocked (the
         // session's own virtual-time intervals come from the timeline).
         let (id, index) = (self.id, self.index);
         trace::complete_since(
@@ -878,12 +873,7 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
 /// `spare` and taking missing ones from it, so a frame whose row count
 /// alternates between groups stops allocating once it has seen each of
 /// them.
-fn reshape_rows<T: Copy + Default>(
-    rows: &mut Vec<Vec<T>>,
-    spare: &mut Vec<Vec<T>>,
-    n: usize,
-    width: usize,
-) {
+fn reshape_rows(rows: &mut Vec<Vec<u64>>, spare: &mut Vec<Vec<u64>>, n: usize, width: usize) {
     while rows.len() > n {
         spare.extend(rows.pop());
     }
@@ -892,7 +882,7 @@ fn reshape_rows<T: Copy + Default>(
     }
     for row in rows {
         row.clear();
-        row.resize(width, T::default());
+        row.resize(width, 0);
     }
 }
 

@@ -9,13 +9,18 @@
 //! `TimelineSession::finish` emits them, so `accumulator.result().report()`
 //! renders byte-identically to the report a local `likwid-perfctr -t` run
 //! would have produced.
+//!
+//! Interval frames carry raw counts only. The per-interval metrics are
+//! derived here, when a client renders a row ([`stream_row`]) or rebuilds
+//! the result, through the [`MetricEvaluator`] of the `opened` frame: the
+//! same evaluator, with the same `time` binding, as the post-mortem
+//! result's.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use likwid::perfctr::TimelineResult;
-use likwid::report::{Series, TimeSeries};
+use likwid::perfctr::{MetricEvaluator, TimelineInterval, TimelineResult};
 use likwid::{LikwidError, Result};
 
 use crate::protocol::{DoneFrame, Frame, IntervalFrame, OpenRequest, OpenedFrame};
@@ -46,8 +51,8 @@ impl StreamAccumulator {
         &self.intervals
     }
 
-    /// Feed one `interval` frame. Frames must belong to this session and
-    /// arrive in index order.
+    /// Feed one `interval` frame. Frames must belong to this session,
+    /// arrive in index order and fit its shape ([`OpenedFrame::check`]).
     pub fn push(&mut self, frame: IntervalFrame) -> Result<()> {
         if frame.session != self.opened.session {
             return Err(LikwidError::Protocol(format!(
@@ -62,6 +67,7 @@ impl StreamAccumulator {
                 self.intervals.len()
             )));
         }
+        self.opened.check(&frame)?;
         self.intervals.push(frame);
         Ok(())
     }
@@ -112,57 +118,23 @@ impl StreamAccumulator {
         Ok(())
     }
 
-    /// Rebuild the full [`TimelineResult`] from the accumulated stream.
+    /// Rebuild the full [`TimelineResult`] from the accumulated stream,
+    /// deriving the per-interval metrics from the streamed counts.
     pub fn result(&self) -> Result<TimelineResult> {
         let done = self
             .done
             .as_ref()
             .ok_or_else(|| LikwidError::Protocol("stream not complete".into()))?;
-        let cpus = self.opened.cpus.clone();
-        let group_names: Vec<String> = self.opened.groups.iter().map(|g| g.name.clone()).collect();
-
-        let mut timeseries = Vec::with_capacity(self.opened.groups.len());
-        for (g, schema) in self.opened.groups.iter().enumerate() {
-            let frames: Vec<&IntervalFrame> =
-                self.intervals.iter().filter(|f| f.group == g).collect();
-            let timestamps: Vec<f64> = frames.iter().map(|f| f.t_end_s).collect();
-            let mut series = Vec::new();
-            if !frames.is_empty() {
-                if schema.metrics.is_empty() {
-                    for (ei, (name, _)) in schema.events.iter().enumerate() {
-                        for (ci, &cpu) in cpus.iter().enumerate() {
-                            let values = frames.iter().map(|f| f.counts[ei][ci] as f64).collect();
-                            series.push(Series::new(name.clone(), cpu, values));
-                        }
-                    }
-                } else {
-                    for (mi, name) in schema.metrics.iter().enumerate() {
-                        for (ci, &cpu) in cpus.iter().enumerate() {
-                            let values = frames
-                                .iter()
-                                .map(|f| {
-                                    f.metrics
-                                        .get(mi)
-                                        .and_then(|row| row.get(ci))
-                                        .copied()
-                                        .unwrap_or(f64::NAN)
-                                })
-                                .collect();
-                            series.push(Series::new(name.clone(), cpu, values));
-                        }
-                    }
-                }
-            }
-            timeseries.push(TimeSeries { timestamps, series });
-        }
-
+        let intervals: Vec<TimelineInterval> =
+            self.intervals.iter().map(IntervalFrame::to_interval).collect();
+        let timeseries = self.opened.metric_evaluator()?.timeseries(&intervals)?;
         Ok(TimelineResult {
             interval_s: self.opened.interval_s,
             duration_s: done.duration_s,
-            cpus,
+            cpus: self.opened.cpus.clone(),
             socket_lock_owners: self.opened.socket_lock_owners.clone(),
-            group_names,
-            intervals: self.intervals.iter().map(IntervalFrame::to_interval).collect(),
+            group_names: self.opened.groups.iter().map(|g| g.name.clone()).collect(),
+            intervals,
             aggregate: done.aggregate.clone(),
             extrapolated: done.extrapolated.clone(),
             aggregate_results: done.results.clone(),
@@ -299,38 +271,39 @@ pub fn stream_header(opened: &OpenedFrame) -> likwid::report::stream::StreamHead
 
 /// One interval frame as a live-stream row: the measured group's values in
 /// its column span, `None` (not covered this interval) everywhere else.
+/// The values are the interval's metrics, derived by `metrics` (the
+/// `opened` frame's [`OpenedFrame::metric_evaluator`]), or its raw counts
+/// for a custom event list. A frame that does not fit the session is a
+/// protocol error.
 pub fn stream_row(
     opened: &OpenedFrame,
+    metrics: &MetricEvaluator,
     frame: &IntervalFrame,
-) -> likwid::report::stream::StreamRow {
+) -> Result<likwid::report::stream::StreamRow> {
+    opened.check(frame)?;
     let span = |group: &crate::protocol::GroupSchema| {
         let names = if group.metrics.is_empty() { group.events.len() } else { group.metrics.len() };
         names * opened.cpus.len()
     };
-    let total: usize = opened.groups.iter().map(span).sum();
     let offset: usize = opened.groups.iter().take(frame.group).map(span).sum();
+    let total: usize = opened.groups.iter().map(span).sum();
+    let group = &opened.groups[frame.group];
+    let covered: Vec<f64> = if group.metrics.is_empty() {
+        frame.counts.iter().flatten().map(|&v| v as f64).collect()
+    } else {
+        let mut values = vec![vec![0.0; opened.cpus.len()]; group.metrics.len()];
+        metrics.interval_into(
+            frame.group,
+            &frame.counts,
+            frame.t_start_s,
+            frame.t_end_s,
+            &mut values,
+        )?;
+        values.into_iter().flatten().collect()
+    };
     let mut values = vec![None; total];
-    if let Some(group) = opened.groups.get(frame.group) {
-        let mut at = offset;
-        if group.metrics.is_empty() {
-            for per_cpu in &frame.counts {
-                for &v in per_cpu {
-                    if at < total {
-                        values[at] = Some(v as f64);
-                    }
-                    at += 1;
-                }
-            }
-        } else {
-            for per_cpu in &frame.metrics {
-                for &v in per_cpu {
-                    if at < total {
-                        values[at] = Some(v);
-                    }
-                    at += 1;
-                }
-            }
-        }
+    for (value, v) in values[offset..].iter_mut().zip(covered) {
+        *value = Some(v);
     }
-    likwid::report::stream::StreamRow { t: frame.t_end_s, values }
+    Ok(likwid::report::stream::StreamRow { t: frame.t_end_s, values })
 }

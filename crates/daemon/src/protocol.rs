@@ -13,8 +13,11 @@
 //!   list, group schemas (event and metric names per group), whether the
 //!   session needs the socket uncore locks.
 //! * `interval` — one live per-interval sample: the raw count deltas of the
-//!   active group plus the derived metric values with `time` bound to the
-//!   interval length. Streamed while the measurement runs.
+//!   active group, and nothing derived from them. Streamed while the
+//!   measurement runs. A client that renders an interval derives its
+//!   metrics (with `time` bound to the interval length) from these counts
+//!   through a [`likwid::perfctr::MetricEvaluator`] built from the `opened`
+//!   frame, exactly as the post-mortem result does.
 //! * `done` — the post-mortem result: aggregate and extrapolated counts,
 //!   the full per-group aggregate results, the cross-session coverage
 //!   scale. Interval frames and the `done` frame together reconstruct the
@@ -33,6 +36,17 @@
 //! All counter values cross the wire as JSON integers ([`u64`] exactly);
 //! reals use shortest-round-trip encoding, so reconstruction is bit-exact.
 //!
+//! Protocol 2 dropped the `metrics` member of `interval` frames, which
+//! protocol 1 carried; a decoder skips unknown members, so a protocol-1
+//! interval line still decodes.
+//!
+//! A session's counters follow one lifecycle per interval, so a frame is
+//! exactly one interval: the broker resumes the session (programs its
+//! active group and starts its own counter slots), credits the interval's
+//! activity, reads every counter once, and suspends the session (stops its
+//! slots and folds that reading). No session's counters are live between
+//! two frames.
+//!
 //! `frame` is the first member of every server frame, as it has always
 //! been. Every frame is written through [`likwid::json::Writer`], with no
 //! [`JsonValue`] tree; the server encodes each connection's frames into
@@ -48,12 +62,13 @@ use std::cell::RefCell;
 use crate::broker::{DaemonStatus, SessionStatus, UncoreStatus};
 use likwid::json::{obj, JsonValue, Reader, Writer};
 use likwid::perfctr::session::{Diagnostic, GroupCounts};
-use likwid::perfctr::{PerfCtrResults, TimelineInterval};
+use likwid::perfctr::{EventGroupKind, MetricEvaluator, PerfCtrResults, TimelineInterval};
 use likwid::{LikwidError, Result};
 use likwid_perf_events::CounterSlot;
+use likwid_x86_machine::MachinePreset;
 
 /// Protocol version spoken by this daemon.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Server identity announced in the hello frame.
 pub const SERVER_NAME: &str = "likwid-perfctrd";
@@ -144,9 +159,53 @@ pub struct OpenedFrame {
     pub groups: Vec<GroupSchema>,
 }
 
-/// One streamed interval: the live counterpart of [`TimelineInterval`] plus
-/// the interval's derived metric values (per metric, per cpu — `time`
-/// bound to the interval length).
+impl OpenedFrame {
+    /// The session's derived metrics, built from the machine, cpus and
+    /// groups this frame announces; building it touches no counter. A
+    /// group whose announced metric names differ from the ones its
+    /// definition on that machine derives is a protocol error.
+    pub fn metric_evaluator(&self) -> Result<MetricEvaluator> {
+        let protocol = |e: LikwidError| LikwidError::Protocol(format!("opened: {e}"));
+        let preset = MachinePreset::from_id(&self.machine)
+            .ok_or_else(|| LikwidError::Protocol(format!("opened: machine '{}'", self.machine)))?;
+        let groups: Vec<_> =
+            self.groups.iter().map(|g| (EventGroupKind::parse(&g.name), &g.events[..])).collect();
+        let evaluator = MetricEvaluator::new(preset.arch(), preset.clock(), &self.cpus, &groups)
+            .map_err(protocol)?;
+        for (index, group) in self.groups.iter().enumerate() {
+            let derived = evaluator.metric_names(index);
+            if derived != group.metrics {
+                return Err(LikwidError::Protocol(format!(
+                    "opened: group {} announces metrics {:?}, its definition derives {derived:?}",
+                    group.name, group.metrics
+                )));
+            }
+        }
+        Ok(evaluator)
+    }
+
+    /// Check that an interval frame fits this session: a known group, one
+    /// count row per event of that group and one count per measured cpu.
+    pub fn check(&self, frame: &IntervalFrame) -> Result<()> {
+        let group = self
+            .groups
+            .get(frame.group)
+            .ok_or_else(|| LikwidError::Protocol(format!("interval: no group {}", frame.group)))?;
+        let cpus = self.cpus.len();
+        if frame.counts.len() != group.events.len()
+            || frame.counts.iter().any(|row| row.len() != cpus)
+        {
+            return Err(LikwidError::Protocol(format!(
+                "interval {}: counts must be {} rows of {cpus}",
+                frame.index,
+                group.events.len()
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// One streamed interval: the live counterpart of [`TimelineInterval`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntervalFrame {
     /// Session id.
@@ -161,9 +220,6 @@ pub struct IntervalFrame {
     pub t_end_s: f64,
     /// Raw count deltas: `counts[event][cpu_position]`, exact.
     pub counts: GroupCounts,
-    /// Derived metric values: `metrics[metric][cpu_position]`, in the
-    /// group-schema metric order. Empty for custom event lists.
-    pub metrics: Vec<Vec<f64>>,
 }
 
 impl IntervalFrame {
@@ -358,41 +414,34 @@ fn begin_arr(r: &mut Reader<'_>, message: &str) -> Result<()> {
 }
 
 thread_local! {
-    /// Reused staging for [`read_rows`]: the items of an array of arrays,
-    /// as bits, and the item count after each row.
+    /// Reused staging for [`read_counts`]: the counts of an array of
+    /// arrays, and the count total after each row.
     static STAGING: RefCell<(Vec<u64>, Vec<usize>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// An array of arrays of items. The items are staged in a reused
-/// thread-local buffer and copied out once the array is closed, so every
-/// returned vector is allocated once, at its final length. `item` reads
-/// one item as bits, which `from_bits` turns back; `errors` are the
-/// messages for a non-array, a non-array row and a mistyped item.
-fn read_rows<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> std::result::Result<Option<u64>, String>,
-    from_bits: fn(u64) -> T,
-    errors: [&str; 3],
-) -> Result<Vec<Vec<T>>> {
+/// An interval frame's `counts`: an array of arrays of counts. The counts
+/// are staged in a reused thread-local buffer and copied out once the
+/// array is closed, so every returned row is allocated once, at its final
+/// length.
+fn read_counts(r: &mut Reader<'_>) -> Result<GroupCounts> {
     STAGING.with(|staging| {
         let (items, ends) = &mut *staging.borrow_mut();
         items.clear();
         ends.clear();
-        begin_arr(r, errors[0])?;
+        begin_arr(r, "interval.counts: expected array")?;
         while r.next_item().map_err(malformed)? {
-            begin_arr(r, errors[1])?;
+            begin_arr(r, "interval.counts: expected array of arrays")?;
             while r.next_item().map_err(malformed)? {
-                let value = item(r).map_err(malformed)?;
-                items.push(value.ok_or_else(|| LikwidError::Protocol(errors[2].to_string()))?);
+                let count = r.uint().map_err(malformed)?;
+                items.push(count.ok_or_else(|| {
+                    LikwidError::Protocol("interval.counts: expected count".to_string())
+                })?);
             }
             ends.push(items.len());
         }
         let starts = std::iter::once(0).chain(ends.iter().copied());
-        Ok(starts
-            .zip(ends.iter())
-            .map(|(start, &end)| items[start..end].iter().map(|&bits| from_bits(bits)).collect())
-            .collect())
+        Ok(starts.zip(ends.iter()).map(|(start, &end)| items[start..end].to_vec()).collect())
     })
 }
 
@@ -406,7 +455,7 @@ impl IntervalFrame {
         let real =
             |r: &mut Reader<'_>, name| r.real().map_err(malformed)?.ok_or_else(|| not_real(name));
         let (mut session, mut index, mut group) = (None, None, None);
-        let (mut t_start_s, mut t_end_s, mut counts, mut metrics) = (None, None, None, None);
+        let (mut t_start_s, mut t_end_s, mut counts) = (None, None, None);
         while let Some(key) = r.next_key().map_err(malformed)? {
             match &*key {
                 "session" => session = Some(uint(r, "session")?),
@@ -414,30 +463,7 @@ impl IntervalFrame {
                 "group" => group = Some(uint(r, "group")? as usize),
                 "t_start_s" => t_start_s = Some(real(r, "t_start_s")?),
                 "t_end_s" => t_end_s = Some(real(r, "t_end_s")?),
-                "counts" => {
-                    counts = Some(read_rows(
-                        r,
-                        Reader::uint,
-                        |bits| bits,
-                        [
-                            "interval.counts: expected array",
-                            "interval.counts: expected array of arrays",
-                            "interval.counts: expected count",
-                        ],
-                    )?)
-                }
-                "metrics" => {
-                    metrics = Some(read_rows(
-                        r,
-                        |r| Ok(r.real()?.map(f64::to_bits)),
-                        f64::from_bits,
-                        [
-                            "interval: metrics must be array",
-                            "interval.metrics: expected array",
-                            "interval.metrics: expected real",
-                        ],
-                    )?)
-                }
+                "counts" => counts = Some(read_counts(r)?),
                 _ => {
                     r.value().map_err(malformed)?;
                 }
@@ -450,7 +476,6 @@ impl IntervalFrame {
             t_start_s: t_start_s.ok_or_else(|| missing("t_start_s"))?,
             t_end_s: t_end_s.ok_or_else(|| missing("t_end_s"))?,
             counts: counts.ok_or_else(|| missing("counts"))?,
-            metrics: metrics.ok_or_else(|| missing("metrics"))?,
         })
     }
 }
@@ -515,7 +540,6 @@ impl Frame {
                     w.key("t_start_s").real(f.t_start_s);
                     w.key("t_end_s").real(f.t_end_s);
                     counts(w.key("counts"), &f.counts);
-                    w.key("metrics").arr(|w| f.metrics.iter().for_each(|row| reals(w, row)));
                 }
                 Frame::Done(f) => {
                     w.key("session").uint(f.session);
@@ -969,7 +993,6 @@ mod tests {
                 t_start_s: 7.5e-3,
                 t_end_s: 0.01,
                 counts: vec![vec![u64::MAX, 0], vec![1, 2]],
-                metrics: vec![vec![0.1 + 0.2, f64::NAN]],
             }),
             Frame::Done(DoneFrame {
                 session: 7,
@@ -1059,7 +1082,7 @@ mod tests {
     fn interval_decode_errors_name_the_member() {
         let good = concat!(
             r#"{"frame":"interval","session":1,"index":0,"group":0,"#,
-            r#""t_start_s":0,"t_end_s":0.5,"counts":[[1]],"metrics":[[2.5]]}"#
+            r#""t_start_s":0,"t_end_s":0.5,"counts":[[1]]}"#
         );
         assert!(matches!(Frame::from_line(good), Ok(Frame::Interval(_))));
         for (from, to, message) in [
@@ -1070,10 +1093,8 @@ mod tests {
             ("[[1]]", "[[1.5]]", "interval.counts: expected count"),
             ("[[1]]", "[1]", "interval.counts: expected array of arrays"),
             ("[[1]]", "{}", "interval.counts: expected array"),
-            ("[[2.5]]", "[[\"2.5\"]]", "interval.metrics: expected real"),
-            ("[[2.5]]", "7", "interval: metrics must be array"),
             ("[[1]]", "[[01]]", "malformed frame: bad number '01' at byte 91"),
-            ("}", "}x", "malformed frame: trailing characters at byte 113"),
+            ("}", "}x", "malformed frame: trailing characters at byte 95"),
             (
                 r#""frame":"interval","session":1"#,
                 r#""session":1,"frame":"interval""#,
@@ -1090,6 +1111,28 @@ mod tests {
         // Unknown members are skipped, wherever they stand.
         let noted = good.replace(r#""group""#, r#""note":{"x":[1,"y"]},"group""#);
         assert_eq!(Frame::from_line(&noted).unwrap(), Frame::from_line(good).unwrap());
+    }
+
+    #[test]
+    fn interval_lines_carry_counts_only_and_protocol_1_lines_still_decode() {
+        let frame = IntervalFrame {
+            session: 2,
+            index: 5,
+            group: 1,
+            t_start_s: 5e-4,
+            t_end_s: 6e-4,
+            counts: vec![vec![7, 0], vec![1 << 60, 3]],
+        };
+        let line = Frame::Interval(frame.clone()).to_line();
+        let tree = JsonValue::parse(line.trim()).expect("one JSON document");
+        assert!(tree.get("counts").is_some());
+        assert!(tree.get("metrics").is_none(), "{line}");
+        // A protocol-1 daemon also sent the derived metrics; the member is
+        // unknown now and skipped.
+        let v1 = line.replace(r#"]]}"#, r#"]],"metrics":[[0.5,1e300],[2.5,-0.0]]}"#);
+        assert_ne!(v1, line);
+        assert_eq!(Frame::from_line(&v1).unwrap(), Frame::Interval(frame));
+        assert_eq!(PROTOCOL_VERSION, 2);
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn hello_ping_session_and_shutdown() {
         match hello {
             Frame::Hello { server, protocol, machine } => {
                 assert_eq!(server, "likwid-perfctrd");
-                assert_eq!(protocol, 1);
+                assert_eq!(protocol, 2);
                 assert_eq!(machine, MachinePreset::WestmereEp2S.id());
             }
             other => panic!("expected hello, got {other:?}"),

@@ -151,9 +151,11 @@ impl std::fmt::Display for PapiError {
 impl std::error::Error for PapiError {}
 
 /// An event set: a collection of presets scheduled onto counters of one cpu.
+/// Starting and stopping it touch exactly its own counter slots.
 struct EventSet {
     cpu: usize,
-    events: Vec<(PapiPreset, CounterSlot)>,
+    /// The counter of each added event, in the order the events were added.
+    slots: Vec<CounterSlot>,
     running: bool,
 }
 
@@ -196,7 +198,7 @@ impl<'m> Papi<'m> {
                 .map_err(|e| PapiError::Hardware(e.to_string()))?;
             self.monitors.insert(cpu, pm);
         }
-        self.event_sets.push(EventSet { cpu, events: Vec::new(), running: false });
+        self.event_sets.push(EventSet { cpu, slots: Vec::new(), running: false });
         Ok(self.event_sets.len() - 1)
     }
 
@@ -211,14 +213,13 @@ impl<'m> Papi<'m> {
         let native = preset
             .native_event(&table)
             .ok_or_else(|| PapiError::NoEvent(preset.name().to_string()))?;
-        let used: Vec<CounterSlot> = event_set.events.iter().map(|(_, s)| *s).collect();
         let slot = table
             .allowed_slots(native)
             .into_iter()
-            .find(|s| !used.contains(s))
+            .find(|s| !event_set.slots.contains(s))
             .ok_or(PapiError::CounterConflict)?;
         counters(&self.monitors, event_set.cpu)?.setup(slot, native).map_err(hardware)?;
-        event_set.events.push((preset, slot));
+        event_set.slots.push(slot);
         Ok(())
     }
 
@@ -228,7 +229,7 @@ impl<'m> Papi<'m> {
         if event_set.running {
             return Err(PapiError::BadState);
         }
-        counters(&self.monitors, event_set.cpu)?.start().map_err(hardware)?;
+        counters(&self.monitors, event_set.cpu)?.start_slots(&event_set.slots).map_err(hardware)?;
         event_set.running = true;
         Ok(())
     }
@@ -237,7 +238,7 @@ impl<'m> Papi<'m> {
     pub fn read(&self, set: usize) -> Result<Vec<u64>, PapiError> {
         let event_set = self.event_sets.get(set).ok_or(PapiError::BadHandle)?;
         let counters = counters(&self.monitors, event_set.cpu)?;
-        event_set.events.iter().map(|(_, slot)| counters.read(*slot).map_err(hardware)).collect()
+        event_set.slots.iter().map(|&slot| counters.read(slot).map_err(hardware)).collect()
     }
 
     /// `PAPI_stop`: stop counting and return the final values.
@@ -247,7 +248,7 @@ impl<'m> Papi<'m> {
         if !event_set.running {
             return Err(PapiError::BadState);
         }
-        counters(&self.monitors, event_set.cpu)?.stop().map_err(hardware)?;
+        counters(&self.monitors, event_set.cpu)?.stop_slots(&event_set.slots).map_err(hardware)?;
         event_set.running = false;
         Ok(values)
     }

@@ -231,7 +231,7 @@ mod tests {
         let pm = PerfMon::new(&machine, &[1]).unwrap();
         let e = table.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
         pm.on_cpu(1).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
-        pm.on_cpu(1).unwrap().start().unwrap();
+        pm.on_cpu(1).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
 
         let mut sample = sample_with(&machine, 1, HwEventKind::SimdPackedDouble, 8_192_000);
         sample.threads[1].set(HwEventKind::InstructionsRetired, 1);
@@ -248,7 +248,7 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("SIMD_COMP_INST_RETIRED_SCALAR_DOUBLE").unwrap();
         pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(1), e).unwrap();
-        // No start(): the enable bit stays clear.
+        // No start_slots(): the enable bit stays clear.
         let sample = sample_with(&machine, 0, HwEventKind::SimdScalarDouble, 1000);
         engine.apply(&machine, &sample);
         assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(1)).unwrap(), 0);
@@ -263,7 +263,7 @@ mod tests {
         let e = table.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
         for cpu in [0, 1] {
             pm.on_cpu(cpu).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
-            pm.on_cpu(cpu).unwrap().start().unwrap();
+            pm.on_cpu(cpu).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
         }
         let sample = sample_with(&machine, 1, HwEventKind::SimdPackedDouble, 500);
         engine.apply(&machine, &sample);
@@ -285,7 +285,7 @@ mod tests {
             .unwrap()
             .setup(CounterSlot::Fixed(1), table.find("CPU_CLK_UNHALTED_CORE").unwrap())
             .unwrap();
-        pm.on_cpu(2).unwrap().start().unwrap();
+        pm.on_cpu(2).unwrap().start_slots(&[CounterSlot::Fixed(0), CounterSlot::Fixed(1)]).unwrap();
 
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.threads[2].set(HwEventKind::InstructionsRetired, 18_802_400);
@@ -306,7 +306,7 @@ mod tests {
         let e = table.find("UNC_L3_LINES_IN_ANY").unwrap();
         for cpu in [0usize, 4] {
             pm.on_cpu(cpu).unwrap().setup(CounterSlot::UncorePmc(0), e).unwrap();
-            pm.on_cpu(cpu).unwrap().start().unwrap();
+            pm.on_cpu(cpu).unwrap().start_slots(&[CounterSlot::UncorePmc(0)]).unwrap();
         }
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.sockets[0].set(HwEventKind::L3LinesIn, 591_000_000);
@@ -331,7 +331,7 @@ mod tests {
             .unwrap()
             .setup(CounterSlot::Pmc(1), table.find("L3_FILLS_ALL_ALL_CORES").unwrap())
             .unwrap();
-        pm.on_cpu(7).unwrap().start().unwrap();
+        pm.on_cpu(7).unwrap().start_slots(&[CounterSlot::Pmc(0), CounterSlot::Pmc(1)]).unwrap();
 
         let mut sample = EventSample::new(machine.num_hw_threads(), 2);
         sample.threads[7].set(HwEventKind::InstructionsRetired, 42);
@@ -352,7 +352,7 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("L1D_REPL").unwrap();
         pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
-        pm.on_cpu(0).unwrap().start().unwrap();
+        pm.on_cpu(0).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
         let sample = sample_with(&machine, 0, HwEventKind::L1Misses, 10);
         engine.apply(&machine, &sample);
         engine.apply(&machine, &sample);
@@ -367,10 +367,10 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("L1D_REPL").unwrap();
         pm.on_cpu(0).unwrap().setup(CounterSlot::Pmc(0), e).unwrap();
-        pm.on_cpu(0).unwrap().start().unwrap();
+        pm.on_cpu(0).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
         let sample = sample_with(&machine, 0, HwEventKind::L1Misses, 10);
         engine.apply(&machine, &sample);
-        pm.on_cpu(0).unwrap().stop().unwrap();
+        pm.on_cpu(0).unwrap().stop_slots(&[CounterSlot::Pmc(0)]).unwrap();
         engine.apply(&machine, &sample);
         assert_eq!(
             pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)).unwrap(),

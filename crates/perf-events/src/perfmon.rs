@@ -262,25 +262,8 @@ impl CpuCounters<'_> {
         Ok(())
     }
 
-    /// Apply `op` to the consecutive select registers from `base` on, up to
-    /// `count` of them, stopping at the first one not implemented.
-    fn each_select(
-        &mut self,
-        base: u32,
-        count: u32,
-        mut op: impl FnMut(&mut Self, u32) -> Result<(), PerfMonError>,
-    ) -> Result<(), PerfMonError> {
-        for n in 0..count {
-            match op(self, base + n) {
-                Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => break,
-                other => other?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Program `event` into `slot` (disabled; [`CpuCounters::start`] or
-    /// [`CpuCounters::start_slots`] enable it).
+    /// Program `event` into `slot` (disabled; [`CpuCounters::start_slots`]
+    /// enables it).
     pub fn setup(
         &mut self,
         slot: CounterSlot,
@@ -332,42 +315,16 @@ impl CpuCounters<'_> {
         Ok(select_ok && self.rd(counter)? == 0)
     }
 
-    /// Enable counting on all programmed counters.
-    pub fn start(&mut self) -> Result<(), PerfMonError> {
-        match self.perfmon.vendor {
-            Vendor::Intel => {
-                // Set the enable bits in each programmed PERFEVTSEL, then the
-                // global enable mask for PMCs and fixed counters.
-                self.each_select(Msr::IA32_PERFEVTSEL0, 8, Self::enable)?;
-                // The global and uncore control registers do not exist on all
-                // generations (Pentium M has neither); ignore their absence —
-                // but only their absence, real I/O failures must surface.
-                let global = 0xFF | (0x7 << 32);
-                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, global))?;
-                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, (1 << 32) | 0xFF))?;
-                self.each_select(Msr::MSR_UNCORE_PERFEVTSEL0, 8, Self::enable)?;
-            }
-            Vendor::Amd => {
-                for n in 0..4u32 {
-                    self.enable(Msr::AMD_PERFEVTSEL0 + n)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Enable counting on exactly the given counter slots, leaving every
     /// other select register untouched and setting only the matching
     /// per-counter bits of the global control registers.
     ///
-    /// [`CpuCounters::start`] mirrors the standalone tool: it flips the
-    /// enable bit of *every* programmed select register on the cpu, which
-    /// is correct when one measurement owns the whole PMU. Under the
-    /// `likwid-perfctrd` broker several sessions time-share the registers,
-    /// and a suspended session leaves its selects programmed (disabled);
-    /// blanket-enabling them would let a foreign time slice count into the
-    /// suspended session's counters. The slot-precise start closes exactly
-    /// that hole.
+    /// A measurement knows which slots it programmed, so it enables only
+    /// those. Under the `likwid-perfctrd` broker several sessions
+    /// time-share the registers, and a suspended session leaves its
+    /// selects programmed (disabled); enabling every programmed select on
+    /// the cpu would let a foreign time slice count into the suspended
+    /// session's counters.
     pub fn start_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
         match self.perfmon.vendor {
             Vendor::Intel => {
@@ -408,10 +365,6 @@ impl CpuCounters<'_> {
     /// [`CpuCounters::start_slots`]: clear the global control registers and
     /// the enable bit of each given select register, leaving every other
     /// select untouched. Counters retain their values.
-    ///
-    /// [`CpuCounters::stop`] scans every select register on the cpu; a
-    /// `likwid-perfctrd` session that suspends after each interval knows
-    /// which slots it started and stops only those.
     pub fn stop_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
         let vendor = self.perfmon.vendor;
         if vendor == Vendor::Intel {
@@ -425,24 +378,6 @@ impl CpuCounters<'_> {
             }
             if let (Some(select), _) = slot_registers(vendor, slot) {
                 self.disable(select)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Disable counting (counters retain their values).
-    pub fn stop(&mut self) -> Result<(), PerfMonError> {
-        match self.perfmon.vendor {
-            Vendor::Intel => {
-                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
-                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
-                self.each_select(Msr::IA32_PERFEVTSEL0, 8, Self::disable)?;
-                self.each_select(Msr::MSR_UNCORE_PERFEVTSEL0, 8, Self::disable)?;
-            }
-            Vendor::Amd => {
-                for n in 0..4u32 {
-                    self.disable(Msr::AMD_PERFEVTSEL0 + n)?;
-                }
             }
         }
         Ok(())
@@ -496,11 +431,11 @@ mod tests {
         assert_eq!(decode_selector(sel), event.selector());
         assert!(!is_enabled(sel), "setup leaves the counter disabled");
 
-        pm.on_cpu(1).unwrap().start().unwrap();
+        pm.on_cpu(1).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
         assert!(is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
-        assert_ne!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 0);
+        assert_eq!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 1);
 
-        pm.on_cpu(1).unwrap().stop().unwrap();
+        pm.on_cpu(1).unwrap().stop_slots(&[CounterSlot::Pmc(0)]).unwrap();
         assert!(!is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
         assert_eq!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 0);
     }
@@ -523,7 +458,7 @@ mod tests {
         let pm = PerfMon::new(&machine, &[0]).unwrap();
         let e = table.find("UNC_L3_LINES_IN_ANY").unwrap();
         pm.on_cpu(0).unwrap().setup(CounterSlot::UncorePmc(0), e).unwrap();
-        pm.on_cpu(0).unwrap().start().unwrap();
+        pm.on_cpu(0).unwrap().start_slots(&[CounterSlot::UncorePmc(0)]).unwrap();
         let dev = machine.msr(0, MsrPermission::ReadOnly).unwrap();
         assert!(is_enabled(dev.read(Msr::MSR_UNCORE_PERFEVTSEL0).unwrap()));
         assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::UncorePmc(0)).unwrap(), 0);
@@ -536,10 +471,10 @@ mod tests {
         let pm = PerfMon::new(&machine, &[3]).unwrap();
         let e = table.find("RETIRED_INSTRUCTIONS").unwrap();
         pm.on_cpu(3).unwrap().setup(CounterSlot::Pmc(2), e).unwrap();
-        pm.on_cpu(3).unwrap().start().unwrap();
+        pm.on_cpu(3).unwrap().start_slots(&[CounterSlot::Pmc(2)]).unwrap();
         let dev = machine.msr(3, MsrPermission::ReadOnly).unwrap();
         assert!(is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
-        pm.on_cpu(3).unwrap().stop().unwrap();
+        pm.on_cpu(3).unwrap().stop_slots(&[CounterSlot::Pmc(2)]).unwrap();
         assert!(!is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
     }
 

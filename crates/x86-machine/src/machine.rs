@@ -10,7 +10,7 @@ use crate::cpuid::{CpuidResult, CpuidSource};
 use crate::error::Result;
 use crate::fault::FaultPlan;
 use crate::features::Prefetcher;
-use crate::msr::{Msr, MsrDevice, MsrFile, MsrPermission, MsrSpace};
+use crate::msr::{Msr, MsrAccesses, MsrDevice, MsrFile, MsrPermission, MsrSpace};
 use crate::presets::{MachinePreset, MemorySystemSpec};
 use crate::topology::TopologySpec;
 use crate::vendor::{Microarch, Vendor};
@@ -153,6 +153,13 @@ impl SimMachine {
     /// never affected.
     pub fn inject_faults(&self, plan: FaultPlan) {
         self.msr_space.write().attach_faults(plan);
+    }
+
+    /// The `rdmsr`/`wrmsr` calls made through this machine's MSR devices
+    /// so far. Subtract two readings ([`MsrAccesses::since`]) to count the
+    /// accesses of one operation.
+    pub fn msr_accesses(&self) -> MsrAccesses {
+        self.msr_space.read().device_accesses()
     }
 
     /// The fault plan attached to this machine, if any.

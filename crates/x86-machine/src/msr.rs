@@ -22,7 +22,12 @@
 //! instance, the architectural value next to its full-width shadow. A tool
 //! that programs one cpu's counters locks the file once for the whole
 //! sequence ([`MsrDevice::batch`]), not once per `rdmsr`/`wrmsr`.
+//!
+//! The file counts every device access ([`MsrSpace::device_accesses`]):
+//! the number of `rdmsr`s and `wrmsr`s a measurement issues is the cost
+//! the real tool pays in system calls, and, unlike host time, it is exact.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockWriteGuard};
@@ -175,6 +180,33 @@ pub struct MsrSpace {
     num_threads: usize,
     /// Active fault scenario for device-mediated accesses, if any.
     faults: Option<FaultState>,
+    /// Device reads and writes so far, faulted attempts included.
+    device_reads: AtomicU64,
+    device_writes: AtomicU64,
+}
+
+/// The device accesses of a machine's MSR file so far: every `rdmsr` and
+/// `wrmsr` through an [`MsrDevice`], including attempts a fault plan
+/// failed. Machine-internal accesses (the counting engine, the clock) are
+/// not device accesses and are not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MsrAccesses {
+    /// `rdmsr` calls.
+    pub reads: u64,
+    /// `wrmsr` calls.
+    pub writes: u64,
+}
+
+impl MsrAccesses {
+    /// Reads plus writes.
+    pub fn total(self) -> u64 {
+        self.reads + self.writes
+    }
+
+    /// The accesses made since `earlier`, a reading of the same machine.
+    pub fn since(self, earlier: MsrAccesses) -> MsrAccesses {
+        MsrAccesses { reads: self.reads - earlier.reads, writes: self.writes - earlier.writes }
+    }
 }
 
 impl MsrSpace {
@@ -212,7 +244,24 @@ impl MsrSpace {
             assert_eq!(*entry, NO_REGISTER, "MSR {:#x} shares its index entry", reg.desc.address);
             *entry = position as u8;
         }
-        MsrSpace { registers, index, thread_core, thread_socket, num_threads, faults: None }
+        MsrSpace {
+            registers,
+            index,
+            thread_core,
+            thread_socket,
+            num_threads,
+            faults: None,
+            device_reads: AtomicU64::new(0),
+            device_writes: AtomicU64::new(0),
+        }
+    }
+
+    /// The device accesses made so far.
+    pub fn device_accesses(&self) -> MsrAccesses {
+        MsrAccesses {
+            reads: self.device_reads.load(Ordering::Relaxed),
+            writes: self.device_writes.load(Ordering::Relaxed),
+        }
     }
 
     /// The position of the register at `address` in `registers`.
@@ -269,6 +318,7 @@ impl MsrSpace {
     /// the attached fault plan, unlike the machine-internal
     /// [`MsrSpace::read`] path used by the counting engine and the clock.
     pub fn device_read(&self, cpu: usize, address: u32) -> Result<u64> {
+        self.device_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(faults) = &self.faults {
             faults.check(cpu, address, false)?;
         }
@@ -279,6 +329,7 @@ impl MsrSpace {
     /// a stuck register are accepted but silently lost, exactly the failure
     /// mode verify-after-write programming exists to catch.
     pub fn device_write(&mut self, cpu: usize, address: u32, value: u64) -> Result<()> {
+        *self.device_writes.get_mut() += 1;
         if let Some(faults) = &self.faults {
             faults.check(cpu, address, true)?;
             if faults.is_stuck(cpu, address) {

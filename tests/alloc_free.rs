@@ -11,10 +11,9 @@
 //!   under a fixed host-memory budget.
 //!
 //! * A warm daemon interval allocates nothing: from the demo activity
-//!   through programming, counting, reading and suspending the counters to
-//!   the derived metrics, `SessionHandle::next_interval_into` refills one
-//!   frame in place. `next_interval` allocates exactly the frame it
-//!   returns.
+//!   through programming, counting, reading and suspending the counters,
+//!   `SessionHandle::next_interval_into` refills one frame in place.
+//!   `next_interval` allocates exactly the frame it returns.
 //!
 //! The allocator counts per thread, so the test harness's own threads and
 //! neighbouring tests cannot disturb a measurement. Nothing in this binary
@@ -232,7 +231,7 @@ fn next_interval_allocates_only_the_frame_it_returns() {
             let mut next = None;
             let allocations = allocations_in(|| next = handle.next_interval().expect("interval"));
             let Some(frame) = next else { break };
-            let owned = 2 + frame.counts.len() + frame.metrics.len();
+            let owned = 1 + frame.counts.len();
             assert_eq!(allocations, owned as u64, "-c {cpus} -g {group}");
         }
     }
@@ -264,7 +263,7 @@ fn decoding_an_interval_line_allocates_only_what_the_frame_owns() {
             let Some(Ok(Frame::Interval(frame))) = decoded else {
                 panic!("{line} did not decode to an interval frame");
             };
-            let owned = 2 + frame.counts.len() + frame.metrics.len();
+            let owned = 1 + frame.counts.len();
             assert!(allocations <= owned as u64, "{allocations} > {owned} for {line}");
         }
     }

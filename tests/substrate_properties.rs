@@ -355,31 +355,18 @@ fn interval_tree(f: &IntervalFrame) -> Vec<(&'static str, JsonValue)> {
                 .map(|row| arr(row.iter().map(|&v| JsonValue::UInt(v)).collect()))
                 .collect()),
         ),
-        (
-            "metrics",
-            arr(f
-                .metrics
-                .iter()
-                .map(|row| arr(row.iter().map(|&v| JsonValue::real(v)).collect()))
-                .collect()),
-        ),
     ]
 }
 
 /// Whether a decoded frame is the original, reals compared bit for bit
 /// (NaN by class: the wire spells every NaN `"NaN"`).
 fn same_interval(a: &IntervalFrame, b: &IntervalFrame) -> bool {
-    let reals = |x: &[f64], y: &[f64]| {
-        x.len() == y.len() && x.iter().zip(y).all(|(&p, &q)| same_real(p, q))
-    };
     a.session == b.session
         && a.index == b.index
         && a.group == b.group
         && same_real(a.t_start_s, b.t_start_s)
         && same_real(a.t_end_s, b.t_end_s)
         && a.counts == b.counts
-        && a.metrics.len() == b.metrics.len()
-        && a.metrics.iter().zip(&b.metrics).all(|(x, y)| reals(x, y))
 }
 
 proptest! {
@@ -588,7 +575,6 @@ proptest! {
             t_start_s: 0.5,
             t_end_s: 1.0,
             counts: vec![vec![u64::MAX, 7]],
-            metrics: vec![vec![f64::NAN, 2.5]],
         });
         let opened = Frame::Opened(OpenedFrame {
             session: 3,
@@ -670,17 +656,15 @@ proptest! {
     fn streaming_interval_codec_agrees_with_the_tree_codec(
         ids in (0u64..u64::MAX, 0usize..1 << 20, 0usize..4, prop::bool::ANY),
         times in ((0u64..u64::MAX, 0usize..12), (0u64..u64::MAX, 0usize..12)),
-        shape in (0usize..6, 0usize..5, 0usize..4, prop::bool::ANY),
+        shape in (0usize..6, 0usize..5),
         counts in prop::collection::vec((0u64..u64::MAX, 0usize..4), 1..24),
-        metrics in prop::collection::vec((0u64..u64::MAX, 0usize..18), 1..24),
         edit in (0usize..8, 0usize..9, 0usize..8),
     ) {
-        let (events, cpus, metric_rows, custom) = shape;
+        let (events, cpus) = shape;
         let counts: Vec<u64> = counts
             .iter()
             .map(|&(v, pick)| [u64::MAX, 0, v, v >> (v % 64)][pick])
             .collect();
-        let metrics: Vec<f64> = metrics.into_iter().map(real_from).collect();
         let frame = IntervalFrame {
             session: if ids.3 { u64::MAX } else { ids.0 },
             index: ids.1,
@@ -688,8 +672,6 @@ proptest! {
             t_start_s: real_from(times.0),
             t_end_s: real_from(times.1),
             counts: rows_of(&counts, events, cpus),
-            // Custom event lists carry no metric rows.
-            metrics: if custom { Vec::new() } else { rows_of(&metrics, metric_rows, cpus) },
         };
         let members = interval_tree(&frame);
         let tree = |members: &[(&str, JsonValue)]| {
