@@ -22,6 +22,11 @@ use crate::perfctr::session::GroupCounts;
 use crate::perfctr::timeline::TimelineInterval;
 use crate::report::{Series, TimeSeries};
 
+/// One group of a measurement as the evaluator sees it: its preconfigured
+/// kind (`None` for a custom event list) and its programmed
+/// `(event, counter)` list.
+pub type GroupEvents<'a> = (Option<EventGroupKind>, &'a [(String, CounterSlot)]);
+
 /// The bound formulas of one group.
 #[derive(Debug, Clone)]
 struct GroupFormulas {
@@ -47,15 +52,14 @@ pub struct MetricEvaluator {
 }
 
 impl MetricEvaluator {
-    /// The metrics of a measurement on `arch` at `clock` over `cpus`.
-    /// Each group is given by its programmed `(event, counter)` list and,
-    /// for a preconfigured group, its kind; a custom event list (`None`)
-    /// derives no metrics.
+    /// The metrics of a measurement on `arch` at `clock` over `cpus`, one
+    /// group per entry of `groups`; a custom event list derives no
+    /// metrics.
     pub fn new(
         arch: Microarch,
         clock: ClockDomain,
         cpus: &[usize],
-        groups: &[(Option<EventGroupKind>, &[(String, CounterSlot)])],
+        groups: &[GroupEvents<'_>],
     ) -> Result<Self> {
         let groups = groups
             .iter()

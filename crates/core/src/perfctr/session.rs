@@ -588,7 +588,7 @@ impl<'m> PerfCtr<'m> {
     }
 
     /// [`PerfCtr::read_counts`] into a caller-owned buffer, reshaped to the
-    /// active group; a buffer that already has this shape is reused
+    /// active group; a buffer that already has that shape is reused
     /// without allocating. The counters are read cpu by cpu, under one
     /// register-file lock per cpu.
     pub fn read_counts_into(&self, counts: &mut GroupCounts) -> Result<()> {
@@ -783,12 +783,6 @@ impl<'m> PerfCtr<'m> {
     /// order (the row order of the events table).
     pub fn group_events(&self, group: usize) -> Vec<(String, CounterSlot)> {
         self.groups[group].events.iter().map(|(name, slot, _)| (name.clone(), *slot)).collect()
-    }
-
-    /// The derived-metric names of a group, in definition order (empty for
-    /// custom event lists).
-    pub fn metric_names(&self, group: usize) -> Vec<String> {
-        self.metrics.metric_names(group)
     }
 
     /// The derived metrics of every group of this session.

@@ -84,14 +84,16 @@ pub struct TimelineInterval {
 /// Protocol: [`TimelineSession::start`], then — per interval — credit the
 /// interval's simulated activity through the counting engine and call
 /// [`TimelineSession::tick`] with the interval's virtual length; finally
-/// [`TimelineSession::finish`] yields the [`TimelineResult`].
+/// [`TimelineSession::finish`] yields the [`TimelineResult`]. A session
+/// time-sliced against others instead brackets each interval with
+/// [`TimelineSession::resume`] and [`TimelineSession::tick_and_suspend`].
 ///
 /// Every buffer of an interval is kept per group and reused: the counts
 /// are read into the group's latest interval, the deltas are taken against
 /// the group's baseline in place, and the recorded deltas append to one
 /// flat vector ([`TimelineSession::reserve_intervals`] sizes it up front).
-/// Suspending and resuming zero the baseline in place, so a warm interval
-/// allocates nothing.
+/// Resuming zeroes the baseline in place, so a warm interval allocates
+/// nothing.
 pub struct TimelineSession<'m> {
     session: PerfCtr<'m>,
     interval_s: f64,

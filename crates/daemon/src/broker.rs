@@ -385,7 +385,7 @@ impl<'m> Daemon<'m> {
             .map(|g| GroupSchema {
                 name: session.session().group_name(g).to_string(),
                 events: session.session().group_events(g),
-                metrics: session.session().metric_names(g),
+                metrics: session.session().metrics().metric_names(g),
             })
             .collect();
         let opened = OpenedFrame {

@@ -285,8 +285,8 @@ pub fn stream_row(
         let names = if group.metrics.is_empty() { group.events.len() } else { group.metrics.len() };
         names * opened.cpus.len()
     };
-    let offset: usize = opened.groups.iter().take(frame.group).map(span).sum();
     let total: usize = opened.groups.iter().map(span).sum();
+    let offset: usize = opened.groups.iter().take(frame.group).map(span).sum();
     let group = &opened.groups[frame.group];
     let covered: Vec<f64> = if group.metrics.is_empty() {
         frame.counts.iter().flatten().map(|&v| v as f64).collect()

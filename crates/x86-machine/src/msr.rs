@@ -198,11 +198,6 @@ pub struct MsrAccesses {
 }
 
 impl MsrAccesses {
-    /// Reads plus writes.
-    pub fn total(self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// The accesses made since `earlier`, a reading of the same machine.
     pub fn since(self, earlier: MsrAccesses) -> MsrAccesses {
         MsrAccesses { reads: self.reads - earlier.reads, writes: self.writes - earlier.writes }

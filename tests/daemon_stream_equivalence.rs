@@ -10,12 +10,18 @@
 //! a local `likwid-perfctr -t` run with the same configuration — across
 //! presets, core-only, uncore, multiplexed and custom event specs. The
 //! same holds for `Experiment::via_daemon` against `Experiment::run`.
+//!
+//! Interval frames carry raw counts only; the client derives every
+//! per-interval metric itself. Those derived values must equal the local
+//! run's bit for bit, in the rebuilt time series and in each live row.
 
-use likwid_suite::daemon::client::StreamAccumulator;
+use likwid_suite::daemon::client::{stream_row, StreamAccumulator};
 use likwid_suite::daemon::{Daemon, Frame, OpenRequest};
 use likwid_suite::likwid::perfctr::timeline::run_demo_timeline;
-use likwid_suite::likwid::perfctr::{parse_interval, parse_measurement_spec, PerfCtrConfig};
-use likwid_suite::likwid::report::{Ascii, Render};
+use likwid_suite::likwid::perfctr::{
+    parse_interval, parse_measurement_spec, PerfCtrConfig, TimelineResult,
+};
+use likwid_suite::likwid::report::{Ascii, Render, TimeSeries};
 use likwid_suite::perf_events::EventEngine;
 use likwid_suite::workloads::kernels::kernel_by_name;
 use likwid_suite::workloads::{Experiment, PlacementPolicy};
@@ -59,6 +65,28 @@ fn stream_via_wire(preset: MachinePreset, request: &OpenRequest) -> StreamAccumu
     accumulator
 }
 
+/// The local `run_demo_timeline` of a `-c cpus -g group` session over
+/// 10 ms in 2 ms intervals, on a fresh machine.
+fn local_run(preset: MachinePreset, cpus: &str, group: &str) -> TimelineResult {
+    let machine = SimMachine::new(preset);
+    let engine = EventEngine::new(&machine);
+    let spec = parse_measurement_spec(group, engine.table()).expect("spec parses");
+    let config =
+        PerfCtrConfig { cpus: cpus.split(',').map(|c| c.parse().unwrap()).collect(), spec };
+    let interval_s = parse_interval("2ms").expect("interval");
+    let duration_s = parse_interval("10ms").expect("duration");
+    run_demo_timeline(&machine, config, interval_s, duration_s).expect("local timeline run")
+}
+
+/// The values of a time series as bits, series by series.
+fn series_bits(series: &TimeSeries) -> Vec<(String, usize, Vec<u64>)> {
+    series
+        .series
+        .iter()
+        .map(|s| (s.metric.clone(), s.cpu, s.values.iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
 #[test]
 fn streamed_frames_reconstruct_the_post_mortem_report_byte_identically() {
     let cases: &[(MachinePreset, &str, &str)] = &[
@@ -81,15 +109,7 @@ fn streamed_frames_reconstruct_the_post_mortem_report_byte_identically() {
 
         // The reference: a local timeline run of the demo app on a fresh
         // machine with the identical configuration.
-        let machine = SimMachine::new(preset);
-        let engine = EventEngine::new(&machine);
-        let spec = parse_measurement_spec(group, engine.table()).expect("spec parses");
-        let config =
-            PerfCtrConfig { cpus: cpus.split(',').map(|c| c.parse().unwrap()).collect(), spec };
-        let interval_s = parse_interval("2ms").expect("interval");
-        let duration_s = parse_interval("10ms").expect("duration");
-        let local = run_demo_timeline(&machine, config, interval_s, duration_s)
-            .expect("local timeline run");
+        let local = local_run(preset, cpus, group);
 
         assert_eq!(
             Ascii.render(&streamed.report()),
@@ -106,6 +126,57 @@ fn streamed_frames_reconstruct_the_post_mortem_report_byte_identically() {
                 "{context}: interval boundaries diverge"
             );
         }
+        // The client-derived series, bit for bit, not only as rendered.
+        assert_eq!(streamed.timeseries.len(), local.timeseries.len(), "{context}: groups");
+        for (s, l) in streamed.timeseries.iter().zip(&local.timeseries) {
+            let stamps = |ts: &TimeSeries| ts.timestamps.iter().map(|t| t.to_bits()).collect();
+            let (s_stamps, l_stamps): (Vec<u64>, Vec<u64>) = (stamps(s), stamps(l));
+            assert_eq!(s_stamps, l_stamps, "{context}: timestamps");
+            assert_eq!(series_bits(s), series_bits(l), "{context}: series values");
+        }
+    }
+}
+
+#[test]
+fn every_live_row_carries_the_post_mortem_values_of_its_interval() {
+    for (preset, cpus, group) in [
+        (MachinePreset::WestmereEp2S, "0,1,2", "FLOPS_DP,MEM,L3"),
+        (MachinePreset::NehalemEp2S, "0,4", "INSTR_RETIRED_ANY:FIXC0,CPU_CLK_UNHALTED_CORE:FIXC1"),
+    ] {
+        let context = format!("{} cpus={cpus} -g {group}", preset.id());
+        let accumulator = stream_via_wire(preset, &request(cpus, group, "2ms", "10ms"));
+        let opened = accumulator.opened();
+        let metrics = opened.metric_evaluator().expect("evaluator of the opened frame");
+        let local = local_run(preset, cpus, group);
+
+        // A row spans every group's columns in group order; the frame's
+        // group fills its own span with the interval's value of each
+        // series, in series order, and leaves the rest empty.
+        let widths: Vec<usize> = local.timeseries.iter().map(|ts| ts.series.len()).collect();
+        let mut seen = vec![0; widths.len()];
+        for frame in accumulator.intervals() {
+            let row = stream_row(opened, &metrics, frame).expect("a well-formed frame");
+            assert_eq!(row.t.to_bits(), frame.t_end_s.to_bits(), "{context}");
+            assert_eq!(row.values.len(), widths.iter().sum::<usize>(), "{context}");
+            let g = frame.group;
+            let offset: usize = widths[..g].iter().sum();
+            let at = seen[g];
+            seen[g] += 1;
+            for (column, value) in row.values.iter().enumerate() {
+                let expected = match column.checked_sub(offset) {
+                    Some(i) if i < widths[g] => Some(local.timeseries[g].series[i].values[at]),
+                    _ => None,
+                };
+                assert_eq!(
+                    value.map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "{context}: interval {} column {column}",
+                    frame.index
+                );
+            }
+        }
+        let rows: Vec<usize> = local.timeseries.iter().map(|ts| ts.timestamps.len()).collect();
+        assert_eq!(seen, rows, "{context}: one row per interval of each group");
     }
 }
 
