@@ -1136,6 +1136,39 @@ mod tests {
     }
 
     #[test]
+    fn opened_frames_check_interval_shapes_and_their_metric_schema() {
+        let mut opened = OpenedFrame {
+            session: 1,
+            machine: "nehalem-ep-2s".into(),
+            cpus: vec![0, 1],
+            socket_lock_owners: vec![0],
+            interval_s: 1e-3,
+            duration_s: 2e-3,
+            uncore: false,
+            groups: vec![GroupSchema {
+                name: "CUSTOM".into(),
+                events: vec![("INSTR_RETIRED_ANY".into(), CounterSlot::Fixed(0))],
+                metrics: Vec::new(),
+            }],
+        };
+        let frame =
+            |group, counts| IntervalFrame { session: 1, group, counts, ..Default::default() };
+        assert!(opened.check(&frame(0, vec![vec![1, 2]])).is_ok());
+        for bad in [frame(1, vec![vec![1, 2]]), frame(0, vec![vec![1]]), frame(0, vec![])] {
+            let err = opened.check(&bad).unwrap_err();
+            assert!(matches!(err, LikwidError::Protocol(_)), "{bad:?}: {err:?}");
+        }
+        assert!(opened.metric_evaluator().is_ok());
+        // A schema announcing metrics its group does not derive, or an
+        // unknown machine, cannot be evaluated.
+        opened.groups[0].metrics.push("CPI".into());
+        assert!(matches!(opened.metric_evaluator(), Err(LikwidError::Protocol(_))));
+        opened.groups[0].metrics.clear();
+        opened.machine = "nehalem".into();
+        assert!(matches!(opened.metric_evaluator(), Err(LikwidError::Protocol(_))));
+    }
+
+    #[test]
     fn deeply_nested_lines_are_protocol_errors_not_stack_overflows() {
         for deep in ["[".repeat(100_000), "{\"frame\":".repeat(100_000)] {
             let err = Frame::from_line(&deep).unwrap_err();
