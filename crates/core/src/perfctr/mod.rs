@@ -35,5 +35,6 @@ pub use session::{
     HealingStats, MeasurementSpec, PerfCtr, PerfCtrConfig, PerfCtrResults,
 };
 pub use timeline::{
-    parse_duration, parse_interval, TimelineInterval, TimelineResult, TimelineSession,
+    parse_duration, parse_interval, IntervalLog, LoggedInterval, TimelineInterval, TimelineResult,
+    TimelineSession, TimelineTotals,
 };

@@ -31,6 +31,7 @@ use likwid_perf_events::{EventEngine, EventSample, HwEventKind};
 use likwid_x86_machine::SimMachine;
 
 use crate::error::{LikwidError, Result};
+use crate::perfctr::metrics::MetricEvaluator;
 use crate::perfctr::session::{GroupCounts, PerfCtr, PerfCtrConfig, PerfCtrResults};
 use crate::report::{Body, KvEntry, Report, Section, TimeSeries, Value};
 
@@ -78,6 +79,124 @@ pub struct TimelineInterval {
     pub counts: GroupCounts,
 }
 
+/// A flat log of timeline intervals: the spans of all intervals in one
+/// vector, their count rows back to back in another. An interval of group
+/// `g` holds as many rows as `g` has events, each one count per measured
+/// cpu, so the log cuts its counts back into intervals without storing a
+/// row count per interval. Appending an interval to a log that has room
+/// for it allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IntervalLog {
+    /// Count rows per interval, by group.
+    rows: Vec<usize>,
+    /// Counts per row: one per measured cpu.
+    width: usize,
+    /// `(t_start_s, t_end_s, group)` of every interval, in order.
+    spans: Vec<(f64, f64, usize)>,
+    /// The count rows of every interval, in order.
+    counts: Vec<u64>,
+}
+
+/// One interval of an [`IntervalLog`], its counts borrowed from the log.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoggedInterval<'a> {
+    /// Virtual time at the start of the interval.
+    pub t_start_s: f64,
+    /// Virtual time at the end of the interval.
+    pub t_end_s: f64,
+    /// Index of the group measured during the interval.
+    pub group: usize,
+    counts: &'a [u64],
+    width: usize,
+}
+
+impl<'a> LoggedInterval<'a> {
+    /// The raw count deltas, one row per event of the group, one count per
+    /// measured cpu.
+    pub fn rows(&self) -> std::slice::ChunksExact<'a, u64> {
+        self.counts.chunks_exact(self.width.max(1))
+    }
+
+    /// An owned copy of the interval.
+    pub fn to_interval(&self) -> TimelineInterval {
+        TimelineInterval {
+            t_start_s: self.t_start_s,
+            t_end_s: self.t_end_s,
+            group: self.group,
+            counts: self.rows().map(<[u64]>::to_vec).collect(),
+        }
+    }
+}
+
+impl IntervalLog {
+    /// An empty log of intervals whose group `g` carries `rows[g]` count
+    /// rows of `width` counts each.
+    pub fn new(rows: Vec<usize>, width: usize) -> Self {
+        IntervalLog { rows, width, spans: Vec::new(), counts: Vec::new() }
+    }
+
+    /// Make room for `intervals` more intervals of the widest group.
+    pub fn reserve(&mut self, intervals: usize) {
+        let widest = self.rows.iter().copied().max().unwrap_or(0);
+        self.spans.reserve(intervals);
+        self.counts.reserve(intervals * widest * self.width);
+    }
+
+    /// Append one interval of `group`. Panics unless `counts` holds one
+    /// row per event of the group and one count per cpu in every row:
+    /// callers check the shape of untrusted input first.
+    pub fn push(&mut self, t_start_s: f64, t_end_s: f64, group: usize, counts: &[Vec<u64>]) {
+        assert_eq!(counts.len(), self.rows[group], "one count row per event of group {group}");
+        // At most one growth per interval, however many rows it has.
+        self.counts.reserve(counts.len() * self.width);
+        for row in counts {
+            assert_eq!(row.len(), self.width, "one count per measured cpu");
+            self.counts.extend_from_slice(row);
+        }
+        self.spans.push((t_start_s, t_end_s, group));
+    }
+
+    /// The number of intervals logged.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether no interval was logged.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The logged intervals, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LoggedInterval<'_>> + '_ {
+        let mut rest = &self.counts[..];
+        self.spans.iter().map(move |&(t_start_s, t_end_s, group)| {
+            let (counts, tail) = rest.split_at(self.rows[group] * self.width);
+            rest = tail;
+            LoggedInterval { t_start_s, t_end_s, group, counts, width: self.width }
+        })
+    }
+
+    /// Per group, the count deltas of its intervals summed count by count:
+    /// what the deltas telescope to.
+    pub fn group_sums(&self) -> Vec<GroupCounts> {
+        let mut sums: Vec<GroupCounts> =
+            self.rows.iter().map(|&rows| vec![vec![0; self.width]; rows]).collect();
+        for interval in self.iter() {
+            for (sum, row) in sums[interval.group].iter_mut().zip(interval.rows()) {
+                for (s, &v) in sum.iter_mut().zip(row) {
+                    *s += v;
+                }
+            }
+        }
+        sums
+    }
+
+    /// The logged intervals rebuilt as owned [`TimelineInterval`]s.
+    pub fn intervals(&self) -> Vec<TimelineInterval> {
+        self.iter().map(|interval| interval.to_interval()).collect()
+    }
+}
+
 /// A time-resolved measurement session: wraps [`PerfCtr`] and records
 /// per-interval counter deltas while the caller advances virtual time.
 ///
@@ -91,9 +210,9 @@ pub struct TimelineInterval {
 /// Every buffer of an interval is kept per group and reused: the counts
 /// are read into the group's latest interval, the deltas are taken against
 /// the group's baseline in place, and the recorded deltas append to one
-/// flat vector ([`TimelineSession::reserve_intervals`] sizes it up front).
-/// Resuming zeroes the baseline in place, so a warm interval allocates
-/// nothing.
+/// [`IntervalLog`] ([`TimelineSession::reserve_intervals`] sizes it up
+/// front). Resuming zeroes the baseline in place, so a warm interval
+/// allocates nothing.
 pub struct TimelineSession<'m> {
     session: PerfCtr<'m>,
     interval_s: f64,
@@ -104,11 +223,8 @@ pub struct TimelineSession<'m> {
     /// Per group: its most recent interval, the one [`TimelineSession::tick`]
     /// returns.
     latest: Vec<TimelineInterval>,
-    /// `(t_start_s, t_end_s, group)` of every recorded interval, in order.
-    spans: Vec<(f64, f64, usize)>,
-    /// The count deltas of every recorded interval, event rows in order,
-    /// one value per measured cpu.
-    recorded: Vec<u64>,
+    /// Every recorded interval, in order.
+    log: IntervalLog,
 }
 
 impl<'m> TimelineSession<'m> {
@@ -128,6 +244,7 @@ impl<'m> TimelineSession<'m> {
         let zeros = |group| vec![vec![0; cpus]; session.num_events(group)];
         let groups = 0..session.num_groups();
         let baselines = groups.clone().map(zeros).collect();
+        let log = IntervalLog::new(groups.clone().map(|g| session.num_events(g)).collect(), cpus);
         let latest = groups
             .map(|group| TimelineInterval {
                 t_start_s: 0.0,
@@ -136,15 +253,7 @@ impl<'m> TimelineSession<'m> {
                 counts: zeros(group),
             })
             .collect();
-        Ok(TimelineSession {
-            session,
-            interval_s,
-            elapsed_s: 0.0,
-            baselines,
-            latest,
-            spans: Vec::new(),
-            recorded: Vec::new(),
-        })
+        Ok(TimelineSession { session, interval_s, elapsed_s: 0.0, baselines, latest, log })
     }
 
     /// The wrapped counter session.
@@ -160,10 +269,7 @@ impl<'m> TimelineSession<'m> {
     /// Reserve room for recording `intervals` more intervals, so that
     /// recording them does not grow (reallocate) the history.
     pub fn reserve_intervals(&mut self, intervals: usize) {
-        let widest =
-            (0..self.session.num_groups()).map(|g| self.session.num_events(g)).max().unwrap_or(0);
-        self.spans.reserve(intervals);
-        self.recorded.reserve(intervals * widest * self.session.cpus().len());
+        self.log.reserve(intervals);
     }
 
     /// Start counting.
@@ -227,7 +333,7 @@ impl<'m> TimelineSession<'m> {
         // the deterministic timeline instead of the wall clock.
         if crate::trace::enabled() {
             let track = self.session.cpus().first().copied().unwrap_or(0) as u64;
-            let index = self.spans.len();
+            let index = self.log.len();
             crate::trace::complete_virtual(
                 crate::trace::cat::CORE,
                 track,
@@ -237,10 +343,7 @@ impl<'m> TimelineSession<'m> {
                 || vec![("index", index.to_string()), ("group", group.to_string())],
             );
         }
-        self.spans.push((interval.t_start_s, interval.t_end_s, group));
-        for row in &interval.counts {
-            self.recorded.extend_from_slice(row);
-        }
+        self.log.push(interval.t_start_s, interval.t_end_s, group, &interval.counts);
         self.elapsed_s += dt_s;
         Ok(group)
     }
@@ -278,7 +381,27 @@ impl<'m> TimelineSession<'m> {
     /// derived from them) the same way the in-session multiplex schedule
     /// scales per-group coverage. A solo session passes exactly `1.0`,
     /// which is the identity — bit-identical to [`TimelineSession::finish`].
+    ///
+    /// The totals of [`TimelineSession::finish_totals`], with the recorded
+    /// intervals and their time series rebuilt on top
+    /// ([`TimelineTotals::rebuild`]).
     pub fn finish_scaled(mut self, time_scale: f64) -> Result<TimelineResult> {
+        let totals = self.totals(time_scale)?;
+        let intervals = self.log.intervals();
+        // Rebuilt; the flat copy need not outlive it.
+        drop(std::mem::replace(&mut self.log, IntervalLog::new(Vec::new(), 0)));
+        totals.rebuild(intervals, self.session.metrics())
+    }
+
+    /// Stop counting and compute only the totals of
+    /// [`TimelineSession::finish_scaled`]: nothing per interval is rebuilt,
+    /// and the recorded history is dropped with the session.
+    pub fn finish_totals(mut self, time_scale: f64) -> Result<TimelineTotals> {
+        self.totals(time_scale)
+    }
+
+    /// The totals step shared by both finishes.
+    fn totals(&mut self, time_scale: f64) -> Result<TimelineTotals> {
         if !time_scale.is_finite() || time_scale < 1.0 {
             return Err(LikwidError::Session(format!(
                 "coverage time scale must be a finite ratio >= 1, got {time_scale}"
@@ -287,31 +410,6 @@ impl<'m> TimelineSession<'m> {
         self.session.finish()?;
         let num_groups = self.session.num_groups();
         let multiplexed = num_groups > 1;
-        let cpus = self.session.cpus().to_vec();
-        let socket_lock_owners = self.session.socket_lock_owners();
-        let group_names: Vec<String> =
-            (0..num_groups).map(|g| self.session.group_name(g).to_string()).collect();
-
-        // The recorded deltas, cut back into one interval per span.
-        let width = cpus.len();
-        let mut recorded = self.recorded.chunks_exact(width);
-        let intervals: Vec<TimelineInterval> = self
-            .spans
-            .iter()
-            .map(|&(t_start_s, t_end_s, group)| TimelineInterval {
-                t_start_s,
-                t_end_s,
-                group,
-                counts: recorded
-                    .by_ref()
-                    .take(self.session.num_events(group))
-                    .map(<[u64]>::to_vec)
-                    .collect(),
-            })
-            .collect();
-        // Rebuilt; the flat copy need not outlive it.
-        drop(std::mem::take(&mut self.recorded));
-
         let scale = |counts: GroupCounts| -> GroupCounts {
             if time_scale == 1.0 {
                 return counts;
@@ -338,18 +436,72 @@ impl<'m> TimelineSession<'m> {
             .map(|g| self.session.results_for_group(g, &extrapolated[g]))
             .collect::<Result<Vec<_>>>()?;
 
-        let timeseries = self.session.metrics().timeseries(&intervals)?;
-
-        Ok(TimelineResult {
+        Ok(TimelineTotals {
             interval_s: self.interval_s,
             duration_s: self.elapsed_s,
-            cpus,
-            socket_lock_owners,
-            group_names,
-            intervals,
+            intervals: self.log.len(),
+            cpus: self.session.cpus().to_vec(),
+            socket_lock_owners: self.session.socket_lock_owners(),
+            group_names: (0..num_groups).map(|g| self.session.group_name(g).to_string()).collect(),
             aggregate,
             extrapolated,
             aggregate_results,
+        })
+    }
+}
+
+/// The totals of a finished time-resolved measurement: everything of a
+/// [`TimelineResult`] except its intervals and time series.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimelineTotals {
+    /// The configured sampling interval in seconds.
+    pub interval_s: f64,
+    /// Total measured virtual time in seconds.
+    pub duration_s: f64,
+    /// The number of recorded intervals.
+    pub intervals: usize,
+    /// The measured hardware threads.
+    pub cpus: Vec<usize>,
+    /// The socket-lock owners, in measured-cpu order.
+    pub socket_lock_owners: Vec<usize>,
+    /// The group names, by group index.
+    pub group_names: Vec<String>,
+    /// Per-group raw aggregate counts.
+    pub aggregate: Vec<GroupCounts>,
+    /// Per-group coverage-extrapolated aggregate counts.
+    pub extrapolated: Vec<GroupCounts>,
+    /// Aggregate results per group, from the extrapolated counts.
+    pub aggregate_results: Vec<PerfCtrResults>,
+}
+
+impl TimelineTotals {
+    /// The rebuild step: the full result, with the recorded `intervals`
+    /// (rebuilt by [`IntervalLog::intervals`]) and one time series per
+    /// group derived from them by `metrics`. Intervals that are not the
+    /// counted ones are a session error.
+    pub fn rebuild(
+        self,
+        intervals: Vec<TimelineInterval>,
+        metrics: &MetricEvaluator,
+    ) -> Result<TimelineResult> {
+        if intervals.len() != self.intervals {
+            return Err(LikwidError::Session(format!(
+                "{} intervals rebuilt, {} counted",
+                intervals.len(),
+                self.intervals
+            )));
+        }
+        let timeseries = metrics.timeseries(&intervals)?;
+        Ok(TimelineResult {
+            interval_s: self.interval_s,
+            duration_s: self.duration_s,
+            cpus: self.cpus,
+            socket_lock_owners: self.socket_lock_owners,
+            group_names: self.group_names,
+            intervals,
+            aggregate: self.aggregate,
+            extrapolated: self.extrapolated,
+            aggregate_results: self.aggregate_results,
             timeseries,
         })
     }
@@ -389,6 +541,22 @@ pub struct TimelineResult {
 }
 
 impl TimelineResult {
+    /// A copy of the result's totals: everything but its intervals and
+    /// time series.
+    pub fn totals(&self) -> TimelineTotals {
+        TimelineTotals {
+            interval_s: self.interval_s,
+            duration_s: self.duration_s,
+            intervals: self.intervals.len(),
+            cpus: self.cpus.clone(),
+            socket_lock_owners: self.socket_lock_owners.clone(),
+            group_names: self.group_names.clone(),
+            aggregate: self.aggregate.clone(),
+            extrapolated: self.extrapolated.clone(),
+            aggregate_results: self.aggregate_results.clone(),
+        }
+    }
+
     /// The index of a group by name.
     pub fn group_index(&self, name: &str) -> Option<usize> {
         self.group_names.iter().position(|n| n == name)
@@ -931,6 +1099,51 @@ mod tests {
             .unwrap();
             assert!(matches!(s.finish_scaled(bad), Err(LikwidError::Session(_))), "{bad}");
         }
+    }
+
+    #[test]
+    fn an_interval_log_cuts_its_counts_back_into_intervals() {
+        // Two groups of two and three events on two cpus, interleaved.
+        let mut log = IntervalLog::new(vec![2, 3], 2);
+        let two = vec![vec![1, 2], vec![3, 4]];
+        let three = vec![vec![5, 6], vec![7, 8], vec![9, 10]];
+        log.push(0.0, 1.0, 0, &two);
+        log.push(1.0, 2.0, 1, &three);
+        log.push(2.0, 3.5, 0, &two);
+        assert_eq!(log.len(), 3);
+        let rows: Vec<(usize, Vec<&[u64]>)> =
+            log.iter().map(|iv| (iv.group, iv.rows().collect())).collect();
+        assert_eq!(rows[1], (1, vec![&[5, 6][..], &[7, 8], &[9, 10]]));
+        assert_eq!(log.iter().len(), 3);
+        let intervals = log.intervals();
+        assert_eq!(
+            intervals[2],
+            TimelineInterval { t_start_s: 2.0, t_end_s: 3.5, group: 0, counts: two.clone() }
+        );
+        assert_eq!(intervals[1].counts, three);
+        assert_eq!(log.group_sums(), vec![vec![vec![2, 4], vec![6, 8]], three]);
+    }
+
+    #[test]
+    fn finish_totals_are_the_totals_of_finish_scaled() {
+        fn run(machine: &SimMachine) -> TimelineSession<'_> {
+            let spec = MeasurementSpec::Groups(vec![EventGroupKind::FLOPS_DP, EventGroupKind::MEM]);
+            let mut session =
+                TimelineSession::new(machine, config(spec, vec![0, 1]), 1e-3).unwrap();
+            let engine = EventEngine::new(machine);
+            session.start().unwrap();
+            for i in 0..5 {
+                let t0 = i as f64 * 1e-3;
+                engine.apply(machine, &demo_slice(machine, &[0, 1], t0, t0 + 1e-3));
+                session.tick(1e-3).unwrap();
+            }
+            session
+        }
+        let totals = run(&SimMachine::new(MachinePreset::WestmereEp2S)).finish_totals(1.5).unwrap();
+        let result = run(&SimMachine::new(MachinePreset::WestmereEp2S)).finish_scaled(1.5).unwrap();
+        assert_eq!(totals.intervals, 5);
+        assert_eq!(totals, result.totals());
+        assert_ne!(totals.aggregate, totals.extrapolated, "multiplexed and scaled");
     }
 
     #[test]

@@ -58,7 +58,9 @@ use likwid_affinity::parse_pin_list;
 use likwid_perf_events::{EventEngine, EventSample};
 use likwid_x86_machine::{MachinePreset, SimMachine};
 
-use crate::protocol::{DoneFrame, GroupSchema, IntervalFrame, OpenRequest, OpenedFrame};
+use crate::protocol::{
+    reshape_rows, DoneFrame, GroupSchema, IntervalFrame, OpenRequest, OpenedFrame,
+};
 
 /// Where a session's per-interval activity comes from.
 pub enum ActivitySource {
@@ -803,10 +805,10 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             frame.group = interval.group;
             frame.t_start_s = interval.t_start_s;
             frame.t_end_s = interval.t_end_s;
-            let cpus = self.opened.cpus.len();
-            reshape_rows(&mut frame.counts, &mut self.spare_counts, interval.counts.len(), cpus);
+            reshape_rows(&mut frame.counts, &mut self.spare_counts, interval.counts.len());
             for (row, counts) in frame.counts.iter_mut().zip(&interval.counts) {
-                row.copy_from_slice(counts);
+                row.clear();
+                row.extend_from_slice(counts);
             }
             Ok(())
         })();
@@ -829,22 +831,46 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
         Ok(true)
     }
 
+    /// Finish the session for the wire: apply the cross-session coverage
+    /// scale and build the `done` frame from the session's totals alone.
+    /// The recorded intervals are neither rebuilt nor evaluated; they are
+    /// dropped with the session. The socket server's path.
+    pub fn finish_done(self) -> Result<DoneFrame> {
+        let id = self.id;
+        let (time_scale, totals) = self.close(TimelineSession::finish_totals)?;
+        Ok(DoneFrame::new(id, time_scale, totals))
+    }
+
     /// Finish the session: apply the cross-session coverage scale and
-    /// assemble the post-mortem result next to its wire frame.
-    pub fn finish(mut self) -> Result<(DoneFrame, TimelineResult)> {
+    /// assemble the full post-mortem result next to its wire frame, which
+    /// equals the one [`SessionHandle::finish_done`] builds. The in-process
+    /// path (`Experiment::via_daemon`).
+    pub fn finish(self) -> Result<(DoneFrame, TimelineResult)> {
+        let id = self.id;
+        let (time_scale, result) = self.close(TimelineSession::finish_scaled)?;
+        Ok((DoneFrame::new(id, time_scale, result.totals()), result))
+    }
+
+    /// The part both finishes share: compute the session's coverage scale,
+    /// finish its timeline with it through `finish`, release the broker
+    /// slot. Returns the scale next to what `finish` made of the timeline.
+    fn close<T>(
+        mut self,
+        finish: impl FnOnce(TimelineSession<'m>, f64) -> Result<T>,
+    ) -> Result<(f64, T)> {
         let session = self.session.take().expect("session alive until finish");
         let measured = self.t0;
         let wall_extra = self.daemon.wall_extra(self.id);
         let time_scale =
             if wall_extra > 0.0 && measured > 0.0 { 1.0 + wall_extra / measured } else { 1.0 };
         // A session suspended after its last interval has folded every
-        // count, and its finish() reads no register. One left counting by
-        // a failed interval folds the registers one last time; the credit
+        // count, and its finish reads no register. One left counting by a
+        // failed interval folds the registers one last time; the credit
         // lock keeps that read out of another session's live window on
         // shared cpus.
-        let result = {
+        let finished = {
             let _credit = self.daemon.credit.lock().unwrap();
-            session.finish_scaled(time_scale)
+            finish(session, time_scale)
         };
         self.daemon.release(self.id, false);
         self.released = true;
@@ -855,34 +881,7 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             || format!("session{}.coverage_permille", self.id),
             (time_scale * 1000.0).round() as i64,
         );
-        let result = result?;
-        let frame = DoneFrame {
-            session: self.id,
-            duration_s: result.duration_s,
-            intervals: result.intervals.len(),
-            time_scale,
-            aggregate: result.aggregate.clone(),
-            extrapolated: result.extrapolated.clone(),
-            results: result.aggregate_results.clone(),
-        };
-        Ok((frame, result))
-    }
-}
-
-/// Shape `rows` as `n` rows of `width` zeros, parking surplus rows in
-/// `spare` and taking missing ones from it, so a frame whose row count
-/// alternates between groups stops allocating once it has seen each of
-/// them.
-fn reshape_rows(rows: &mut Vec<Vec<u64>>, spare: &mut Vec<Vec<u64>>, n: usize, width: usize) {
-    while rows.len() > n {
-        spare.extend(rows.pop());
-    }
-    while rows.len() < n {
-        rows.push(spare.pop().unwrap_or_default());
-    }
-    for row in rows {
-        row.clear();
-        row.resize(width, 0);
+        Ok((time_scale, finished?))
     }
 }
 

@@ -20,7 +20,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-use likwid::perfctr::{MetricEvaluator, TimelineInterval, TimelineResult};
+use likwid::perfctr::{IntervalLog, MetricEvaluator, TimelineResult, TimelineTotals};
 use likwid::{LikwidError, Result};
 
 use crate::protocol::{DoneFrame, Frame, IntervalFrame, OpenRequest, OpenedFrame};
@@ -28,17 +28,25 @@ use likwid::json::JsonValue;
 
 /// Accumulates one session's frame stream and reconstructs the post-mortem
 /// result.
+///
+/// The interval frames are not kept as frames: their spans and counts
+/// append to one flat [`IntervalLog`], the layout a `TimelineSession`
+/// records, so a stream of any length costs two growing vectors rather
+/// than one heap block per count row. The log grows as frames arrive; it
+/// is not sized from the `opened` frame's duration up front.
 #[derive(Debug, Clone)]
 pub struct StreamAccumulator {
     opened: OpenedFrame,
-    intervals: Vec<IntervalFrame>,
+    log: IntervalLog,
     done: Option<DoneFrame>,
 }
 
 impl StreamAccumulator {
     /// Start accumulating a session announced by its `opened` frame.
     pub fn new(opened: OpenedFrame) -> Self {
-        StreamAccumulator { opened, intervals: Vec::new(), done: None }
+        let rows = opened.groups.iter().map(|g| g.events.len()).collect();
+        let log = IntervalLog::new(rows, opened.cpus.len());
+        StreamAccumulator { opened, log, done: None }
     }
 
     /// The session's `opened` frame.
@@ -46,29 +54,45 @@ impl StreamAccumulator {
         &self.opened
     }
 
-    /// The interval frames received so far.
-    pub fn intervals(&self) -> &[IntervalFrame] {
-        &self.intervals
+    /// The interval frames received so far, in order, each rebuilt from
+    /// the log as it is yielded.
+    pub fn intervals(&self) -> impl ExactSizeIterator<Item = IntervalFrame> + '_ {
+        self.log.iter().enumerate().map(|(index, interval)| IntervalFrame {
+            session: self.opened.session,
+            index,
+            group: interval.group,
+            t_start_s: interval.t_start_s,
+            t_end_s: interval.t_end_s,
+            counts: interval.rows().map(<[u64]>::to_vec).collect(),
+        })
     }
 
-    /// Feed one `interval` frame. Frames must belong to this session,
-    /// arrive in index order and fit its shape ([`OpenedFrame::check`]).
+    /// Feed one `interval` frame: [`StreamAccumulator::record`] of an
+    /// owned frame.
     pub fn push(&mut self, frame: IntervalFrame) -> Result<()> {
+        self.record(&frame)
+    }
+
+    /// Copy one `interval` frame into the log. Frames must belong to this
+    /// session, arrive in index order and fit its shape
+    /// ([`OpenedFrame::check`]). Once the log has room for it, recording a
+    /// frame allocates nothing.
+    pub fn record(&mut self, frame: &IntervalFrame) -> Result<()> {
         if frame.session != self.opened.session {
             return Err(LikwidError::Protocol(format!(
                 "interval frame for session {} on a stream of session {}",
                 frame.session, self.opened.session
             )));
         }
-        if frame.index != self.intervals.len() {
+        if frame.index != self.log.len() {
             return Err(LikwidError::Protocol(format!(
                 "interval frame {} out of order (expected {})",
                 frame.index,
-                self.intervals.len()
+                self.log.len()
             )));
         }
-        self.opened.check(&frame)?;
-        self.intervals.push(frame);
+        self.opened.check(frame)?;
+        self.log.push(frame.t_start_s, frame.t_end_s, frame.group, &frame.counts);
         Ok(())
     }
 
@@ -80,36 +104,37 @@ impl StreamAccumulator {
                 done.session, self.opened.session
             )));
         }
-        if done.intervals != self.intervals.len() {
+        if done.intervals != self.log.len() {
             return Err(LikwidError::Protocol(format!(
                 "done frame reports {} intervals, stream carried {}",
                 done.intervals,
-                self.intervals.len()
+                self.log.len()
             )));
         }
         self.done = Some(done);
         Ok(())
     }
 
+    /// The `done` frame, once the stream is complete.
+    fn done(&self) -> Result<&DoneFrame> {
+        self.done.as_ref().ok_or_else(|| LikwidError::Protocol("stream not complete".into()))
+    }
+
     /// Verify the telescoping invariant: per group, the streamed interval
     /// deltas sum count-by-count exactly to the aggregate of the `done`
     /// frame.
     pub fn verify_telescoping(&self) -> Result<()> {
-        let done = self
-            .done
-            .as_ref()
-            .ok_or_else(|| LikwidError::Protocol("stream not complete".into()))?;
-        for (g, aggregate) in done.aggregate.iter().enumerate() {
-            let mut sums: Vec<Vec<u64>> =
-                aggregate.iter().map(|per_cpu| vec![0u64; per_cpu.len()]).collect();
-            for frame in self.intervals.iter().filter(|f| f.group == g) {
-                for (ei, per_cpu) in frame.counts.iter().enumerate() {
-                    for (ci, &v) in per_cpu.iter().enumerate() {
-                        sums[ei][ci] += v;
-                    }
-                }
-            }
-            if &sums != aggregate {
+        let done = self.done()?;
+        let sums = self.log.group_sums();
+        if sums.len() != done.aggregate.len() {
+            return Err(LikwidError::Protocol(format!(
+                "done frame aggregates {} groups, the session has {}",
+                done.aggregate.len(),
+                sums.len()
+            )));
+        }
+        for (g, (sums, aggregate)) in sums.iter().zip(&done.aggregate).enumerate() {
+            if sums != aggregate {
                 return Err(LikwidError::Protocol(format!(
                     "group {g}: interval deltas do not telescope to the aggregate"
                 )));
@@ -119,27 +144,23 @@ impl StreamAccumulator {
     }
 
     /// Rebuild the full [`TimelineResult`] from the accumulated stream,
-    /// deriving the per-interval metrics from the streamed counts.
+    /// deriving the per-interval metrics from the streamed counts: the
+    /// rebuild step of `TimelineSession::finish_scaled`, over the totals
+    /// the `done` frame carries.
     pub fn result(&self) -> Result<TimelineResult> {
-        let done = self
-            .done
-            .as_ref()
-            .ok_or_else(|| LikwidError::Protocol("stream not complete".into()))?;
-        let intervals: Vec<TimelineInterval> =
-            self.intervals.iter().map(IntervalFrame::to_interval).collect();
-        let timeseries = self.opened.metric_evaluator()?.timeseries(&intervals)?;
-        Ok(TimelineResult {
+        let done = self.done()?;
+        let totals = TimelineTotals {
             interval_s: self.opened.interval_s,
             duration_s: done.duration_s,
+            intervals: done.intervals,
             cpus: self.opened.cpus.clone(),
             socket_lock_owners: self.opened.socket_lock_owners.clone(),
             group_names: self.opened.groups.iter().map(|g| g.name.clone()).collect(),
-            intervals,
             aggregate: done.aggregate.clone(),
             extrapolated: done.extrapolated.clone(),
             aggregate_results: done.results.clone(),
-            timeseries,
-        })
+        };
+        totals.rebuild(self.log.intervals(), &self.opened.metric_evaluator()?)
     }
 }
 
@@ -149,6 +170,9 @@ pub struct SocketClient {
     writer: UnixStream,
     /// The last frame's line, its buffer reused for the next.
     line: String,
+    /// The last session frame, decoded in place: interval frames
+    /// overwrite its rows.
+    frame: Frame,
 }
 
 impl SocketClient {
@@ -158,8 +182,12 @@ impl SocketClient {
             .map_err(|e| LikwidError::Protocol(format!("connect {}: {e}", path.display())))?;
         let writer =
             stream.try_clone().map_err(|e| LikwidError::Protocol(format!("clone socket: {e}")))?;
-        let mut client =
-            SocketClient { reader: BufReader::new(stream), writer, line: String::new() };
+        let mut client = SocketClient {
+            reader: BufReader::new(stream),
+            writer,
+            line: String::new(),
+            frame: Frame::Ok,
+        };
         let hello = client.next_frame()?;
         match &hello {
             Frame::Hello { .. } => Ok((client, hello)),
@@ -179,6 +207,12 @@ impl SocketClient {
     /// Read the next frame. EOF is a protocol error (the server always
     /// terminates a session stream with `done` or `error`).
     pub fn next_frame(&mut self) -> Result<Frame> {
+        self.read_line()?;
+        Frame::from_line(&self.line)
+    }
+
+    /// Read the next line into the line buffer.
+    fn read_line(&mut self) -> Result<()> {
         self.line.clear();
         let n = self
             .reader
@@ -187,7 +221,7 @@ impl SocketClient {
         if n == 0 {
             return Err(LikwidError::Protocol("connection closed by server".into()));
         }
-        Frame::from_line(&self.line)
+        Ok(())
     }
 
     /// Ask the daemon for its observability snapshot. Answered from the
@@ -222,10 +256,16 @@ impl SocketClient {
         on_frame(&frame);
         let mut accumulator = StreamAccumulator::new(opened);
         loop {
-            let frame = self.next_frame()?;
-            on_frame(&frame);
-            match frame {
-                Frame::Interval(interval) => accumulator.push(interval)?,
+            // Interval lines are decoded into the one reused frame and
+            // copied into the log: once warm, a frame allocates nothing.
+            self.read_line()?;
+            self.frame.decode_line(&self.line)?;
+            on_frame(&self.frame);
+            if let Frame::Interval(interval) = &self.frame {
+                accumulator.record(interval)?;
+                continue;
+            }
+            match std::mem::replace(&mut self.frame, Frame::Ok) {
                 Frame::Done(done) => {
                     accumulator.complete(done)?;
                     return Ok(accumulator);

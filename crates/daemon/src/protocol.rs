@@ -62,7 +62,7 @@ use std::cell::RefCell;
 use crate::broker::{DaemonStatus, SessionStatus, UncoreStatus};
 use likwid::json::{obj, JsonValue, Reader, Writer};
 use likwid::perfctr::session::{Diagnostic, GroupCounts};
-use likwid::perfctr::{EventGroupKind, MetricEvaluator, PerfCtrResults, TimelineInterval};
+use likwid::perfctr::{EventGroupKind, MetricEvaluator, PerfCtrResults, TimelineTotals};
 use likwid::{LikwidError, Result};
 use likwid_perf_events::CounterSlot;
 use likwid_x86_machine::MachinePreset;
@@ -205,7 +205,8 @@ impl OpenedFrame {
     }
 }
 
-/// One streamed interval: the live counterpart of [`TimelineInterval`].
+/// One streamed interval: the live counterpart of
+/// [`likwid::perfctr::TimelineInterval`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct IntervalFrame {
     /// Session id.
@@ -220,18 +221,6 @@ pub struct IntervalFrame {
     pub t_end_s: f64,
     /// Raw count deltas: `counts[event][cpu_position]`, exact.
     pub counts: GroupCounts,
-}
-
-impl IntervalFrame {
-    /// The raw-delta part as a core [`TimelineInterval`].
-    pub fn to_interval(&self) -> TimelineInterval {
-        TimelineInterval {
-            t_start_s: self.t_start_s,
-            t_end_s: self.t_end_s,
-            group: self.group,
-            counts: self.counts.clone(),
-        }
-    }
 }
 
 /// The `done` frame: the session's post-mortem aggregate, sufficient —
@@ -256,6 +245,22 @@ pub struct DoneFrame {
     /// Per-group aggregate results (events, derived metrics, diagnostics).
     /// On the wire each diagnostic is a `[subject, reason]` pair.
     pub results: Vec<PerfCtrResults>,
+}
+
+impl DoneFrame {
+    /// The `done` frame of session `session` from its timeline's totals
+    /// and the coverage scale they were extrapolated by.
+    pub fn new(session: u64, time_scale: f64, totals: TimelineTotals) -> Self {
+        DoneFrame {
+            session,
+            duration_s: totals.duration_s,
+            intervals: totals.intervals,
+            time_scale,
+            aggregate: totals.aggregate,
+            extrapolated: totals.extrapolated,
+            results: totals.aggregate_results,
+        }
+    }
 }
 
 /// A server-to-client frame.
@@ -413,20 +418,29 @@ fn begin_arr(r: &mut Reader<'_>, message: &str) -> Result<()> {
     }
 }
 
-thread_local! {
-    /// Reused staging for [`read_counts`]: the counts of an array of
-    /// arrays, and the count total after each row.
-    static STAGING: RefCell<(Vec<u64>, Vec<usize>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+/// Reused buffers of [`read_counts_into`] on one thread.
+struct Staging {
+    /// The counts of an array of arrays.
+    items: Vec<u64>,
+    /// The count total after each row.
+    ends: Vec<usize>,
+    /// The rows a shrinking frame gave up, for the next frame that grows.
+    parked: Vec<Vec<u64>>,
 }
 
-/// An interval frame's `counts`: an array of arrays of counts. The counts
-/// are staged in a reused thread-local buffer and copied out once the
-/// array is closed, so every returned row is allocated once, at its final
-/// length.
-fn read_counts(r: &mut Reader<'_>) -> Result<GroupCounts> {
+thread_local! {
+    static STAGING: RefCell<Staging> =
+        const { RefCell::new(Staging { items: Vec::new(), ends: Vec::new(), parked: Vec::new() }) };
+}
+
+/// An interval frame's `counts`, an array of arrays of counts, into
+/// `rows`. The counts are staged in a reused thread-local buffer and
+/// copied out once the array is closed: a row that is already long enough
+/// is overwritten in place, a missing row is taken from the parked ones or
+/// allocated once, at its final length.
+fn read_counts_into(r: &mut Reader<'_>, rows: &mut GroupCounts) -> Result<()> {
     STAGING.with(|staging| {
-        let (items, ends) = &mut *staging.borrow_mut();
+        let Staging { items, ends, parked } = &mut *staging.borrow_mut();
         items.clear();
         ends.clear();
         begin_arr(r, "interval.counts: expected array")?;
@@ -440,43 +454,65 @@ fn read_counts(r: &mut Reader<'_>) -> Result<GroupCounts> {
             }
             ends.push(items.len());
         }
+        reshape_rows(rows, parked, ends.len());
         let starts = std::iter::once(0).chain(ends.iter().copied());
-        Ok(starts.zip(ends.iter()).map(|(start, &end)| items[start..end].to_vec()).collect())
+        for (row, (start, &end)) in rows.iter_mut().zip(starts.zip(ends.iter())) {
+            row.clear();
+            row.extend_from_slice(&items[start..end]);
+        }
+        Ok(())
     })
 }
 
+/// Give `rows` exactly `n` rows: surplus ones are parked in `spare`,
+/// missing ones taken from it or created empty. A frame whose row count
+/// alternates between groups stops allocating rows once it has seen each
+/// of them.
+pub(crate) fn reshape_rows(rows: &mut GroupCounts, spare: &mut Vec<Vec<u64>>, n: usize) {
+    while rows.len() > n {
+        spare.extend(rows.pop());
+    }
+    rows.reserve_exact(n - rows.len());
+    while rows.len() < n {
+        rows.push(spare.pop().unwrap_or_default());
+    }
+}
+
+/// The members of an interval frame, in the order a missing one is
+/// reported.
+const INTERVAL_MEMBERS: [&str; 6] = ["session", "index", "group", "t_start_s", "t_end_s", "counts"];
+
 impl IntervalFrame {
-    /// Read an interval frame's members after its leading `frame` member:
-    /// in any order, unknown ones skipped.
-    fn read(r: &mut Reader<'_>) -> Result<IntervalFrame> {
+    /// Read an interval frame's members after its leading `frame` member
+    /// into `self`: in any order, unknown ones skipped, the count rows
+    /// overwritten in place.
+    fn read_into(&mut self, r: &mut Reader<'_>) -> Result<()> {
         let uint = |r: &mut Reader<'_>, name| {
             r.uint().map_err(malformed)?.ok_or_else(|| not_integer(name))
         };
         let real =
             |r: &mut Reader<'_>, name| r.real().map_err(malformed)?.ok_or_else(|| not_real(name));
-        let (mut session, mut index, mut group) = (None, None, None);
-        let (mut t_start_s, mut t_end_s, mut counts) = (None, None, None);
+        let mut seen = [false; INTERVAL_MEMBERS.len()];
         while let Some(key) = r.next_key().map_err(malformed)? {
-            match &*key {
-                "session" => session = Some(uint(r, "session")?),
-                "index" => index = Some(uint(r, "index")? as usize),
-                "group" => group = Some(uint(r, "group")? as usize),
-                "t_start_s" => t_start_s = Some(real(r, "t_start_s")?),
-                "t_end_s" => t_end_s = Some(real(r, "t_end_s")?),
-                "counts" => counts = Some(read_counts(r)?),
-                _ => {
-                    r.value().map_err(malformed)?;
-                }
+            let Some(member) = INTERVAL_MEMBERS.iter().position(|&name| name == key) else {
+                r.value().map_err(malformed)?;
+                continue;
+            };
+            let name = INTERVAL_MEMBERS[member];
+            match member {
+                0 => self.session = uint(r, name)?,
+                1 => self.index = uint(r, name)? as usize,
+                2 => self.group = uint(r, name)? as usize,
+                3 => self.t_start_s = real(r, name)?,
+                4 => self.t_end_s = real(r, name)?,
+                _ => read_counts_into(r, &mut self.counts)?,
             }
+            seen[member] = true;
         }
-        Ok(IntervalFrame {
-            session: session.ok_or_else(|| missing("session"))?,
-            index: index.ok_or_else(|| missing("index"))?,
-            group: group.ok_or_else(|| missing("group"))?,
-            t_start_s: t_start_s.ok_or_else(|| missing("t_start_s"))?,
-            t_end_s: t_end_s.ok_or_else(|| missing("t_end_s"))?,
-            counts: counts.ok_or_else(|| missing("counts"))?,
-        })
+        match seen.iter().position(|&seen| !seen) {
+            Some(member) => Err(missing(INTERVAL_MEMBERS[member])),
+            None => Ok(()),
+        }
     }
 }
 
@@ -911,14 +947,30 @@ impl Frame {
     /// straight into its [`IntervalFrame`]; the rare kinds go through a
     /// [`JsonValue`] tree.
     pub fn from_line(line: &str) -> Result<Frame> {
+        let mut frame = Frame::Ok;
+        frame.decode_line(line)?;
+        Ok(frame)
+    }
+
+    /// Decode a frame from one NDJSON line into `self`, replacing its
+    /// contents: the mirror of [`Frame::encode_line`]. An interval line
+    /// decoded into an interval frame overwrites its fields and rows in
+    /// place, so a frame reused for a session's stream stops allocating
+    /// once it has held each of the session's groups. After an error the
+    /// frame's contents are unspecified.
+    pub fn decode_line(&mut self, line: &str) -> Result<()> {
         let line = line.trim();
         let mut reader = Reader::new(line);
         if leads_with(&mut reader, "interval") {
-            let frame = IntervalFrame::read(&mut reader)?;
-            reader.finish().map_err(malformed)?;
-            return Ok(Frame::Interval(frame));
+            if !matches!(self, Frame::Interval(_)) {
+                *self = Frame::Interval(IntervalFrame::default());
+            }
+            let Frame::Interval(frame) = self else { unreachable!("an interval frame") };
+            frame.read_into(&mut reader)?;
+            return reader.finish().map_err(malformed);
         }
-        Frame::from_json(&JsonValue::parse(line).map_err(malformed)?)
+        *self = Frame::from_json(&JsonValue::parse(line).map_err(malformed)?)?;
+        Ok(())
     }
 
     /// Classify a [`LikwidError`] into an error frame. The broker answers

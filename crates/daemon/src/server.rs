@@ -219,8 +219,7 @@ fn serve_session(daemon: &Daemon<'_>, command: &JsonValue, out: &mut Outbox) -> 
                 return Ok(false);
             }
         }
-        let (done, _result) = handle.finish()?;
-        Ok(out.send(&Frame::Done(done)))
+        Ok(out.send(&Frame::Done(handle.finish_done()?)))
     })();
     match outcome {
         Ok(alive) => alive,

@@ -15,6 +15,12 @@
 //!   `SessionHandle::next_interval_into` refills one frame in place.
 //!   `next_interval` allocates exactly the frame it returns.
 //!
+//! * A client's frames are as flat: decoding an interval line into a warm
+//!   frame (`Frame::decode_line`) allocates nothing, and recording it in a
+//!   `StreamAccumulator` allocates only when the flat log grows.
+//! * `SessionHandle::finish_done` allocates the same bytes whatever the
+//!   number of intervals: it rebuilds nothing per interval.
+//!
 //! The allocator counts per thread, so the test harness's own threads and
 //! neighbouring tests cannot disturb a measurement. Nothing in this binary
 //! starts the trace recorder.
@@ -24,7 +30,9 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use likwid_suite::cache_sim::{HierarchyConfig, NodeCacheSystem, NumaPolicy};
-use likwid_suite::daemon::{ActivitySource, Daemon, Frame, IntervalFrame, OpenRequest};
+use likwid_suite::daemon::{
+    ActivitySource, Daemon, Frame, IntervalFrame, OpenRequest, SessionHandle, StreamAccumulator,
+};
 use likwid_suite::likwid::trace;
 use likwid_suite::perf_events::{HwEventKind, SocketEventRecord, ThreadEventRecord};
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
@@ -141,24 +149,40 @@ fn instrumentation_points_allocate_nothing_while_tracing_is_off() {
     assert_eq!(allocations, 0);
 }
 
-/// Every interval frame of a short in-process daemon session.
-fn session_frames(cpus: &str, group: &str) -> Vec<IntervalFrame> {
-    let machine = SimMachine::new(MachinePreset::NehalemEp2S);
-    let daemon = Daemon::new(&machine);
+/// Open a `-c cpus -g group` session of `duration` in 100 µs intervals.
+fn open<'d, 'm>(
+    daemon: &'d Daemon<'m>,
+    cpus: &str,
+    group: &str,
+    duration: &str,
+) -> SessionHandle<'d, 'm> {
     let request = OpenRequest {
         machine: None,
         cpus: cpus.to_string(),
         group: group.to_string(),
         interval: "100us".to_string(),
-        duration: "5ms".to_string(),
+        duration: duration.to_string(),
     };
     let config = daemon.validate(&request).expect("valid request");
-    let mut handle = daemon.open_session(config, ActivitySource::Demo).expect("admitted");
+    daemon.open_session(config, ActivitySource::Demo).expect("admitted")
+}
+
+/// Every interval frame of an in-process daemon session, next to the
+/// session's `opened` frame.
+fn stream_frames(cpus: &str, group: &str, duration: &str) -> (Frame, Vec<IntervalFrame>) {
+    let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+    let daemon = Daemon::new(&machine);
+    let mut handle = open(&daemon, cpus, group, duration);
     let mut frames = Vec::new();
     while let Some(frame) = handle.next_interval().expect("interval") {
         frames.push(frame);
     }
-    frames
+    (Frame::Opened(handle.opened().clone()), frames)
+}
+
+/// Every interval frame of a short in-process daemon session.
+fn session_frames(cpus: &str, group: &str) -> Vec<IntervalFrame> {
+    stream_frames(cpus, group, "5ms").1
 }
 
 /// Session kinds whose frames have more rows and columns than a growing
@@ -266,5 +290,80 @@ fn decoding_an_interval_line_allocates_only_what_the_frame_owns() {
             let owned = 1 + frame.counts.len();
             assert!(allocations <= owned as u64, "{allocations} > {owned} for {line}");
         }
+    }
+}
+
+#[test]
+fn decoding_an_interval_line_into_a_warm_frame_allocates_nothing() {
+    for (cpus, group) in SESSIONS {
+        let lines: Vec<String> =
+            session_frames(cpus, group).into_iter().map(|f| Frame::Interval(f).to_line()).collect();
+        // One pass through the session's groups warms the frame's rows.
+        let mut frame = Frame::Ok;
+        for line in &lines[..3] {
+            frame.decode_line(line).expect("decodes");
+        }
+        for line in &lines {
+            let allocations = allocations_in(|| frame.decode_line(line).expect("decodes"));
+            assert_eq!(allocations, 0, "-c {cpus} -g {group}: {line}");
+            assert_eq!(frame, Frame::from_line(line).expect("decodes"));
+        }
+    }
+}
+
+#[test]
+fn a_warm_client_frame_is_recorded_without_allocating_until_the_log_grows() {
+    for (cpus, group) in DAEMON_KINDS {
+        let (opened, frames) = stream_frames(cpus, group, "100ms");
+        let Frame::Opened(opened) = opened else { unreachable!("an opened frame") };
+        let lines: Vec<String> = frames.into_iter().map(|f| Frame::Interval(f).to_line()).collect();
+        let mut frame = Frame::Ok;
+        for line in &lines[..3] {
+            frame.decode_line(line).expect("decodes");
+        }
+        let mut stream = StreamAccumulator::new(opened);
+        // Decode and record every line, as `SocketClient::run_session`
+        // does, counting the lines that allocated and what they allocated.
+        let (mut growing, mut counts) = (0u64, 0usize);
+        for line in &lines {
+            let allocations = allocations_in(|| {
+                frame.decode_line(line).expect("decodes");
+                let Frame::Interval(interval) = &frame else { unreachable!("an interval") };
+                stream.record(interval).expect("in order");
+            });
+            let Frame::Interval(interval) = &frame else { unreachable!("an interval") };
+            counts += interval.counts.iter().map(Vec::len).sum::<usize>();
+            // At most one growth of the span vector and one of the counts.
+            assert!(allocations <= 2, "-c {cpus} -g {group}: {allocations} allocations at {line}");
+            growing += u64::from(allocations > 0);
+        }
+        // Both vectors grow geometrically: a handful of growths in all.
+        let bound = u64::from(2 * (usize::BITS - counts.leading_zeros()));
+        assert!(lines.len() >= 1000, "-c {cpus} -g {group}: {} intervals", lines.len());
+        assert!(growing <= bound, "-c {cpus} -g {group}: {growing} of {} lines grew", lines.len());
+        assert_eq!(stream.intervals().len(), lines.len());
+    }
+}
+
+#[test]
+fn finish_done_allocates_the_same_bytes_for_ten_times_the_intervals() {
+    for (cpus, group) in DAEMON_KINDS {
+        let bytes = ["10ms", "100ms"].map(|duration| {
+            let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+            let daemon = Daemon::new(&machine);
+            let mut handle = open(&daemon, cpus, group, duration);
+            let mut frame = IntervalFrame::default();
+            while handle.next_interval_into(&mut frame).expect("interval") {}
+            let mut done = None;
+            let bytes = bytes_in(|| done = Some(handle.finish_done().expect("finish_done")));
+            let intervals = done.expect("a done frame").intervals;
+            (intervals, bytes)
+        });
+        let (short, long) = (bytes[0].0, bytes[1].0);
+        assert!(
+            short >= 100 && long > 9 * short,
+            "-c {cpus} -g {group}: {short}, {long} intervals"
+        );
+        assert_eq!(bytes[0].1, bytes[1].1, "-c {cpus} -g {group}: bytes finish_done allocated");
     }
 }

@@ -155,7 +155,7 @@ fn every_live_row_carries_the_post_mortem_values_of_its_interval() {
         let widths: Vec<usize> = local.timeseries.iter().map(|ts| ts.series.len()).collect();
         let mut seen = vec![0; widths.len()];
         for frame in accumulator.intervals() {
-            let row = stream_row(opened, &metrics, frame).expect("a well-formed frame");
+            let row = stream_row(opened, &metrics, &frame).expect("a well-formed frame");
             assert_eq!(row.t.to_bits(), frame.t_end_s.to_bits(), "{context}");
             assert_eq!(row.values.len(), widths.iter().sum::<usize>(), "{context}");
             let g = frame.group;
