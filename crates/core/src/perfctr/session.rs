@@ -262,6 +262,9 @@ pub struct PerfCtr<'m> {
     live: Vec<GroupCounts>,
     /// The counter slots of every group, in programming order.
     slots: Vec<Vec<CounterSlot>>,
+    /// The core (non-uncore) slots of every group: all that a cpu that
+    /// does not own its socket's uncore starts and stops.
+    core_slots: Vec<Vec<CounterSlot>>,
     /// Width mask of the counter behind each `[group][event]`, for
     /// wraparound-correct delta computation.
     masks: Vec<Vec<u64>>,
@@ -347,6 +350,10 @@ impl<'m> PerfCtr<'m> {
             groups.iter().map(|g| vec![vec![0u64; config.cpus.len()]; g.events.len()]).collect();
         let slots: Vec<Vec<CounterSlot>> =
             groups.iter().map(|g| g.events.iter().map(|(_, slot, _)| *slot).collect()).collect();
+        let core_slots = slots
+            .iter()
+            .map(|group| group.iter().copied().filter(|slot| !slot.is_uncore()).collect())
+            .collect();
         let masks = slots
             .iter()
             .map(|group| {
@@ -382,6 +389,7 @@ impl<'m> PerfCtr<'m> {
             live: accumulated.clone(),
             accumulated,
             slots,
+            core_slots,
             masks,
             metrics,
             heal,
@@ -520,7 +528,8 @@ impl<'m> PerfCtr<'m> {
     /// Start counting on all measured hardware threads.
     ///
     /// Enables exactly the active group's counter slots (not every
-    /// programmed select register on the cpu): under the `likwid-perfctrd`
+    /// programmed select register on the cpu; the uncore slots only on the
+    /// socket-lock owners): under the `likwid-perfctrd`
     /// broker other sessions leave their selects programmed-but-disabled
     /// across a suspend, and blanket-enabling them would count this
     /// session's activity into a foreign session's registers.
@@ -530,11 +539,22 @@ impl<'m> PerfCtr<'m> {
                 "start() called while the session is already counting (stop() it first)".into(),
             ));
         }
-        let slots = &self.slots[self.active_group];
-        self.on_live_cpus(|counters| counters.start_slots(slots))?;
+        self.on_live_cpus(|cpu, counters| counters.start_slots(self.slots_on(cpu)))?;
         self.running = true;
         self.started = true;
         Ok(())
+    }
+
+    /// The active group's slots that `cpu` starts and stops: all of them
+    /// on a socket-lock owner, the core ones elsewhere. Like
+    /// [`PerfCtr::program_group`], a cpu that does not own its socket's
+    /// uncore leaves the package-scoped uncore registers alone.
+    fn slots_on(&self, cpu: usize) -> &[CounterSlot] {
+        if self.owns_socket_lock(cpu) {
+            &self.slots[self.active_group]
+        } else {
+            &self.core_slots[self.active_group]
+        }
     }
 
     /// Apply a counter operation to every measured cpu still alive, one
@@ -542,14 +562,14 @@ impl<'m> PerfCtr<'m> {
     /// is dropped with a diagnostic instead of failing the run.
     fn on_live_cpus(
         &self,
-        op: impl Fn(&mut CpuCounters<'_>) -> std::result::Result<(), PerfMonError>,
+        op: impl Fn(usize, &mut CpuCounters<'_>) -> std::result::Result<(), PerfMonError>,
     ) -> Result<()> {
         let mut heal = self.heal.borrow_mut();
         for &cpu in &self.cpus {
             if heal.cpu_is_dead(cpu) {
                 continue;
             }
-            match self.perfmon.on_cpu(cpu).and_then(|mut counters| op(&mut counters)) {
+            match self.perfmon.on_cpu(cpu).and_then(|mut counters| op(cpu, &mut counters)) {
                 Ok(()) => {}
                 Err(e) if is_permanent_io(&e) => heal.mark_cpu_dead(cpu, &e),
                 Err(e) => return Err(e.into()),
@@ -562,8 +582,7 @@ impl<'m> PerfCtr<'m> {
     /// active group's counter slots, the mirror of [`PerfCtr::start`].
     /// Counters keep their values.
     pub fn stop(&mut self) -> Result<()> {
-        let slots = &self.slots[self.active_group];
-        self.on_live_cpus(|counters| counters.stop_slots(slots))?;
+        self.on_live_cpus(|cpu, counters| counters.stop_slots(self.slots_on(cpu)))?;
         self.running = false;
         Ok(())
     }

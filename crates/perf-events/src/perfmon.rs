@@ -317,7 +317,10 @@ impl CpuCounters<'_> {
 
     /// Enable counting on exactly the given counter slots, leaving every
     /// other select register untouched and setting only the matching
-    /// per-counter bits of the global control registers.
+    /// per-counter bits of the global control registers. The uncore global
+    /// control is package-scoped: it is written only when an uncore slot is
+    /// among `slots`, so a cpu that does not own its socket's uncore never
+    /// touches it.
     ///
     /// A measurement knows which slots it programmed, so it enables only
     /// those. Under the `likwid-perfctrd` broker several sessions
@@ -348,7 +351,9 @@ impl CpuCounters<'_> {
                     }
                 }
                 ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, global))?;
-                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, uncore_global))?;
+                if slots.iter().any(|slot| slot.is_uncore()) {
+                    ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, uncore_global))?;
+                }
             }
             Vendor::Amd => {
                 for slot in slots {
@@ -362,14 +367,17 @@ impl CpuCounters<'_> {
     }
 
     /// Disable counting of exactly the given counter slots, the mirror of
-    /// [`CpuCounters::start_slots`]: clear the global control registers and
-    /// the enable bit of each given select register, leaving every other
-    /// select untouched. Counters retain their values.
+    /// [`CpuCounters::start_slots`]: clear the global control registers
+    /// (the uncore one only when an uncore slot is given) and the enable
+    /// bit of each given select register, leaving every other select
+    /// untouched. Counters retain their values.
     pub fn stop_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
         let vendor = self.perfmon.vendor;
         if vendor == Vendor::Intel {
             ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
-            ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+            if slots.iter().any(|slot| slot.is_uncore()) {
+                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+            }
         }
         for &slot in slots {
             // AMD parts have only PMCs (see `slot_registers`).

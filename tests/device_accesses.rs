@@ -47,17 +47,18 @@ fn accesses(reads: u64, writes: u64) -> MsrAccesses {
 #[test]
 fn a_daemon_interval_costs_a_pinned_number_of_device_accesses() {
     // An interval programs, starts, reads and stops the session's counters
-    // once each. Client A of `daemon_sessions`: MEM on socket 0, owning
-    // its uncore.
-    assert_eq!(interval_accesses("0-3", "MEM", 2), vec![accesses(54, 52); 2]);
+    // once each; only a socket-lock owner touches the package-scoped
+    // uncore registers. Client A of `daemon_sessions`: MEM on socket 0,
+    // cpu 0 owning its uncore.
+    assert_eq!(interval_accesses("0-3", "MEM", 2), vec![accesses(42, 34); 2]);
     // Client B's multiplexed session: FLOPS_DP and MEM take turns, and
     // each interval programs its group once.
     assert_eq!(
         interval_accesses("2-5", "FLOPS_DP,MEM", 4),
-        [accesses(72, 64), accesses(60, 56)].repeat(2)
+        [accesses(72, 56), accesses(52, 44)].repeat(2)
     );
     // Client B's core-only session.
-    assert_eq!(interval_accesses("2-5", "FLOPS_DP", 2), vec![accesses(72, 64); 2]);
+    assert_eq!(interval_accesses("2-5", "FLOPS_DP", 2), vec![accesses(72, 56); 2]);
 }
 
 #[test]
@@ -78,7 +79,7 @@ fn a_local_group_switch_costs_a_pinned_number_of_device_accesses() {
         .collect();
     // Stop the active group's slots, fold the reading, program and start
     // the next group.
-    assert_eq!(switches, vec![accesses(64, 56), accesses(68, 64)]);
+    assert_eq!(switches, vec![accesses(60, 46), accesses(64, 54)]);
 }
 
 #[test]
@@ -94,8 +95,9 @@ fn a_papi_style_start_stop_pair_costs_a_pinned_number_of_device_accesses() {
     papi.stop(set).expect("stop");
     let stopped = machine.msr_accesses();
     // PAPI_DP_OPS sits on PMC0, PAPI_TOT_CYC on a fixed counter. Start
-    // sets the PMC's enable bit and writes both global control registers;
-    // stop reads both counters, clears the global registers and the PMC's
-    // enable bit.
-    assert_eq!((started.since(before), stopped.since(started)), (accesses(1, 3), accesses(3, 3)));
+    // sets the PMC's enable bit and writes the core global control
+    // register; stop reads both counters, clears that register and the
+    // PMC's enable bit. Neither touches the uncore global control: no
+    // uncore slot is in the set.
+    assert_eq!((started.since(before), stopped.since(started)), (accesses(1, 2), accesses(3, 2)));
 }
