@@ -377,7 +377,7 @@ fn time_sliced_streams_telescope_on_faulty_msrs() {
 /// The NDJSON frames of one in-process session on `westmere-ep-2s` under
 /// seeded transient faults, dirty registers and a cpu whose MSR device
 /// dies partway through the stream: after 1000 device accesses, in the
-/// ninth of twenty intervals.
+/// eleventh of twenty intervals.
 fn faulty_session_lines() -> String {
     let plan = "seed=99,read=0.8x6,write=0.8x6,dirty,dead=2@1000";
     let machine = SimMachine::new(MachinePreset::WestmereEp2S);
