@@ -116,16 +116,6 @@ impl<'a> LoggedInterval<'a> {
     pub fn rows(&self) -> std::slice::ChunksExact<'a, u64> {
         self.counts.chunks_exact(self.width.max(1))
     }
-
-    /// An owned copy of the interval.
-    pub fn to_interval(&self) -> TimelineInterval {
-        TimelineInterval {
-            t_start_s: self.t_start_s,
-            t_end_s: self.t_end_s,
-            group: self.group,
-            counts: self.rows().map(<[u64]>::to_vec).collect(),
-        }
-    }
 }
 
 impl IntervalLog {
@@ -136,7 +126,7 @@ impl IntervalLog {
     }
 
     /// Make room for `intervals` more intervals of the widest group.
-    pub fn reserve(&mut self, intervals: usize) {
+    pub(crate) fn reserve(&mut self, intervals: usize) {
         let widest = self.rows.iter().copied().max().unwrap_or(0);
         self.spans.reserve(intervals);
         self.counts.reserve(intervals * widest * self.width);
@@ -193,7 +183,14 @@ impl IntervalLog {
 
     /// The logged intervals rebuilt as owned [`TimelineInterval`]s.
     pub fn intervals(&self) -> Vec<TimelineInterval> {
-        self.iter().map(|interval| interval.to_interval()).collect()
+        self.iter()
+            .map(|iv| TimelineInterval {
+                t_start_s: iv.t_start_s,
+                t_end_s: iv.t_end_s,
+                group: iv.group,
+                counts: iv.rows().map(<[u64]>::to_vec).collect(),
+            })
+            .collect()
     }
 }
 
@@ -389,8 +386,9 @@ impl<'m> TimelineSession<'m> {
         let totals = self.totals(time_scale)?;
         let intervals = self.log.intervals();
         // Rebuilt; the flat copy need not outlive it.
-        drop(std::mem::replace(&mut self.log, IntervalLog::new(Vec::new(), 0)));
-        totals.rebuild(intervals, self.session.metrics())
+        let TimelineSession { session, log, .. } = self;
+        drop(log);
+        totals.rebuild(intervals, session.metrics())
     }
 
     /// Stop counting and compute only the totals of

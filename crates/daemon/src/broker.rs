@@ -43,6 +43,18 @@
 //! a session's aggregate is extrapolated by `(measured + foreign) /
 //! measured` — exactly `1.0` for a session that was never sliced against,
 //! preserving bit-identical solo results.
+//!
+//! # Finishing
+//!
+//! A session ends in one of two ways, which share the coverage scale and
+//! the release of its broker slot and locks, and send the same `done`
+//! frame. [`SessionHandle::finish_done`], the socket server's path,
+//! builds that frame from the timeline's totals alone
+//! ([`TimelineSession::finish_totals`]): the recorded intervals are
+//! neither cut back into intervals nor evaluated, since the client
+//! already holds them. [`SessionHandle::finish`] also rebuilds the full
+//! [`TimelineResult`] with every interval and time series, for
+//! in-process callers such as `Experiment::via_daemon`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex};

@@ -15,6 +15,16 @@
 //! the result, through the [`MetricEvaluator`] of the `opened` frame: the
 //! same evaluator, with the same `time` binding, as the post-mortem
 //! result's.
+//!
+//! A client keeps a stream flat. [`SocketClient::run_session`] decodes
+//! every interval line into one reused [`Frame`], whose rows are
+//! overwritten in place, hands it to the caller's hook and copies its
+//! counts into the accumulator's [`IntervalLog`]: the spans in one vector,
+//! the count rows back to back in another, the layout a `TimelineSession`
+//! records. A warm frame allocates nothing, and a stream of any length
+//! costs two growing vectors instead of a heap block per count row. The
+//! per-interval [`TimelineInterval`](likwid::perfctr::TimelineInterval)s
+//! exist only while [`StreamAccumulator::result`] rebuilds them.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;

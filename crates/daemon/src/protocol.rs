@@ -50,11 +50,13 @@
 //! `frame` is the first member of every server frame, as it has always
 //! been. Every frame is written through [`likwid::json::Writer`], with no
 //! [`JsonValue`] tree; the server encodes each connection's frames into
-//! one reused line buffer ([`Frame::encode_line`]). [`Frame::from_line`]
-//! reads the leading `frame` member with [`likwid::json::Reader`] and
-//! decodes an `interval` frame straight into an [`IntervalFrame`], its
-//! other members in any order and unknown members skipped; only the rare
-//! kinds are decoded through a tree. A command line may be at most
+//! one reused line buffer ([`Frame::encode_line`]). [`Frame::decode_line`],
+//! its mirror, reads the leading `frame` member with
+//! [`likwid::json::Reader`] and decodes an `interval` frame straight into
+//! an [`IntervalFrame`], its other members in any order and unknown
+//! members skipped; a client reuses one frame for a whole stream, its
+//! rows overwritten in place ([`Frame::from_line`] decodes into a fresh
+//! one). Only the rare kinds are decoded through a tree. A command line may be at most
 //! [`crate::server::MAX_COMMAND_LINE`] bytes long.
 
 use std::cell::RefCell;
@@ -250,7 +252,7 @@ pub struct DoneFrame {
 impl DoneFrame {
     /// The `done` frame of session `session` from its timeline's totals
     /// and the coverage scale they were extrapolated by.
-    pub fn new(session: u64, time_scale: f64, totals: TimelineTotals) -> Self {
+    pub(crate) fn new(session: u64, time_scale: f64, totals: TimelineTotals) -> Self {
         DoneFrame {
             session,
             duration_s: totals.duration_s,

@@ -4,11 +4,13 @@
 //! handler thread speaking the NDJSON protocol of [`crate::protocol`]. A
 //! handler greets with `hello`, then serves commands: `open` admits a
 //! measurement session through the broker and streams its interval frames
-//! until `done`; `status` answers with the broker's observability snapshot
-//! (never blocking a measurement turn); `ping` answers `pong`; `shutdown`
-//! stops the daemon. Any
-//! write failure (the client vanished) aborts the in-flight session, which
-//! releases its broker slot and uncore locks. So does a client that stays
+//! until `done`, which it builds from the session's totals
+//! ([`crate::SessionHandle::finish_done`]) without rebuilding the
+//! intervals it already sent; `status` answers with the broker's
+//! observability snapshot (never blocking a measurement turn); `ping`
+//! answers `pong`; `shutdown` stops the daemon. Any write failure (the
+//! client vanished) aborts the in-flight session, which releases its
+//! broker slot and uncore locks. So does a client that stays
 //! connected but stops reading: once its socket buffer is full, a write
 //! that cannot proceed for [`WRITE_TIMEOUT`] fails the same way.
 
