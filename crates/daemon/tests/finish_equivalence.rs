@@ -81,7 +81,7 @@ fn sliced(full: bool) -> Finished {
             std::thread::yield_now();
         }
         drive(first, full);
-        second.join().expect("second driver")
+        second.join().expect("the second session's thread")
     });
     assert!(daemon.is_quiescent());
     second
