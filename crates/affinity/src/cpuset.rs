@@ -51,7 +51,7 @@ impl CpuSet {
 
     /// Whether the set contains a hardware thread.
     pub fn contains(&self, cpu: usize) -> bool {
-        self.bits.get(cpu / 64).map_or(false, |w| w & (1 << (cpu % 64)) != 0)
+        self.bits.get(cpu / 64).is_some_and(|w| w & (1 << (cpu % 64)) != 0)
     }
 
     /// Number of hardware threads in the set.
@@ -77,15 +77,6 @@ impl CpuSet {
                 },
             )
         })
-    }
-
-    /// Union with another set.
-    pub fn union(&self, other: &CpuSet) -> CpuSet {
-        let mut out = self.clone();
-        for cpu in other.iter() {
-            out.insert(cpu);
-        }
-        out
     }
 
     /// Intersection with another set.
@@ -146,7 +137,6 @@ mod tests {
     fn union_and_intersection() {
         let a: CpuSet = [0usize, 1, 2].into_iter().collect();
         let b: CpuSet = [2usize, 3].into_iter().collect();
-        assert_eq!(a.union(&b).iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![2]);
     }
 

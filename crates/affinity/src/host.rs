@@ -10,22 +10,6 @@
 
 use crate::cpuset::CpuSet;
 
-/// Number of CPUs the host operating system reports, if determinable.
-pub fn host_cpu_count() -> Option<usize> {
-    #[cfg(target_os = "linux")]
-    {
-        let n = unsafe { libc::sysconf(libc::_SC_NPROCESSORS_ONLN) };
-        if n > 0 {
-            return Some(n as usize);
-        }
-        None
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
-}
-
 /// Bind the calling thread to the given set of host CPUs. Returns `false`
 /// if the platform does not support it or the syscall failed.
 pub fn set_current_thread_affinity(cpus: &CpuSet) -> bool {
@@ -79,13 +63,6 @@ pub fn get_current_thread_affinity() -> Option<CpuSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn host_cpu_count_is_positive_when_reported() {
-        if let Some(n) = host_cpu_count() {
-            assert!(n >= 1);
-        }
-    }
 
     #[test]
     fn get_affinity_reports_a_nonempty_mask_on_linux() {

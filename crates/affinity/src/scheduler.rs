@@ -46,11 +46,6 @@ impl SimScheduler {
         SimScheduler { strategy }
     }
 
-    /// The default model used for the unpinned figures.
-    pub fn cfs_like() -> Self {
-        SimScheduler::new(PlacementStrategy::CfsLike)
-    }
-
     /// Place `num_threads` application threads on the node, returning the
     /// hardware thread each one runs on. One placement corresponds to one
     /// sample (one run) of the unpinned experiment.
@@ -95,63 +90,6 @@ impl SimScheduler {
             }
         }
     }
-
-    /// Draw `samples` placements (one per run of the benchmark).
-    pub fn sample_placements<R: Rng + ?Sized>(
-        &self,
-        topo: &TopologySpec,
-        num_threads: usize,
-        samples: usize,
-        rng: &mut R,
-    ) -> Vec<Vec<usize>> {
-        (0..samples).map(|_| self.place(topo, num_threads, rng)).collect()
-    }
-}
-
-/// Summary of how a placement uses the machine, the quantities that drive
-/// the bandwidth model: how many threads run on each socket and how many
-/// physical cores are oversubscribed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementSummary {
-    /// Number of application threads per socket.
-    pub threads_per_socket: Vec<usize>,
-    /// Number of distinct physical cores used per socket.
-    pub busy_cores_per_socket: Vec<usize>,
-    /// Maximum number of application threads sharing one hardware thread.
-    pub max_per_hw_thread: usize,
-    /// Maximum number of application threads sharing one physical core.
-    pub max_per_core: usize,
-}
-
-impl PlacementSummary {
-    /// Analyse a placement against a topology.
-    pub fn analyse(topo: &TopologySpec, placement: &[usize]) -> Self {
-        let sockets = topo.sockets as usize;
-        let mut threads_per_socket = vec![0usize; sockets];
-        let mut per_core = std::collections::HashMap::<(u32, u32), usize>::new();
-        let mut per_hw = std::collections::HashMap::<usize, usize>::new();
-        for &hw in placement {
-            let t = &topo.hw_threads[hw];
-            threads_per_socket[t.socket as usize] += 1;
-            *per_core.entry((t.socket, t.core_index)).or_insert(0) += 1;
-            *per_hw.entry(hw).or_insert(0) += 1;
-        }
-        let mut busy_cores_per_socket = vec![0usize; sockets];
-        for (&(socket, _), _) in per_core.iter() {
-            busy_cores_per_socket[socket as usize] += 1;
-        }
-        PlacementSummary {
-            threads_per_socket,
-            busy_cores_per_socket,
-            max_per_hw_thread: per_hw.values().copied().max().unwrap_or(0),
-            max_per_core: per_core.values().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// Number of sockets actually used.
-    pub fn sockets_used(&self) -> usize {
-        self.threads_per_socket.iter().filter(|&&n| n > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -165,10 +103,56 @@ mod tests {
         MachinePreset::WestmereEp2S.topology()
     }
 
+    /// Summary of how a placement uses the machine, the quantities that drive
+    /// the bandwidth model: how many threads run on each socket and how many
+    /// physical cores are oversubscribed.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct PlacementSummary {
+        /// Number of application threads per socket.
+        threads_per_socket: Vec<usize>,
+        /// Number of distinct physical cores used per socket.
+        busy_cores_per_socket: Vec<usize>,
+        /// Maximum number of application threads sharing one hardware thread.
+        max_per_hw_thread: usize,
+        /// Maximum number of application threads sharing one physical core.
+        max_per_core: usize,
+    }
+
+    impl PlacementSummary {
+        /// Analyse a placement against a topology.
+        fn analyse(topo: &TopologySpec, placement: &[usize]) -> Self {
+            let sockets = topo.sockets as usize;
+            let mut threads_per_socket = vec![0usize; sockets];
+            let mut per_core = std::collections::HashMap::<(u32, u32), usize>::new();
+            let mut per_hw = std::collections::HashMap::<usize, usize>::new();
+            for &hw in placement {
+                let t = &topo.hw_threads[hw];
+                threads_per_socket[t.socket as usize] += 1;
+                *per_core.entry((t.socket, t.core_index)).or_insert(0) += 1;
+                *per_hw.entry(hw).or_insert(0) += 1;
+            }
+            let mut busy_cores_per_socket = vec![0usize; sockets];
+            for (&(socket, _), _) in per_core.iter() {
+                busy_cores_per_socket[socket as usize] += 1;
+            }
+            PlacementSummary {
+                threads_per_socket,
+                busy_cores_per_socket,
+                max_per_hw_thread: per_hw.values().copied().max().unwrap_or(0),
+                max_per_core: per_core.values().copied().max().unwrap_or(0),
+            }
+        }
+
+        /// Number of sockets actually used.
+        fn sockets_used(&self) -> usize {
+            self.threads_per_socket.iter().filter(|&&n| n > 0).count()
+        }
+    }
+
     #[test]
     fn cfs_like_does_not_oversubscribe_hardware_threads_below_capacity() {
         let topo = westmere();
-        let sched = SimScheduler::cfs_like();
+        let sched = SimScheduler::new(PlacementStrategy::CfsLike);
         let mut rng = StdRng::seed_from_u64(42);
         for n in [1usize, 4, 12, 24] {
             let p = sched.place(&topo, n, &mut rng);
@@ -181,7 +165,7 @@ mod tests {
     #[test]
     fn cfs_like_oversubscribes_only_past_capacity() {
         let topo = westmere();
-        let sched = SimScheduler::cfs_like();
+        let sched = SimScheduler::new(PlacementStrategy::CfsLike);
         let mut rng = StdRng::seed_from_u64(7);
         let p = sched.place(&topo, 26, &mut rng);
         let summary = PlacementSummary::analyse(&topo, &p);
@@ -194,9 +178,9 @@ mod tests {
         // counts in Figure 4: with 2 threads the probability of landing on
         // one socket is sizeable.
         let topo = westmere();
-        let sched = SimScheduler::cfs_like();
+        let sched = SimScheduler::new(PlacementStrategy::CfsLike);
         let mut rng = StdRng::seed_from_u64(123);
-        let placements = sched.sample_placements(&topo, 2, 200, &mut rng);
+        let placements: Vec<_> = (0..200).map(|_| sched.place(&topo, 2, &mut rng)).collect();
         let mut one_socket = 0;
         let mut two_sockets = 0;
         for p in &placements {
@@ -216,9 +200,9 @@ mod tests {
         // when physical cores are still free — the oversubscription effect
         // the paper attributes the Westmere variance to.
         let topo = westmere();
-        let sched = SimScheduler::cfs_like();
+        let sched = SimScheduler::new(PlacementStrategy::CfsLike);
         let mut rng = StdRng::seed_from_u64(99);
-        let placements = sched.sample_placements(&topo, 6, 300, &mut rng);
+        let placements: Vec<_> = (0..300).map(|_| sched.place(&topo, 6, &mut rng)).collect();
         let shared = placements
             .iter()
             .filter(|p| PlacementSummary::analyse(&topo, p).max_per_core >= 2)
@@ -256,7 +240,7 @@ mod tests {
     #[test]
     fn istanbul_placements_have_no_smt_sharing() {
         let topo = MachinePreset::IstanbulH2S.topology();
-        let sched = SimScheduler::cfs_like();
+        let sched = SimScheduler::new(PlacementStrategy::CfsLike);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..50 {
             let p = sched.place(&topo, 12, &mut rng);

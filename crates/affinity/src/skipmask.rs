@@ -33,11 +33,6 @@ impl SkipMask {
             s.parse().ok().map(SkipMask)
         }
     }
-
-    /// Number of skipped threads among the first `n` created threads.
-    pub fn skipped_among(self, n: usize) -> usize {
-        (0..n.min(64)).filter(|&i| self.skips(i)).count()
-    }
 }
 
 impl std::fmt::Display for SkipMask {
@@ -66,7 +61,7 @@ impl ThreadingModel {
     /// only `-t` is given).
     pub fn default_skip_mask(self) -> SkipMask {
         match self {
-            ThreadingModel::Posix | ThreadingModel::GccOpenMp => SkipMask(0x0),
+            ThreadingModel::Posix | ThreadingModel::GccOpenMp => SkipMask::NONE,
             ThreadingModel::IntelOpenMp => SkipMask(0x1),
             ThreadingModel::IntelMpiIntelOpenMp => SkipMask(0x3),
         }
@@ -129,7 +124,6 @@ mod tests {
         assert!(m.skips(0));
         assert!(m.skips(1));
         assert!(!m.skips(2));
-        assert_eq!(m.skipped_among(8), 2);
     }
 
     #[test]
@@ -196,10 +190,11 @@ mod tests {
     #[test]
     fn skipped_among_counts_only_below_the_prefix() {
         let m = SkipMask(0b1011);
-        assert_eq!(m.skipped_among(0), 0);
-        assert_eq!(m.skipped_among(1), 1);
-        assert_eq!(m.skipped_among(2), 2);
-        assert_eq!(m.skipped_among(4), 3);
-        assert_eq!(m.skipped_among(100), 3, "counting saturates at 64 mask bits");
+        let skipped_among = |n: usize| (0..n).filter(|&i| m.skips(i)).count();
+        assert_eq!(skipped_among(0), 0);
+        assert_eq!(skipped_among(1), 1);
+        assert_eq!(skipped_among(2), 2);
+        assert_eq!(skipped_among(4), 3);
+        assert_eq!(skipped_among(100), 3, "creation indices past 64 are never skipped");
     }
 }

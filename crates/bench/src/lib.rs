@@ -10,9 +10,8 @@
 //! Output: every generator builds a typed [`likwid::Report`] — one table
 //! row per x-axis point, columns `min / q1 / median / q3 / max` for the
 //! box-plot figures, the same summary statistics the paper plots. The
-//! `*_text` helpers render the classic plain-text form; the binaries accept
-//! `-O <ascii|csv|json>` / `-o <file>` through [`figure_bin_main`] like the
-//! four tools.
+//! binaries accept `-O <ascii|csv|json>` / `-o <file>` through
+//! [`figure_bin_main`] like the four tools.
 
 use likwid::args::{ArgSpec, ParsedArgs};
 use likwid::perfctr::{group_definition, supported_groups, EventGroupKind};
@@ -122,7 +121,7 @@ pub fn stream_figures() -> Vec<StreamFigure> {
 /// The declarative fleet sweep behind one STREAM figure: the whole
 /// `1..=num_hw_threads` family as a single [`SweepSpec`] instead of a
 /// hand-rolled loop.
-pub fn stream_figure_sweep(figure: StreamFigure, samples: usize, seed: u64) -> SweepSpec {
+pub(crate) fn stream_figure_sweep(figure: StreamFigure, samples: usize, seed: u64) -> SweepSpec {
     let mut sweep = SweepSpec::new(WorkloadSpec::StreamTriad, figure.preset);
     sweep.personalities = vec![figure.personality];
     sweep.placements = vec![match figure.scenario {
@@ -138,9 +137,9 @@ pub fn stream_figure_sweep(figure: StreamFigure, samples: usize, seed: u64) -> S
     sweep
 }
 
-/// Regenerate one STREAM figure as a typed report by running its
-/// [`stream_figure_sweep`] through the fleet scheduler (the points of the
-/// family run in parallel; the report is deterministic regardless).
+/// Regenerate one STREAM figure as a typed report by running its fleet
+/// sweep through the fleet scheduler (the points of the family run in
+/// parallel; the report is deterministic regardless).
 ///
 /// `samples` is the number of runs per thread count (the paper uses 100).
 pub fn stream_figure_report(figure: StreamFigure, samples: usize, seed: u64) -> Report {
@@ -181,11 +180,6 @@ pub fn stream_figure_report(figure: StreamFigure, samples: usize, seed: u64) -> 
         samples
     )));
     report
-}
-
-/// Regenerate one STREAM figure as a text table.
-pub fn stream_figure_text(figure: StreamFigure, samples: usize, seed: u64) -> String {
-    Ascii.render(&stream_figure_report(figure, samples, seed))
 }
 
 /// Regenerate Figure 11 as a typed report: MLUPS vs. problem size for the
@@ -240,11 +234,6 @@ pub fn figure11_report(sizes: &[usize], time_steps: usize) -> Report {
         ),
     );
     report
-}
-
-/// Regenerate Figure 11 as a text table.
-pub fn figure11_text(sizes: &[usize], time_steps: usize) -> String {
-    Ascii.render(&figure11_report(sizes, time_steps))
 }
 
 /// The time-resolved Jacobi case study: MEM bandwidth over virtual time
@@ -437,7 +426,7 @@ pub fn table2_text(size: usize, time_steps: usize) -> String {
 
 /// Regenerate Table I as a typed report: the qualitative LIKWID-vs-PAPI
 /// comparison.
-pub fn table1_report() -> Report {
+pub(crate) fn table1_report() -> Report {
     let mut table = Table::plain(vec!["aspect", "likwid", "papi"]);
     for (aspect, likwid, papi) in likwid_papi_compat::table1_rows() {
         table.push(
@@ -455,11 +444,6 @@ pub fn table1_report() -> Report {
             .with_heading("Table I: Comparison between LIKWID and PAPI"),
     );
     report
-}
-
-/// Regenerate Table I as text.
-pub fn table1_text() -> String {
-    Ascii.render(&table1_report())
 }
 
 /// The full report of the Table I binary: the qualitative comparison plus
@@ -499,11 +483,6 @@ pub fn figure1_report() -> Report {
         }
     }
     report
-}
-
-/// Regenerate Figure 1 as text.
-pub fn figure1_text() -> String {
-    Ascii.render(&figure1_report())
 }
 
 /// Regenerate Figure 2 as a typed report: the mapping from event sets
@@ -550,11 +529,6 @@ pub fn figure2_report(preset: MachinePreset) -> Report {
     report
 }
 
-/// Regenerate Figure 2 as text.
-pub fn figure2_text(preset: MachinePreset) -> String {
-    Ascii.render(&figure2_report(preset))
-}
-
 /// Regenerate Figure 3 as a typed report: the likwid-pin interception
 /// mechanism, traced for an Intel OpenMP binary on the Westmere node.
 pub fn figure3_report() -> Report {
@@ -592,11 +566,6 @@ pub fn figure3_report() -> Report {
         "Figure 3: likwid-pin wrapper mechanism (Intel OpenMP binary, -c 0-3 -t intel)",
     ));
     report
-}
-
-/// Regenerate Figure 3 as text.
-pub fn figure3_text() -> String {
-    Ascii.render(&figure3_report())
 }
 
 /// Marker-API vs. PAPI-style API overhead: the measured counterpart to the
@@ -649,7 +618,7 @@ pub fn figure_bin_main(
 }
 
 /// The argument spec of a STREAM figure binary (positional sample count).
-pub fn stream_figure_spec(tool: &'static str, about: &'static str) -> ArgSpec {
+pub(crate) fn stream_figure_spec(tool: &'static str, about: &'static str) -> ArgSpec {
     ArgSpec::new(tool, about).positional("samples", "runs per thread count (default 100)", false)
 }
 
@@ -693,7 +662,7 @@ mod tests {
     #[test]
     fn stream_figure_text_has_one_row_per_thread_count() {
         let fig = stream_figures()[1]; // Figure 5, pinned (deterministic, cheap)
-        let text = stream_figure_text(fig, 3, 1);
+        let text = Ascii.render(&stream_figure_report(fig, 3, 1));
         let rows = text
             .lines()
             .filter(|l| l.starts_with(|c: char| c.is_ascii_digit() || c == ' '))
@@ -713,12 +682,11 @@ mod tests {
         assert_eq!(table.rows[0].values[0].as_count(), Some(1));
         let parsed = Report::from_json(&Json.render(&report)).expect("round trip");
         assert_eq!(parsed, report);
-        assert_eq!(Ascii.render(&report), stream_figure_text(fig, 3, 1));
     }
 
     #[test]
     fn figure11_text_contains_all_three_curves() {
-        let text = figure11_text(&[32, 48], 4);
+        let text = Ascii.render(&figure11_report(&[32, 48], 4));
         assert!(text.contains("wavefront 1x4 (one socket)"));
         assert!(text.contains("2 per socket"));
         assert!(text.contains("threaded baseline"));
@@ -747,12 +715,12 @@ mod tests {
 
     #[test]
     fn table1_and_conceptual_figures_render() {
-        assert!(table1_text().contains("Thread and process pinning"));
-        assert!(figure1_text().contains("Cache Topology"));
-        let fig2 = figure2_text(MachinePreset::WestmereEp2S);
+        assert!(Ascii.render(&table1_report()).contains("Thread and process pinning"));
+        assert!(Ascii.render(&figure1_report()).contains("Cache Topology"));
+        let fig2 = Ascii.render(&figure2_report(MachinePreset::WestmereEp2S));
         assert!(fig2.contains("FLOPS_DP"));
         assert!(fig2.contains("UPMC0"));
-        let fig3 = figure3_text();
+        let fig3 = Ascii.render(&figure3_report());
         assert!(fig3.contains("Skipped"));
         assert!(fig3.contains("KMP_AFFINITY=disabled"));
     }

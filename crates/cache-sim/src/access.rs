@@ -18,13 +18,13 @@ pub enum AccessKind {
 
 impl AccessKind {
     /// Whether the access writes data.
-    pub fn is_write(self) -> bool {
+    pub(crate) fn is_write(self) -> bool {
         matches!(self, AccessKind::Store | AccessKind::NonTemporalStore)
     }
 
     /// Whether the access is a demand access (issued by the program rather
     /// than a prefetcher).
-    pub fn is_demand(self) -> bool {
+    pub(crate) fn is_demand(self) -> bool {
         !matches!(self, AccessKind::Prefetch)
     }
 }
@@ -51,14 +51,10 @@ impl Access {
         Access { address, size: 8, kind: AccessKind::Store }
     }
 
-    /// Convenience constructor for an 8-byte non-temporal store.
-    pub fn nt_store(address: u64) -> Self {
-        Access { address, size: 8, kind: AccessKind::NonTemporalStore }
-    }
-
     /// The cache lines `[first, last]` touched by this access for a given
     /// line size (an access may straddle a line boundary).
-    pub fn line_range(&self, line_size: u64) -> (u64, u64) {
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn line_range(&self, line_size: u64) -> (u64, u64) {
         let first = self.address / line_size;
         let last = (self.address + self.size.max(1) as u64 - 1) / line_size;
         (first, last)
@@ -129,6 +125,5 @@ mod tests {
     fn constructors_use_double_precision_width() {
         assert_eq!(Access::load(8).size, 8);
         assert_eq!(Access::store(8).kind, AccessKind::Store);
-        assert_eq!(Access::nt_store(8).kind, AccessKind::NonTemporalStore);
     }
 }

@@ -30,7 +30,6 @@ pub enum Eviction {
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
-    line_size: u64,
     /// `sets - 1` when `sets` is a power of two, else `None` (modulo path).
     set_mask: Option<u64>,
     /// `tags[set * ways + way]` — line address stored in one way.
@@ -48,14 +47,14 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Create a cache with `sets` sets of `ways` ways and `line_size`-byte lines.
-    pub fn new(sets: usize, ways: usize, line_size: u64, policy: ReplacementPolicy) -> Self {
+    /// Create a cache with `sets` sets of `ways` ways. It stores line
+    /// addresses, so the line size is the caller's business.
+    pub fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one set and way");
         assert!(ways <= 64, "per-set bitmask flags support at most 64 ways");
         SetAssocCache {
             sets,
             ways,
-            line_size,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             tags: vec![0; sets * ways],
             valid: vec![0; sets],
@@ -64,21 +63,6 @@ impl SetAssocCache {
             replacement: FlatReplacement::new(policy, sets, ways),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        (self.sets * self.ways) as u64 * self.line_size
-    }
-
-    /// Line size in bytes.
-    pub fn line_size(&self) -> u64 {
-        self.line_size
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets
     }
 
     #[inline]
@@ -122,7 +106,7 @@ impl SetAssocCache {
     /// pure counter update: the line is present and its replacement touch
     /// would not change the set's eviction order (it is already the
     /// most-recently-touched way, or the policy ignores hits entirely).
-    pub fn repeat_hit_is_collapsible(&self, line_addr: u64) -> bool {
+    pub(crate) fn repeat_hit_is_collapsible(&self, line_addr: u64) -> bool {
         let set = self.set_index(line_addr);
         match self.find(set, line_addr) {
             Some(way) => self.replacement.hit_is_order_neutral(set, way),
@@ -165,7 +149,7 @@ impl SetAssocCache {
     /// [`SetAssocCache::fill`] for callers that already know the line is
     /// absent (a demand fill right after the lookup missed, a prefetch fill
     /// after a `contains` probe): skips the duplicate-line scan.
-    pub fn fill_absent(&mut self, line_addr: u64, dirty: bool) -> Eviction {
+    pub(crate) fn fill_absent(&mut self, line_addr: u64, dirty: bool) -> Eviction {
         debug_assert!(!self.contains(line_addr), "fill_absent of a present line");
         let set = self.set_index(line_addr);
         // Victim selection: the first invalid way if any, else the least
@@ -205,7 +189,7 @@ impl SetAssocCache {
 
     /// Invalidate a line (used for inclusive back-invalidation). Returns
     /// `Some(dirty)` if the line was present.
-    pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
+    pub(crate) fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
         let set = self.set_index(line_addr);
         let way = self.find(set, line_addr)?;
         let way_bit = 1u64 << way;
@@ -221,7 +205,7 @@ impl SetAssocCache {
 
     /// Mark a present line dirty (used when a dirty line is written back from
     /// an inner level).
-    pub fn mark_dirty(&mut self, line_addr: u64) -> bool {
+    pub(crate) fn mark_dirty(&mut self, line_addr: u64) -> bool {
         let set = self.set_index(line_addr);
         match self.find(set, line_addr) {
             Some(way) => {
@@ -232,13 +216,9 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of currently valid lines (diagnostic).
-    pub fn resident_lines(&self) -> usize {
-        self.valid.iter().map(|v| v.count_ones() as usize).sum()
-    }
-
     /// Line addresses of all currently valid lines (diagnostic).
-    pub fn resident_line_addresses(&self) -> impl Iterator<Item = u64> + '_ {
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn resident_line_addresses(&self) -> impl Iterator<Item = u64> + '_ {
         self.valid.iter().enumerate().flat_map(move |(set, &valid)| {
             let base = set * self.ways;
             (0..self.ways)
@@ -254,15 +234,14 @@ mod tests {
 
     fn small_cache() -> SetAssocCache {
         // 4 sets x 2 ways x 64-byte lines = 512 bytes.
-        SetAssocCache::new(4, 2, 64, ReplacementPolicy::Lru)
+        SetAssocCache::new(4, 2, ReplacementPolicy::Lru)
     }
 
     #[test]
     fn capacity_and_geometry() {
         let c = small_cache();
-        assert_eq!(c.capacity_bytes(), 512);
-        assert_eq!(c.num_sets(), 4);
-        assert_eq!(c.line_size(), 64);
+        assert_eq!(c.sets, 4);
+        assert_eq!(c.ways, 2);
     }
 
     #[test]
@@ -349,12 +328,12 @@ mod tests {
     #[test]
     fn resident_line_count_tracks_valid_lines() {
         let mut c = small_cache();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.resident_line_addresses().count(), 0);
         c.fill(0, false);
         c.fill(1, false);
-        assert_eq!(c.resident_lines(), 2);
+        assert_eq!(c.resident_line_addresses().count(), 2);
         c.invalidate(0);
-        assert_eq!(c.resident_lines(), 1);
+        assert_eq!(c.resident_line_addresses().count(), 1);
     }
 
     #[test]
@@ -369,13 +348,13 @@ mod tests {
             }
         }
         assert_eq!(evictions, 8);
-        assert_eq!(c.resident_lines(), 8);
+        assert_eq!(c.resident_line_addresses().count(), 8);
     }
 
     #[test]
     fn non_power_of_two_set_count_uses_the_modulo_path() {
         // 3 sets x 2 ways: lines 0, 3, 6 all map to set 0.
-        let mut c = SetAssocCache::new(3, 2, 64, ReplacementPolicy::Lru);
+        let mut c = SetAssocCache::new(3, 2, ReplacementPolicy::Lru);
         c.fill(0, false);
         c.fill(3, false);
         assert_eq!(c.fill(6, false), Eviction::Clean(0));

@@ -152,7 +152,7 @@ impl HierarchyConfig {
     /// Number of instances of a level given its sharing degree: hardware
     /// threads are grouped by (socket, core, SMT) order into consecutive
     /// groups of `shared_by_threads`.
-    pub fn instances_of(&self, level: &CacheLevelConfig) -> usize {
+    pub(crate) fn instances_of(&self, level: &CacheLevelConfig) -> usize {
         (self.num_threads / level.shared_by_threads as usize).max(1)
     }
 
@@ -163,7 +163,7 @@ impl HierarchyConfig {
     /// one instance. With the preset sharing degrees this yields "one L1/L2
     /// per physical core" and "one L3 per socket" regardless of the OS
     /// enumeration order.
-    pub fn instance_for_thread(&self, level: &CacheLevelConfig, thread: usize) -> usize {
+    pub(crate) fn instance_for_thread(&self, level: &CacheLevelConfig, thread: usize) -> usize {
         let mut order: Vec<usize> = (0..self.num_threads).collect();
         order.sort_by_key(|&t| (self.thread_socket[t], self.thread_core[t], t));
         let rank = order.iter().position(|&t| t == thread).expect("thread in range");
@@ -179,7 +179,7 @@ impl HierarchyConfig {
     /// the exact order an on-the-fly sharer walk would visit them in. Levels
     /// that are not inclusive (or L1, which has nothing inside it) get empty
     /// lists. Computed once here so the eviction path never allocates.
-    pub fn back_invalidation_map(&self) -> Vec<Vec<Vec<(usize, usize)>>> {
+    pub(crate) fn back_invalidation_map(&self) -> Vec<Vec<Vec<(usize, usize)>>> {
         self.levels
             .iter()
             .enumerate()

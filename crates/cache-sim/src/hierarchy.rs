@@ -136,14 +136,7 @@ impl NodeCacheSystem {
             bits = bits.saturating_add(n as u32);
             levels.push(
                 (0..n)
-                    .map(|_| {
-                        SetAssocCache::new(
-                            level.sets,
-                            level.ways,
-                            level.line_size,
-                            level.replacement,
-                        )
-                    })
+                    .map(|_| SetAssocCache::new(level.sets, level.ways, level.replacement))
                     .collect::<Vec<_>>(),
             );
             thread_instance.push(
@@ -276,7 +269,7 @@ impl NodeCacheSystem {
             return 0;
         }
         let page_key = line / DIR_PAGE_LINES as u64;
-        if self.hot_page.as_ref().map_or(true, |(hot_key, _)| *hot_key != page_key) {
+        if self.hot_page.as_ref().is_none_or(|(hot_key, _)| *hot_key != page_key) {
             let page = self.directory.remove(&page_key).unwrap_or_else(DirPage::empty);
             if let Some((old_key, old_page)) = self.hot_page.replace((page_key, page)) {
                 self.directory.insert(old_key, old_page);
@@ -580,7 +573,7 @@ impl NodeCacheSystem {
         }
 
         let l1_missed = !matches!(hit_level, Some(0));
-        let l2_missed = hit_level.map_or(true, |l| l > 1);
+        let l2_missed = hit_level.is_none_or(|l| l > 1);
 
         // Fetch from memory if no level had the line.
         if hit_level.is_none() {
@@ -787,58 +780,21 @@ impl NodeCacheSystem {
         }
     }
 
-    /// Reset all counters (cache contents are preserved, mirroring what
-    /// starting a new measurement region does on real hardware).
-    pub fn reset_stats(&mut self) {
-        for level in &mut self.levels {
-            for cache in level {
-                cache.stats = Default::default();
-            }
-        }
-        for mc in &mut self.memory {
-            mc.stats = Default::default();
-        }
-        self.thread_loads.iter_mut().for_each(|v| *v = 0);
-        self.thread_stores.iter_mut().for_each(|v| *v = 0);
-    }
-
-    /// The socket-level (last level) cache statistics of one socket.
-    ///
-    /// Returns zeroed counters when the hierarchy has no cache levels or no
-    /// hardware thread lives on `socket` (instead of silently reporting
-    /// another socket's LLC instance).
-    pub fn llc_stats_of_socket(&self, socket: u32) -> crate::stats::CacheStats {
-        let Some(last) = self.levels.last() else {
-            return Default::default();
-        };
-        // Find a thread on that socket and use its LLC instance.
-        let Some(thread) = self.config.thread_socket.iter().position(|&s| s == socket) else {
-            return Default::default();
-        };
-        let inst = self.thread_instance[self.levels.len() - 1][thread];
-        last[inst].stats
-    }
-
-    /// Memory statistics of one socket's controller.
-    pub fn memory_stats_of_socket(&self, socket: u32) -> crate::stats::MemoryStats {
-        self.memory.get(socket as usize).map(|m| m.stats).unwrap_or_default()
-    }
-
     /// Whether the exact presence directory is active (64 or fewer cache
     /// instances). The sharded engine's residency analysis needs it; without
     /// it every cross-shard store must be treated as a potential conflict.
-    pub fn directory_enabled(&self) -> bool {
+    pub(crate) fn directory_enabled(&self) -> bool {
         self.directory_enabled
     }
 
     /// Lines per presence-directory page (page key = line / this).
-    pub fn dir_page_lines() -> u64 {
+    pub(crate) fn dir_page_lines() -> u64 {
         DIR_PAGE_LINES as u64
     }
 
     /// Whether any line of directory page `page_key` is resident somewhere
     /// in this node. Meaningless when the directory is disabled.
-    pub fn dir_page_occupied(&self, page_key: u64) -> bool {
+    pub(crate) fn dir_page_occupied(&self, page_key: u64) -> bool {
         if let Some((hot_key, _)) = &self.hot_page {
             if *hot_key == page_key {
                 return true;
@@ -848,13 +804,13 @@ impl NodeCacheSystem {
     }
 
     /// Number of occupied directory pages.
-    pub fn dir_page_count(&self) -> usize {
+    pub(crate) fn dir_page_count(&self) -> usize {
         self.directory.len() + usize::from(self.hot_page.is_some())
     }
 
     /// Keys of all occupied directory pages (unspecified order — callers
     /// must only use this for order-independent membership queries).
-    pub fn dir_occupied_pages(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn dir_occupied_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.hot_page.iter().map(|(key, _)| *key).chain(self.directory.keys().copied())
     }
 
@@ -865,7 +821,7 @@ impl NodeCacheSystem {
     /// so no own-path exclusion applies; invalidated dirty copies are
     /// dropped without a write-back, exactly like the intra-node walk (the
     /// store's write-allocate fill supersedes the data).
-    pub fn invalidate_external(&mut self, line: u64) {
+    pub(crate) fn invalidate_external(&mut self, line: u64) {
         if self.directory_enabled {
             let mask = self.dir_mask(line);
             if mask == 0 {
@@ -1079,24 +1035,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_clears_counters_but_keeps_contents() {
-        let mut sys = system(PrefetchConfig::all_disabled());
-        sys.access(0, Access::load(0));
-        sys.reset_stats();
-        assert_eq!(sys.stats().level_total(1).accesses, 0);
-        // The line is still resident: the next access is an L1 hit.
-        assert_eq!(sys.access(0, Access::load(0)), HitLevel::L1);
-    }
-
-    #[test]
     fn numa_partitioning_routes_traffic_to_the_right_controller() {
         let mut cfg = tiny_config(PrefetchConfig::all_disabled());
         cfg.numa_policy = NumaPolicy::Partitioned { boundaries: vec![1 << 20, u64::MAX] };
         let mut sys = NodeCacheSystem::new(cfg);
         // Thread 0 (socket 0) reads an address homed on socket 1.
         sys.access(0, Access::load(2 << 20));
-        let s0 = sys.memory_stats_of_socket(0);
-        let s1 = sys.memory_stats_of_socket(1);
+        let stats = sys.stats();
+        let (s0, s1) = (stats.memory[0], stats.memory[1]);
         assert_eq!(s0.bytes_read, 0);
         assert_eq!(s1.bytes_read, 64);
         assert_eq!(s1.remote_reads, 1);
@@ -1127,18 +1073,10 @@ mod tests {
         let mut sys = system(PrefetchConfig::all_disabled());
         sys.access(0, Access::load(0));
         sys.access(2, Access::load(1 << 20));
-        assert_eq!(sys.llc_stats_of_socket(0).lines_in, 1);
-        assert_eq!(sys.llc_stats_of_socket(1).lines_in, 1);
-    }
-
-    #[test]
-    fn llc_stats_of_a_threadless_socket_are_zero_not_socket_zero() {
-        let mut sys = system(PrefetchConfig::all_disabled());
-        sys.access(0, Access::load(0));
-        // Socket 7 has no hardware threads: the query must not fall back to
-        // thread 0 (and thus socket 0's LLC instance).
-        assert_eq!(sys.llc_stats_of_socket(7), Default::default());
-        assert_eq!(sys.llc_stats_of_socket(0).lines_in, 1, "socket 0 still reports its own LLC");
+        // One shared L3 instance per socket: threads 0-1 and 2-3.
+        let llc = &sys.stats().levels[2].instances;
+        assert_eq!(llc[0].lines_in, 1);
+        assert_eq!(llc[1].lines_in, 1);
     }
 
     #[test]

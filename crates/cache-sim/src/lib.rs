@@ -42,9 +42,9 @@ pub use access::{Access, AccessKind, HitLevel};
 pub use cache::SetAssocCache;
 pub use config::{CacheLevelConfig, HierarchyConfig, PrefetchConfig, WritePolicy};
 pub use hierarchy::NodeCacheSystem;
-pub use memory::{MemoryController, NumaPolicy};
+pub use memory::NumaPolicy;
 pub use prefetch::PrefetchEngine;
 pub use replacement::{FlatReplacement, ReplacementPolicy};
 pub use replay::{ReplayQueue, RunOp};
-pub use shard::{ShardReplayError, ShardedCacheSystem};
+pub use shard::ShardedCacheSystem;
 pub use stats::{CacheStats, LevelStats, MemoryStats, NodeStats};

@@ -42,7 +42,7 @@ impl NumaPolicy {
     }
 
     /// The NUMA domain of an address.
-    pub fn domain_of(&self, address: u64) -> u32 {
+    pub(crate) fn domain_of(&self, address: u64) -> u32 {
         match self {
             NumaPolicy::Interleave { granularity, sockets } => {
                 // Page size and socket count are powers of two on every
@@ -69,7 +69,7 @@ impl NumaPolicy {
 
 /// One socket's integrated memory controller.
 #[derive(Debug, Clone, Default)]
-pub struct MemoryController {
+pub(crate) struct MemoryController {
     /// Traffic counters.
     pub stats: MemoryStats,
 }

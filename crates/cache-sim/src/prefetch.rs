@@ -27,18 +27,13 @@ pub struct PrefetchDecision {
 
 impl PrefetchDecision {
     /// Line addresses to bring into L1, ascending and deduplicated.
-    pub fn l1_lines(&self) -> &[u64] {
+    pub(crate) fn l1_lines(&self) -> &[u64] {
         &self.l1[..self.l1_len as usize]
     }
 
     /// Line addresses to bring into L2, ascending and deduplicated.
-    pub fn l2_lines(&self) -> &[u64] {
+    pub(crate) fn l2_lines(&self) -> &[u64] {
         &self.l2[..self.l2_len as usize]
-    }
-
-    /// Whether no prefetch was issued.
-    pub fn is_empty(&self) -> bool {
-        self.l1_len == 0 && self.l2_len == 0
     }
 
     fn push_l1(&mut self, line: u64) {
@@ -101,11 +96,6 @@ impl PrefetchEngine {
     /// Engine for `num_threads` hardware threads.
     pub fn new(config: PrefetchConfig, num_threads: usize) -> Self {
         PrefetchEngine { config, threads: vec![ThreadState::default(); num_threads] }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> PrefetchConfig {
-        self.config
     }
 
     /// Observe a demand access and decide which lines to prefetch.
@@ -183,7 +173,7 @@ impl PrefetchEngine {
     /// resets the IP detector (once is the fixed point), the hit-path
     /// detectors (DCU, hardware streamer, adjacent line) see no miss and
     /// stay untouched, and no prefetch is ever issued for the line itself.
-    pub fn observe_repeats(&mut self, thread: usize, line: u64) {
+    pub(crate) fn observe_repeats(&mut self, thread: usize, line: u64) {
         let st = &mut self.threads[thread];
         if self.config.ip_enabled {
             st.stride = 0;
@@ -197,11 +187,15 @@ impl PrefetchEngine {
 mod tests {
     use super::*;
 
+    fn issued_nothing(decision: &PrefetchDecision) -> bool {
+        decision.l1_len == 0 && decision.l2_len == 0
+    }
+
     #[test]
     fn disabled_engine_never_prefetches() {
         let mut e = PrefetchEngine::new(PrefetchConfig::all_disabled(), 1);
         for line in 0..64 {
-            assert!(e.observe(0, line, true, true).is_empty());
+            assert!(issued_nothing(&e.observe(0, line, true, true)));
         }
     }
 
@@ -227,7 +221,7 @@ mod tests {
     fn dcu_streamer_needs_two_sequential_misses() {
         let cfg = PrefetchConfig { dcu_enabled: true, ..PrefetchConfig::all_disabled() };
         let mut e = PrefetchEngine::new(cfg, 1);
-        assert!(e.observe(0, 100, true, false).is_empty());
+        assert!(issued_nothing(&e.observe(0, 100, true, false)));
         let d = e.observe(0, 101, true, false);
         assert_eq!(d.l1_lines(), &[102]);
     }
@@ -246,9 +240,9 @@ mod tests {
         let cfg = PrefetchConfig { ip_enabled: true, ..PrefetchConfig::all_disabled() };
         let mut e = PrefetchEngine::new(cfg, 1);
         // Stride of 3 lines: 0, 3, 6, 9 -> after confidence builds, prefetch 12.
-        assert!(e.observe(0, 0, false, false).is_empty());
-        assert!(e.observe(0, 3, false, false).is_empty());
-        assert!(e.observe(0, 6, false, false).is_empty());
+        assert!(issued_nothing(&e.observe(0, 0, false, false)));
+        assert!(issued_nothing(&e.observe(0, 3, false, false)));
+        assert!(issued_nothing(&e.observe(0, 6, false, false)));
         let d = e.observe(0, 9, false, false);
         assert_eq!(d.l1_lines(), &[12]);
     }
@@ -259,7 +253,7 @@ mod tests {
         let mut e = PrefetchEngine::new(cfg, 2);
         e.observe(0, 100, true, false);
         // Thread 1's first miss at 101 must not look sequential with thread 0's 100.
-        assert!(e.observe(1, 101, true, false).is_empty());
+        assert!(issued_nothing(&e.observe(1, 101, true, false)));
     }
 
     /// Single-thread 3-level LRU hierarchy with only the adjacent-line

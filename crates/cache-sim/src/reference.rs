@@ -45,14 +45,7 @@ impl ReferenceCacheSystem {
             let n = config.instances_of(level);
             levels.push(
                 (0..n)
-                    .map(|_| {
-                        SetAssocCache::new(
-                            level.sets,
-                            level.ways,
-                            level.line_size,
-                            level.replacement,
-                        )
-                    })
+                    .map(|_| SetAssocCache::new(level.sets, level.ways, level.replacement))
                     .collect::<Vec<_>>(),
             );
             thread_instance.push(
@@ -159,7 +152,7 @@ impl ReferenceCacheSystem {
         }
 
         let l1_missed = !matches!(hit_level, Some(0));
-        let l2_missed = hit_level.map_or(true, |l| l > 1);
+        let l2_missed = hit_level.is_none_or(|l| l > 1);
 
         if hit_level.is_none() {
             let domain = self.config.numa_policy.domain_of(byte_address) % self.config.num_sockets;

@@ -85,18 +85,6 @@ impl FlatReplacement {
         &self.order[base + 1..base + 1 + touched]
     }
 
-    /// Choose a victim among the ways of `set`; ways for which `valid`
-    /// returns false (invalid ways) are used first.
-    pub fn choose_victim(&self, set: usize, valid: impl Fn(usize) -> bool) -> usize {
-        // Prefer an invalid way.
-        for way in 0..self.ways {
-            if !valid(way) {
-                return way;
-            }
-        }
-        self.oldest_way(set)
-    }
-
     /// The least recently touched way of `set`, or the lowest-numbered way
     /// never touched if there is one, for callers that already know every
     /// way is valid.
@@ -138,8 +126,8 @@ mod tests {
         let mut st = one_set(ReplacementPolicy::Lru, 4);
         st.on_fill(0, 0);
         st.on_fill(0, 1);
-        // Ways 2 and 3 still invalid.
-        let victim = st.choose_victim(0, |w| w < 2);
+        // Ways 2 and 3 were never filled, so they rank before any eviction.
+        let victim = st.oldest_way(0);
         assert!(victim == 2 || victim == 3);
     }
 
@@ -151,7 +139,7 @@ mod tests {
         }
         // Touch 0 again; way 1 becomes the LRU victim.
         st.on_hit(0, 0);
-        assert_eq!(st.choose_victim(0, |_| true), 1);
+        assert_eq!(st.oldest_way(0), 1);
     }
 
     #[test]
@@ -162,7 +150,7 @@ mod tests {
         }
         st.on_hit(0, 0);
         st.on_hit(0, 0);
-        assert_eq!(st.choose_victim(0, |_| true), 0, "FIFO still evicts the oldest fill");
+        assert_eq!(st.oldest_way(0), 0, "FIFO still evicts the oldest fill");
     }
 
     #[test]
@@ -173,18 +161,18 @@ mod tests {
         st.on_fill(0, 0);
         st.on_fill(0, 1);
         st.on_fill(0, 2);
-        assert_eq!(st.choose_victim(0, |_| true), 0, "oldest fill is the first victim");
+        assert_eq!(st.oldest_way(0), 0, "oldest fill is the first victim");
         st.on_hit(0, 0); // order now: 1, 2, 0
-        assert_eq!(st.choose_victim(0, |_| true), 1);
+        assert_eq!(st.oldest_way(0), 1);
         st.on_hit(0, 1); // order now: 2, 0, 1
-        assert_eq!(st.choose_victim(0, |_| true), 2);
+        assert_eq!(st.oldest_way(0), 2);
         st.on_fill(0, 2); // replacing way 2 refreshes it: order 0, 1, 2
-        assert_eq!(st.choose_victim(0, |_| true), 0);
+        assert_eq!(st.oldest_way(0), 0);
         // A full round of hits in reverse order inverts the ranking.
         st.on_hit(0, 2);
         st.on_hit(0, 1);
         st.on_hit(0, 0); // order now: 2, 1, 0
-        assert_eq!(st.choose_victim(0, |_| true), 2);
+        assert_eq!(st.oldest_way(0), 2);
     }
 
     #[test]
@@ -197,8 +185,8 @@ mod tests {
             st.on_fill(0, 1);
             st.on_hit(0, 0);
         }
-        assert_eq!(lru.choose_victim(0, |_| true), 1);
-        assert_eq!(fifo.choose_victim(0, |_| true), 0);
+        assert_eq!(lru.oldest_way(0), 1);
+        assert_eq!(fifo.oldest_way(0), 0);
     }
 
     #[test]
@@ -206,9 +194,9 @@ mod tests {
         let mut st = one_set(ReplacementPolicy::Fifo, 2);
         st.on_fill(0, 0);
         st.on_fill(0, 1);
-        assert_eq!(st.choose_victim(0, |_| true), 0);
+        assert_eq!(st.oldest_way(0), 0);
         st.on_fill(0, 0);
-        assert_eq!(st.choose_victim(0, |_| true), 1);
+        assert_eq!(st.oldest_way(0), 1);
     }
 
     #[test]
@@ -234,8 +222,8 @@ mod tests {
             st.on_fill(0, 0);
             st.on_hit(0, 1);
         }
-        assert_eq!(st.choose_victim(1, |_| true), 0, "set 1 order is untouched");
+        assert_eq!(st.oldest_way(1), 0, "set 1 order is untouched");
         st.on_hit(1, 0);
-        assert_eq!(st.choose_victim(1, |_| true), 1);
+        assert_eq!(st.oldest_way(1), 1);
     }
 }

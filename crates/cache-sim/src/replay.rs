@@ -53,7 +53,7 @@ impl RunOp {
     /// treated as unanalyzable by the conflict analysis). Element addresses
     /// are affine in the element index, so the extremes sit at the first
     /// and last element.
-    pub fn byte_extent(&self) -> Option<(u64, u64)> {
+    pub(crate) fn byte_extent(&self) -> Option<(u64, u64)> {
         if self.count == 0 {
             return None;
         }
@@ -70,19 +70,19 @@ impl RunOp {
 
     /// The inclusive cache-line interval of the run (line size a power of
     /// two, given as its log2).
-    pub fn line_hull(&self, line_shift: u32) -> Option<(u64, u64)> {
+    pub(crate) fn line_hull(&self, line_shift: u32) -> Option<(u64, u64)> {
         self.byte_extent().map(|(lo, hi)| (lo >> line_shift, hi >> line_shift))
     }
 
     /// Line of the first element (only meaningful when `count > 0`).
-    pub fn first_line(&self, line_shift: u32) -> u64 {
+    pub(crate) fn first_line(&self, line_shift: u32) -> u64 {
         self.base >> line_shift
     }
 
     /// The last cache line the engine *observes* while replaying the run:
     /// the last line of the last element (element order, not address
     /// order). Feeds the cross-op IP-prefetcher carry analysis.
-    pub fn last_observed_line(&self, line_shift: u32) -> Option<u64> {
+    pub(crate) fn last_observed_line(&self, line_shift: u32) -> Option<u64> {
         let (_, hi_byte) = self.byte_extent()?;
         let last_elem = self.base as i128 + (self.count as i128 - 1) * self.stride as i128;
         let end = (last_elem + self.size.max(1) as i128 - 1).min(hi_byte as i128);
@@ -95,7 +95,7 @@ impl RunOp {
     /// one intra-run stride (`|stride|` in lines, plus one for straddling
     /// elements). The cross-run IP carry target is handled separately as a
     /// singleton by the conflict analysis.
-    pub fn prefetch_pad_lines(&self, line_shift: u32) -> u64 {
+    pub(crate) fn prefetch_pad_lines(&self, line_shift: u32) -> u64 {
         (self.stride.unsigned_abs() >> line_shift) + 2
     }
 
@@ -103,7 +103,7 @@ impl RunOp {
     /// the engine's wrapping address arithmetic) to `out`, skipping
     /// immediately repeated lines. Used by the serial fallback to apply
     /// cross-shard store invalidations at exact line granularity.
-    pub fn collect_lines(&self, line_size: u64, out: &mut Vec<u64>) {
+    pub(crate) fn collect_lines(&self, line_size: u64, out: &mut Vec<u64>) {
         let mut prev = None;
         for i in 0..self.count {
             let address = self.base.wrapping_add((i as i64).wrapping_mul(self.stride) as u64);
@@ -140,7 +140,7 @@ impl ReplayQueue {
     /// Start a new epoch. A no-op when the current epoch is still empty, so
     /// drivers can call it unconditionally at every synchronisation point.
     pub fn begin_epoch(&mut self) {
-        if self.epochs.last().map_or(true, |e| !e.is_empty()) {
+        if self.epochs.last().is_none_or(|e| !e.is_empty()) {
             self.epochs.push(Vec::new());
         }
     }

@@ -40,7 +40,7 @@
 //! are collected by shard index, so scheduling cannot influence the merged
 //! stats). Epochs that fail fall back to the exact sequential push order,
 //! applying each store's cross-shard invalidations through
-//! [`NodeCacheSystem::invalidate_external`] — still bit-identical, just
+//! `NodeCacheSystem::invalidate_external` — still bit-identical, just
 //! serial.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -190,7 +190,7 @@ impl ShardPlan {
 /// one poisoned operation), so the simulator stays usable; only the
 /// poisoned operation's effect is missing, which this error reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardReplayError {
+pub(crate) struct ShardReplayError {
     /// The shard whose engine panicked.
     pub shard: usize,
     /// The panic message of the failing `access_run` call.
@@ -425,8 +425,7 @@ impl ShardedCacheSystem {
 
     /// Replay a queue. Bit-identical to [`NodeCacheSystem::replay`] on the
     /// same configuration and queue, for every worker count. Panics when a
-    /// replay op panics inside the engine; use
-    /// [`ShardedCacheSystem::try_replay`] for the typed-error variant.
+    /// replay op panics inside the engine.
     pub fn replay(&mut self, queue: &ReplayQueue) -> HitLevel {
         self.try_replay(queue).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -437,7 +436,7 @@ impl ShardedCacheSystem {
     /// the exact sequential order minus the poisoned op, and the remaining
     /// epochs replay normally. The first failure is reported; the simulator
     /// stays fully usable afterwards.
-    pub fn try_replay(&mut self, queue: &ReplayQueue) -> Result<HitLevel, ShardReplayError> {
+    pub(crate) fn try_replay(&mut self, queue: &ReplayQueue) -> Result<HitLevel, ShardReplayError> {
         assert_eq!(
             queue.num_threads(),
             self.config.num_threads,
@@ -529,11 +528,11 @@ impl ShardedCacheSystem {
                 if stores[a].is_empty() {
                     continue;
                 }
-                for b in 0..num_shards {
+                for (b, footprint) in touch.iter().enumerate() {
                     if b == a {
                         continue;
                     }
-                    if overlaps(&stores[a], &touch[b])
+                    if overlaps(&stores[a], footprint)
                         || resident_conflict(&stores[a], self.shards[b].as_ref().expect("shard"))
                     {
                         conflict = true;
@@ -774,8 +773,11 @@ mod tests {
                 let region = (thread as u64 + 1) << 26;
                 for _ in 0..3 {
                     let offset = lcg(&mut state) % (1 << 12);
-                    let kind =
-                        if lcg(&mut state) % 2 == 0 { AccessKind::Store } else { AccessKind::Load };
+                    let kind = if lcg(&mut state).is_multiple_of(2) {
+                        AccessKind::Store
+                    } else {
+                        AccessKind::Load
+                    };
                     queue.push(
                         thread,
                         RunOp { base: region + offset * 64, stride: 64, count: 16, size: 8, kind },

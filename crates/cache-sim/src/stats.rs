@@ -34,15 +34,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Miss rate = misses / accesses (0 if no accesses).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Merge another instance's counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.accesses += other.accesses;
@@ -149,12 +140,6 @@ impl NodeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn miss_rate_handles_zero_accesses() {
-        let s = CacheStats::default();
-        assert_eq!(s.miss_rate(), 0.0);
-    }
 
     #[test]
     fn merge_accumulates_all_fields() {

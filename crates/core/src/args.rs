@@ -17,7 +17,7 @@ use crate::report::OutputFormat;
 
 /// One switch of a tool.
 #[derive(Debug, Clone, Copy)]
-pub struct FlagDef {
+pub(crate) struct FlagDef {
     /// Primary (short) name, e.g. `-c`.
     pub short: &'static str,
     /// Optional long alias, e.g. `--machine`.
@@ -31,7 +31,7 @@ pub struct FlagDef {
 /// Trailing positional arguments of a binary (the figure binaries take
 /// sample counts / problem sizes positionally).
 #[derive(Debug, Clone, Copy)]
-pub struct PositionalDef {
+pub(crate) struct PositionalDef {
     /// Placeholder name shown in the usage line.
     pub name: &'static str,
     /// One-line help text.
@@ -162,7 +162,7 @@ impl ArgSpec {
 
     /// The auto-generated `--help` text.
     pub fn help_text(&self) -> String {
-        let mut usage = format!("{}", self.tool);
+        let mut usage = self.tool.to_string();
         for f in &self.flags {
             match f.value {
                 Some(v) => usage.push_str(&format!(" [{} <{v}>]", f.short)),
@@ -235,7 +235,7 @@ impl ParsedArgs {
 
     /// All occurrences of the given flags, in command-line order (for
     /// order-sensitive switches like `-e`/`-u`).
-    pub fn occurrences_of(&self, flags: &[&str]) -> Vec<(&'static str, Option<&str>)> {
+    pub(crate) fn occurrences_of(&self, flags: &[&str]) -> Vec<(&'static str, Option<&str>)> {
         self.occurrences
             .iter()
             .filter(|(f, _)| flags.contains(f))
@@ -337,7 +337,7 @@ impl OutputTarget {
     /// Write to the `-o` file when one was given; a no-op for stdout
     /// targets (used by string-level front ends that return the text to the
     /// caller instead of printing it).
-    pub fn write_file_if_requested(&self, text: &str) -> Result<()> {
+    pub(crate) fn write_file_if_requested(&self, text: &str) -> Result<()> {
         if let Some(path) = &self.path {
             std::fs::write(path, text)
                 .map_err(|e| LikwidError::Output(format!("cannot write '{path}': {e}")))?;

@@ -27,7 +27,7 @@ impl<'m> FeaturesTool<'m> {
 
     /// Whether prefetcher toggling is supported on this CPU (Intel Core 2 in
     /// the paper's version of the tool).
-    pub fn can_toggle(&self) -> bool {
+    pub(crate) fn can_toggle(&self) -> bool {
         self.machine.arch() == Microarch::Core2
     }
 
@@ -42,7 +42,7 @@ impl<'m> FeaturesTool<'m> {
     }
 
     /// The state of every reportable feature on a core, in output order.
-    pub fn feature_states(&self, cpu: usize) -> Result<Vec<(CpuFeature, FeatureState)>> {
+    pub(crate) fn feature_states(&self, cpu: usize) -> Result<Vec<(CpuFeature, FeatureState)>> {
         let misc = self.misc_enable(cpu)?;
         Ok(CpuFeature::all().iter().map(|&f| (f, f.state_from_misc_enable(misc))).collect())
     }
@@ -53,7 +53,7 @@ impl<'m> FeaturesTool<'m> {
     }
 
     /// Enable a prefetcher (`likwid-features -e <NAME>`).
-    pub fn enable_prefetcher(&self, cpu: usize, prefetcher: Prefetcher) -> Result<()> {
+    pub(crate) fn enable_prefetcher(&self, cpu: usize, prefetcher: Prefetcher) -> Result<()> {
         self.set_prefetcher(cpu, prefetcher, true)
     }
 

@@ -3,7 +3,7 @@
 //! Every JSON document the suite reads or writes goes through
 //! [`JsonValue`]: [`report::Json`](crate::report::Json) reports, the
 //! daemon's NDJSON frames, the fleet's memo entries and trajectories, and
-//! [`trace::chrome_json`](crate::trace::chrome_json) traces. Raw counter
+//! Chrome traces ([`crate::trace`]). Raw counter
 //! values are `u64` and must survive bit-exactly, so the value type
 //! distinguishes [`JsonValue::UInt`] from [`JsonValue::Num`]. Reals are
 //! encoded with Rust's shortest-round-trip `Display`, so every finite `f64`
@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 /// recurses once per level, so the bound keeps one hostile line from
 /// overflowing the stack; every document this suite writes nests only a
 /// few levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,7 +296,7 @@ impl<'a> Writer<'a> {
 /// Containers are walked with [`Reader::begin_obj`] / [`Reader::next_key`]
 /// and [`Reader::begin_arr`] / [`Reader::next_item`]; after a key or a
 /// `true` item the caller reads (or [`Reader::value`]-skips) exactly one
-/// value. Nesting is bounded by [`MAX_DEPTH`]. Errors are messages naming
+/// value. Nesting is bounded by `MAX_DEPTH` (128). Errors are messages naming
 /// the byte offset.
 #[derive(Debug)]
 pub struct Reader<'a> {

@@ -28,16 +28,11 @@ impl Table {
     }
 
     /// Append a row (padded or truncated to the header width).
-    pub fn add_row<S: Into<String>>(&mut self, row: Vec<S>) -> &mut Self {
+    pub(crate) fn add_row<S: Into<String>>(&mut self, row: Vec<S>) -> &mut Self {
         let mut cells: Vec<String> = row.into_iter().map(Into::into).collect();
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Render the table.
@@ -89,7 +84,7 @@ pub fn rule() -> String {
 }
 
 /// The heavier rule used around section headings in `likwid-topology`.
-pub fn heavy_rule() -> String {
+pub(crate) fn heavy_rule() -> String {
     "*".repeat(61)
 }
 
@@ -113,7 +108,7 @@ pub fn format_value(v: f64) -> String {
 
 /// Format a large integer count the way the listings do: plain digits up to
 /// seven digits, scientific notation above (`1.88024e+07`).
-pub fn format_count(v: u64) -> String {
+pub(crate) fn format_count(v: u64) -> String {
     if v < 10_000_000 {
         v.to_string()
     } else {
@@ -126,7 +121,7 @@ pub fn format_count(v: u64) -> String {
 
 /// Render nested ASCII boxes: a socket box containing one row of core boxes
 /// and one box per shared cache level, in the style of `likwid-topology -g`.
-pub fn socket_ascii_art(core_labels: &[String], cache_rows: &[Vec<String>]) -> String {
+pub(crate) fn socket_ascii_art(core_labels: &[String], cache_rows: &[Vec<String>]) -> String {
     // Compute the inner width from the widest row.
     let core_box_width = core_labels.iter().map(|l| l.len()).max().unwrap_or(4) + 2;
     let inner_width = (core_box_width + 3) * core_labels.len() + 1;
@@ -188,7 +183,7 @@ mod tests {
         // All border lines have equal length.
         let lengths: Vec<usize> = lines.iter().map(|l| l.len()).collect();
         assert!(lengths.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -114,18 +114,6 @@ pub struct GroupDefinition {
     pub metrics: Vec<(&'static str, &'static str)>,
 }
 
-impl GroupDefinition {
-    /// Whether the group needs uncore counters (and therefore socket locks).
-    pub fn uses_uncore(&self) -> bool {
-        self.events.iter().any(|(_, slot)| slot.is_uncore())
-    }
-
-    /// The number of general-purpose core counters the group needs.
-    pub fn pmc_events(&self) -> usize {
-        self.events.iter().filter(|(_, s)| matches!(s, CounterSlot::Pmc(_))).count()
-    }
-}
-
 use CounterSlot::{Fixed, Pmc, UncorePmc};
 
 /// The Intel fixed-counter events present in every group on Core 2 and newer.
@@ -564,10 +552,10 @@ mod tests {
             let table = tables::for_arch(arch);
             for kind in supported_groups(arch) {
                 let def = group_definition(arch, kind).unwrap();
+                let pmcs = def.events.iter().filter(|(_, s)| matches!(s, Pmc(_))).count();
                 assert!(
-                    def.pmc_events() <= table.num_pmc,
-                    "{arch:?} {kind:?} needs {} PMCs but only {} exist",
-                    def.pmc_events(),
+                    pmcs <= table.num_pmc,
+                    "{arch:?} {kind:?} needs {pmcs} PMCs but only {} exist",
                     table.num_pmc
                 );
             }
@@ -592,10 +580,15 @@ mod tests {
 
     #[test]
     fn mem_group_on_nehalem_uses_uncore_counters() {
-        let def = group_definition(Microarch::NehalemEp, EventGroupKind::MEM).unwrap();
-        assert!(def.uses_uncore());
-        let def = group_definition(Microarch::Core2, EventGroupKind::MEM).unwrap();
-        assert!(!def.uses_uncore(), "Core 2 measures memory traffic through FSB core events");
+        let uses_uncore = |arch| {
+            let def = group_definition(arch, EventGroupKind::MEM).unwrap();
+            def.events.iter().any(|(_, slot)| slot.is_uncore())
+        };
+        assert!(uses_uncore(Microarch::NehalemEp));
+        assert!(
+            !uses_uncore(Microarch::Core2),
+            "Core 2 measures memory traffic through FSB core events"
+        );
     }
 
     #[test]

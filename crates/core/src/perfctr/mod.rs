@@ -27,14 +27,14 @@ pub mod metrics;
 pub mod session;
 pub mod timeline;
 
-pub use formula::{BoundFormula, Formula};
-pub use groups::{group_definition, supported_groups, EventGroupKind, GroupDefinition};
+pub use formula::Formula;
+pub use groups::{group_definition, supported_groups, EventGroupKind};
 pub use metrics::MetricEvaluator;
 pub use session::{
     multiplex_note, parse_event_spec, parse_measurement_spec, Diagnostic, GroupCounts,
     HealingStats, MeasurementSpec, PerfCtr, PerfCtrConfig, PerfCtrResults,
 };
 pub use timeline::{
-    parse_duration, parse_interval, IntervalLog, LoggedInterval, TimelineInterval, TimelineResult,
-    TimelineSession, TimelineTotals,
+    parse_interval, IntervalLog, LoggedInterval, TimelineInterval, TimelineResult, TimelineSession,
+    TimelineTotals,
 };

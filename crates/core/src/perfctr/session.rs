@@ -424,12 +424,12 @@ impl<'m> PerfCtr<'m> {
     }
 
     /// The index of the currently programmed group.
-    pub fn active_group(&self) -> usize {
+    pub(crate) fn active_group(&self) -> usize {
         self.active_group
     }
 
     /// Whether a cpu owns its socket's uncore counters in this session.
-    pub fn owns_socket_lock(&self, cpu: usize) -> bool {
+    pub(crate) fn owns_socket_lock(&self, cpu: usize) -> bool {
         self.socket_owners.contains(&cpu)
     }
 
@@ -678,7 +678,7 @@ impl<'m> PerfCtr<'m> {
     }
 
     /// Number of events of a group (the row count of its [`GroupCounts`]).
-    pub fn num_events(&self, group: usize) -> usize {
+    pub(crate) fn num_events(&self, group: usize) -> usize {
         self.slots[group].len()
     }
 
@@ -809,15 +809,8 @@ impl<'m> PerfCtr<'m> {
         &self.metrics
     }
 
-    /// Whether any group of this session programs socket-level (uncore)
-    /// counters — the sessions that need the daemon's per-socket uncore
-    /// arbitration.
-    pub fn uses_uncore(&self) -> bool {
-        self.groups.iter().any(|g| g.events.iter().any(|(_, slot, _)| slot.is_uncore()))
-    }
-
     /// The extrapolated counts of a group after a multiplexed run.
-    pub fn extrapolated_counts(&self, group: usize) -> GroupCounts {
+    pub(crate) fn extrapolated_counts(&self, group: usize) -> GroupCounts {
         self.accumulated[group]
             .iter()
             .map(|per_cpu| per_cpu.iter().map(|&v| self.schedule.extrapolate(group, v)).collect())
@@ -826,7 +819,7 @@ impl<'m> PerfCtr<'m> {
 
     /// The raw accumulated counts of a group (no extrapolation): exactly
     /// what was measured while the group's counters were live.
-    pub fn accumulated_counts(&self, group: usize) -> GroupCounts {
+    pub(crate) fn accumulated_counts(&self, group: usize) -> GroupCounts {
         self.accumulated[group].clone()
     }
 
@@ -863,7 +856,11 @@ impl<'m> PerfCtr<'m> {
     /// and marker paths). The derived metrics' `time` variable is bound to
     /// the group's time formula (total runtime from the cycle counters) —
     /// the aggregate-mode binding.
-    pub fn results_for_group(&self, group: usize, counts: &GroupCounts) -> Result<PerfCtrResults> {
+    pub(crate) fn results_for_group(
+        &self,
+        group: usize,
+        counts: &GroupCounts,
+    ) -> Result<PerfCtrResults> {
         let g = &self.groups[group];
         let values = self.metrics.aggregate(group, counts)?;
         let metrics = self.metrics.metric_names(group).into_iter().zip(values).collect();

@@ -23,9 +23,8 @@
 //! Since the simulated tool cannot attach to a real process, the CLI's
 //! timeline and stethoscope modes observe a built-in synthetic target
 //! "application": a deterministic activity trace alternating memory-bound
-//! and compute-bound phases of [`DEMO_PHASE_S`] seconds each
-//! ([`demo_slice`]), which makes the phase structure visible in the
-//! per-interval derived metrics.
+//! and compute-bound phases of 2.5 ms each ([`demo_slice`]), which makes
+//! the phase structure visible in the per-interval derived metrics.
 
 use likwid_perf_events::{EventEngine, EventSample, HwEventKind};
 use likwid_x86_machine::SimMachine;
@@ -37,20 +36,22 @@ use crate::report::{Body, KvEntry, Report, Section, TimeSeries, Value};
 
 /// Parse a duration expression: seconds as a plain float (`0.005`), or a
 /// number with an `s`, `ms` or `us` suffix (`5ms`, `250us`, `1.5s`).
-pub fn parse_duration(text: &str) -> Option<f64> {
+pub(crate) fn parse_duration(text: &str) -> Option<f64> {
     let text = text.trim();
     let lower = text.to_ascii_lowercase();
-    let (digits, factor) = if let Some(d) = lower.strip_suffix("us") {
-        (d, 1e-6)
+    // Dividing, unlike multiplying by 1e-6, is correctly rounded: `100us`
+    // is the double nearest 1e-4, so its intervals tile 100 ms exactly.
+    let (digits, per_second) = if let Some(d) = lower.strip_suffix("us") {
+        (d, 1e6)
     } else if let Some(d) = lower.strip_suffix("ms") {
-        (d, 1e-3)
+        (d, 1e3)
     } else if let Some(d) = lower.strip_suffix('s') {
         (d, 1.0)
     } else {
         (lower.as_str(), 1.0)
     };
     let value: f64 = digits.trim().parse().ok()?;
-    Some(value * factor)
+    Some(value / per_second)
 }
 
 /// Parse a `-t`/`-S` interval argument, rejecting zero, negative and
@@ -556,7 +557,7 @@ impl TimelineResult {
     }
 
     /// The index of a group by name.
-    pub fn group_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn group_index(&self, name: &str) -> Option<usize> {
         self.group_names.iter().position(|n| n == name)
     }
 
@@ -619,7 +620,7 @@ impl TimelineResult {
 
     /// The stethoscope report: the summary plus the aggregate tables, no
     /// per-interval series.
-    pub fn stethoscope_report(&self) -> Report {
+    pub(crate) fn stethoscope_report(&self) -> Report {
         let mut report = Report::new("likwid-perfctr.stethoscope");
         report.push(self.summary_section("stethoscope"));
         for (g, name) in self.group_names.iter().enumerate() {
@@ -639,11 +640,11 @@ impl TimelineResult {
 
 /// Phase length of the synthetic demo application: memory-bound and
 /// compute-bound phases alternate every 2.5 ms of virtual time.
-pub const DEMO_PHASE_S: f64 = 2.5e-3;
+pub(crate) const DEMO_PHASE_S: f64 = 2.5e-3;
 
 /// Virtual runtime of the synthetic demo application observed by
 /// `likwid-perfctr -t`.
-pub const DEMO_DURATION_S: f64 = 10e-3;
+pub(crate) const DEMO_DURATION_S: f64 = 10e-3;
 
 /// Interval-count guard: a `-t`/`-S` interval that would produce more
 /// sampling points than this is rejected as a usage error.
@@ -662,6 +663,19 @@ pub fn check_sampling_points(interval_s: f64, duration_s: f64) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Where interval `index` (from 0) of a `duration_s` window sampled every
+/// `interval_s` ends, and whether it is the window's last interval: the
+/// end is `(index + 1) · interval_s`, clamped to the duration, and the walk
+/// stops at the first end that reaches it. Walking boundaries this way,
+/// instead of trusting `ceil(duration / interval)`, means float rounding of
+/// the ratio (e.g. 0.035 / 0.005) never schedules a trailing zero-length
+/// interval, so a stethoscope over a multiplexed list rotates exactly once
+/// through every group.
+pub fn interval_end(index: usize, interval_s: f64, duration_s: f64) -> (f64, bool) {
+    let t1 = ((index + 1) as f64 * interval_s).min(duration_s);
+    (t1, t1 >= duration_s)
 }
 
 /// The demo application exercises every kind: those declared before this
@@ -708,7 +722,7 @@ fn demo_cumulative(kind: HwEventKind, t: f64, frequency_hz: f64) -> u64 {
     // Phases 0, 2, 4, … are memory-bound; 1, 3, 5, … compute-bound.
     let mem_phases = full.div_ceil(2) as f64;
     let cpu_phases = (full / 2) as f64;
-    let partial_rate = if full % 2 == 0 { rate_mem } else { rate_cpu };
+    let partial_rate = if full.is_multiple_of(2) { rate_mem } else { rate_cpu };
     (mem_phases * DEMO_PHASE_S * rate_mem
         + cpu_phases * DEMO_PHASE_S * rate_cpu
         + rem * partial_rate)
@@ -773,22 +787,17 @@ pub fn run_demo_timeline(
     let cpus = session.session().cpus().to_vec();
     let engine = EventEngine::new(machine);
     session.start()?;
-    // Walk boundaries until the window is covered instead of trusting
-    // `ceil(duration/interval)`: float rounding of the ratio (e.g.
-    // 0.035/0.005) must never schedule a trailing zero-length interval —
-    // a stethoscope over a multiplexed list rotates exactly once through
-    // every group.
     let mut t0 = 0.0;
-    let mut i = 0usize;
-    loop {
-        let t1 = ((i + 1) as f64 * interval_s).min(duration_s);
+    for i in 0.. {
+        let (t1, last) = interval_end(i, interval_s, duration_s);
         engine.apply(machine, &demo_slice(machine, &cpus, t0, t1));
-        session.tick(t1 - t0)?;
-        t0 = t1;
-        i += 1;
-        if t1 >= duration_s {
+        if last {
+            // Suspended, not rotated: `finish` then reads nothing.
+            session.tick_and_suspend(t1 - t0)?;
             break;
         }
+        session.tick(t1 - t0)?;
+        t0 = t1;
     }
     session.finish()
 }
@@ -797,7 +806,7 @@ pub fn run_demo_timeline(
 /// for `duration_s` of virtual time and report the aggregate. A
 /// multiplexed group list rotates once through every group within the
 /// window.
-pub fn run_demo_stethoscope(
+pub(crate) fn run_demo_stethoscope(
     machine: &SimMachine,
     config: PerfCtrConfig,
     duration_s: f64,
@@ -826,6 +835,9 @@ mod tests {
         assert_eq!(parse_duration("1.5s"), Some(1.5));
         assert_eq!(parse_duration("0.25"), Some(0.25));
         assert_eq!(parse_duration(" 2 ms "), Some(2e-3));
+        // Correctly rounded: the nearest doubles, not one ulp short.
+        assert_eq!(parse_duration("100us"), Some(1e-4));
+        assert_eq!(parse_duration("100ms"), Some(0.1));
         assert_eq!(parse_duration("soon"), None);
         assert!(parse_interval("1ms").is_ok());
         for bad in ["0", "0ms", "-1ms", "bogus", "", "nan"] {
@@ -1011,6 +1023,23 @@ mod tests {
         let groups: Vec<usize> = result.intervals.iter().map(|iv| iv.group).collect();
         assert_eq!(groups, vec![0, 1, 2, 3, 4, 5, 6]);
         assert!(result.intervals.iter().all(|iv| iv.t_end_s > iv.t_start_s), "no empty interval");
+    }
+
+    #[test]
+    fn parsed_intervals_tile_the_window_exactly() {
+        // 100 ms in 100 us steps: 1,000 intervals, with no trailing sliver
+        // left by an interval parsed one ulp short.
+        let machine = SimMachine::new(MachinePreset::Core2Quad);
+        let interval_s = parse_interval("100us").unwrap();
+        let result = run_demo_timeline(
+            &machine,
+            config(MeasurementSpec::Group(EventGroupKind::FLOPS_DP), vec![0]),
+            interval_s,
+            parse_interval("100ms").unwrap(),
+        )
+        .unwrap();
+        assert_eq!(result.intervals.len(), 1_000);
+        assert_eq!(result.intervals[0].t_end_s, 1e-4);
     }
 
     #[test]

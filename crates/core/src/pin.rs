@@ -43,7 +43,7 @@ impl PinConfig {
     }
 
     /// Set an explicit skip mask (`-s 0x3`).
-    pub fn with_skip_mask(mut self, mask: SkipMask) -> Self {
+    pub(crate) fn with_skip_mask(mut self, mask: SkipMask) -> Self {
         self.skip_mask_override = Some(mask);
         self
     }
@@ -69,21 +69,20 @@ pub struct PinEnvironment {
     pub ld_preload: String,
 }
 
-/// The `likwid-pin` front end bound to one machine.
-pub struct PinTool<'m> {
-    machine: &'m SimMachine,
+/// The `likwid-pin` front end, its pin list resolved against one machine.
+pub struct PinTool {
     config: PinConfig,
     resolved_list: Vec<usize>,
 }
 
-impl<'m> PinTool<'m> {
+impl PinTool {
     /// Resolve a configuration against a machine.
-    pub fn new(machine: &'m SimMachine, config: PinConfig) -> Result<Self> {
+    pub fn new(machine: &SimMachine, config: PinConfig) -> Result<Self> {
         let resolved_list = parse_pin_list(&config.pin_expression, machine.topology())?;
         if resolved_list.is_empty() {
             return Err(LikwidError::Pin("empty pin list".into()));
         }
-        Ok(PinTool { machine, config, resolved_list })
+        Ok(PinTool { config, resolved_list })
     }
 
     /// The resolved OS processor IDs in pinning order.
@@ -174,11 +173,17 @@ impl<'m> PinTool<'m> {
         );
         report
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use likwid_x86_machine::MachinePreset;
 
     /// Whether a placement keeps every worker on a distinct physical core
     /// (the property "pinned correctly" means for the STREAM experiments).
-    pub fn placement_uses_distinct_cores(&self, placement: &[Option<usize>]) -> bool {
-        let topo = self.machine.topology();
+    fn uses_distinct_cores(machine: &SimMachine, placement: &[Option<usize>]) -> bool {
+        let topo = machine.topology();
         let mut cores = Vec::new();
         for cpu in placement.iter().flatten() {
             let Ok(t) = topo.hw_thread(*cpu) else { return false };
@@ -190,12 +195,6 @@ impl<'m> PinTool<'m> {
         }
         placement.iter().all(Option::is_some)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use likwid_x86_machine::MachinePreset;
 
     #[test]
     fn paper_example_intel_pinning() {
@@ -208,7 +207,7 @@ mod tests {
         assert_eq!(tool.skip_mask(), SkipMask(0x1));
         let placement = tool.worker_placement(4);
         assert_eq!(placement, vec![Some(0), Some(1), Some(2), Some(3)]);
-        assert!(tool.placement_uses_distinct_cores(&placement));
+        assert!(uses_distinct_cores(&machine, &placement));
     }
 
     #[test]
@@ -249,7 +248,7 @@ mod tests {
         assert_eq!(tool.skip_mask(), SkipMask(0x0));
         let placement = tool.worker_placement(4);
         assert_eq!(placement, vec![Some(0), Some(6), Some(1), Some(7)]);
-        assert!(tool.placement_uses_distinct_cores(&placement));
+        assert!(uses_distinct_cores(&machine, &placement));
     }
 
     #[test]
@@ -272,7 +271,7 @@ mod tests {
             "the shepherd consumed core 1's slot, shifting the first worker to core 2"
         );
         assert_eq!(placement.last().unwrap(), &None, "the last worker overflowed the list");
-        assert!(!tool.placement_uses_distinct_cores(&placement));
+        assert!(!uses_distinct_cores(&machine, &placement));
     }
 
     #[test]
@@ -281,7 +280,7 @@ mod tests {
         let tool = PinTool::new(&machine, PinConfig::new("S0:0-2@S1:0-2")).unwrap();
         assert_eq!(tool.pin_list(), &[0, 1, 2, 6, 7, 8]);
         let placement = tool.worker_placement(6);
-        assert!(tool.placement_uses_distinct_cores(&placement));
+        assert!(uses_distinct_cores(&machine, &placement));
         let topo = machine.topology();
         let sockets_used: std::collections::HashSet<u32> =
             placement.iter().flatten().map(|&c| topo.hw_thread(c).unwrap().socket).collect();

@@ -202,13 +202,13 @@ impl Table {
     }
 
     /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
     }
 
     /// The row whose first cell is `Value::Str(key)` (event names, metric
     /// names, variant names, … label the rows of every tool table).
-    pub fn row_by_key(&self, key: &str) -> Option<&Row> {
+    pub(crate) fn row_by_key(&self, key: &str) -> Option<&Row> {
         self.rows.iter().find(|r| r.values.first().and_then(Value::as_str) == Some(key))
     }
 
@@ -350,7 +350,7 @@ impl Section {
     }
 
     /// Print a rule before the body.
-    pub fn with_rule_before(mut self) -> Self {
+    pub(crate) fn with_rule_before(mut self) -> Self {
         self.rule_before = true;
         self
     }
@@ -482,7 +482,7 @@ impl OutputFormat {
     }
 
     /// Infer the format from an output file extension (`-o out.json`).
-    pub fn from_extension(path: &str) -> Option<Self> {
+    pub(crate) fn from_extension(path: &str) -> Option<Self> {
         let ext = path.rsplit_once('.')?.1;
         match ext {
             "csv" => Some(OutputFormat::Csv),

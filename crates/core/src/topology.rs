@@ -373,7 +373,7 @@ impl CpuTopology {
 
     /// The OS processor IDs of one socket, SMT siblings interleaved per core
     /// (the "Socket N: ( … )" line of the listing).
-    pub fn socket_members(&self, socket: u32) -> Vec<usize> {
+    pub(crate) fn socket_members(&self, socket: u32) -> Vec<usize> {
         let mut members: Vec<&HwThreadInfo> =
             self.hw_threads.iter().filter(|t| t.socket_id == socket).collect();
         members.sort_by_key(|t| (t.core_id, t.thread_id));

@@ -27,7 +27,7 @@
 //!
 //! # Export formats
 //!
-//! * [`chrome_json`] — Chrome trace-event JSON (`ph: B/E/X/C`), loadable in
+//! * `chrome_json` — Chrome trace-event JSON (`ph: B/E/X/C`), loadable in
 //!   Perfetto / `chrome://tracing`. Each subsystem is a process
 //!   (`pid` = crate), each recording thread a track (`tid` = worker);
 //!   counters render as counter tracks.
@@ -60,7 +60,7 @@ pub mod cat {
     /// Workload experiments.
     pub const WORKLOADS: &str = "workloads";
     /// The likwid-bench front end.
-    pub const BENCH: &str = "bench";
+    pub(crate) const BENCH: &str = "bench";
 }
 
 /// `(category, pid, process name)` — the fixed crate→process mapping.
@@ -277,22 +277,6 @@ fn span_begin(category: &'static str, name: String, args: Vec<(&'static str, Str
     Span { cat: category, live: true }
 }
 
-/// Record an instantaneous event (a zero-duration `X` span).
-#[inline]
-pub fn instant(category: &'static str, name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    record(TraceEvent {
-        cat: category,
-        name: name.to_string(),
-        ts_ns: now_ns(),
-        tid: 0,
-        phase: Phase::Complete { dur_ns: 0 },
-        args: Vec::new(),
-    });
-}
-
 /// Record an instantaneous event with lazily-built annotations.
 #[inline]
 pub fn instant_args(
@@ -348,7 +332,7 @@ pub fn now() -> u64 {
 /// Record a complete span with explicit (virtual-clock) timestamps on a
 /// reserved virtual track. Deterministic inputs give deterministic events.
 #[inline]
-pub fn complete_virtual(
+pub(crate) fn complete_virtual(
     category: &'static str,
     track: u64,
     start_ns: u64,
@@ -408,7 +392,7 @@ fn micros(ns: u64) -> JsonValue {
 }
 
 /// Render events as Chrome trace-event JSON (Perfetto-loadable).
-pub fn chrome_json(events: &[TraceEvent]) -> String {
+pub(crate) fn chrome_json(events: &[TraceEvent]) -> String {
     let text = |s: &str| JsonValue::Str(s.to_string());
     let mut out: Vec<JsonValue> = Vec::with_capacity(events.len() + 16);
     // Metadata: name each used process and thread track.
@@ -553,7 +537,8 @@ pub fn folded(events: &[TraceEvent]) -> String {
 /// ASCII/CSV/JSON renderers like every other document of the suite.
 pub fn summary_report(events: &[TraceEvent]) -> Report {
     // Pair B/E per track to get span durations; X events carry their own.
-    let mut open: BTreeMap<(u64, u64), Vec<(String, String, u64)>> = BTreeMap::new();
+    // Open spans per (pid, tid) track: `cat.name` key and start time.
+    let mut open: BTreeMap<(u64, u64), Vec<(String, u64)>> = BTreeMap::new();
     let mut spans: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut counters: BTreeMap<String, i64> = BTreeMap::new();
     let mut span_events = 0u64;
@@ -563,15 +548,13 @@ pub fn summary_report(events: &[TraceEvent]) -> Report {
         match &e.phase {
             Phase::Begin => {
                 span_events += 1;
-                open.entry((pid, e.tid)).or_default().push((
-                    e.cat.to_string(),
-                    e.name.clone(),
-                    e.ts_ns,
-                ));
+                open.entry((pid, e.tid))
+                    .or_default()
+                    .push((format!("{}.{}", e.cat, e.name), e.ts_ns));
             }
             Phase::End => {
-                if let Some((cat, name, start)) = open.entry((pid, e.tid)).or_default().pop() {
-                    let entry = spans.entry(format!("{cat}.{name}")).or_insert((0, 0));
+                if let Some((key, start)) = open.entry((pid, e.tid)).or_default().pop() {
+                    let entry = spans.entry(key).or_insert((0, 0));
                     entry.0 += 1;
                     entry.1 += e.ts_ns.saturating_sub(start);
                 }
@@ -625,7 +608,7 @@ pub fn summary_report(events: &[TraceEvent]) -> Report {
 
 /// The trace output format, selected by file extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
+pub(crate) enum TraceFormat {
     /// Chrome trace-event JSON (`.json`).
     Chrome,
     /// Folded flamegraph stacks (`.folded`).
@@ -797,7 +780,6 @@ mod tests {
         assert!(!enabled());
         let span = span(cat::CORE, "never-recorded");
         count(cat::CORE, "never-counted", 1);
-        instant(cat::CORE, "never-instant");
         complete_virtual(cat::CORE, 0, 0, 1, || unreachable!("name must not format"), Vec::new);
         let _ = span_with(cat::CORE, || unreachable!("name must not format"));
         drop(span);

@@ -59,7 +59,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-use likwid::perfctr::timeline::{check_sampling_points, demo_slice_into};
+use likwid::perfctr::timeline::{check_sampling_points, demo_slice_into, interval_end};
 use likwid::perfctr::{
     parse_interval, parse_measurement_spec, MeasurementSpec, PerfCtrConfig, TimelineResult,
     TimelineSession,
@@ -785,7 +785,7 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             return Ok(false);
         }
         let session = self.session.as_mut().expect("session alive until finish");
-        let t1 = ((self.index + 1) as f64 * self.interval_s).min(self.duration_s);
+        let (t1, complete) = interval_end(self.index, self.interval_s, self.duration_s);
         let dt = t1 - self.t0;
 
         let machine = self.daemon.machine;
@@ -824,7 +824,6 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             }
             Ok(())
         })();
-        let complete = t1 >= self.duration_s;
         self.daemon.end_turn(self.id, dt, complete && outcome.is_ok());
         // The resume → apply → tick-and-suspend window, wall-clocked (the
         // session's own virtual-time intervals come from the timeline).

@@ -57,7 +57,7 @@
 //! members skipped; a client reuses one frame for a whole stream, its
 //! rows overwritten in place ([`Frame::from_line`] decodes into a fresh
 //! one). Only the rare kinds are decoded through a tree. A command line may be at most
-//! [`crate::server::MAX_COMMAND_LINE`] bytes long.
+//! 128 KiB long.
 
 use std::cell::RefCell;
 
@@ -70,10 +70,10 @@ use likwid_perf_events::CounterSlot;
 use likwid_x86_machine::MachinePreset;
 
 /// Protocol version spoken by this daemon.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub(crate) const PROTOCOL_VERSION: u64 = 2;
 
 /// Server identity announced in the hello frame.
-pub const SERVER_NAME: &str = "likwid-perfctrd";
+pub(crate) const SERVER_NAME: &str = "likwid-perfctrd";
 
 /// A client's request to open a measurement session. All fields use the
 /// `likwid-perfctr` command-line syntax and are validated by the broker
@@ -270,7 +270,7 @@ impl DoneFrame {
 pub enum Frame {
     /// Connection greeting.
     Hello {
-        /// Daemon identity ([`SERVER_NAME`]).
+        /// Daemon identity (`likwid-perfctrd`).
         server: String,
         /// Protocol version.
         protocol: u64,
@@ -977,7 +977,7 @@ impl Frame {
 
     /// Classify a [`LikwidError`] into an error frame. The broker answers
     /// every failed request this way instead of tearing anything down.
-    pub fn from_error(err: &LikwidError) -> Frame {
+    pub(crate) fn from_error(err: &LikwidError) -> Frame {
         // The wire carries the bare message: the client rebuilds the typed
         // error from `kind`, and the variant's Display re-adds its prefix.
         let (kind, message) = match err {

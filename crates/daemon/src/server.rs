@@ -12,7 +12,7 @@
 //! client vanished) aborts the in-flight session, which releases its
 //! broker slot and uncore locks. So does a client that stays
 //! connected but stops reading: once its socket buffer is full, a write
-//! that cannot proceed for [`WRITE_TIMEOUT`] fails the same way.
+//! that cannot proceed for 2 s fails the same way.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -33,7 +33,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// How long one write to a client may block before the connection counts
 /// as dead. A client that stops reading would otherwise hold its session,
 /// turn ticket and uncore locks for good, and hang the daemon's shutdown.
-pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Serve the daemon protocol on a Unix socket until `shutdown` becomes
 /// true (a client's `shutdown` command sets it). Removes a stale socket
@@ -92,7 +92,7 @@ pub fn serve(machine: &SimMachine, socket_path: &Path, shutdown: &AtomicBool) ->
 /// buffer without bound. Real commands are a few hundred bytes; the cap
 /// still admits a hostile 100,000-level nesting line, which the JSON
 /// reader refuses with an ordinary error frame.
-pub const MAX_COMMAND_LINE: usize = 128 * 1024;
+pub(crate) const MAX_COMMAND_LINE: usize = 128 * 1024;
 
 /// A connection's socket writer and the one line buffer every frame it
 /// sends is encoded into.

@@ -176,7 +176,7 @@ fn parse_threads(parsed: &ParsedArgs) -> Result<ThreadsAxis> {
 }
 
 /// Build the sweep named by the axis flags.
-pub fn sweep_from_args(parsed: &ParsedArgs) -> Result<SweepSpec> {
+pub(crate) fn sweep_from_args(parsed: &ParsedArgs) -> Result<SweepSpec> {
     let seed = match parsed.value("--seed") {
         Some(text) => text
             .parse::<u64>()

@@ -36,11 +36,11 @@ pub mod spec;
 pub mod trajectory;
 
 pub use memo::{MemoStore, CODE_EPOCH};
-pub use point::{execute, PointError, PointOutcome, PointResult};
+pub use point::{execute, PointError, PointResult};
 pub use report::fleet_report;
 pub use sched::{run_sweep, RunOptions, RunStats, SweepOutcome};
 pub use spec::{
     ExperimentPoint, PlacementAxis, PointFilter, PrefetcherState, SeedRule, SweepSpec, ThreadsAxis,
     WorkloadSpec,
 };
-pub use trajectory::{compare, compare_report, CompareConfig, CompareOutcome, Trajectory};
+pub use trajectory::{compare, CompareConfig, CompareOutcome, Trajectory};

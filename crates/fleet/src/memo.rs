@@ -8,7 +8,7 @@
 //! <root>/<epoch>/<digest>.json
 //! ```
 //!
-//! where `<digest>` is [`crate::ExperimentPoint::digest_hex`] (128 bits
+//! where `<digest>` is the point's hex digest (128 bits
 //! over the canonical point spec) and `<epoch>` is the [`CODE_EPOCH`] tag.
 //! **Invalidation rule:** results depend on the simulator and harness
 //! code, not just the spec, so any change that alters measured values must

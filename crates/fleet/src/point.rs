@@ -62,7 +62,7 @@ impl PointError {
 }
 
 /// What one point produced.
-pub type PointOutcome = Result<PointResult, PointError>;
+pub(crate) type PointOutcome = Result<PointResult, PointError>;
 
 /// Run one point in isolation. Timeline points whose preset matches a
 /// shared daemon's machine are measured through that daemon
@@ -119,7 +119,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Serialize a result for the memo store (lossless: the `likwid::json` codec
 /// renders f64 shortest-round-trip).
-pub fn result_to_json(result: &PointResult) -> JsonValue {
+pub(crate) fn result_to_json(result: &PointResult) -> JsonValue {
     JsonValue::Obj(vec![
         (
             "bandwidths".to_string(),
@@ -133,7 +133,7 @@ pub fn result_to_json(result: &PointResult) -> JsonValue {
 
 /// Deserialize a memoized result; `None` on any shape mismatch (the
 /// caller treats that as a cache miss).
-pub fn result_from_json(value: &JsonValue) -> Option<PointResult> {
+pub(crate) fn result_from_json(value: &JsonValue) -> Option<PointResult> {
     let bandwidths = value
         .get("bandwidths")?
         .as_arr()?

@@ -15,9 +15,12 @@ use crate::point::PointOutcome;
 use crate::sched::SweepOutcome;
 use crate::spec::{ExperimentPoint, SweepSpec};
 
+/// The canonical cell spelling of one axis of a point.
+type AxisCell = fn(&ExperimentPoint) -> String;
+
 /// The axes a point can be grouped by in a pivot table, with their
 /// canonical cell spellings.
-const AXES: &[(&str, fn(&ExperimentPoint) -> String)] = &[
+const AXES: &[(&str, AxisCell)] = &[
     ("workload", |p| p.workload.canonical()),
     ("preset", |p| p.preset.id().to_string()),
     ("personality", |p| format!("{:?}", p.personality)),

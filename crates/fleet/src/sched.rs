@@ -21,7 +21,7 @@ use crate::spec::{ExperimentPoint, SweepSpec};
 /// Execution counters of one sweep. Kept out of the deterministic report:
 /// the CLI prints them to stderr, so stdout stays byte-identical between
 /// cold and fully memoized runs. The counts are the structured source of
-/// truth — the stderr line is derived from them by [`RunStats::summary_line`],
+/// truth — the stderr line is derived from them by `RunStats::summary_line`,
 /// and the same quantities flow into the trace recorder as named counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunStats {
@@ -42,7 +42,7 @@ pub struct RunStats {
 impl RunStats {
     /// The human execution summary the CLI prints to stderr — derived from
     /// the structured counts, never the other way round.
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn summary_line(&self) -> String {
         let mut line = format!(
             "likwid-fleet: {} points, {} executed, {} memo hits, {} errors",
             self.total, self.executed, self.memo_hits, self.errors
@@ -79,7 +79,7 @@ impl Default for RunOptions<'_> {
 }
 
 /// The default worker count: available parallelism, capped at 8.
-pub fn default_workers() -> usize {
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
 }
 

@@ -60,7 +60,7 @@ impl WorkloadSpec {
     }
 
     /// Instantiate the workload for a compiler personality.
-    pub fn instantiate(
+    pub(crate) fn instantiate(
         &self,
         personality: CompilerPersonality,
     ) -> likwid::Result<Box<dyn Workload>> {
@@ -413,7 +413,7 @@ impl ExperimentPoint {
     /// Content address of the point: 128 bits from two FNV-1a/splitmix64
     /// passes over the canonical spec with distinct offset bases, as 32
     /// hex digits.
-    pub fn digest_hex(&self) -> likwid::Result<String> {
+    pub(crate) fn digest_hex(&self) -> likwid::Result<String> {
         let canonical = self.canonical()?;
         let lo = digest64(canonical.as_bytes(), 0xCBF2_9CE4_8422_2325);
         let hi = digest64(canonical.as_bytes(), 0x84222325_CBF29CE4);
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(points.len(), 2 * 2 * 3);
         spec.filters = vec![PointFilter::PinnedOnly, PointFilter::ThreadsAtMost(2)];
         let filtered = spec.expand().unwrap();
-        assert_eq!(filtered.len(), 1 * 2 * 2);
+        assert_eq!(filtered.len(), 2 * 2);
         assert!(filtered.iter().all(|p| p.placement == PlacementAxis::Scatter && p.threads <= 2));
     }
 

@@ -209,7 +209,7 @@ pub struct CompareOutcome {
 impl CompareOutcome {
     /// Whether the compare should fail (nonzero exit): any regression,
     /// newly broken point, or vanished baseline point.
-    pub fn regressed(&self) -> bool {
+    pub(crate) fn regressed(&self) -> bool {
         !self.regressions.is_empty() || !self.broken.is_empty() || !self.missing.is_empty()
     }
 }
@@ -265,7 +265,7 @@ fn delta_rows(table: &mut Table, deltas: &[Delta]) {
 }
 
 /// Render a compare verdict as a report.
-pub fn compare_report(outcome: &CompareOutcome) -> Report {
+pub(crate) fn compare_report(outcome: &CompareOutcome) -> Report {
     let mut report = Report::new("likwid-fleet compare");
     let entries = vec![
         KvEntry::new("regressions", Value::Count(outcome.regressions.len() as u64)),

@@ -72,7 +72,7 @@ impl PapiPreset {
 
     /// Map the preset to a native event name on the given event table, the
     /// equivalent of PAPI's preset-to-native mapping layer.
-    pub fn native_event<'t>(self, table: &'t EventTable) -> Option<&'t EventDefinition> {
+    pub(crate) fn native_event(self, table: &EventTable) -> Option<&EventDefinition> {
         let candidates: &[&str] = match self {
             PapiPreset::PAPI_TOT_INS => &["INSTR_RETIRED_ANY", "RETIRED_INSTRUCTIONS"],
             PapiPreset::PAPI_TOT_CYC => {

@@ -22,7 +22,7 @@ pub struct EventEngine {
     table: EventTable,
     arch: Microarch,
     /// `((selector, uncore), kind)` for every selector of the table, sorted
-    /// by key: the kind [`EventTable::find_by_selector`] resolves, looked
+    /// by key: the kind of the first table event with that selector, looked
     /// up by binary search instead of a table scan per counter credit.
     kinds: Vec<((u16, bool), HwEventKind)>,
 }
@@ -34,7 +34,7 @@ impl EventEngine {
         let mut kinds: Vec<_> =
             table.events.iter().map(|e| ((e.selector(), e.counters.is_uncore()), e.kind)).collect();
         // A stable sort keeps table order among equal keys, so dedup keeps
-        // the first event of the table, as `find_by_selector` does.
+        // the first event of the table, as a table scan would.
         kinds.sort_by_key(|&(key, _)| key);
         kinds.dedup_by_key(|&mut (key, _)| key);
         EventEngine { table, arch: machine.arch(), kinds }

@@ -135,9 +135,10 @@ impl EventTable {
     }
 
     /// Look up an event by its `(event_code, umask)` selector within a
-    /// counter class (core or uncore), used by the counting engine to map a
-    /// programmed PERFEVTSEL value back to an event.
-    pub fn find_by_selector(&self, selector: u16, uncore: bool) -> Option<&EventDefinition> {
+    /// counter class (core or uncore): the linear scan that the counting
+    /// engine's selector index is checked against.
+    #[cfg(test)]
+    pub(crate) fn find_by_selector(&self, selector: u16, uncore: bool) -> Option<&EventDefinition> {
         self.events.iter().find(|e| e.selector() == selector && e.counters.is_uncore() == uncore)
     }
 
@@ -151,18 +152,6 @@ impl EventTable {
             }
             CounterClass::UncoreFixed => vec![CounterSlot::UncoreFixed],
         }
-    }
-
-    /// Whether a named event exists.
-    pub fn has_event(&self, name: &str) -> bool {
-        self.find(name).is_some()
-    }
-
-    /// Event names (sorted) — used by the `-a` listing of the tool.
-    pub fn event_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.events.iter().map(|e| e.name).collect();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -228,8 +217,8 @@ mod tests {
     #[test]
     fn find_by_name_and_selector() {
         let t = table();
-        assert!(t.has_event("EVENT_A"));
-        assert!(!t.has_event("NO_SUCH_EVENT"));
+        assert!(t.find("EVENT_A").is_some());
+        assert!(t.find("NO_SUCH_EVENT").is_none());
         let a = t.find("EVENT_A").unwrap();
         assert_eq!(t.find_by_selector(a.selector(), false).unwrap().name, "EVENT_A");
         // Same selector in the uncore space finds nothing.
@@ -256,13 +245,5 @@ mod tests {
         assert_eq!(t.counter_bits(CounterSlot::Fixed(0)), 44);
         assert_eq!(t.counter_bits(CounterSlot::UncorePmc(3)), 48);
         assert_eq!(t.counter_bits(CounterSlot::UncoreFixed), 48);
-    }
-
-    #[test]
-    fn event_names_are_sorted() {
-        let names = table().event_names();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
     }
 }

@@ -37,11 +37,6 @@ impl MultiplexSchedule {
         self.num_groups
     }
 
-    /// The currently active group.
-    pub fn current_group(&self) -> usize {
-        self.current
-    }
-
     /// Account one switch interval for the active group, then rotate to the
     /// next group (round robin). Returns the group that was active.
     pub fn tick(&mut self) -> usize {
@@ -71,16 +66,6 @@ impl MultiplexSchedule {
             (raw_count as f64 / cov).round() as u64
         }
     }
-
-    /// Worst-case relative extrapolation error for a phase-structured
-    /// workload: if the workload consists of `phases` equal phases with
-    /// different event rates and the schedule only sampled
-    /// `active_intervals[group]` of `total_intervals` intervals, the missed
-    /// fraction bounds the error. Used to document the "large statistical
-    /// errors for short measurements" caveat from the paper.
-    pub fn worst_case_relative_error(&self, group: usize) -> f64 {
-        1.0 - self.coverage(group)
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +79,7 @@ mod tests {
         assert_eq!(s.tick(), 1);
         assert_eq!(s.tick(), 2);
         assert_eq!(s.tick(), 0);
-        assert_eq!(s.current_group(), 1);
+        assert_eq!(s.current, 1);
     }
 
     #[test]
@@ -124,7 +109,6 @@ mod tests {
         s.tick();
         assert_eq!(s.coverage(0), 1.0);
         assert_eq!(s.extrapolate(0, 123), 123);
-        assert_eq!(s.worst_case_relative_error(0), 0.0);
     }
 
     #[test]
@@ -143,7 +127,6 @@ mod tests {
         }
         assert!((s.coverage(0) - 0.5).abs() < 1e-12);
         assert!((s.coverage(1) - 0.25).abs() < 1e-12);
-        assert!(s.worst_case_relative_error(1) > s.worst_case_relative_error(0));
     }
 
     #[test]

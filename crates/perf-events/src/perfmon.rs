@@ -90,7 +90,7 @@ pub mod evtsel {
 
 /// Encode a PERFEVTSEL value for an event: event code, umask, USR+OS and the
 /// enable bit.
-pub fn encode_evtsel(event: &EventDefinition, enabled: bool) -> u64 {
+pub(crate) fn encode_evtsel(event: &EventDefinition, enabled: bool) -> u64 {
     let mut value =
         (event.event_code as u64 & 0xFF) | ((event.umask as u64) << 8) | evtsel::USR | evtsel::OS;
     if enabled {
@@ -100,7 +100,7 @@ pub fn encode_evtsel(event: &EventDefinition, enabled: bool) -> u64 {
 }
 
 /// Extract the `(event_code, umask)` selector from a PERFEVTSEL value.
-pub fn decode_selector(evtsel_value: u64) -> u16 {
+pub(crate) fn decode_selector(evtsel_value: u64) -> u16 {
     (evtsel_value & 0xFFFF) as u16
 }
 

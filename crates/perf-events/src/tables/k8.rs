@@ -91,7 +91,7 @@ mod tests {
     #[test]
     fn k8_has_no_l3_events() {
         let t = table();
-        assert!(t.event_names().iter().all(|n| !n.starts_with("L3_")));
+        assert!(t.events.iter().all(|e| !e.name.starts_with("L3_")));
         assert_eq!(t.num_pmc, 4);
     }
 }

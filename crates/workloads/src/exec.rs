@@ -8,6 +8,7 @@
 //! can credit whatever events the tool programmed, closing the loop
 //! tool → MSRs → counting engine → tool output.
 
+use likwid::perfctr::timeline::interval_end;
 use likwid_cache_sim::NodeStats;
 use likwid_perf_events::{EventSample, HwEventKind};
 use likwid_x86_machine::SimMachine;
@@ -51,7 +52,7 @@ impl ExecutionProfile {
     /// Loop model: `instructions_per_element` retired instructions per
     /// element, flops carried by packed SSE (two per operation), one branch
     /// per eight elements with a 1/64 misprediction rate.
-    pub fn credit_streaming_thread(
+    pub(crate) fn credit_streaming_thread(
         &mut self,
         hw: usize,
         cycles: u64,
@@ -330,7 +331,7 @@ fn diff_sample(prev: &EventSample, next: &EventSample) -> EventSample {
 /// the sample of the full run (the last tick). Sampling points that fall
 /// between two ticks interpolate the cumulative counts linearly, so even a
 /// single-tick (constant-rate) trace yields mid-run sampling points.
-pub fn slice_samples(
+pub(crate) fn slice_samples(
     machine: &SimMachine,
     trace: &ProgressTrace,
     interval_s: f64,
@@ -365,23 +366,18 @@ pub fn slice_samples(
         cumulative.last().map(|(_, s)| s.clone()).unwrap_or(empty.clone())
     };
 
-    // Walk boundaries until the runtime is covered instead of
-    // pre-computing `ceil(runtime/interval)`: float rounding of the ratio
-    // must never produce a trailing zero-length slice.
     let mut out = Vec::new();
     let mut prev_boundary = empty.clone();
     let mut t0 = 0.0;
-    let mut i = 0usize;
-    loop {
-        let t1 = ((i + 1) as f64 * interval_s).min(runtime);
+    for i in 0.. {
+        let (t1, last) = interval_end(i, interval_s, runtime);
         let boundary = at(t1);
         out.push((t0, t1, diff_sample(&prev_boundary, &boundary)));
-        prev_boundary = boundary;
-        t0 = t1;
-        i += 1;
-        if t1 >= runtime {
+        if last {
             break;
         }
+        prev_boundary = boundary;
+        t0 = t1;
     }
     out
 }

@@ -29,7 +29,7 @@ use crate::workload::{Placement, Workload, WorkloadRun};
 /// Derive the RNG seed of sample `index` from the experiment's base seed
 /// (splitmix64 finalizer). Every sample owns an independent stream, so
 /// adding samples never perturbs the ones already drawn.
-pub fn sample_seed(base: u64, index: usize) -> u64 {
+pub(crate) fn sample_seed(base: u64, index: usize) -> u64 {
     let mut z = base ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -96,7 +96,7 @@ impl Experiment {
     }
 
     /// Base RNG seed; each sample derives its own stream via
-    /// [`sample_seed`].
+    /// `sample_seed`.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -156,7 +156,7 @@ impl Experiment {
     /// reordering builder calls must not change it, and any change to the
     /// format (new field, different rendering) must bump the version tag
     /// AND the fleet's `CODE_EPOCH`, invalidating old cache entries instead
-    /// of aliasing them. Pinned by digest-constant regression tests.
+    /// of aliasing them. Pinned by a format regression test.
     pub fn canonical_spec(&self) -> String {
         let prefetchers: Vec<&str> = self.prefetchers_off.iter().map(|p| p.cli_name()).collect();
         format!(
@@ -173,19 +173,6 @@ impl Experiment {
             self.inject,
             prefetchers,
         )
-    }
-
-    /// FNV-1a digest of [`Experiment::canonical_spec`] with a splitmix64
-    /// finalizer (avalanche over the weak low bits of plain FNV).
-    pub fn spec_digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.canonical_spec().bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^ (h >> 31)
     }
 
     fn resolved_threads(&self) -> usize {
@@ -434,9 +421,15 @@ fn measure_timeline(
     session.start()?;
     let (run, _, slices) = traced_slices(workload, machine, placement, interval_s)?;
     let engine = EventEngine::new(machine);
-    for (t0, t1, sample) in slices {
+    let mut slices = slices.into_iter().peekable();
+    while let Some((t0, t1, sample)) = slices.next() {
         engine.apply(machine, &sample);
-        session.tick(t1 - t0)?;
+        if slices.peek().is_some() {
+            session.tick(t1 - t0)?;
+        } else {
+            // Suspended, not rotated: `finish` then reads nothing.
+            session.tick_and_suspend(t1 - t0)?;
+        }
     }
     Ok((run, session.finish()?))
 }
@@ -719,7 +712,6 @@ mod tests {
             .samples(3)
             .seed(7);
         assert_eq!(a.canonical_spec(), b.canonical_spec());
-        assert_eq!(a.spec_digest(), b.spec_digest());
     }
 
     #[test]
@@ -735,10 +727,10 @@ mod tests {
             base.clone().group(EventGroupKind::MEM),
             Experiment::on(MachinePreset::NehalemEp2S).samples(3).seed(7),
         ];
-        let mut digests = vec![base.spec_digest()];
-        digests.extend(variants.iter().map(|e| e.spec_digest()));
-        let distinct: std::collections::HashSet<u64> = digests.iter().copied().collect();
-        assert_eq!(distinct.len(), digests.len(), "every field must feed the digest");
+        let mut specs = vec![base.canonical_spec()];
+        specs.extend(variants.iter().map(|e| e.canonical_spec()));
+        let distinct: std::collections::HashSet<&String> = specs.iter().collect();
+        assert_eq!(distinct.len(), specs.len(), "every field must feed the memo key");
     }
 
     #[test]
@@ -758,24 +750,6 @@ mod tests {
              policy=LikwidPin([0, 1]);threads=None;samples=2;seed=42;counters=None;\
              timeline=None;inject=None;prefetchers_off=[\"HW_PREFETCHER\"]"
         );
-        // Splitmix-style pinned digest, like the sample_seed contract: a
-        // silent change to the canonicalization cannot slip through.
-        assert_eq!(exp.spec_digest(), fnv_splitmix(exp.canonical_spec().as_bytes()));
-        let default = Experiment::on(MachinePreset::Core2Quad);
-        assert_eq!(default.spec_digest(), fnv_splitmix(default.canonical_spec().as_bytes()));
-    }
-
-    /// Independent reimplementation of the digest, so the test fails if
-    /// either the hash or the canonical string drifts.
-    fn fnv_splitmix(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^ (h >> 31)
     }
 
     #[test]

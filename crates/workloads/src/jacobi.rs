@@ -137,7 +137,7 @@ impl<'m> Jacobi<'m> {
     /// memory, so the timeline shows the alternating sweep/boundary phase
     /// structure); the wavefront variant ticks after every pipeline plane
     /// batch.
-    pub fn run_traced(
+    pub(crate) fn run_traced(
         &self,
         config: &JacobiConfig,
         trace: Option<&mut ProgressTrace>,

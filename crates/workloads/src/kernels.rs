@@ -264,7 +264,7 @@ impl Workload for StreamingKernel {
 /// cache level that satisfied it, so the time per iteration *is* the average
 /// load-to-use latency — a scenario the paper never ran.
 #[derive(Debug, Clone)]
-pub struct PointerChase {
+pub(crate) struct PointerChase {
     working_set_bytes: u64,
     passes: u64,
 }

@@ -60,12 +60,12 @@ pub mod stream;
 pub mod workload;
 
 pub use coherence::StoreCoherence;
-pub use exec::{slice_samples, ExecutionProfile, ProgressTick, ProgressTrace};
-pub use experiment::{sample_seed, Experiment, ExperimentResult};
+pub use exec::{ExecutionProfile, ProgressTick, ProgressTrace};
+pub use experiment::{Experiment, ExperimentResult};
 pub use jacobi::{JacobiConfig, JacobiResult, JacobiVariant, JacobiWorkload};
-pub use kernels::{kernel_by_name, kernel_names, parse_size, PointerChase, StreamingKernel};
+pub use kernels::{kernel_by_name, kernel_names, parse_size, StreamingKernel};
 pub use openmp::{CompilerPersonality, KmpAffinity, OpenMpRuntime, PlacementPolicy};
-pub use perfmodel::{BandwidthModel, StreamKernelModel};
+pub use perfmodel::BandwidthModel;
 pub use stats::BoxStats;
 pub use stream::StreamTriad;
 pub use workload::{Placement, Workload, WorkloadRun};

@@ -33,7 +33,7 @@ pub enum CompilerPersonality {
 
 impl CompilerPersonality {
     /// The threading model (shepherd behaviour) of the runtime.
-    pub fn threading_model(self) -> ThreadingModel {
+    pub(crate) fn threading_model(self) -> ThreadingModel {
         match self {
             CompilerPersonality::IntelIcc => ThreadingModel::IntelOpenMp,
             CompilerPersonality::Gcc => ThreadingModel::GccOpenMp,
@@ -47,14 +47,14 @@ impl CompilerPersonality {
 
     /// Whether the compiled triad uses non-temporal (streaming) stores,
     /// avoiding the write-allocate stream.
-    pub fn uses_nontemporal_stores(self) -> bool {
+    pub(crate) fn uses_nontemporal_stores(self) -> bool {
         matches!(self, CompilerPersonality::IntelIcc)
     }
 
     /// Memory traffic per triad iteration in bytes (`a[i] = b[i] + s*c[i]`
     /// moves two loads and one store of 8 bytes each, plus a write-allocate
     /// line read unless the store is non-temporal).
-    pub fn triad_bytes_per_iteration(self) -> f64 {
+    pub(crate) fn triad_bytes_per_iteration(self) -> f64 {
         if self.uses_nontemporal_stores() {
             24.0
         } else {
@@ -66,7 +66,7 @@ impl CompilerPersonality {
     /// thread of this code can request. The icc code is limited only by the
     /// core's load/store machinery; the scalar gcc loop cannot keep as many
     /// memory operations in flight.
-    pub fn per_core_traffic_fraction(self) -> f64 {
+    pub(crate) fn per_core_traffic_fraction(self) -> f64 {
         match self {
             CompilerPersonality::IntelIcc => 1.0,
             CompilerPersonality::Gcc => 0.55,
@@ -76,7 +76,7 @@ impl CompilerPersonality {
     /// Additional core throughput unlocked by running a second SMT thread on
     /// the same physical core. The paper observes that gcc "can probably
     /// benefit from SMT threads to a larger extent than the Intel icc code".
-    pub fn smt_benefit(self) -> f64 {
+    pub(crate) fn smt_benefit(self) -> f64 {
         match self {
             CompilerPersonality::IntelIcc => 0.05,
             CompilerPersonality::Gcc => 0.45,
@@ -163,7 +163,7 @@ impl OpenMpRuntime {
     /// first-touch exactly where they later run; unpinned runs draw a
     /// second placement — the scheduler may have migrated threads between
     /// the initialisation loop and the measured kernel.
-    pub fn resolve_placement<R: Rng + ?Sized>(
+    pub(crate) fn resolve_placement<R: Rng + ?Sized>(
         &self,
         topo: &TopologySpec,
         num_threads: usize,

@@ -29,7 +29,7 @@ use crate::openmp::CompilerPersonality;
 
 /// Kernel parameters of the modelled streaming loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamKernelModel {
+pub(crate) struct StreamKernelModel {
     /// Actual memory traffic per loop iteration in bytes (including write
     /// allocate if the stores are not non-temporal).
     pub traffic_bytes_per_iteration: f64,
@@ -68,11 +68,6 @@ impl<'a> BandwidthModel<'a> {
         BandwidthModel { topo, memory }
     }
 
-    /// The memory-system parameters.
-    pub fn memory(&self) -> &MemorySystemSpec {
-        &self.memory
-    }
-
     /// The NUMA home socket of each application thread's array partition.
     ///
     /// STREAM initialises its arrays in a parallel loop, so thread *t*'s
@@ -80,7 +75,7 @@ impl<'a> BandwidthModel<'a> {
     /// whatever socket thread *t* happened to run on during initialisation.
     /// A serial initialisation (empty `init_placement`) puts everything on
     /// socket 0.
-    pub fn home_sockets(&self, num_threads: usize, init_placement: &[usize]) -> Vec<usize> {
+    pub(crate) fn home_sockets(&self, num_threads: usize, init_placement: &[usize]) -> Vec<usize> {
         (0..num_threads)
             .map(|t| {
                 if init_placement.is_empty() {
@@ -96,7 +91,11 @@ impl<'a> BandwidthModel<'a> {
     /// The traffic each application thread can demand given the placement:
     /// threads sharing a physical core share its capability (with the SMT
     /// bonus when two distinct hardware threads of the core are used).
-    pub fn per_thread_demand(&self, placement: &[usize], kernel: &StreamKernelModel) -> Vec<f64> {
+    pub(crate) fn per_thread_demand(
+        &self,
+        placement: &[usize],
+        kernel: &StreamKernelModel,
+    ) -> Vec<f64> {
         // Group application threads by physical core.
         let mut core_app_threads: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
         let mut core_hw_threads: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
@@ -132,7 +131,7 @@ impl<'a> BandwidthModel<'a> {
     /// Total achieved memory traffic (bytes/s) of a placement, given the
     /// NUMA home socket of each thread's partition. Demand is capped per
     /// memory controller and per inter-socket link.
-    pub fn achieved_traffic_bps(
+    pub(crate) fn achieved_traffic_bps(
         &self,
         placement: &[usize],
         home_sockets: &[usize],
@@ -198,7 +197,7 @@ impl<'a> BandwidthModel<'a> {
     /// The bandwidth a STREAM-style benchmark *reports* for a run with the
     /// given run-time placement and initialisation placement, in MB/s
     /// (decimal, as in the paper's figures).
-    pub fn reported_stream_bandwidth(
+    pub(crate) fn reported_stream_bandwidth(
         &self,
         placement: &[usize],
         init_placement: &[usize],
@@ -209,29 +208,6 @@ impl<'a> BandwidthModel<'a> {
         let useful =
             traffic * kernel.useful_bytes_per_iteration / kernel.traffic_bytes_per_iteration;
         useful / 1e6
-    }
-
-    /// Effective bandwidth (bytes/s) available for a byte mix of local and
-    /// remote traffic generated by `num_streaming_threads` threads on one
-    /// socket — the roofline denominator used by the Jacobi model.
-    pub fn effective_bandwidth_bps(
-        &self,
-        num_streaming_threads: usize,
-        local_fraction: f64,
-        per_core_traffic_bps: f64,
-    ) -> f64 {
-        let concurrency_limit = per_core_traffic_bps * num_streaming_threads.max(1) as f64;
-        let local_bw = concurrency_limit.min(self.memory.socket_bandwidth_bps);
-        let remote_bw = concurrency_limit.min(self.memory.remote_bandwidth_bps);
-        // Harmonic combination of the local and remote portions.
-        let remote_fraction = 1.0 - local_fraction;
-        if remote_fraction <= 0.0 {
-            local_bw
-        } else if local_fraction <= 0.0 {
-            remote_bw
-        } else {
-            1.0 / (local_fraction / local_bw + remote_fraction / remote_bw)
-        }
     }
 }
 
@@ -365,18 +341,5 @@ mod tests {
             vec![0, 1, 0, 1],
             "wraps around the init placement"
         );
-    }
-
-    #[test]
-    fn effective_bandwidth_blends_local_and_remote() {
-        let topo = MachinePreset::NehalemEp2S.topology();
-        let memory = MachinePreset::NehalemEp2S.memory_system();
-        let model = BandwidthModel::new(&topo, memory);
-        let local = model.effective_bandwidth_bps(4, 1.0, memory.per_core_bandwidth_bps);
-        let mixed = model.effective_bandwidth_bps(4, 0.5, memory.per_core_bandwidth_bps);
-        let remote = model.effective_bandwidth_bps(4, 0.0, memory.per_core_bandwidth_bps);
-        assert!(local > mixed && mixed > remote);
-        assert!(local <= memory.socket_bandwidth_bps);
-        assert!(remote <= memory.remote_bandwidth_bps);
     }
 }

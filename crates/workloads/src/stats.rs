@@ -46,7 +46,7 @@ impl BoxStats {
     }
 
     /// Interquartile range, the height of the box.
-    pub fn iqr(&self) -> f64 {
+    pub(crate) fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
 

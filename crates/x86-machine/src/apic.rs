@@ -30,7 +30,7 @@ impl ApicLayout {
     ///
     /// Field widths are the ceiling log2 of the count, exactly as mandated by
     /// the Intel topology enumeration algorithm.
-    pub fn for_counts(threads_per_core: u32, max_core_id: u32) -> Self {
+    pub(crate) fn for_counts(threads_per_core: u32, max_core_id: u32) -> Self {
         ApicLayout {
             smt_bits: ceil_log2(threads_per_core.max(1)),
             core_bits: ceil_log2(max_core_id + 1),
@@ -38,20 +38,10 @@ impl ApicLayout {
     }
 
     /// Compose an APIC ID from its `(package, core, smt)` coordinates.
-    pub fn compose(&self, package: u32, core_id: u32, smt: u32) -> u32 {
+    pub(crate) fn compose(&self, package: u32, core_id: u32, smt: u32) -> u32 {
         debug_assert!(smt < (1 << self.smt_bits).max(1));
         debug_assert!(core_id < (1 << self.core_bits).max(1));
         (package << (self.smt_bits + self.core_bits)) | (core_id << self.smt_bits) | smt
-    }
-
-    /// Decompose an APIC ID into `(package, core, smt)`.
-    pub fn decompose(&self, apic_id: u32) -> (u32, u32, u32) {
-        let smt_mask = (1u32 << self.smt_bits) - 1;
-        let core_mask = (1u32 << self.core_bits) - 1;
-        let smt = apic_id & smt_mask;
-        let core = (apic_id >> self.smt_bits) & core_mask;
-        let package = apic_id >> (self.smt_bits + self.core_bits);
-        (package, core, smt)
     }
 
     /// Width of the combined SMT+core field, i.e. the shift that isolates the
@@ -73,6 +63,14 @@ pub fn ceil_log2(count: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Split an APIC ID into `(package, core, smt)` the way the topology
+    /// probe reads the fields.
+    fn decompose(layout: &ApicLayout, apic_id: u32) -> (u32, u32, u32) {
+        let smt = apic_id & ((1 << layout.smt_bits) - 1);
+        let core = (apic_id >> layout.smt_bits) & ((1 << layout.core_bits) - 1);
+        (apic_id >> layout.package_shift(), core, smt)
+    }
 
     #[test]
     fn ceil_log2_basic_values() {
@@ -96,7 +94,7 @@ mod tests {
             for core in [0u32, 1, 2, 8, 9, 10] {
                 for smt in 0..2 {
                     let id = layout.compose(package, core, smt);
-                    assert_eq!(layout.decompose(id), (package, core, smt));
+                    assert_eq!(decompose(&layout, id), (package, core, smt));
                 }
             }
         }
@@ -108,7 +106,7 @@ mod tests {
         assert_eq!(layout.smt_bits, 0);
         assert_eq!(layout.core_bits, 2);
         let id = layout.compose(1, 3, 0);
-        assert_eq!(layout.decompose(id), (1, 3, 0));
+        assert_eq!(decompose(&layout, id), (1, 3, 0));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum CacheKind {
 
 impl CacheKind {
     /// Encoding used in cpuid leaf 0x4 EAX bits 4:0.
-    pub fn cpuid_encoding(self) -> u32 {
+    pub(crate) fn cpuid_encoding(self) -> u32 {
         match self {
             CacheKind::Data => 1,
             CacheKind::Instruction => 2,
@@ -80,12 +80,6 @@ impl CacheSpec {
         (self.size_bytes / (self.associativity as u64 * self.line_size as u64)) as u32
     }
 
-    /// Number of cache instances of this level in a node with
-    /// `total_hw_threads` hardware threads.
-    pub fn instances_in_node(&self, total_hw_threads: u32) -> u32 {
-        (total_hw_threads / self.shared_by_threads).max(1)
-    }
-
     /// Validate internal consistency: size must be divisible into full sets.
     ///
     /// Set counts need not be powers of two — the Westmere L3 in the paper
@@ -94,18 +88,9 @@ impl CacheSpec {
     pub fn is_consistent(&self) -> bool {
         let ways_times_line = self.associativity as u64 * self.line_size as u64;
         ways_times_line != 0
-            && self.size_bytes % ways_times_line == 0
+            && self.size_bytes.is_multiple_of(ways_times_line)
             && self.num_sets() > 0
             && self.line_size.is_power_of_two()
-    }
-
-    /// Pretty size as printed by `likwid-topology` (kB for < 1 MB, MB above).
-    pub fn display_size(&self) -> String {
-        if self.size_bytes >= 1024 * 1024 {
-            format!("{} MB", self.size_bytes / (1024 * 1024))
-        } else {
-            format!("{} kB", self.size_bytes / 1024)
-        }
     }
 }
 
@@ -153,12 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn display_size_uses_kb_and_mb() {
-        assert_eq!(westmere_l1().display_size(), "32 kB");
-        assert_eq!(westmere_l3().display_size(), "12 MB");
-    }
-
-    #[test]
     fn cpuid_kind_encoding_round_trips() {
         for kind in [CacheKind::Data, CacheKind::Instruction, CacheKind::Unified] {
             assert_eq!(CacheKind::from_cpuid_encoding(kind.cpuid_encoding()), Some(kind));
@@ -175,13 +154,6 @@ mod tests {
         let mut odd_line = westmere_l1();
         odd_line.line_size = 48; // line sizes must be powers of two
         assert!(!odd_line.is_consistent());
-    }
-
-    #[test]
-    fn instances_in_node() {
-        // 24 hardware threads, L1 shared by 2 => 12 instances; L3 shared by 12 => 2.
-        assert_eq!(westmere_l1().instances_in_node(24), 12);
-        assert_eq!(westmere_l3().instances_in_node(24), 2);
     }
 
     #[test]

@@ -19,18 +19,13 @@ pub struct ClockDomain {
 
 impl ClockDomain {
     /// Create a clock domain from a frequency in GHz.
-    pub fn from_ghz(ghz: f64) -> Self {
+    pub(crate) fn from_ghz(ghz: f64) -> Self {
         ClockDomain { frequency_hz: ghz * 1e9 }
     }
 
     /// Nominal frequency in GHz.
     pub fn ghz(&self) -> f64 {
         self.frequency_hz / 1e9
-    }
-
-    /// Convert a cycle count to seconds.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.frequency_hz
     }
 
     /// Convert a duration in seconds to (rounded) cycles.
@@ -44,13 +39,8 @@ impl ClockDomain {
 
     /// The maximum non-turbo ratio that `MSR_PLATFORM_INFO` would report for
     /// this frequency on a Nehalem-class part.
-    pub fn platform_info_ratio(&self) -> u64 {
+    pub(crate) fn platform_info_ratio(&self) -> u64 {
         (self.frequency_hz / Self::NEHALEM_BUS_CLOCK_HZ).round() as u64
-    }
-
-    /// Reconstruct the frequency from a platform-info ratio.
-    pub fn from_platform_info_ratio(ratio: u64) -> Self {
-        ClockDomain { frequency_hz: ratio as f64 * Self::NEHALEM_BUS_CLOCK_HZ }
     }
 
     /// Format for tool headers, e.g. "2.93 GHz".
@@ -74,7 +64,7 @@ mod tests {
     fn cycles_seconds_conversion_is_inverse() {
         let c = ClockDomain::from_ghz(2.66);
         let cycles = 1_000_000_u64;
-        let secs = c.cycles_to_seconds(cycles);
+        let secs = cycles as f64 / c.frequency_hz;
         assert_eq!(c.seconds_to_cycles(secs), cycles);
     }
 
@@ -83,8 +73,8 @@ mod tests {
         let c = ClockDomain::from_ghz(2.93);
         let ratio = c.platform_info_ratio();
         assert_eq!(ratio, 22, "2.93 GHz / 133 MHz bus clock is a 22x multiplier");
-        let back = ClockDomain::from_platform_info_ratio(ratio);
-        assert!((back.ghz() - 2.93).abs() < 0.05);
+        let back_hz = ratio as f64 * ClockDomain::NEHALEM_BUS_CLOCK_HZ;
+        assert!((back_hz / 1e9 - 2.93).abs() < 0.05);
     }
 
     #[test]
@@ -92,7 +82,7 @@ mod tests {
         // The paper's Benchmark region: ~2.858e7 unhalted cycles on a
         // 2.83 GHz Core 2 is about 0.0101 s.
         let c = ClockDomain::from_ghz(2.83);
-        let runtime = c.cycles_to_seconds(28_583_800);
-        assert!((runtime - 0.0101).abs() < 0.0002);
+        let cycles = c.seconds_to_cycles(0.0101);
+        assert!((cycles as f64 - 28_583_800.0).abs() < 0.0002 * c.frequency_hz);
     }
 }

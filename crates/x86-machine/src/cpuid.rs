@@ -6,7 +6,7 @@
 //! and leaf 0x8000_0008 on AMD), and the cache topology (deterministic cache
 //! parameters in leaf 0x4 on Intel, the descriptor table of leaf 0x2 on
 //! Pentium M, and leaves 0x8000_0005/0x8000_0006 on AMD). This module
-//! encodes those leaves from a [`CpuidSource`] description so that the
+//! encodes those leaves from a `CpuidSource` description so that the
 //! decoder in the `likwid` crate operates on exactly the register images a
 //! real processor would return.
 
@@ -30,25 +30,8 @@ pub struct CpuidResult {
     pub edx: u32,
 }
 
-/// Identifier of a cpuid leaf/subleaf pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct CpuidLeaf {
-    /// Main leaf number (EAX input).
-    pub leaf: u32,
-    /// Subleaf number (ECX input).
-    pub subleaf: u32,
-}
-
-impl CpuidLeaf {
-    /// Convenience constructor.
-    pub fn new(leaf: u32, subleaf: u32) -> Self {
-        CpuidLeaf { leaf, subleaf }
-    }
-}
-
 /// Everything needed to answer `cpuid` queries for one machine.
-pub struct CpuidSource<'a> {
+pub(crate) struct CpuidSource<'a> {
     /// Microarchitecture (determines which leaves exist and family/model).
     pub arch: Microarch,
     /// Node topology.
@@ -63,7 +46,7 @@ pub struct CpuidSource<'a> {
 
 impl<'a> CpuidSource<'a> {
     /// Maximum standard leaf for this microarchitecture.
-    pub fn max_standard_leaf(&self) -> u32 {
+    pub(crate) fn max_standard_leaf(&self) -> u32 {
         match self.arch {
             Microarch::PentiumM => 0x02,
             Microarch::K8 | Microarch::K10 => 0x01,
@@ -73,7 +56,7 @@ impl<'a> CpuidSource<'a> {
     }
 
     /// Maximum extended leaf.
-    pub fn max_extended_leaf(&self) -> u32 {
+    pub(crate) fn max_extended_leaf(&self) -> u32 {
         match self.arch.vendor() {
             Vendor::Intel => 0x8000_0008,
             Vendor::Amd => 0x8000_0008,
@@ -92,9 +75,7 @@ impl<'a> CpuidSource<'a> {
             0x4 if self.arch.has_leaf_0x4() => Ok(self.leaf_4(subleaf)),
             0xB if self.arch.has_leaf_0xb() => Ok(self.leaf_b(subleaf, apic_id)),
             0x8000_0000 => Ok(CpuidResult { eax: self.max_extended_leaf(), ..Default::default() }),
-            0x8000_0002 | 0x8000_0003 | 0x8000_0004 => {
-                Ok(self.brand_string_leaf(leaf - 0x8000_0002))
-            }
+            0x8000_0002..=0x8000_0004 => Ok(self.brand_string_leaf(leaf - 0x8000_0002)),
             0x8000_0005 if self.arch.vendor() == Vendor::Amd => Ok(self.amd_l1_leaf()),
             0x8000_0006 if self.arch.vendor() == Vendor::Amd => Ok(self.amd_l2_l3_leaf()),
             0x8000_0008 => Ok(self.leaf_8000_0008()),
@@ -218,7 +199,8 @@ impl<'a> CpuidSource<'a> {
             | (1 << 8) // self initializing
             | ((max_logical_sharing - 1) << 14)
             | ((max_cores_per_package - 1) << 26);
-        let ebx = (cache.line_size - 1) | (0 << 12) | ((cache.associativity - 1) << 22);
+        // Bits 21:12 hold the physical line partitions minus one: zero.
+        let ebx = (cache.line_size - 1) | ((cache.associativity - 1) << 22);
         let ecx = cache.num_sets() - 1;
         let edx = if cache.inclusive { 1 << 1 } else { 0 };
         CpuidResult { eax, ebx, ecx, edx }

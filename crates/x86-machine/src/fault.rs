@@ -196,10 +196,6 @@ impl FaultState {
         FaultState { plan, counters: Mutex::new(FaultCounters::default()) }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Whether device writes to `(cpu, address)` are silently dropped.
     pub(crate) fn is_stuck(&self, cpu: usize, address: u32) -> bool {
         self.plan.stuck.contains(&(cpu, address))

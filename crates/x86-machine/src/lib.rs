@@ -31,7 +31,7 @@ pub mod vendor;
 
 pub use cache::{CacheKind, CacheSpec};
 pub use clock::ClockDomain;
-pub use cpuid::{CpuidLeaf, CpuidResult};
+pub use cpuid::CpuidResult;
 pub use error::{MachineError, Result};
 pub use fault::{FaultPlan, TransientSpec, MAX_CONSECUTIVE_LIMIT};
 pub use features::{CpuFeature, FeatureState, MiscEnable, Prefetcher};

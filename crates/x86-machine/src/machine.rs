@@ -162,11 +162,6 @@ impl SimMachine {
         self.msr_space.read().device_accesses()
     }
 
-    /// The fault plan attached to this machine, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.msr_space.read().fault_plan().cloned()
-    }
-
     /// Whether a prefetcher is currently enabled on the core owning `cpu`
     /// (reads `IA32_MISC_ENABLE`; AMD parts have no switchable prefetcher
     /// bits in this model and always report enabled).

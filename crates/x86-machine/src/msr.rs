@@ -23,9 +23,10 @@
 //! that programs one cpu's counters locks the file once for the whole
 //! sequence ([`MsrDevice::batch`]), not once per `rdmsr`/`wrmsr`.
 //!
-//! The file counts every device access ([`MsrSpace::device_accesses`]):
-//! the number of `rdmsr`s and `wrmsr`s a measurement issues is the cost
-//! the real tool pays in system calls, and, unlike host time, it is exact.
+//! The file counts every device access, read through
+//! [`SimMachine::msr_accesses`](crate::SimMachine::msr_accesses): the
+//! number of `rdmsr`s and `wrmsr`s a measurement issues is the cost the
+//! real tool pays in system calls, and, unlike host time, it is exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,11 +38,10 @@ use crate::fault::{dirty_value, FaultPlan, FaultState};
 use crate::topology::TopologySpec;
 use crate::vendor::Microarch;
 
-/// Well-known MSR addresses used by the tool suite.
+/// Well-known MSR addresses used by the tool suite (Intel SDM / AMD BKDG
+/// names).
 #[allow(non_snake_case)]
 pub mod Msr {
-    //! MSR address constants (Intel SDM / AMD BKDG names).
-
     /// Time-stamp counter.
     pub const IA32_TIME_STAMP_COUNTER: u32 = 0x10;
     /// Platform info (Nehalem+): bits 15:8 hold the maximum non-turbo ratio.
@@ -252,7 +252,7 @@ impl MsrSpace {
     }
 
     /// The device accesses made so far.
-    pub fn device_accesses(&self) -> MsrAccesses {
+    pub(crate) fn device_accesses(&self) -> MsrAccesses {
         MsrAccesses {
             reads: self.device_reads.load(Ordering::Relaxed),
             writes: self.device_writes.load(Ordering::Relaxed),
@@ -312,7 +312,7 @@ impl MsrSpace {
     /// Device-mediated read (`rdmsr` through `/dev/cpu/<N>/msr`): subject to
     /// the attached fault plan, unlike the machine-internal
     /// [`MsrSpace::read`] path used by the counting engine and the clock.
-    pub fn device_read(&self, cpu: usize, address: u32) -> Result<u64> {
+    pub(crate) fn device_read(&self, cpu: usize, address: u32) -> Result<u64> {
         self.device_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(faults) = &self.faults {
             faults.check(cpu, address, false)?;
@@ -323,7 +323,7 @@ impl MsrSpace {
     /// Device-mediated write: subject to the attached fault plan. Writes to
     /// a stuck register are accepted but silently lost, exactly the failure
     /// mode verify-after-write programming exists to catch.
-    pub fn device_write(&mut self, cpu: usize, address: u32, value: u64) -> Result<()> {
+    pub(crate) fn device_write(&mut self, cpu: usize, address: u32, value: u64) -> Result<()> {
         *self.device_writes.get_mut() += 1;
         if let Some(faults) = &self.faults {
             faults.check(cpu, address, true)?;
@@ -342,7 +342,7 @@ impl MsrSpace {
 
     /// Attach a fault scenario: scribble dirty state if the plan asks for
     /// it, then perturb every subsequent device access per the plan.
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
+    pub(crate) fn attach_faults(&mut self, plan: FaultPlan) {
         if plan.dirty {
             let seed = plan.seed;
             for reg in &mut self.registers {
@@ -360,11 +360,6 @@ impl MsrSpace {
         self.faults = Some(FaultState::new(plan));
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
-    }
-
     /// The full-64-bit shadow value of a register as seen from `cpu`: what a
     /// hypothetical width-unlimited counter would hold. Never subject to
     /// faults — this is the machine-side ground truth that wraparound
@@ -372,16 +367,6 @@ impl MsrSpace {
     pub fn wide_value(&self, cpu: usize, address: u32) -> Result<u64> {
         let (index, instance) = self.locate(cpu, address)?;
         Ok(self.registers[index].cells[instance].wide)
-    }
-
-    /// Whether an MSR address is implemented.
-    pub fn has_register(&self, address: u32) -> bool {
-        self.position(address).is_some()
-    }
-
-    /// All implemented MSR addresses (sorted), useful for diagnostics.
-    pub fn known_registers(&self) -> Vec<u32> {
-        self.registers.iter().map(|reg| reg.desc.address).collect()
     }
 
     /// Internal hook used by the counting engine: add to a counter register
@@ -855,10 +840,10 @@ mod tests {
             TopologySpec::new(2, 6, 1, None, EnumerationOrder::SocketsFirstSmtAdjacent, 8 << 30)
                 .unwrap();
         let space = MsrSpace::new(Microarch::K10, &topo);
-        assert!(space.has_register(Msr::AMD_PERFEVTSEL0));
-        assert!(space.has_register(Msr::AMD_PMC0 + 3));
-        assert!(!space.has_register(Msr::IA32_FIXED_CTR0));
-        assert!(!space.has_register(Msr::MSR_UNCORE_PMC0));
+        assert!(space.position(Msr::AMD_PERFEVTSEL0).is_some());
+        assert!(space.position(Msr::AMD_PMC0 + 3).is_some());
+        assert!(space.position(Msr::IA32_FIXED_CTR0).is_none());
+        assert!(space.position(Msr::MSR_UNCORE_PMC0).is_none());
     }
 
     #[test]
@@ -967,7 +952,7 @@ mod tests {
     #[test]
     fn known_registers_is_sorted_and_nonempty() {
         let space = westmere_space();
-        let regs = space.known_registers();
+        let regs: Vec<u32> = space.registers.iter().map(|reg| reg.desc.address).collect();
         assert!(regs.len() > 20);
         assert!(regs.windows(2).all(|w| w[0] < w[1]));
     }

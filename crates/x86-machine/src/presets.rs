@@ -10,6 +10,7 @@
 //!   8 MB L3, 2.66 GHz.
 //! * **AMD Istanbul 2-socket** (Figures 9–10): 2 × 6 cores, 6 MB L3.
 //! * **Core 2 Quad** (the FLOPS_DP marker listing): 1 × 4 cores, 2.83 GHz.
+//!
 //! plus the remaining architectures of the supported list (Pentium M, Atom,
 //! Core 2 Duo, K8) so that the identification and event-table code paths are
 //! exercised.
@@ -308,7 +309,7 @@ mod tests {
             // Every cache sharing count divides the thread count of its domain.
             for c in p.caches() {
                 assert!(
-                    topo.num_hw_threads() as u32 % c.shared_by_threads == 0,
+                    (topo.num_hw_threads() as u32).is_multiple_of(c.shared_by_threads),
                     "{p:?}: L{} shared_by {} does not divide {}",
                     c.level,
                     c.shared_by_threads,

@@ -205,7 +205,7 @@ impl TopologySpec {
     }
 
     /// Total number of physical cores in the node.
-    pub fn num_cores(&self) -> usize {
+    pub(crate) fn num_cores(&self) -> usize {
         (self.sockets * self.cores_per_socket) as usize
     }
 
@@ -214,35 +214,6 @@ impl TopologySpec {
         self.hw_threads
             .get(os_id)
             .ok_or(MachineError::NoSuchCpu { cpu: os_id, available: self.hw_threads.len() })
-    }
-
-    /// Look up a hardware thread by APIC ID.
-    pub fn by_apic_id(&self, apic_id: u32) -> Option<&HwThread> {
-        self.hw_threads.iter().find(|t| t.apic_id == apic_id)
-    }
-
-    /// OS processor IDs on the given socket, SMT thread 0 first (the order
-    /// `likwid-topology` prints as "Socket N: ( … )" interleaves SMT
-    /// siblings; this returns them grouped by core: core, its siblings, next
-    /// core, …).
-    pub fn socket_members(&self, socket: u32) -> Vec<HwThreadId> {
-        let mut members: Vec<&HwThread> =
-            self.hw_threads.iter().filter(|t| t.socket == socket).collect();
-        members.sort_by_key(|t| (t.core_index, t.smt_id));
-        members.iter().map(|t| t.os_id).collect()
-    }
-
-    /// OS processor IDs sharing the physical core of `os_id` (including itself),
-    /// ordered by SMT thread number.
-    pub fn core_siblings(&self, os_id: HwThreadId) -> Result<Vec<HwThreadId>> {
-        let t = self.hw_thread(os_id)?;
-        let mut siblings: Vec<&HwThread> = self
-            .hw_threads
-            .iter()
-            .filter(|s| s.socket == t.socket && s.core_index == t.core_index)
-            .collect();
-        siblings.sort_by_key(|s| s.smt_id);
-        Ok(siblings.iter().map(|s| s.os_id).collect())
     }
 
     /// The physical cores of a socket, each represented by the OS IDs of its
@@ -259,11 +230,6 @@ impl TopologySpec {
                 ids.iter().map(|t| t.os_id).collect()
             })
             .collect()
-    }
-
-    /// The NUMA domain a hardware thread belongs to.
-    pub fn numa_node_of(&self, os_id: HwThreadId) -> Result<u32> {
-        Ok(self.hw_thread(os_id)?.socket)
     }
 }
 
@@ -302,16 +268,15 @@ mod tests {
         assert_eq!((t23.smt_id, t23.core_id, t23.socket), (1, 10, 1));
 
         // Socket membership as printed: Socket 0: ( 0 12 1 13 2 14 3 15 4 16 5 17 )
-        assert_eq!(topo.socket_members(0), vec![0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 5, 17]);
-        assert_eq!(topo.socket_members(1), vec![6, 18, 7, 19, 8, 20, 9, 21, 10, 22, 11, 23]);
+        assert_eq!(topo.socket_cores(0).concat(), vec![0, 12, 1, 13, 2, 14, 3, 15, 4, 16, 5, 17]);
+        assert_eq!(topo.socket_cores(1).concat(), vec![6, 18, 7, 19, 8, 20, 9, 21, 10, 22, 11, 23]);
     }
 
     #[test]
     fn core_siblings_pair_smt_threads() {
         let topo = westmere();
-        assert_eq!(topo.core_siblings(0).unwrap(), vec![0, 12]);
-        assert_eq!(topo.core_siblings(12).unwrap(), vec![0, 12]);
-        assert_eq!(topo.core_siblings(23).unwrap(), vec![11, 23]);
+        assert_eq!(topo.socket_cores(0)[0], vec![0, 12]);
+        assert_eq!(topo.socket_cores(1)[5], vec![11, 23]);
     }
 
     #[test]
@@ -329,8 +294,8 @@ mod tests {
         assert_eq!(topo.numa_nodes.len(), 2);
         let total: usize = topo.numa_nodes.iter().map(|n| n.hw_threads.len()).sum();
         assert_eq!(total, topo.num_hw_threads());
-        assert_eq!(topo.numa_node_of(0).unwrap(), 0);
-        assert_eq!(topo.numa_node_of(23).unwrap(), 1);
+        assert!(topo.numa_nodes[0].hw_threads.contains(&0));
+        assert!(topo.numa_nodes[1].hw_threads.contains(&23));
     }
 
     #[test]
@@ -362,14 +327,5 @@ mod tests {
         assert_eq!(cores.len(), 6);
         assert_eq!(cores[0], vec![0, 12]);
         assert_eq!(cores[5], vec![5, 17]);
-    }
-
-    #[test]
-    fn lookup_by_apic_id() {
-        let topo = westmere();
-        for t in &topo.hw_threads {
-            assert_eq!(topo.by_apic_id(t.apic_id).unwrap().os_id, t.os_id);
-        }
-        assert!(topo.by_apic_id(0xFFFF_FFFF).is_none());
     }
 }

@@ -17,7 +17,7 @@ pub enum Vendor {
 
 impl Vendor {
     /// The twelve-character vendor string returned in EBX/EDX/ECX of leaf 0x0.
-    pub fn id_string(self) -> &'static str {
+    pub(crate) fn id_string(self) -> &'static str {
         match self {
             Vendor::Intel => "GenuineIntel",
             Vendor::Amd => "AuthenticAMD",

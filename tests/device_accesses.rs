@@ -5,11 +5,13 @@
 //! the unit the paper cares about, and, unlike host time, it is exact.
 //! These tests pin that number for the interval of each `daemon_sessions`
 //! session kind on its `nehalem-ep-2s` node, for a local multiplexed
-//! group switch, and for one PAPI-style start/stop pair. A change to the
+//! group switch, for a whole local timeline run, and for one PAPI-style
+//! start/stop pair. A change to the
 //! counter lifecycle moves them on purpose; any other change that moves
 //! them is a regression.
 
 use likwid_suite::daemon::{Daemon, IntervalFrame, OpenRequest};
+use likwid_suite::likwid::perfctr::timeline::run_demo_timeline;
 use likwid_suite::likwid::perfctr::{EventGroupKind, MeasurementSpec, PerfCtr, PerfCtrConfig};
 use likwid_suite::papi_compat::{Papi, PapiPreset};
 use likwid_suite::x86_machine::{MachinePreset, MsrAccesses, SimMachine};
@@ -80,6 +82,25 @@ fn a_local_group_switch_costs_a_pinned_number_of_device_accesses() {
     // Stop the active group's slots, fold the reading, program and start
     // the next group.
     assert_eq!(switches, vec![accesses(60, 46), accesses(64, 54)]);
+}
+
+#[test]
+fn a_whole_local_timeline_run_costs_a_pinned_number_of_device_accesses() {
+    // `likwid-perfctr --machine nehalem-ep-2s -c 2-5 -g <groups> -t 1ms`
+    // over the 10 ms demo window: set-up, ten intervals and finish. The
+    // last interval suspends instead of rotating, so `finish` reads
+    // nothing again.
+    let run = |groups: Vec<EventGroupKind>| {
+        let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+        let config =
+            PerfCtrConfig { cpus: vec![2, 3, 4, 5], spec: MeasurementSpec::Groups(groups) };
+        let before = machine.msr_accesses();
+        let result = run_demo_timeline(&machine, config, 1e-3, 10e-3).expect("timeline run");
+        assert_eq!(result.intervals.len(), 10);
+        machine.msr_accesses().since(before)
+    };
+    assert_eq!(run(vec![EventGroupKind::FLOPS_DP, EventGroupKind::MEM]), accesses(620, 500));
+    assert_eq!(run(vec![EventGroupKind::FLOPS_DP]), accesses(216, 56));
 }
 
 #[test]
