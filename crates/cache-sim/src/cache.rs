@@ -1,6 +1,9 @@
-//! A single set-associative cache instance.
+//! A single set-associative cache instance: tags, recency ranks and dirty
+//! bits of each set in one contiguous run of a `u64` slab.
 
-use crate::replacement::{FlatReplacement, ReplacementPolicy};
+use std::ops::Range;
+
+use crate::replacement::{Recency, ReplacementPolicy};
 use crate::stats::CacheStats;
 
 /// Result of a fill: what had to leave the cache to make room.
@@ -18,29 +21,40 @@ pub enum Eviction {
 ///
 /// Addresses are handled at line granularity: all methods take *line
 /// addresses* (byte address divided by the line size); the caller performs
-/// the division so that one convention holds across all levels.
+/// the division so that one convention holds across all levels. A line
+/// address is below `u64::MAX`, which any line size of two bytes or more
+/// guarantees.
 ///
-/// All per-set bookkeeping lives in flat contiguous arrays: tags in one
-/// dense `u64` slab (scanned without chasing line structs), valid and dirty
-/// flags as one bitmask word per set (so "first invalid way" is a single
-/// `trailing_zeros`), per-set recency lists in one byte slab. When the set
-/// count is a power of two — true for every machine preset — the set index
-/// is a bit mask instead of a division.
+/// All state lives in one `u64` slab, one contiguous run of words per set:
+///
+/// ```text
+/// | rank word 0 | … | dirty mask | tag 0 | tag 1 | … | tag ways-1 |
+/// ```
+///
+/// A tag word stores the line address plus one, so 0 marks an invalid way
+/// and a lookup is one compare per way with no separate valid flags. The
+/// rank words are the set's packed LRU/FIFO order (see
+/// [`crate::replacement`]), in which the invalid ways rank oldest: the
+/// oldest way is always the next victim, an invalid way while there is
+/// one. Which invalid way is filled first cannot show in any statistic,
+/// which depend only on which lines a set holds and in what order they
+/// were touched. Bit `way` of the dirty mask is set while that way's line
+/// is dirty. A lookup, fill or eviction of one set touches only that set's
+/// few adjacent words; the rank and dirty words come first, in the same
+/// host cache line as the first tags. When the set count is a power of two
+/// — true for every machine preset — the set index is a bit mask instead
+/// of a division.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     /// `sets - 1` when `sets` is a power of two, else `None` (modulo path).
     set_mask: Option<u64>,
-    /// `tags[set * ways + way]` — line address stored in one way.
-    tags: Vec<u64>,
-    /// `valid[set]` — bit `way` set when the way holds a line.
-    valid: Vec<u64>,
-    /// `dirty[set]` — bit `way` set when the way's line is dirty.
-    dirty: Vec<u64>,
-    /// All-ways-valid value for one set (`ways` low bits).
-    full_mask: u64,
-    replacement: FlatReplacement,
+    /// Words per set: the rank words, the dirty mask, `ways` tags.
+    stride: usize,
+    recency: Recency,
+    /// `slab[set * stride..(set + 1) * stride]` — one set's words.
+    slab: Vec<u64>,
     /// Public counters; the hierarchy updates demand hit/miss fields, the
     /// cache itself updates fill/eviction fields.
     pub stats: CacheStats,
@@ -51,55 +65,61 @@ impl SetAssocCache {
     /// addresses, so the line size is the caller's business.
     pub fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one set and way");
-        assert!(ways <= 64, "per-set bitmask flags support at most 64 ways");
+        assert!(ways <= 64, "per-set dirty masks and rank bytes support at most 64 ways");
+        let recency = Recency::new(policy, ways);
+        let stride = ways + recency.words() + 1;
         SetAssocCache {
             sets,
             ways,
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            tags: vec![0; sets * ways],
-            valid: vec![0; sets],
-            dirty: vec![0; sets],
-            full_mask: if ways == 64 { u64::MAX } else { (1u64 << ways) - 1 },
-            replacement: FlatReplacement::new(policy, sets, ways),
+            stride,
+            recency,
+            // Zero is an invalid way, a fresh rank word and a clean set.
+            slab: vec![0; sets * stride],
             stats: CacheStats::default(),
         }
     }
 
+    /// First slab word of the set holding `line_addr`.
     #[inline]
-    fn set_index(&self, line_addr: u64) -> usize {
-        match self.set_mask {
+    fn set_base(&self, line_addr: u64) -> usize {
+        let set = match self.set_mask {
             Some(mask) => (line_addr & mask) as usize,
             None => (line_addr % self.sets as u64) as usize,
-        }
+        };
+        set * self.stride
     }
 
-    /// Find the way of `set` holding `line_addr`, if present. Short sets in
-    /// the steady state (all ways valid, at most 8 of them) take a straight
-    /// linear compare over the flat tag slab — no bit extraction, trivially
-    /// unrolled and vectorized; sparse or wide sets scan only the valid ways,
-    /// one `trailing_zeros` per candidate. Both paths probe ways in
-    /// ascending order, so they are observationally identical.
+    /// Slab indices of the tag words of the set starting at `base`.
     #[inline]
-    fn find(&self, set: usize, line_addr: u64) -> Option<usize> {
-        let base = set * self.ways;
-        let valid = self.valid[set];
-        if self.ways <= 8 && valid == self.full_mask {
-            return self.tags[base..base + self.ways].iter().position(|&tag| tag == line_addr);
-        }
-        let mut candidates = valid;
-        while candidates != 0 {
-            let way = candidates.trailing_zeros() as usize;
-            candidates &= candidates - 1;
-            if self.tags[base + way] == line_addr {
-                return Some(way);
-            }
-        }
-        None
+    fn tags(&self, base: usize) -> Range<usize> {
+        base + self.stride - self.ways..base + self.stride
+    }
+
+    /// Slab indices of the rank words of the set starting at `base`.
+    #[inline]
+    fn ranks(&self, base: usize) -> Range<usize> {
+        base..base + self.stride - self.ways - 1
+    }
+
+    /// Slab index of the dirty mask of the set starting at `base`.
+    #[inline]
+    fn dirty_at(&self, base: usize) -> usize {
+        base + self.stride - self.ways - 1
+    }
+
+    /// Find the way of the set starting at `base` holding `line_addr`, if
+    /// present. A line is held by at most one way, and invalid ways (0)
+    /// never match.
+    #[inline]
+    fn find(&self, base: usize, line_addr: u64) -> Option<usize> {
+        let tag = line_addr + 1;
+        self.slab[self.tags(base)].iter().position(|&t| t == tag)
     }
 
     /// Whether the line is present (does not touch replacement state or stats).
     pub fn contains(&self, line_addr: u64) -> bool {
-        self.find(self.set_index(line_addr), line_addr).is_some()
+        self.find(self.set_base(line_addr), line_addr).is_some()
     }
 
     /// Whether a repeated demand hit on this line could be collapsed into a
@@ -107,9 +127,9 @@ impl SetAssocCache {
     /// would not change the set's eviction order (it is already the
     /// most-recently-touched way, or the policy ignores hits entirely).
     pub(crate) fn repeat_hit_is_collapsible(&self, line_addr: u64) -> bool {
-        let set = self.set_index(line_addr);
-        match self.find(set, line_addr) {
-            Some(way) => self.replacement.hit_is_order_neutral(set, way),
+        let base = self.set_base(line_addr);
+        match self.find(base, line_addr) {
+            Some(way) => self.recency.hit_is_order_neutral(&self.slab[self.ranks(base)], way),
             None => false,
         }
     }
@@ -117,30 +137,36 @@ impl SetAssocCache {
     /// Look up a line as a demand access. Returns `true` on hit and updates
     /// the replacement state; on a store hit the line is marked dirty.
     pub fn lookup(&mut self, line_addr: u64, is_write: bool) -> bool {
-        let set = self.set_index(line_addr);
-        match self.find(set, line_addr) {
+        let base = self.set_base(line_addr);
+        match self.find(base, line_addr) {
             Some(way) => {
-                if is_write {
-                    self.dirty[set] |= 1 << way;
-                }
-                self.replacement.on_hit(set, way);
+                self.touch_hit(base, way, is_write);
                 true
             }
             None => false,
         }
     }
 
+    /// A hit on `way` of the set at `base`: the policy's hit touch, and
+    /// the dirty bit for a store.
+    #[inline]
+    fn touch_hit(&mut self, base: usize, way: usize, dirty: bool) {
+        if dirty {
+            let at = self.dirty_at(base);
+            self.slab[at] |= 1 << way;
+        }
+        let ranks = self.ranks(base);
+        self.recency.on_hit(&mut self.slab[ranks], way);
+    }
+
     /// Allocate a line (after a miss or for a prefetch). Returns what was
     /// evicted. The new line is marked dirty if `dirty` is set
     /// (write-allocate stores dirty the line immediately).
     pub fn fill(&mut self, line_addr: u64, dirty: bool) -> Eviction {
-        let set = self.set_index(line_addr);
+        let base = self.set_base(line_addr);
         // If the line is already present (e.g. racing prefetch), just update flags.
-        if let Some(way) = self.find(set, line_addr) {
-            if dirty {
-                self.dirty[set] |= 1 << way;
-            }
-            self.replacement.on_hit(set, way);
+        if let Some(way) = self.find(base, line_addr) {
+            self.touch_hit(base, way, dirty);
             return Eviction::None;
         }
         self.fill_absent(line_addr, dirty)
@@ -151,36 +177,33 @@ impl SetAssocCache {
     /// after a `contains` probe): skips the duplicate-line scan.
     pub(crate) fn fill_absent(&mut self, line_addr: u64, dirty: bool) -> Eviction {
         debug_assert!(!self.contains(line_addr), "fill_absent of a present line");
-        let set = self.set_index(line_addr);
-        // Victim selection: the first invalid way if any, else the least
-        // recently touched of the (all-valid) ways.
-        let invalid = !self.valid[set] & self.full_mask;
-        let (victim_way, eviction) = if invalid != 0 {
-            ((invalid.trailing_zeros()) as usize, Eviction::None)
-        } else {
-            let way = self.replacement.oldest_way(set);
-            let tag = self.tags[set * self.ways + way];
-            if self.dirty[set] & (1 << way) != 0 {
-                (way, Eviction::Dirty(tag))
-            } else {
-                (way, Eviction::Clean(tag))
-            }
+        let base = self.set_base(line_addr);
+        let at = self.dirty_at(base);
+        // Victim selection: an invalid way if any, else the least recently
+        // touched of the (all-valid) ways. Invalid ways rank oldest, so
+        // both are the oldest way.
+        let (tags, ranks) = (self.tags(base), self.ranks(base));
+        let way = self.recency.fill(&mut self.slab[ranks]);
+        let eviction = match self.slab[tags.start + way] {
+            0 => Eviction::None,
+            tag if self.slab[at] & (1 << way) != 0 => Eviction::Dirty(tag - 1),
+            tag => Eviction::Clean(tag - 1),
         };
 
-        let way_bit = 1u64 << victim_way;
-        self.tags[set * self.ways + victim_way] = line_addr;
-        self.valid[set] |= way_bit;
+        let way_bit = 1u64 << way;
+        self.slab[tags.start + way] = line_addr + 1;
         if dirty {
-            self.dirty[set] |= way_bit;
+            self.slab[at] |= way_bit;
         } else {
-            self.dirty[set] &= !way_bit;
+            self.slab[at] &= !way_bit;
         }
-        self.replacement.on_fill(set, victim_way);
 
         self.stats.lines_in += 1;
-        if !matches!(eviction, Eviction::None) {
-            self.stats.lines_out += 1;
-            if matches!(eviction, Eviction::Dirty(_)) {
+        match eviction {
+            Eviction::None => {}
+            Eviction::Clean(_) => self.stats.lines_out += 1,
+            Eviction::Dirty(_) => {
+                self.stats.lines_out += 1;
                 self.stats.writebacks += 1;
             }
         }
@@ -188,14 +211,19 @@ impl SetAssocCache {
     }
 
     /// Invalidate a line (used for inclusive back-invalidation). Returns
-    /// `Some(dirty)` if the line was present.
+    /// `Some(dirty)` if the line was present. The way becomes the set's
+    /// oldest, the next victim; the valid ways keep their order.
     pub(crate) fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let set = self.set_index(line_addr);
-        let way = self.find(set, line_addr)?;
+        let base = self.set_base(line_addr);
+        let way = self.find(base, line_addr)?;
         let way_bit = 1u64 << way;
-        let dirty = self.dirty[set] & way_bit != 0;
-        self.valid[set] &= !way_bit;
-        self.dirty[set] &= !way_bit;
+        let at = self.dirty_at(base);
+        let dirty = self.slab[at] & way_bit != 0;
+        let tag = self.tags(base).start + way;
+        self.slab[tag] = 0;
+        self.slab[at] &= !way_bit;
+        let ranks = self.ranks(base);
+        self.recency.demote(&mut self.slab[ranks], way);
         self.stats.lines_out += 1;
         if dirty {
             self.stats.writebacks += 1;
@@ -206,10 +234,11 @@ impl SetAssocCache {
     /// Mark a present line dirty (used when a dirty line is written back from
     /// an inner level).
     pub(crate) fn mark_dirty(&mut self, line_addr: u64) -> bool {
-        let set = self.set_index(line_addr);
-        match self.find(set, line_addr) {
+        let base = self.set_base(line_addr);
+        match self.find(base, line_addr) {
             Some(way) => {
-                self.dirty[set] |= 1 << way;
+                let at = self.dirty_at(base);
+                self.slab[at] |= 1 << way;
                 true
             }
             None => false,
@@ -219,12 +248,9 @@ impl SetAssocCache {
     /// Line addresses of all currently valid lines (diagnostic).
     #[cfg(any(test, feature = "reference"))]
     pub(crate) fn resident_line_addresses(&self) -> impl Iterator<Item = u64> + '_ {
-        self.valid.iter().enumerate().flat_map(move |(set, &valid)| {
-            let base = set * self.ways;
-            (0..self.ways)
-                .filter(move |way| valid & (1 << way) != 0)
-                .map(move |way| self.tags[base + way])
-        })
+        self.slab
+            .chunks_exact(self.stride)
+            .flat_map(move |set| set[self.tags(0)].iter().filter(|&&t| t != 0).map(|&t| t - 1))
     }
 }
 
@@ -349,6 +375,27 @@ mod tests {
         }
         assert_eq!(evictions, 8);
         assert_eq!(c.resident_line_addresses().count(), 8);
+    }
+
+    #[test]
+    fn invalidated_ways_refill_first_then_lru_resumes() {
+        // One 4-way set: lines 0..4 fill ways 0..4, then a hit makes line 0
+        // the most recent. Invalidating lines 2 and 0 makes their ways the
+        // next two victims before the LRU order resumes.
+        let mut c = SetAssocCache::new(1, 4, ReplacementPolicy::Lru);
+        for line in 0..4 {
+            c.fill(line, false);
+        }
+        c.lookup(0, false);
+        c.invalidate(2);
+        c.invalidate(0);
+        assert_eq!(c.fill(10, false), Eviction::None);
+        assert_eq!(c.fill(11, false), Eviction::None);
+        assert!(c.contains(10) && c.contains(11) && !c.contains(0) && !c.contains(2));
+        // Order among the valid lines, oldest first: 1, 3, 10, 11.
+        assert_eq!(c.fill(12, false), Eviction::Clean(1));
+        assert_eq!(c.fill(13, false), Eviction::Clean(3));
+        assert_eq!(c.fill(14, false), Eviction::Clean(10));
     }
 
     #[test]

@@ -156,18 +156,22 @@ impl HierarchyConfig {
         (self.num_threads / level.shared_by_threads as usize).max(1)
     }
 
-    /// Which instance of a level a hardware thread uses.
+    /// Which instance of a level each hardware thread uses, indexed by
+    /// thread.
     ///
     /// Threads are ranked by (socket, core index, SMT) — i.e. SMT siblings
     /// are adjacent — and consecutive groups of `shared_by_threads` map to
     /// one instance. With the preset sharing degrees this yields "one L1/L2
     /// per physical core" and "one L3 per socket" regardless of the OS
     /// enumeration order.
-    pub(crate) fn instance_for_thread(&self, level: &CacheLevelConfig, thread: usize) -> usize {
+    pub(crate) fn thread_instances(&self, level: &CacheLevelConfig) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.num_threads).collect();
         order.sort_by_key(|&t| (self.thread_socket[t], self.thread_core[t], t));
-        let rank = order.iter().position(|&t| t == thread).expect("thread in range");
-        rank / level.shared_by_threads as usize
+        let mut instance = vec![0; self.num_threads];
+        for (rank, &t) in order.iter().enumerate() {
+            instance[t] = rank / level.shared_by_threads as usize;
+        }
+        instance
     }
 
     /// Precomputed back-invalidation targets for inclusive evictions.
@@ -180,6 +184,8 @@ impl HierarchyConfig {
     /// that are not inclusive (or L1, which has nothing inside it) get empty
     /// lists. Computed once here so the eviction path never allocates.
     pub(crate) fn back_invalidation_map(&self) -> Vec<Vec<Vec<(usize, usize)>>> {
+        let instance: Vec<Vec<usize>> =
+            self.levels.iter().map(|level| self.thread_instances(level)).collect();
         self.levels
             .iter()
             .enumerate()
@@ -191,12 +197,11 @@ impl HierarchyConfig {
                         if !level.inclusive || l == 0 {
                             return targets;
                         }
-                        let sharers: Vec<usize> = (0..self.num_threads)
-                            .filter(|&t| self.instance_for_thread(level, t) == inst)
-                            .collect();
-                        for (inner, inner_level) in self.levels.iter().enumerate().take(l) {
+                        let sharers: Vec<usize> =
+                            (0..self.num_threads).filter(|&t| instance[l][t] == inst).collect();
+                        for (inner, inner_instance) in instance.iter().enumerate().take(l) {
                             for &t in &sharers {
-                                let inner_inst = self.instance_for_thread(inner_level, t);
+                                let inner_inst = inner_instance[t];
                                 if !targets.contains(&(inner, inner_inst)) {
                                     targets.push((inner, inner_inst));
                                 }
@@ -251,15 +256,15 @@ mod tests {
         let l3 = cfg.levels[2];
         assert_eq!(cfg.instances_of(&l1), 12);
         assert_eq!(cfg.instances_of(&l3), 2);
+        let (l1_of, l3_of) = (cfg.thread_instances(&l1), cfg.thread_instances(&l3));
         // OS threads 0 and 12 are SMT siblings on the Westmere preset: same L1.
-        assert_eq!(cfg.instance_for_thread(&l1, 0), cfg.instance_for_thread(&l1, 12));
-        assert_ne!(cfg.instance_for_thread(&l1, 0), cfg.instance_for_thread(&l1, 1));
+        assert_eq!(l1_of[0], l1_of[12]);
+        assert_ne!(l1_of[0], l1_of[1]);
         // Threads 0 (socket 0) and 6 (socket 1) use different L3 instances.
-        assert_ne!(cfg.instance_for_thread(&l3, 0), cfg.instance_for_thread(&l3, 6));
+        assert_ne!(l3_of[0], l3_of[6]);
         // All socket-0 threads share one L3 instance.
-        let inst0 = cfg.instance_for_thread(&l3, 0);
         for t in [1usize, 2, 3, 4, 5, 12, 13, 17] {
-            assert_eq!(cfg.instance_for_thread(&l3, t), inst0);
+            assert_eq!(l3_of[t], l3_of[0]);
         }
     }
 }

@@ -2,14 +2,18 @@
 //! controllers of one machine, driven by per-hardware-thread access streams.
 //!
 //! Hot-path design (see also the "Simulator performance model" section of
-//! the README): the per-access walk is allocation-free. Coherence
-//! invalidations are routed through a *presence directory* — a map from
-//! line address to a bitmask of the cache instances that may hold the line —
-//! so a store probes only actual sharers instead of broadcasting to every
-//! instance in the node. Inclusive back-invalidation targets are precomputed
-//! per (level, instance) at construction. For dense same-line access
-//! sequences, [`NodeCacheSystem::access_run`] collapses the repeats into
-//! counter updates without re-walking the hierarchy.
+//! the README): the per-access walk is allocation-free. Every cache
+//! instance of the node sits in one flat vector, level-major, and each
+//! thread's lookup path is a flat row of indices into it, so a level's
+//! lookup is one index load. An instance's index is also its bit in the
+//! *presence directory* — a map from line address to a bitmask of the
+//! instances that may hold the line — through which coherence
+//! invalidations are routed, so a store probes only actual sharers instead
+//! of broadcasting to every instance in the node. Inclusive
+//! back-invalidation targets are precomputed per instance at construction.
+//! For dense same-line access sequences, [`NodeCacheSystem::access_run`]
+//! collapses the repeats into counter updates without re-walking the
+//! hierarchy.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,19 +81,20 @@ type PresenceDirectory = HashMap<u64, Box<DirPage>, BuildHasherDefault<LineHashe
 /// `likwid-perf-events`.
 pub struct NodeCacheSystem {
     config: HierarchyConfig,
-    /// `levels[l]` holds all instances of cache level `l` in the node.
-    levels: Vec<Vec<SetAssocCache>>,
-    /// `thread_instance[l][t]` is the instance of level `l` used by thread `t`.
-    thread_instance: Vec<Vec<usize>>,
+    /// Every cache instance of the node, level-major (all L1 instances,
+    /// then all L2 instances, …). An instance's index here is also its bit
+    /// in the presence directory's masks.
+    caches: Vec<SetAssocCache>,
+    /// Number of cache levels.
+    depth: usize,
+    /// `path[thread * depth + l]` — index into `caches` of the level-`l`
+    /// instance that `thread` looks lines up in.
+    path: Vec<u32>,
     /// One memory controller per socket.
     memory: Vec<MemoryController>,
     prefetch: PrefetchEngine,
     thread_loads: Vec<u64>,
     thread_stores: Vec<u64>,
-    /// Directory bit offset of each level's first instance.
-    instance_base: Vec<u32>,
-    /// Directory bit → (level, instance) decode table.
-    bit_instance: Vec<(u32, u32)>,
     /// Directory bits of the instances on each thread's own lookup path.
     own_path_mask: Vec<u64>,
     /// Which instances may hold each line. Invariant: the mask is always a
@@ -106,73 +111,61 @@ pub struct NodeCacheSystem {
     /// write with one comparison instead of a hash probe. The hot page is
     /// logically part of the directory; every query consults it first.
     hot_page: Option<(u64, Box<DirPage>)>,
-    /// `back_inval[l][inst]`: precomputed (inner level, inner instance)
-    /// targets of an inclusive eviction, see
-    /// [`HierarchyConfig::back_invalidation_map`].
-    back_inval: Vec<Vec<Vec<(usize, usize)>>>,
-    /// `inner_mask[l][inst]`: the same targets as directory bits, so the
+    /// `back_inval[cache]`: the inner instances an inclusive eviction from
+    /// `cache` must probe, see [`HierarchyConfig::back_invalidation_map`].
+    back_inval: Vec<Vec<usize>>,
+    /// `inner_mask[cache]`: the same targets as directory bits, so the
     /// eviction path can intersect them with the victim's presence mask and
     /// probe only instances that actually hold the victim.
-    inner_mask: Vec<Vec<u64>>,
+    inner_mask: Vec<u64>,
     /// log2 of the L1 line size when it is a power of two, so the
     /// per-access line split is a shift instead of two divisions.
     line_shift: Option<u32>,
 }
 
+/// The directory bit of cache index `cache` (0 past the 64th instance,
+/// where the directory is disabled and the bit unused).
+#[inline]
+fn dir_bit(cache: usize) -> u64 {
+    1u64.checked_shl(cache as u32).unwrap_or(0)
+}
+
 impl NodeCacheSystem {
     /// Build the hierarchy from a configuration.
     pub fn new(config: HierarchyConfig) -> Self {
-        let mut levels = Vec::new();
-        let mut thread_instance = Vec::new();
-        let mut instance_base = Vec::new();
-        let mut bit_instance = Vec::new();
-        let mut bits = 0u32;
-        for (l, level) in config.levels.iter().enumerate() {
+        let depth = config.levels.len();
+        let mut caches = Vec::new();
+        let mut level_base = Vec::with_capacity(depth);
+        for level in &config.levels {
+            level_base.push(caches.len());
             let n = config.instances_of(level);
-            instance_base.push(bits);
-            for inst in 0..n {
-                bit_instance.push((l as u32, inst as u32));
-            }
-            bits = bits.saturating_add(n as u32);
-            levels.push(
-                (0..n)
-                    .map(|_| SetAssocCache::new(level.sets, level.ways, level.replacement))
-                    .collect::<Vec<_>>(),
-            );
-            thread_instance.push(
-                (0..config.num_threads)
-                    .map(|t| config.instance_for_thread(level, t))
-                    .collect::<Vec<_>>(),
+            caches.extend(
+                (0..n).map(|_| SetAssocCache::new(level.sets, level.ways, level.replacement)),
             );
         }
-        let directory_enabled = bits <= u64::BITS;
+        let instances: Vec<Vec<usize>> =
+            config.levels.iter().map(|level| config.thread_instances(level)).collect();
+        let mut path = Vec::with_capacity(config.num_threads * depth);
+        for t in 0..config.num_threads {
+            for (of_thread, base) in instances.iter().zip(&level_base) {
+                path.push((base + of_thread[t]) as u32);
+            }
+        }
+        let directory_enabled = caches.len() <= u64::BITS as usize;
         let own_path_mask = (0..config.num_threads)
             .map(|t| {
-                thread_instance
-                    .iter()
-                    .enumerate()
-                    .map(|(l, per_thread)| {
-                        1u64.checked_shl(instance_base[l] + per_thread[t] as u32).unwrap_or(0)
-                    })
-                    .fold(0, |acc, bit| acc | bit)
+                path[t * depth..(t + 1) * depth].iter().fold(0, |acc, &c| acc | dir_bit(c as usize))
             })
             .collect();
-        let back_inval = config.back_invalidation_map();
+        let back_inval: Vec<Vec<usize>> = config
+            .back_invalidation_map()
+            .into_iter()
+            .flatten()
+            .map(|targets| targets.into_iter().map(|(l, inst)| level_base[l] + inst).collect())
+            .collect();
         let inner_mask = back_inval
             .iter()
-            .map(|instances| {
-                instances
-                    .iter()
-                    .map(|targets| {
-                        targets
-                            .iter()
-                            .map(|&(l, inst)| {
-                                1u64.checked_shl(instance_base[l] + inst as u32).unwrap_or(0)
-                            })
-                            .fold(0, |acc, bit| acc | bit)
-                    })
-                    .collect()
-            })
+            .map(|targets| targets.iter().fold(0, |acc, &cache| acc | dir_bit(cache)))
             .collect();
         let memory = (0..config.num_sockets).map(|_| MemoryController::default()).collect();
         let prefetch = PrefetchEngine::new(config.prefetch, config.num_threads);
@@ -182,14 +175,13 @@ impl NodeCacheSystem {
         let line_shift = l1_line.is_power_of_two().then(|| l1_line.trailing_zeros());
         NodeCacheSystem {
             config,
-            levels,
-            thread_instance,
+            caches,
+            depth,
+            path,
             memory,
             prefetch,
             thread_loads,
             thread_stores,
-            instance_base,
-            bit_instance,
             own_path_mask,
             directory: PresenceDirectory::default(),
             directory_enabled,
@@ -198,6 +190,12 @@ impl NodeCacheSystem {
             inner_mask,
             line_shift,
         }
+    }
+
+    /// Index into `caches` of `thread`'s level-`l` instance.
+    #[inline]
+    fn on_path(&self, thread: usize, l: usize) -> usize {
+        self.path[thread * self.depth + l] as usize
     }
 
     /// The configuration this hierarchy was built from.
@@ -235,14 +233,6 @@ impl NodeCacheSystem {
         } else {
             domain % self.config.num_sockets
         }
-    }
-
-    #[inline]
-    fn dir_bit(&self, level: usize, inst: usize) -> u64 {
-        // checked_shl: callers compute bits even when the directory is
-        // disabled because the node has more than 64 instances; the bit is
-        // then 0 (and unused) instead of a shift overflow.
-        1u64.checked_shl(self.instance_base[level] + inst as u32).unwrap_or(0)
     }
 
     /// The presence mask of `line` (0 when untracked).
@@ -409,6 +399,9 @@ impl NodeCacheSystem {
 
         let is_write = kind.is_write();
         let is_demand = kind.is_demand();
+        // Consecutive elements at least a line apart never share a line, so
+        // such a run has no repeats to collapse.
+        let may_repeat = stride.unsigned_abs() < self.l1_line_size();
         let mut worst = HitLevel::L1;
         // The line whose repeats are currently being collapsed, and how many
         // repeats have accumulated.
@@ -445,8 +438,9 @@ impl NodeCacheSystem {
                 // (already the MRU way, or a FIFO set). Prefetches this
                 // access triggered can violate both in a degenerate L1 by
                 // filling the same set; each repeat then takes the full walk.
-                let l1_inst = self.thread_instance[0][thread];
-                if self.levels[0][l1_inst].repeat_hit_is_collapsible(first) {
+                if may_repeat
+                    && self.caches[self.on_path(thread, 0)].repeat_hit_is_collapsible(first)
+                {
                     pending = Some((first, 0));
                 }
             } else {
@@ -488,8 +482,8 @@ impl NodeCacheSystem {
                 self.thread_loads[thread] += repeats;
             }
         }
-        let inst = self.thread_instance[0][thread];
-        let stats = &mut self.levels[0][inst].stats;
+        let l1 = self.on_path(thread, 0);
+        let stats = &mut self.caches[l1].stats;
         stats.accesses += repeats;
         stats.hits += repeats;
         if is_write {
@@ -521,24 +515,27 @@ impl NodeCacheSystem {
             if others == 0 {
                 return;
             }
-            let mut pending = others;
-            while pending != 0 {
-                let bit = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let (l, inst) = self.bit_instance[bit];
-                self.levels[l as usize][inst as usize].invalidate(line);
-            }
-            self.dir_and_not(line, others);
+            self.invalidate_holders(line, others);
         } else {
-            for l in 0..self.levels.len() {
-                let own = self.thread_instance[l][thread];
-                for inst in 0..self.levels[l].len() {
-                    if inst != own {
-                        self.levels[l][inst].invalidate(line);
-                    }
+            let own = thread * self.depth..(thread + 1) * self.depth;
+            for cache in 0..self.caches.len() {
+                if !self.path[own.clone()].contains(&(cache as u32)) {
+                    self.caches[cache].invalidate(line);
                 }
             }
         }
+    }
+
+    /// Invalidate `line` in every instance whose directory bit is in
+    /// `holders`, then clear those bits.
+    fn invalidate_holders(&mut self, line: u64, holders: u64) {
+        let mut pending = holders;
+        while pending != 0 {
+            let cache = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            self.caches[cache].invalidate(line);
+        }
+        self.dir_and_not(line, holders);
     }
 
     /// Demand access to one line: walk the hierarchy, fill on the way back,
@@ -551,12 +548,11 @@ impl NodeCacheSystem {
         line: u64,
         is_write: bool,
     ) -> (HitLevel, Option<u64>) {
-        let num_levels = self.levels.len();
+        let depth = self.depth;
         let mut hit_level: Option<usize> = None;
 
-        for l in 0..num_levels {
-            let inst = self.thread_instance[l][thread];
-            let cache = &mut self.levels[l][inst];
+        for l in 0..depth {
+            let cache = &mut self.caches[self.path[thread * depth + l] as usize];
             cache.stats.accesses += 1;
             if is_write {
                 cache.stats.stores += 1;
@@ -586,7 +582,7 @@ impl NodeCacheSystem {
         // The line's new presence bits are batched into one directory
         // update after the loop (the victims evicted along the way are
         // other lines, handled per eviction).
-        let fill_from = hit_level.unwrap_or(num_levels);
+        let fill_from = hit_level.unwrap_or(depth);
         let mut line_mask = None;
         if fill_from > 0 {
             let mut filled_bits = 0u64;
@@ -595,10 +591,10 @@ impl NodeCacheSystem {
                 // dirtiness outward on eviction). The lookup above just
                 // missed these levels, so the duplicate scan is skipped.
                 let dirty = is_write && l == 0;
-                let inst = self.thread_instance[l][thread];
-                let eviction = self.levels[l][inst].fill_absent(line, dirty);
-                filled_bits |= self.dir_bit(l, inst);
-                self.handle_eviction(thread, socket, l, inst, eviction);
+                let cache = self.on_path(thread, l);
+                let eviction = self.caches[cache].fill_absent(line, dirty);
+                filled_bits |= dir_bit(cache);
+                self.handle_eviction(thread, socket, l, cache, eviction);
             }
             if self.directory_enabled {
                 line_mask = Some(self.dir_or(line, filled_bits));
@@ -611,7 +607,7 @@ impl NodeCacheSystem {
             self.prefetch_line(thread, socket, 0, pline);
         }
         for &pline in decision.l2_lines() {
-            if num_levels > 1 {
+            if depth > 1 {
                 self.prefetch_line(thread, socket, 1, pline);
             }
         }
@@ -625,9 +621,9 @@ impl NodeCacheSystem {
         (level, line_mask)
     }
 
-    /// Process the eviction caused by a fill into instance `inst` of level
-    /// `l`: drop the victim's presence bit, write dirty data outward and
-    /// back-invalidate inner levels if `l` is inclusive.
+    /// Process the eviction caused by a fill into `cache`, an instance of
+    /// level `l`: drop the victim's presence bit, write dirty data outward
+    /// and back-invalidate inner levels if `l` is inclusive.
     ///
     /// With the directory, the victim's remaining presence mask intersected
     /// with the precomputed inner-instance mask tells exactly which inner
@@ -644,7 +640,7 @@ impl NodeCacheSystem {
         thread: usize,
         socket: u32,
         l: usize,
-        inst: usize,
+        cache: usize,
         eviction: Eviction,
     ) {
         let (victim, dirty) = match eviction {
@@ -662,17 +658,14 @@ impl NodeCacheSystem {
         if self.directory_enabled {
             // Clear the victim's bit for this instance; what remains tells
             // which (if any) inner instances need back-invalidation.
-            let remaining = self.dir_and_not(victim, self.dir_bit(l, inst));
-            let holders = remaining & self.inner_mask[l][inst];
+            let remaining = self.dir_and_not(victim, dir_bit(cache));
+            let holders = remaining & self.inner_mask[cache];
             if holders != 0 {
                 let mut pending = holders;
                 while pending != 0 {
-                    let holder_bit = pending.trailing_zeros() as usize;
+                    let inner = pending.trailing_zeros() as usize;
                     pending &= pending - 1;
-                    let (inner_level, inner_inst) = self.bit_instance[holder_bit];
-                    if let Some(was_dirty) =
-                        self.levels[inner_level as usize][inner_inst as usize].invalidate(victim)
-                    {
+                    if let Some(was_dirty) = self.caches[inner].invalidate(victim) {
                         if was_dirty && !written_back {
                             // The inner copy was newer; it must reach memory
                             // (once).
@@ -685,9 +678,9 @@ impl NodeCacheSystem {
             }
         } else {
             // Broadcast fallback: probe every precomputed inner instance.
-            for i in 0..self.back_inval[l][inst].len() {
-                let (inner_level, inner_inst) = self.back_inval[l][inst][i];
-                if let Some(was_dirty) = self.levels[inner_level][inner_inst].invalidate(victim) {
+            for i in 0..self.back_inval[cache].len() {
+                let inner = self.back_inval[cache][i];
+                if let Some(was_dirty) = self.caches[inner].invalidate(victim) {
                     if was_dirty && !written_back {
                         self.writeback(thread, socket, l + 1, victim);
                         written_back = true;
@@ -699,22 +692,22 @@ impl NodeCacheSystem {
 
     /// Write a dirty line back into level `l` (or memory if past the LLC).
     fn writeback(&mut self, thread: usize, socket: u32, l: usize, line: u64) {
-        if l >= self.levels.len() {
+        if l >= self.depth {
             let byte_address = line * self.config.memory_line_size;
             let domain = self.home_domain(byte_address);
             self.memory[domain as usize].write(self.config.memory_line_size, socket, domain, false);
             return;
         }
-        let inst = self.thread_instance[l][thread];
-        if self.levels[l][inst].mark_dirty(line) {
+        let cache = self.on_path(thread, l);
+        if self.caches[cache].mark_dirty(line) {
             return;
         }
         // Non-inclusive outer level did not hold the line (the mark_dirty
         // probe said so): allocate it there as dirty (victim-cache style
         // fill).
-        let eviction = self.levels[l][inst].fill_absent(line, true);
-        self.dir_or(line, self.dir_bit(l, inst));
-        self.handle_eviction(thread, socket, l, inst, eviction);
+        let eviction = self.caches[cache].fill_absent(line, true);
+        self.dir_or(line, dir_bit(cache));
+        self.handle_eviction(thread, socket, l, cache, eviction);
     }
 
     /// Bring `line` into level `l` as a prefetch (no demand statistics, no
@@ -724,54 +717,50 @@ impl NodeCacheSystem {
     /// visible in the shared cache like on the (mostly inclusive) real
     /// hierarchies.
     fn prefetch_line(&mut self, thread: usize, socket: u32, l: usize, line: u64) {
-        let inst = self.thread_instance[l][thread];
-        self.levels[l][inst].stats.prefetch_requests += 1;
-        if self.levels[l][inst].contains(line) {
+        let target = self.on_path(thread, l);
+        self.caches[target].stats.prefetch_requests += 1;
+        if self.caches[target].contains(line) {
             return;
         }
         // Find the innermost outer level that already has the line.
-        let mut found_at = None;
-        for outer in (l + 1)..self.levels.len() {
-            let outer_inst = self.thread_instance[outer][thread];
-            if self.levels[outer][outer_inst].contains(line) {
-                found_at = Some(outer);
-                break;
-            }
-        }
+        let found_at = (l + 1..self.depth)
+            .find(|&outer| self.caches[self.on_path(thread, outer)].contains(line));
         if found_at.is_none() {
             let byte_address = line * self.config.memory_line_size;
             let domain = self.home_domain(byte_address);
             self.memory[domain as usize].read(self.config.memory_line_size, socket, domain);
         }
-        let fill_from = found_at.unwrap_or(self.levels.len());
-        if fill_from > l {
-            let mut filled_bits = 0u64;
-            for level in (l..fill_from).rev() {
-                // Every level in l..fill_from was just probed and found
-                // empty, so the duplicate scan is skipped.
-                let level_inst = self.thread_instance[level][thread];
-                let eviction = self.levels[level][level_inst].fill_absent(line, false);
-                filled_bits |= self.dir_bit(level, level_inst);
-                if level == l {
-                    self.levels[level][level_inst].stats.prefetch_fills += 1;
-                }
-                self.handle_eviction(thread, socket, level, level_inst, eviction);
+        let fill_from = found_at.unwrap_or(self.depth);
+        let mut filled_bits = 0u64;
+        for level in (l..fill_from).rev() {
+            // Every level in l..fill_from was just probed and found
+            // empty, so the duplicate scan is skipped.
+            let cache = self.on_path(thread, level);
+            let eviction = self.caches[cache].fill_absent(line, false);
+            filled_bits |= dir_bit(cache);
+            if level == l {
+                self.caches[cache].stats.prefetch_fills += 1;
             }
-            self.dir_or(line, filled_bits);
+            self.handle_eviction(thread, socket, level, cache, eviction);
         }
+        self.dir_or(line, filled_bits);
     }
 
     /// Snapshot all counters.
     pub fn stats(&self) -> NodeStats {
+        let mut caches = self.caches.iter();
         NodeStats {
             levels: self
                 .config
                 .levels
                 .iter()
-                .zip(&self.levels)
-                .map(|(cfg, instances)| LevelStats {
+                .map(|cfg| LevelStats {
                     level: cfg.level,
-                    instances: instances.iter().map(|c| c.stats).collect(),
+                    instances: caches
+                        .by_ref()
+                        .take(self.config.instances_of(cfg))
+                        .map(|c| c.stats)
+                        .collect(),
                 })
                 .collect(),
             memory: self.memory.iter().map(|m| m.stats).collect(),
@@ -824,22 +813,12 @@ impl NodeCacheSystem {
     pub(crate) fn invalidate_external(&mut self, line: u64) {
         if self.directory_enabled {
             let mask = self.dir_mask(line);
-            if mask == 0 {
-                return;
+            if mask != 0 {
+                self.invalidate_holders(line, mask);
             }
-            let mut pending = mask;
-            while pending != 0 {
-                let bit = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let (l, inst) = self.bit_instance[bit];
-                self.levels[l as usize][inst as usize].invalidate(line);
-            }
-            self.dir_and_not(line, mask);
         } else {
-            for level in &mut self.levels {
-                for cache in level {
-                    cache.invalidate(line);
-                }
+            for cache in &mut self.caches {
+                cache.invalidate(line);
             }
         }
     }
@@ -853,15 +832,12 @@ impl NodeCacheSystem {
         if !self.directory_enabled {
             return;
         }
-        for (l, instances) in self.levels.iter().enumerate() {
-            for (inst, cache) in instances.iter().enumerate() {
-                let bit = self.dir_bit(l, inst);
-                for line in cache.resident_line_addresses().collect::<Vec<_>>() {
-                    assert!(
-                        self.dir_mask(line) & bit != 0,
-                        "directory lost level {l} instance {inst} holding line {line:#x}"
-                    );
-                }
+        for (index, cache) in self.caches.iter().enumerate() {
+            for line in cache.resident_line_addresses() {
+                assert!(
+                    self.dir_mask(line) & dir_bit(index) != 0,
+                    "directory lost cache instance {index} holding line {line:#x}"
+                );
             }
         }
     }

@@ -44,7 +44,7 @@ pub use config::{CacheLevelConfig, HierarchyConfig, PrefetchConfig, WritePolicy}
 pub use hierarchy::NodeCacheSystem;
 pub use memory::NumaPolicy;
 pub use prefetch::PrefetchEngine;
-pub use replacement::{FlatReplacement, ReplacementPolicy};
+pub use replacement::{Recency, ReplacementPolicy};
 pub use replay::{ReplayQueue, RunOp};
 pub use shard::ShardedCacheSystem;
 pub use stats::{CacheStats, LevelStats, MemoryStats, NodeStats};

@@ -11,6 +11,12 @@
 //! multi-thread access streams through both implementations and requires
 //! bit-identical [`NodeStats`].
 //!
+//! Each cache instance is a [`NaiveCache`] of its own: per set, a list of
+//! `(tag, dirty, stamp)` ways under the age-stamp replacement rule, with
+//! none of the optimized [`crate::SetAssocCache`]'s tag encoding, packed
+//! rank words or set-index masks, so a replacement or lookup bug in the
+//! optimized cache shows up as a counter mismatch instead of being shared.
+//!
 //! The one intentional semantic change of the optimized path is shared: a
 //! victim of an inclusive eviction reaches memory at most once even when
 //! both the outer copy and an inner copy are dirty.
@@ -19,16 +25,124 @@
 //! the workspace root enables for its integration test suite).
 
 use crate::access::{Access, AccessKind, HitLevel};
-use crate::cache::{Eviction, SetAssocCache};
+use crate::cache::Eviction;
 use crate::config::HierarchyConfig;
 use crate::memory::MemoryController;
 use crate::prefetch::PrefetchEngine;
-use crate::stats::{LevelStats, NodeStats};
+use crate::replacement::ReplacementPolicy;
+use crate::stats::{CacheStats, LevelStats, NodeStats};
+
+/// One way of a [`NaiveCache`] set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    /// The line held, `None` while the way is invalid.
+    line: Option<u64>,
+    dirty: bool,
+    /// The set's tick at this way's last touch (0: never touched).
+    stamp: u64,
+}
+
+/// A set-associative write-back cache written for clarity: one `Vec` of
+/// ways per set, and age stamps for replacement. A touch (a fill, or a hit
+/// under LRU) stamps the way with the set's incremented tick; the victim is
+/// the first invalid way, else the way with the oldest stamp. An
+/// invalidated way keeps its stamp.
+struct NaiveCache {
+    lru: bool,
+    sets: Vec<Vec<Way>>,
+    ticks: Vec<u64>,
+    stats: CacheStats,
+}
+
+impl NaiveCache {
+    fn new(sets: usize, ways: usize, policy: ReplacementPolicy) -> Self {
+        NaiveCache {
+            lru: policy == ReplacementPolicy::Lru,
+            sets: vec![vec![Way::default(); ways]; sets],
+            ticks: vec![0; sets],
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set_of(&self, line: u64) -> usize {
+        (line % self.sets.len() as u64) as usize
+    }
+
+    fn way_of(&self, set: usize, line: u64) -> Option<usize> {
+        self.sets[set].iter().position(|way| way.line == Some(line))
+    }
+
+    fn stamp(&mut self, set: usize, way: usize) {
+        self.ticks[set] += 1;
+        self.sets[set][way].stamp = self.ticks[set];
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        self.way_of(self.set_of(line), line).is_some()
+    }
+
+    fn lookup(&mut self, line: u64, is_write: bool) -> bool {
+        let set = self.set_of(line);
+        let Some(way) = self.way_of(set, line) else { return false };
+        self.sets[set][way].dirty |= is_write;
+        if self.lru {
+            self.stamp(set, way);
+        }
+        true
+    }
+
+    fn fill(&mut self, line: u64, dirty: bool) -> Eviction {
+        if self.lookup(line, dirty) {
+            return Eviction::None;
+        }
+        let set = self.set_of(line);
+        let ways = &self.sets[set];
+        let victim = ways.iter().position(|way| way.line.is_none()).unwrap_or_else(|| {
+            (0..ways.len()).min_by_key(|&way| ways[way].stamp).expect("at least one way")
+        });
+        let old = ways[victim];
+        self.sets[set][victim] = Way { line: Some(line), dirty, stamp: 0 };
+        self.stamp(set, victim);
+        self.stats.lines_in += 1;
+        match old.line {
+            None => Eviction::None,
+            Some(evicted) => {
+                self.stats.lines_out += 1;
+                if old.dirty {
+                    self.stats.writebacks += 1;
+                    Eviction::Dirty(evicted)
+                } else {
+                    Eviction::Clean(evicted)
+                }
+            }
+        }
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let set = self.set_of(line);
+        let way = self.way_of(set, line)?;
+        let dirty = self.sets[set][way].dirty;
+        self.sets[set][way].line = None;
+        self.sets[set][way].dirty = false;
+        self.stats.lines_out += 1;
+        if dirty {
+            self.stats.writebacks += 1;
+        }
+        Some(dirty)
+    }
+
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let Some(way) = self.way_of(set, line) else { return false };
+        self.sets[set][way].dirty = true;
+        true
+    }
+}
 
 /// The unoptimized node-level cache system (see module docs).
 pub struct ReferenceCacheSystem {
     config: HierarchyConfig,
-    levels: Vec<Vec<SetAssocCache>>,
+    levels: Vec<Vec<NaiveCache>>,
     thread_instance: Vec<Vec<usize>>,
     memory: Vec<MemoryController>,
     prefetch: PrefetchEngine,
@@ -45,14 +159,10 @@ impl ReferenceCacheSystem {
             let n = config.instances_of(level);
             levels.push(
                 (0..n)
-                    .map(|_| SetAssocCache::new(level.sets, level.ways, level.replacement))
+                    .map(|_| NaiveCache::new(level.sets, level.ways, level.replacement))
                     .collect::<Vec<_>>(),
             );
-            thread_instance.push(
-                (0..config.num_threads)
-                    .map(|t| config.instance_for_thread(level, t))
-                    .collect::<Vec<_>>(),
-            );
+            thread_instance.push(config.thread_instances(level));
         }
         let memory = (0..config.num_sockets).map(|_| MemoryController::default()).collect();
         let prefetch = PrefetchEngine::new(config.prefetch, config.num_threads);

@@ -59,7 +59,7 @@ use crate::stats::{CacheStats, LevelStats, MemoryStats, NodeStats};
 ///
 /// Shardability requires every cache instance's sharing group to live on
 /// one socket, which the socket-major instance ranking of
-/// [`HierarchyConfig::instance_for_thread`] reduces to one check: each
+/// [`HierarchyConfig::thread_instances`] reduces to one check: each
 /// shard's thread count must be divisible by every level's
 /// `shared_by_threads`. Then each shard's instances occupy a contiguous
 /// range of global instance indices per level, and the merge is a scatter.

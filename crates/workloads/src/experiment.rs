@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::exec::{sample_from_simulation, slice_samples, ProgressTrace};
-use crate::openmp::{CompilerPersonality, OpenMpRuntime, PlacementPolicy};
+use crate::openmp::{CompilerPersonality, PlacementPolicy};
 use crate::stats::BoxStats;
 use crate::workload::{Placement, Workload, WorkloadRun};
 
@@ -304,7 +304,6 @@ impl Experiment {
         machine: &SimMachine,
         daemon: Option<&likwid_daemon::Daemon<'_>>,
     ) -> likwid::Result<ExperimentResult> {
-        let runtime = OpenMpRuntime::new(self.personality, self.preset);
         let topo = machine.topology();
         let threads = self.resolved_threads();
         let span = if daemon.is_some() { "sample.daemon" } else { "sample" };
@@ -318,7 +317,7 @@ impl Experiment {
         for i in 0..self.samples {
             let sample_started = likwid::trace::now();
             let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, i));
-            let placement = runtime.resolve_placement(topo, threads, &self.policy, &mut rng);
+            let placement = self.policy.resolve_placement(topo, threads, &mut rng);
 
             let run = match (&self.counters, i) {
                 (Some(spec), 0) => {

@@ -64,7 +64,7 @@ pub use exec::{ExecutionProfile, ProgressTick, ProgressTrace};
 pub use experiment::{Experiment, ExperimentResult};
 pub use jacobi::{JacobiConfig, JacobiResult, JacobiVariant, JacobiWorkload};
 pub use kernels::{kernel_by_name, kernel_names, parse_size, StreamingKernel};
-pub use openmp::{CompilerPersonality, KmpAffinity, OpenMpRuntime, PlacementPolicy};
+pub use openmp::{CompilerPersonality, KmpAffinity, PlacementPolicy};
 pub use perfmodel::BandwidthModel;
 pub use stats::BoxStats;
 pub use stream::StreamTriad;

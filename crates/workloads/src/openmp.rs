@@ -15,7 +15,7 @@
 //!    model and give the two compilers their distinct figure shapes.
 
 use likwid_affinity::{PlacementStrategy, SimScheduler, SkipMask, ThreadingModel};
-use likwid_x86_machine::{MachinePreset, TopologySpec};
+use likwid_x86_machine::TopologySpec;
 use rand::Rng;
 
 use likwid_affinity::pinlist::{compact_placement, scatter_placement};
@@ -116,22 +116,7 @@ pub enum PlacementPolicy {
     Kmp(KmpAffinity),
 }
 
-/// The OpenMP runtime model: resolves a placement policy into the hardware
-/// threads each application thread runs on.
-#[derive(Debug, Clone)]
-pub struct OpenMpRuntime {
-    /// Compiler personality of the binary.
-    pub personality: CompilerPersonality,
-    /// Machine the run happens on.
-    pub machine: MachinePreset,
-}
-
-impl OpenMpRuntime {
-    /// New runtime model.
-    pub fn new(personality: CompilerPersonality, machine: MachinePreset) -> Self {
-        OpenMpRuntime { personality, machine }
-    }
-
+impl PlacementPolicy {
     /// Resolve where `num_threads` application threads run under `policy`.
     ///
     /// For the unpinned policy each call draws a fresh placement (one sample
@@ -140,10 +125,9 @@ impl OpenMpRuntime {
         &self,
         topo: &TopologySpec,
         num_threads: usize,
-        policy: &PlacementPolicy,
         rng: &mut R,
     ) -> Vec<usize> {
-        match policy {
+        match self {
             PlacementPolicy::Unpinned => {
                 SimScheduler::new(PlacementStrategy::CfsLike).place(topo, num_threads, rng)
             }
@@ -167,13 +151,12 @@ impl OpenMpRuntime {
         &self,
         topo: &TopologySpec,
         num_threads: usize,
-        policy: &PlacementPolicy,
         rng: &mut R,
     ) -> Placement {
-        let compute = self.place(topo, num_threads, policy, rng);
-        let init = match policy {
+        let compute = self.place(topo, num_threads, rng);
+        let init = match self {
             PlacementPolicy::Unpinned | PlacementPolicy::Kmp(KmpAffinity::Disabled) => {
-                self.place(topo, num_threads, policy, rng)
+                self.place(topo, num_threads, rng)
             }
             _ => compute.clone(),
         };
@@ -184,6 +167,7 @@ impl OpenMpRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::MachinePreset;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -214,22 +198,19 @@ mod tests {
     fn likwid_pin_policy_is_deterministic_and_scatter_spreads_sockets() {
         let preset = MachinePreset::WestmereEp2S;
         let topo = preset.topology();
-        let runtime = OpenMpRuntime::new(CompilerPersonality::IntelIcc, preset);
         let mut rng = StdRng::seed_from_u64(1);
 
         let list = scatter_placement(&topo, 4);
-        let p1 = runtime.place(&topo, 4, &PlacementPolicy::LikwidPin(list.clone()), &mut rng);
-        let p2 = runtime.place(&topo, 4, &PlacementPolicy::LikwidPin(list), &mut rng);
+        let p1 = PlacementPolicy::LikwidPin(list.clone()).place(&topo, 4, &mut rng);
+        let p2 = PlacementPolicy::LikwidPin(list).place(&topo, 4, &mut rng);
         assert_eq!(p1, p2, "pinned placements do not vary between samples");
 
-        let scatter =
-            runtime.place(&topo, 4, &PlacementPolicy::Kmp(KmpAffinity::Scatter), &mut rng);
+        let scatter = PlacementPolicy::Kmp(KmpAffinity::Scatter).place(&topo, 4, &mut rng);
         let sockets: std::collections::HashSet<u32> =
             scatter.iter().map(|&c| topo.hw_thread(c).unwrap().socket).collect();
         assert_eq!(sockets.len(), 2, "KMP scatter uses both sockets");
 
-        let compact =
-            runtime.place(&topo, 4, &PlacementPolicy::Kmp(KmpAffinity::Compact), &mut rng);
+        let compact = PlacementPolicy::Kmp(KmpAffinity::Compact).place(&topo, 4, &mut rng);
         let sockets: std::collections::HashSet<u32> =
             compact.iter().map(|&c| topo.hw_thread(c).unwrap().socket).collect();
         assert_eq!(sockets.len(), 1, "KMP compact fills one socket first");
@@ -239,11 +220,9 @@ mod tests {
     fn unpinned_policy_varies_between_samples() {
         let preset = MachinePreset::WestmereEp2S;
         let topo = preset.topology();
-        let runtime = OpenMpRuntime::new(CompilerPersonality::Gcc, preset);
         let mut rng = StdRng::seed_from_u64(7);
-        let draws: Vec<Vec<usize>> = (0..20)
-            .map(|_| runtime.place(&topo, 6, &PlacementPolicy::Unpinned, &mut rng))
-            .collect();
+        let draws: Vec<Vec<usize>> =
+            (0..20).map(|_| PlacementPolicy::Unpinned.place(&topo, 6, &mut rng)).collect();
         let distinct: std::collections::HashSet<Vec<usize>> = draws.into_iter().collect();
         assert!(distinct.len() > 1, "unpinned placements must vary");
     }

@@ -21,7 +21,25 @@ use likwid_suite::cache_sim::{
 /// the streams exercise coherence invalidations, inclusive back-invalidation
 /// and cross-socket traffic on short runs.
 fn tiny_hierarchy(prefetch_on: bool) -> HierarchyConfig {
-    let level = |level, sets, ways, shared, inclusive| CacheLevelConfig {
+    two_socket_hierarchy([(8, 2), (32, 4), (128, 8)], ReplacementPolicy::Lru, prefetch_on)
+}
+
+/// The same two-socket shape with few, wide sets under `policy`: a 16-way
+/// L1, a 24-way L2 whose 3 sets take the modulo set-index path, and a
+/// 48-way inclusive L3, so short streams already evict from every level and
+/// victims come from every rank word of a set.
+fn wide_hierarchy(policy: ReplacementPolicy, prefetch_on: bool) -> HierarchyConfig {
+    two_socket_hierarchy([(2, 16), (3, 24), (2, 48)], policy, prefetch_on)
+}
+
+/// Four threads on two sockets: private L1 and L2 of the given
+/// `(sets, ways)`, and an inclusive L3 shared per socket.
+fn two_socket_hierarchy(
+    geometry: [(usize, usize); 3],
+    replacement: ReplacementPolicy,
+    prefetch_on: bool,
+) -> HierarchyConfig {
+    let level = |level: u32, (sets, ways): (usize, usize), shared, inclusive| CacheLevelConfig {
         level,
         sets,
         ways,
@@ -29,13 +47,13 @@ fn tiny_hierarchy(prefetch_on: bool) -> HierarchyConfig {
         inclusive,
         shared_by_threads: shared,
         write_policy: WritePolicy::WriteBackAllocate,
-        replacement: ReplacementPolicy::Lru,
+        replacement,
     };
     HierarchyConfig {
         levels: vec![
-            level(1, 8, 2, 1, false),
-            level(2, 32, 4, 1, false),
-            level(3, 128, 8, 2, true),
+            level(1, geometry[0], 1, false),
+            level(2, geometry[1], 1, false),
+            level(3, geometry[2], 2, true),
         ],
         num_threads: 4,
         thread_socket: vec![0, 0, 1, 1],
@@ -73,15 +91,33 @@ proptest! {
         ),
         prefetch_on in prop::bool::ANY,
     ) {
-        let mut optimized = NodeCacheSystem::new(tiny_hierarchy(prefetch_on));
-        let mut reference = ReferenceCacheSystem::new(tiny_hierarchy(prefetch_on));
-        for (thread, line, kind_sel, size) in ops {
-            let access = Access { address: line * 64 + (size as u64 % 64), size, kind: kind_of(kind_sel) };
-            let got = optimized.access(thread, access);
-            let want = reference.access(thread, access);
-            prop_assert_eq!(got, want, "hit level diverged");
-        }
-        prop_assert_eq!(optimized.stats(), reference.stats());
+        single_access_equivalence(tiny_hierarchy(prefetch_on), &ops)?;
+    }
+
+    /// Single-access streams through 16-, 24- and 48-way LRU sets: the
+    /// packed rank words must pick the same victims as the reference's age
+    /// stamps across several rank words per set.
+    #[test]
+    fn wide_lru_sets_match_reference_on_single_accesses(
+        ops in prop::collection::vec(
+            (0usize..4, 0u64..384, 0usize..6, 1u32..96),
+            1..500,
+        ),
+        prefetch_on in prop::bool::ANY,
+    ) {
+        single_access_equivalence(wide_hierarchy(ReplacementPolicy::Lru, prefetch_on), &ops)?;
+    }
+
+    /// The same wide hierarchy under FIFO, where hits leave the order alone.
+    #[test]
+    fn wide_fifo_sets_match_reference_on_single_accesses(
+        ops in prop::collection::vec(
+            (0usize..4, 0u64..384, 0usize..6, 1u32..96),
+            1..500,
+        ),
+        prefetch_on in prop::bool::ANY,
+    ) {
+        single_access_equivalence(wide_hierarchy(ReplacementPolicy::Fifo, prefetch_on), &ops)?;
     }
 
     /// Randomized batched runs: `access_run` must be indistinguishable from
@@ -171,6 +207,26 @@ proptest! {
         }
         sys.verify_directory_superset();
     }
+}
+
+/// Drive the drawn `(thread, line, kind, size)` accesses through the
+/// optimized and the reference walk on `config`, requiring the same hit
+/// level per access and bit-identical statistics at the end.
+fn single_access_equivalence(
+    config: HierarchyConfig,
+    ops: &[(usize, u64, usize, u32)],
+) -> std::result::Result<(), TestCaseError> {
+    let mut optimized = NodeCacheSystem::new(config.clone());
+    let mut reference = ReferenceCacheSystem::new(config);
+    for &(thread, line, kind_sel, size) in ops {
+        let access =
+            Access { address: line * 64 + (size as u64 % 64), size, kind: kind_of(kind_sel) };
+        let got = optimized.access(thread, access);
+        let want = reference.access(thread, access);
+        prop_assert_eq!(got, want, "hit level diverged");
+    }
+    prop_assert_eq!(optimized.stats(), reference.stats());
+    Ok(())
 }
 
 /// Build a replay queue from drawn run tuples. `base_of(thread, offset)`

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use likwid_suite::affinity::{parse_pin_list, PthreadPinner, SkipMask};
 use likwid_suite::cache_sim::{
-    Access, AccessKind, CacheLevelConfig, FlatReplacement, HierarchyConfig, NodeCacheSystem,
-    NumaPolicy, PrefetchConfig, ReplacementPolicy, WritePolicy,
+    Access, AccessKind, CacheLevelConfig, HierarchyConfig, NodeCacheSystem, NumaPolicy,
+    PrefetchConfig, Recency, ReplacementPolicy, WritePolicy,
 };
 use likwid_suite::daemon::protocol::GroupSchema;
 use likwid_suite::daemon::{
@@ -97,18 +97,27 @@ fn mutate(doc: &str, at: usize, cut: usize, splice: &str) -> String {
 }
 
 /// The age-stamp replacement model — a per-way stamp of the last touch
-/// and a per-set tick — as the reference that `FlatReplacement`'s recency
-/// lists must match victim for victim.
+/// and a per-set tick — as the reference that the packed rank words of
+/// `Recency` must match victim for victim. A demoted way gets a negative
+/// stamp below every earlier one, so the most recently demoted way is the
+/// oldest.
 struct StampModel {
     lru: bool,
     ways: usize,
-    stamps: Vec<u64>,
-    ticks: Vec<u64>,
+    stamps: Vec<i64>,
+    ticks: Vec<i64>,
+    demotions: Vec<i64>,
 }
 
 impl StampModel {
     fn new(lru: bool, sets: usize, ways: usize) -> Self {
-        StampModel { lru, ways, stamps: vec![0; sets * ways], ticks: vec![0; sets] }
+        StampModel {
+            lru,
+            ways,
+            stamps: vec![0; sets * ways],
+            ticks: vec![0; sets],
+            demotions: vec![0; sets],
+        }
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
@@ -122,14 +131,25 @@ impl StampModel {
         }
     }
 
+    fn demote(&mut self, set: usize, way: usize) {
+        self.demotions[set] += 1;
+        self.stamps[set * self.ways + way] = -self.demotions[set];
+    }
+
+    fn set_stamps(&self, set: usize) -> &[i64] {
+        &self.stamps[set * self.ways..(set + 1) * self.ways]
+    }
+
     /// Oldest stamp, ties (never-touched ways) broken toward way 0.
     fn oldest_way(&self, set: usize) -> usize {
-        let stamps = &self.stamps[set * self.ways..(set + 1) * self.ways];
+        let stamps = self.set_stamps(set);
         (0..self.ways).min_by_key(|&way| stamps[way]).expect("at least one way")
     }
 
+    /// FIFO ignores hits; under LRU a hit on the newest way moves nothing.
     fn hit_is_order_neutral(&self, set: usize, way: usize) -> bool {
-        !self.lru || self.stamps[set * self.ways + way] == self.ticks[set]
+        let stamps = self.set_stamps(set);
+        !self.lru || stamps.iter().all(|&stamp| stamp <= stamps[way])
     }
 }
 
@@ -517,40 +537,49 @@ proptest! {
         let _ = Formula::parse(&src);
     }
 
-    /// Recency lists evict exactly like per-way age stamps, under both
-    /// policies. Touches reach only the first `reach` ways, so some ways
-    /// (and sometimes whole sets) are never touched.
+    /// Packed rank words evict exactly like per-way age stamps, under both
+    /// policies, through fills, hits and demotions. A fill takes the oldest
+    /// way; hits and demotions reach only the first `reach` ways, so some
+    /// ways (and sometimes whole sets) are never touched.
     #[test]
     fn recency_lists_replace_like_age_stamps(
         lru in prop::bool::ANY,
         ways in 1usize..65,
         sets in 1usize..5,
         reach in 1usize..65,
-        ops in prop::collection::vec((prop::bool::ANY, 0usize..4, 0usize..64), 0..160),
+        ops in prop::collection::vec((0u8..5, 0usize..4, 0usize..64), 0..400),
     ) {
         let policy = if lru { ReplacementPolicy::Lru } else { ReplacementPolicy::Fifo };
-        let mut lists = FlatReplacement::new(policy, sets, ways);
+        let recency = Recency::new(policy, ways);
+        let words = recency.words();
+        let mut ranks = vec![0u64; sets * words];
         let mut stamps = StampModel::new(lru, sets, ways);
         let reach = reach.min(ways);
-        for (step, (fill, set, way)) in ops.into_iter().enumerate() {
+        for (step, (op, set, way)) in ops.into_iter().enumerate() {
             let (set, way) = (set % sets, way % reach);
-            if fill {
-                lists.on_fill(set, way);
-                stamps.on_fill(set, way);
-            } else {
-                lists.on_hit(set, way);
-                stamps.on_hit(set, way);
-            }
-            for set in 0..sets {
-                prop_assert_eq!(lists.oldest_way(set), stamps.oldest_way(set), "step {} set {}", step, set);
-                // A hit needs a filled way, so no cache asks about a set
-                // with no touches (where every stamp equals the tick, 0).
-                if stamps.ticks[set] == 0 {
-                    continue;
+            let set_ranks = &mut ranks[set * words..(set + 1) * words];
+            match op {
+                0 | 1 => {
+                    let victim = stamps.oldest_way(set);
+                    prop_assert_eq!(recency.fill(set_ranks), victim, "step {} fill", step);
+                    stamps.on_fill(set, victim);
                 }
-                for way in 0..ways {
+                2 | 3 => {
+                    recency.on_hit(set_ranks, way);
+                    stamps.on_hit(set, way);
+                }
+                _ => {
+                    recency.demote(set_ranks, way);
+                    stamps.demote(set, way);
+                }
+            }
+            for (set, set_ranks) in ranks.chunks_exact(words).enumerate() {
+                prop_assert_eq!(recency.oldest_way(set_ranks), stamps.oldest_way(set), "step {} set {}", step, set);
+                // A hit needs a valid way: one filled and not invalidated
+                // (demoted) since, so only those ways are asked about.
+                for way in (0..ways).filter(|&way| stamps.set_stamps(set)[way] > 0) {
                     prop_assert_eq!(
-                        lists.hit_is_order_neutral(set, way),
+                        recency.hit_is_order_neutral(set_ranks, way),
                         stamps.hit_is_order_neutral(set, way),
                         "step {} set {} way {}", step, set, way
                     );
