@@ -11,7 +11,7 @@
 //! multi-thread access streams through both implementations and requires
 //! bit-identical [`NodeStats`].
 //!
-//! Each cache instance is a [`NaiveCache`] of its own: per set, a list of
+//! Each cache instance is a `NaiveCache` of its own: per set, a list of
 //! `(tag, dirty, stamp)` ways under the age-stamp replacement rule, with
 //! none of the optimized [`crate::SetAssocCache`]'s tag encoding, packed
 //! rank words or set-index masks, so a replacement or lookup bug in the
