@@ -7,8 +7,8 @@
 //! [`MetricEvaluator`] holds the formulas of every group of a measurement,
 //! bound to the value layout `[inverseClock, counters…, time]`. It touches
 //! no counter, so the same evaluator serves a [`super::PerfCtr`] session,
-//! the post-mortem [`super::TimelineSession::finish`] and a client that
-//! rebuilds a daemon session's metrics from the streamed counts.
+//! a local [`super::TimelineSession::run`] and a client that rebuilds a
+//! daemon session's metrics from the streamed counts.
 
 use std::cell::RefCell;
 

@@ -412,6 +412,11 @@ impl<'m> PerfCtr<'m> {
         Ok(session)
     }
 
+    /// The machine the session measures.
+    pub(crate) fn machine(&self) -> &'m SimMachine {
+        self.machine
+    }
+
     /// The measured hardware threads.
     pub fn cpus(&self) -> &[usize] {
         &self.cpus

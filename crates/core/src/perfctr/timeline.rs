@@ -15,10 +15,10 @@
 //! an interval is a span of *modelled* runtime. Workload drivers emit
 //! progress ticks with virtual timestamps (see
 //! `likwid_workloads::exec::ProgressTrace`), the harness slices the
-//! simulated activity at interval boundaries, credits each slice through
-//! the counting engine, and calls [`TimelineSession::tick`] — the counter
-//! deltas per interval therefore sum *exactly* to the aggregate counts of
-//! the same run.
+//! simulated activity at interval boundaries, and
+//! [`TimelineSession::run`] credits each slice through the counting engine
+//! and closes its interval — the counter deltas per interval therefore sum
+//! *exactly* to the aggregate counts of the same run.
 //!
 //! Since the simulated tool cannot attach to a real process, the CLI's
 //! timeline and stethoscope modes observe a built-in synthetic target
@@ -126,13 +126,6 @@ impl IntervalLog {
         IntervalLog { rows, width, spans: Vec::new(), counts: Vec::new() }
     }
 
-    /// Make room for `intervals` more intervals of the widest group.
-    pub(crate) fn reserve(&mut self, intervals: usize) {
-        let widest = self.rows.iter().copied().max().unwrap_or(0);
-        self.spans.reserve(intervals);
-        self.counts.reserve(intervals * widest * self.width);
-    }
-
     /// Append one interval of `group`. Panics unless `counts` holds one
     /// row per event of the group and one count per cpu in every row:
     /// callers check the shape of untrusted input first.
@@ -195,22 +188,20 @@ impl IntervalLog {
     }
 }
 
-/// A time-resolved measurement session: wraps [`PerfCtr`] and records
+/// A time-resolved measurement session: wraps [`PerfCtr`] and takes
 /// per-interval counter deltas while the caller advances virtual time.
 ///
-/// Protocol: [`TimelineSession::start`], then — per interval — credit the
-/// interval's simulated activity through the counting engine and call
-/// [`TimelineSession::tick`] with the interval's virtual length; finally
-/// [`TimelineSession::finish`] yields the [`TimelineResult`]. A session
-/// time-sliced against others instead brackets each interval with
-/// [`TimelineSession::resume`] and [`TimelineSession::tick_and_suspend`].
+/// A local run hands the whole sliced activity to [`TimelineSession::run`],
+/// which yields the [`TimelineResult`]. A session time-sliced against
+/// others instead brackets each interval with [`TimelineSession::resume`]
+/// and [`TimelineSession::tick_and_suspend`], keeps what it needs of each
+/// interval itself, and ends with [`TimelineSession::finish_totals`].
 ///
-/// Every buffer of an interval is kept per group and reused: the counts
-/// are read into the group's latest interval, the deltas are taken against
-/// the group's baseline in place, and the recorded deltas append to one
-/// [`IntervalLog`] ([`TimelineSession::reserve_intervals`] sizes it up
-/// front). Resuming zeroes the baseline in place, so a warm interval
-/// allocates nothing.
+/// The session keeps no history: every buffer of an interval is kept per
+/// group and reused. The counts are read into the group's latest interval,
+/// and the deltas are taken against the group's baseline in place.
+/// Resuming zeroes the baseline in place, so a warm interval allocates
+/// nothing.
 pub struct TimelineSession<'m> {
     session: PerfCtr<'m>,
     interval_s: f64,
@@ -218,11 +209,11 @@ pub struct TimelineSession<'m> {
     /// Per group: the counts at its last sampling point, zero right after
     /// the group was programmed.
     baselines: Vec<GroupCounts>,
-    /// Per group: its most recent interval, the one [`TimelineSession::tick`]
+    /// Per group: its most recent interval, the one closing an interval
     /// returns.
     latest: Vec<TimelineInterval>,
-    /// Every recorded interval, in order.
-    log: IntervalLog,
+    /// The number of intervals closed so far.
+    intervals: usize,
 }
 
 impl<'m> TimelineSession<'m> {
@@ -242,7 +233,6 @@ impl<'m> TimelineSession<'m> {
         let zeros = |group| vec![vec![0; cpus]; session.num_events(group)];
         let groups = 0..session.num_groups();
         let baselines = groups.clone().map(zeros).collect();
-        let log = IntervalLog::new(groups.clone().map(|g| session.num_events(g)).collect(), cpus);
         let latest = groups
             .map(|group| TimelineInterval {
                 t_start_s: 0.0,
@@ -251,7 +241,7 @@ impl<'m> TimelineSession<'m> {
                 counts: zeros(group),
             })
             .collect();
-        Ok(TimelineSession { session, interval_s, elapsed_s: 0.0, baselines, latest, log })
+        Ok(TimelineSession { session, interval_s, elapsed_s: 0.0, baselines, latest, intervals: 0 })
     }
 
     /// The wrapped counter session.
@@ -259,28 +249,48 @@ impl<'m> TimelineSession<'m> {
         &self.session
     }
 
-    /// The configured sampling interval in seconds.
-    pub fn interval_s(&self) -> f64 {
-        self.interval_s
-    }
-
-    /// Reserve room for recording `intervals` more intervals, so that
-    /// recording them does not grow (reallocate) the history.
-    pub fn reserve_intervals(&mut self, intervals: usize) {
-        self.log.reserve(intervals);
+    /// Drive a local run over `slices` of simulated activity, each
+    /// `(t_start_s, t_end_s, activity)` in time order: start counting, then
+    /// per slice credit its activity through the counting engine and close
+    /// its interval. The last interval is closed by
+    /// [`TimelineSession::tick_and_suspend`], not rotated, so finishing
+    /// reads no counter again. Every interval is logged, and the result is
+    /// the session's totals with the logged intervals and their time series
+    /// rebuilt on top ([`TimelineTotals::rebuild`]).
+    pub fn run(
+        mut self,
+        slices: impl IntoIterator<Item = (f64, f64, EventSample)>,
+    ) -> Result<TimelineResult> {
+        let machine = self.session.machine();
+        let engine = EventEngine::new(machine);
+        let groups = 0..self.session.num_groups();
+        let rows = groups.map(|g| self.session.num_events(g)).collect();
+        let mut log = IntervalLog::new(rows, self.session.cpus().len());
+        self.start()?;
+        let mut slices = slices.into_iter().peekable();
+        while let Some((t0, t1, sample)) = slices.next() {
+            engine.apply(machine, &sample);
+            let interval = match slices.peek() {
+                Some(_) => self.tick(t1 - t0)?,
+                None => self.tick_and_suspend(t1 - t0)?,
+            };
+            log.push(interval.t_start_s, interval.t_end_s, interval.group, &interval.counts);
+        }
+        let totals = self.totals(1.0)?;
+        totals.rebuild(&log, self.session.metrics())
     }
 
     /// Start counting.
-    pub fn start(&mut self) -> Result<()> {
+    fn start(&mut self) -> Result<()> {
         self.session.start()
     }
 
     /// Close the current interval after `dt_s` seconds of virtual time:
-    /// record the active group's count deltas and — in multiplexing mode —
+    /// take the active group's count deltas and — in multiplexing mode —
     /// rotate to the next group (the rotation folds the reading the deltas
     /// came from, then reprograms and zeroes the counters, so the next
-    /// interval starts from a clean slate). Returns the recorded interval.
-    pub fn tick(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
+    /// interval starts from a clean slate). Returns the closed interval.
+    fn tick(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
         let group = self.record(dt_s)?;
         if self.session.num_groups() > 1 {
             self.session.rotate(Some(&self.baselines[group]))?;
@@ -289,14 +299,15 @@ impl<'m> TimelineSession<'m> {
         Ok(&self.latest[group])
     }
 
-    /// Close the current interval as [`TimelineSession::tick`] does, then
-    /// yield the hardware between cross-session time slices (see
-    /// [`PerfCtr::suspend`]): the session's counter slots are stopped and
-    /// the reading the interval's deltas came from is folded into its
-    /// accumulator, so the `likwid-perfctrd` broker can hand the registers
-    /// to another session sharing the same cpus. A multiplexed session
+    /// Close the current interval after `dt_s` seconds of virtual time,
+    /// taking the active group's count deltas, then yield the hardware
+    /// between cross-session time slices (see [`PerfCtr::suspend`]): the
+    /// session's counter slots are stopped and the reading the interval's
+    /// deltas came from is folded into its accumulator, so the
+    /// `likwid-perfctrd` broker can hand the registers to another session
+    /// sharing the same cpus. A multiplexed session
     /// rotates to its next group without programming it;
-    /// [`TimelineSession::resume`] programs it. Returns the recorded
+    /// [`TimelineSession::resume`] programs it. Returns the closed
     /// interval, so the broker can stream the deltas while the run is
     /// still in flight.
     pub fn tick_and_suspend(&mut self, dt_s: f64) -> Result<&TimelineInterval> {
@@ -305,7 +316,7 @@ impl<'m> TimelineSession<'m> {
         Ok(&self.latest[group])
     }
 
-    /// Record the active group's deltas over the next `dt_s` seconds with
+    /// Take the active group's deltas over the next `dt_s` seconds with
     /// one read of its counters, and return the group. Its baseline
     /// becomes that reading: the cumulative counts since the group was
     /// programmed.
@@ -331,7 +342,7 @@ impl<'m> TimelineSession<'m> {
         // the deterministic timeline instead of the wall clock.
         if crate::trace::enabled() {
             let track = self.session.cpus().first().copied().unwrap_or(0) as u64;
-            let index = self.log.len();
+            let index = self.intervals;
             crate::trace::complete_virtual(
                 crate::trace::cat::CORE,
                 track,
@@ -341,7 +352,7 @@ impl<'m> TimelineSession<'m> {
                 || vec![("index", index.to_string()), ("group", group.to_string())],
             );
         }
-        self.log.push(interval.t_start_s, interval.t_end_s, group, &interval.counts);
+        self.intervals += 1;
         self.elapsed_s += dt_s;
         Ok(group)
     }
@@ -362,44 +373,23 @@ impl<'m> TimelineSession<'m> {
         Ok(())
     }
 
-    /// Stop counting and assemble the result: the per-interval deltas, the
-    /// per-group raw aggregates (which the deltas sum to exactly), the
-    /// coverage-extrapolated aggregates for multiplexed lists, aggregate
-    /// results with the total-runtime `time` binding, and one
-    /// [`TimeSeries`] per group with the per-interval derived metrics
-    /// (`time` bound to each interval's dt).
-    pub fn finish(self) -> Result<TimelineResult> {
-        self.finish_scaled(1.0)
-    }
-
-    /// [`TimelineSession::finish`] with a cross-session coverage factor:
+    /// Stop counting and compute the totals: the per-group raw aggregates
+    /// (which the interval deltas sum to exactly), the coverage-extrapolated
+    /// aggregates for multiplexed lists, and aggregate results with the
+    /// total-runtime `time` binding.
+    ///
     /// `time_scale` is the wall-to-measured virtual-time ratio of a daemon
     /// session that was time-sliced against other sessions sharing its
     /// cpus, and scales the extrapolated aggregates (and the metrics
     /// derived from them) the same way the in-session multiplex schedule
     /// scales per-group coverage. A solo session passes exactly `1.0`,
-    /// which is the identity — bit-identical to [`TimelineSession::finish`].
-    ///
-    /// The totals of [`TimelineSession::finish_totals`], with the recorded
-    /// intervals and their time series rebuilt on top
-    /// ([`TimelineTotals::rebuild`]).
-    pub fn finish_scaled(mut self, time_scale: f64) -> Result<TimelineResult> {
-        let totals = self.totals(time_scale)?;
-        let intervals = self.log.intervals();
-        // Rebuilt; the flat copy need not outlive it.
-        let TimelineSession { session, log, .. } = self;
-        drop(log);
-        totals.rebuild(intervals, session.metrics())
-    }
-
-    /// Stop counting and compute only the totals of
-    /// [`TimelineSession::finish_scaled`]: nothing per interval is rebuilt,
-    /// and the recorded history is dropped with the session.
+    /// which is the identity.
     pub fn finish_totals(mut self, time_scale: f64) -> Result<TimelineTotals> {
         self.totals(time_scale)
     }
 
-    /// The totals step shared by both finishes.
+    /// The totals step of [`TimelineSession::run`] and
+    /// [`TimelineSession::finish_totals`].
     fn totals(&mut self, time_scale: f64) -> Result<TimelineTotals> {
         if !time_scale.is_finite() || time_scale < 1.0 {
             return Err(LikwidError::Session(format!(
@@ -438,7 +428,7 @@ impl<'m> TimelineSession<'m> {
         Ok(TimelineTotals {
             interval_s: self.interval_s,
             duration_s: self.elapsed_s,
-            intervals: self.log.len(),
+            intervals: self.intervals,
             cpus: self.session.cpus().to_vec(),
             socket_lock_owners: self.session.socket_lock_owners(),
             group_names: (0..num_groups).map(|g| self.session.group_name(g).to_string()).collect(),
@@ -457,7 +447,7 @@ pub struct TimelineTotals {
     pub interval_s: f64,
     /// Total measured virtual time in seconds.
     pub duration_s: f64,
-    /// The number of recorded intervals.
+    /// The number of intervals.
     pub intervals: usize,
     /// The measured hardware threads.
     pub cpus: Vec<usize>,
@@ -474,22 +464,19 @@ pub struct TimelineTotals {
 }
 
 impl TimelineTotals {
-    /// The rebuild step: the full result, with the recorded `intervals`
+    /// The rebuild step: the full result, with the intervals of `log`
     /// (rebuilt by [`IntervalLog::intervals`]) and one time series per
-    /// group derived from them by `metrics`. Intervals that are not the
-    /// counted ones are a session error.
-    pub fn rebuild(
-        self,
-        intervals: Vec<TimelineInterval>,
-        metrics: &MetricEvaluator,
-    ) -> Result<TimelineResult> {
-        if intervals.len() != self.intervals {
+    /// group derived from them by `metrics`. A log that does not hold the
+    /// counted intervals is a session error.
+    pub fn rebuild(self, log: &IntervalLog, metrics: &MetricEvaluator) -> Result<TimelineResult> {
+        if log.len() != self.intervals {
             return Err(LikwidError::Session(format!(
-                "{} intervals rebuilt, {} counted",
-                intervals.len(),
+                "{} intervals logged, {} counted",
+                log.len(),
                 self.intervals
             )));
         }
+        let intervals = log.intervals();
         let timeseries = metrics.timeseries(&intervals)?;
         Ok(TimelineResult {
             interval_s: self.interval_s,
@@ -540,22 +527,6 @@ pub struct TimelineResult {
 }
 
 impl TimelineResult {
-    /// A copy of the result's totals: everything but its intervals and
-    /// time series.
-    pub fn totals(&self) -> TimelineTotals {
-        TimelineTotals {
-            interval_s: self.interval_s,
-            duration_s: self.duration_s,
-            intervals: self.intervals.len(),
-            cpus: self.cpus.clone(),
-            socket_lock_owners: self.socket_lock_owners.clone(),
-            group_names: self.group_names.clone(),
-            aggregate: self.aggregate.clone(),
-            extrapolated: self.extrapolated.clone(),
-            aggregate_results: self.aggregate_results.clone(),
-        }
-    }
-
     /// The index of a group by name.
     pub(crate) fn group_index(&self, name: &str) -> Option<usize> {
         self.group_names.iter().position(|n| n == name)
@@ -782,24 +753,18 @@ pub fn run_demo_timeline(
     interval_s: f64,
     duration_s: f64,
 ) -> Result<TimelineResult> {
-    let mut session = TimelineSession::new(machine, config, interval_s)?;
+    // Checked before the session programs any counter.
     check_sampling_points(interval_s, duration_s)?;
+    let session = TimelineSession::new(machine, config, interval_s)?;
     let cpus = session.session().cpus().to_vec();
-    let engine = EventEngine::new(machine);
-    session.start()?;
-    let mut t0 = 0.0;
-    for i in 0.. {
+    let mut next_t0 = Some(0.0);
+    let slices = (0..).map_while(move |i| {
+        let t0 = next_t0?;
         let (t1, last) = interval_end(i, interval_s, duration_s);
-        engine.apply(machine, &demo_slice(machine, &cpus, t0, t1));
-        if last {
-            // Suspended, not rotated: `finish` then reads nothing.
-            session.tick_and_suspend(t1 - t0)?;
-            break;
-        }
-        session.tick(t1 - t0)?;
-        t0 = t1;
-    }
-    session.finish()
+        next_t0 = (!last).then_some(t1);
+        Some((t0, t1, demo_slice(machine, &cpus, t0, t1)))
+    });
+    session.run(slices)
 }
 
 /// Run the CLI's stethoscope mode: measure the synthetic demo application
@@ -868,28 +833,23 @@ mod tests {
         // metrics divide the interval's counts by the interval dt, the
         // aggregate divides the total counts by the total runtime.
         let machine = SimMachine::new(MachinePreset::NehalemEp2S);
-        let mut session = TimelineSession::new(
+        let session = TimelineSession::new(
             &machine,
             config(MeasurementSpec::Group(EventGroupKind::MEM), vec![0]),
             1e-3,
         )
         .unwrap();
-        session.start().unwrap();
-        let engine = EventEngine::new(&machine);
         let frequency_hz = machine.clock().frequency_hz;
         let topo = machine.topology();
-        for _ in 0..8 {
-            // 1 ms at exactly 1e5 reads + 5e4 writes per interval.
-            let mut sample = EventSample::new(topo.num_hw_threads(), topo.sockets as usize);
-            sample.threads[0].add(HwEventKind::CoreCycles, (1e-3 * frequency_hz) as u64);
-            sample.threads[0].add(HwEventKind::InstructionsRetired, 1_000_000);
-            sample.sockets[0].add(HwEventKind::MemoryReads, 100_000);
-            sample.sockets[0].add(HwEventKind::MemoryWrites, 50_000);
-            sample.sockets[0].add(HwEventKind::UncoreCycles, (1e-3 * frequency_hz) as u64);
-            engine.apply(&machine, &sample);
-            session.tick(1e-3).unwrap();
-        }
-        let result = session.finish().unwrap();
+        // 1 ms at exactly 1e5 reads + 5e4 writes per interval.
+        let mut sample = EventSample::new(topo.num_hw_threads(), topo.sockets as usize);
+        sample.threads[0].add(HwEventKind::CoreCycles, (1e-3 * frequency_hz) as u64);
+        sample.threads[0].add(HwEventKind::InstructionsRetired, 1_000_000);
+        sample.sockets[0].add(HwEventKind::MemoryReads, 100_000);
+        sample.sockets[0].add(HwEventKind::MemoryWrites, 50_000);
+        sample.sockets[0].add(HwEventKind::UncoreCycles, (1e-3 * frequency_hz) as u64);
+        let slices = (0..8).map(|i| (i as f64 * 1e-3, (i + 1) as f64 * 1e-3, sample.clone()));
+        let result = session.run(slices).unwrap();
         let aggregate_bw = result.aggregate_results[0]
             .metric("Memory bandwidth [MBytes/s]", 0)
             .expect("aggregate bandwidth");
@@ -1081,15 +1041,19 @@ mod tests {
         .unwrap();
         let cpus = session.session().cpus().to_vec();
         let engine = EventEngine::new(&machine);
+        let mut log = IntervalLog::new(vec![session.session().num_events(0)], cpus.len());
         let mut t0 = 0.0;
         for i in 0..10 {
             session.resume().unwrap();
             let t1 = ((i + 1) as f64 * 1e-3).min(DEMO_DURATION_S);
             engine.apply(&machine, &demo_slice(&machine, &cpus, t0, t1));
-            session.tick_and_suspend(t1 - t0).unwrap();
+            let iv = session.tick_and_suspend(t1 - t0).unwrap();
+            log.push(iv.t_start_s, iv.t_end_s, iv.group, &iv.counts);
             t0 = t1;
         }
-        let sliced = session.finish().unwrap();
+        // The finish of `run`, over the intervals logged here.
+        let totals = session.totals(1.0).unwrap();
+        let sliced = totals.rebuild(&log, session.session().metrics()).unwrap();
         assert_eq!(sliced.intervals, reference.intervals);
         assert_eq!(sliced.aggregate, reference.aggregate);
         assert_eq!(sliced.extrapolated, reference.extrapolated);
@@ -1108,12 +1072,12 @@ mod tests {
         let engine = EventEngine::new(&machine);
         session.start().unwrap();
         engine.apply(&machine, &demo_slice(&machine, &[0], 0.0, 1e-3));
-        session.tick(1e-3).unwrap();
-        let result = session.finish_scaled(2.0).unwrap();
+        let counts = session.tick(1e-3).unwrap().counts.clone();
+        let totals = session.finish_totals(2.0).unwrap();
         // Raw aggregates keep the measured counts; extrapolation doubles.
-        assert_eq!(result.intervals[0].counts, result.aggregate[0]);
-        for (ei, per_cpu) in result.extrapolated[0].iter().enumerate() {
-            assert_eq!(per_cpu[0], 2 * result.aggregate[0][ei][0], "event {ei}");
+        assert_eq!(counts, totals.aggregate[0]);
+        for (ei, per_cpu) in totals.extrapolated[0].iter().enumerate() {
+            assert_eq!(per_cpu[0], 2 * totals.aggregate[0][ei][0], "event {ei}");
         }
         // Sub-unity and non-finite scales are session misuse.
         let machine2 = SimMachine::new(MachinePreset::WestmereEp2S);
@@ -1124,7 +1088,7 @@ mod tests {
                 1e-3,
             )
             .unwrap();
-            assert!(matches!(s.finish_scaled(bad), Err(LikwidError::Session(_))), "{bad}");
+            assert!(matches!(s.finish_totals(bad), Err(LikwidError::Session(_))), "{bad}");
         }
     }
 
@@ -1152,28 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn finish_totals_are_the_totals_of_finish_scaled() {
-        fn run(machine: &SimMachine) -> TimelineSession<'_> {
-            let spec = MeasurementSpec::Groups(vec![EventGroupKind::FLOPS_DP, EventGroupKind::MEM]);
-            let mut session =
-                TimelineSession::new(machine, config(spec, vec![0, 1]), 1e-3).unwrap();
-            let engine = EventEngine::new(machine);
-            session.start().unwrap();
-            for i in 0..5 {
-                let t0 = i as f64 * 1e-3;
-                engine.apply(machine, &demo_slice(machine, &[0, 1], t0, t0 + 1e-3));
-                session.tick(1e-3).unwrap();
-            }
-            session
-        }
-        let totals = run(&SimMachine::new(MachinePreset::WestmereEp2S)).finish_totals(1.5).unwrap();
-        let result = run(&SimMachine::new(MachinePreset::WestmereEp2S)).finish_scaled(1.5).unwrap();
-        assert_eq!(totals.intervals, 5);
-        assert_eq!(totals, result.totals());
-        assert_ne!(totals.aggregate, totals.extrapolated, "multiplexed and scaled");
-    }
-
-    #[test]
     fn a_dead_cpu_reads_zero_deltas_across_group_rotations() {
         // Regression: reprogramming skipped a dead cpu without resetting its
         // slot tracking, so every later rotation back to a group re-reported
@@ -1193,12 +1135,15 @@ mod tests {
         )
         .unwrap();
         let engine = EventEngine::new(&machine);
+        let rows = (0..2).map(|g| session.session().num_events(g)).collect();
+        let mut log = IntervalLog::new(rows, 2);
         session.start().unwrap();
         let mut died_at = None;
         for i in 0..10 {
             let (t0, t1) = (i as f64 * 1e-3, (i + 1) as f64 * 1e-3);
             engine.apply(&machine, &demo_slice(&machine, &[0, 1], t0, t1));
             let interval = session.tick(t1 - t0).unwrap();
+            log.push(interval.t_start_s, interval.t_end_s, interval.group, &interval.counts);
             let cpu1: u64 = interval.counts.iter().map(|row| row[1]).sum();
             let cpu0: u64 = interval.counts.iter().map(|row| row[0]).sum();
             assert!(cpu0 > 0, "interval {i}: the live cpu keeps counting");
@@ -1214,17 +1159,9 @@ mod tests {
         }
         let died_at = died_at.expect("cpu 1 dies within the run");
         assert!(died_at < 6, "cpu 1 dies early enough to see rotations, at {died_at}");
-        let result = session.finish().unwrap();
+        let totals = session.finish_totals(1.0).unwrap();
         // The deltas still telescope to the aggregates on both cpus.
-        for (g, aggregate) in result.aggregate.iter().enumerate() {
-            for (ei, per_cpu) in aggregate.iter().enumerate() {
-                for (ci, &total) in per_cpu.iter().enumerate() {
-                    let summed: u64 =
-                        result.intervals_of_group(g).iter().map(|iv| iv.counts[ei][ci]).sum();
-                    assert_eq!(summed, total, "group {g} event {ei} cpu {ci}");
-                }
-            }
-        }
+        assert_eq!(log.group_sums(), totals.aggregate);
     }
 
     #[test]

@@ -46,23 +46,22 @@
 //!
 //! # Finishing
 //!
-//! A session ends in one of two ways, which share the coverage scale and
-//! the release of its broker slot and locks, and send the same `done`
-//! frame. [`SessionHandle::finish_done`], the socket server's path,
-//! builds that frame from the timeline's totals alone
-//! ([`TimelineSession::finish_totals`]): the recorded intervals are
-//! neither cut back into intervals nor evaluated, since the client
-//! already holds them. [`SessionHandle::finish`] also rebuilds the full
-//! [`TimelineResult`] with every interval and time series, for
-//! in-process callers such as `Experiment::via_daemon`.
+//! The broker keeps no interval history: each interval's deltas leave in
+//! its frame, and whoever wants the intervals back accumulates the frames
+//! (a socket client, or `Experiment::via_daemon` in process, both through
+//! `StreamAccumulator`). [`SessionHandle::finish`] applies the coverage
+//! scale to the timeline's totals ([`TimelineSession::finish_totals`]),
+//! releases the session's broker slot and locks, and builds the `done`
+//! frame from those totals. Opening a session therefore costs the same
+//! memory whatever its duration.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Condvar, Mutex};
 
 use likwid::perfctr::timeline::{check_sampling_points, demo_slice_into, interval_end};
 use likwid::perfctr::{
-    parse_interval, parse_measurement_spec, MeasurementSpec, PerfCtrConfig, TimelineResult,
-    TimelineSession,
+    parse_interval, parse_measurement_spec, MeasurementSpec, PerfCtrConfig, TimelineSession,
+    TimelineTotals,
 };
 use likwid::trace;
 use likwid::{LikwidError, Result};
@@ -382,7 +381,7 @@ impl<'m> Daemon<'m> {
             PerfCtrConfig { cpus: config.cpus.clone(), spec: config.spec.clone() },
             config.interval_s,
         );
-        let mut session = match session {
+        let session = match session {
             Ok(session) => session,
             Err(e) => {
                 self.release(id, true);
@@ -391,9 +390,6 @@ impl<'m> Daemon<'m> {
         };
         // Construction used the turn; hand it on.
         self.end_turn(id, 0.0, false);
-        // The interval walk of `next_interval` ends within one interval of
-        // this count, so the history never grows mid-stream.
-        session.reserve_intervals((config.duration_s / config.interval_s).ceil() as usize + 1);
 
         let schema = (0..session.session().num_groups())
             .map(|g| GroupSchema {
@@ -842,33 +838,10 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
         Ok(true)
     }
 
-    /// Finish the session for the wire: apply the cross-session coverage
-    /// scale and build the `done` frame from the session's totals alone.
-    /// The recorded intervals are neither rebuilt nor evaluated; they are
-    /// dropped with the session. The socket server's path.
-    pub fn finish_done(self) -> Result<DoneFrame> {
-        let id = self.id;
-        let (time_scale, totals) = self.close(TimelineSession::finish_totals)?;
-        Ok(DoneFrame::new(id, time_scale, totals))
-    }
-
-    /// Finish the session: apply the cross-session coverage scale and
-    /// assemble the full post-mortem result next to its wire frame, which
-    /// equals the one [`SessionHandle::finish_done`] builds. The in-process
-    /// path (`Experiment::via_daemon`).
-    pub fn finish(self) -> Result<(DoneFrame, TimelineResult)> {
-        let id = self.id;
-        let (time_scale, result) = self.close(TimelineSession::finish_scaled)?;
-        Ok((DoneFrame::new(id, time_scale, result.totals()), result))
-    }
-
-    /// The part both finishes share: compute the session's coverage scale,
-    /// finish its timeline with it through `finish`, release the broker
-    /// slot. Returns the scale next to what `finish` made of the timeline.
-    fn close<T>(
-        mut self,
-        finish: impl FnOnce(TimelineSession<'m>, f64) -> Result<T>,
-    ) -> Result<(f64, T)> {
+    /// Finish the session: apply the cross-session coverage scale to the
+    /// timeline's totals, release the broker slot and locks, and build the
+    /// `done` frame from the totals. Returns the frame next to the totals.
+    pub fn finish(mut self) -> Result<(DoneFrame, TimelineTotals)> {
         let session = self.session.take().expect("session alive until finish");
         let measured = self.t0;
         let wall_extra = self.daemon.wall_extra(self.id);
@@ -879,9 +852,9 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
         // failed interval folds the registers one last time; the credit
         // lock keeps that read out of another session's live window on
         // shared cpus.
-        let finished = {
+        let totals = {
             let _credit = self.daemon.credit.lock().unwrap();
-            finish(session, time_scale)
+            session.finish_totals(time_scale)
         };
         self.daemon.release(self.id, false);
         self.released = true;
@@ -892,7 +865,8 @@ impl<'d, 'm> SessionHandle<'d, 'm> {
             || format!("session{}.coverage_permille", self.id),
             (time_scale * 1000.0).round() as i64,
         );
-        Ok((time_scale, finished?))
+        let totals = totals?;
+        Ok((DoneFrame::new(self.id, time_scale, totals.clone()), totals))
     }
 }
 

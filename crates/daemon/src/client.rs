@@ -2,13 +2,14 @@
 //! reconstruction, and the Unix-socket client.
 //!
 //! A measurement session streams `interval` frames while it runs and a
-//! `done` frame when it finishes. [`StreamAccumulator`] consumes that
-//! stream and rebuilds the session's full [`TimelineResult`] — the
-//! per-interval raw deltas, the aggregates the deltas telescope to, and
-//! the per-group time series in exactly the order the post-mortem
-//! `TimelineSession::finish` emits them, so `accumulator.result().report()`
-//! renders byte-identically to the report a local `likwid-perfctr -t` run
-//! would have produced.
+//! `done` frame when it finishes. The daemon keeps no interval history, so
+//! the stream is the only place a session's intervals are kept.
+//! [`StreamAccumulator`] consumes it and rebuilds the session's full
+//! [`TimelineResult`] — the per-interval raw deltas, the aggregates the
+//! deltas telescope to, and the per-group time series in exactly the order
+//! a local `TimelineSession::run` emits them, so
+//! `accumulator.result().report()` renders byte-identically to the report
+//! a local `likwid-perfctr -t` run would have produced.
 //!
 //! Interval frames carry raw counts only. The per-interval metrics are
 //! derived here, when a client renders a row ([`stream_row`]) or rebuilds
@@ -20,10 +21,10 @@
 //! every interval line into one reused [`Frame`], whose rows are
 //! overwritten in place, hands it to the caller's hook and copies its
 //! counts into the accumulator's [`IntervalLog`]: the spans in one vector,
-//! the count rows back to back in another, the layout a `TimelineSession`
-//! records. A warm frame allocates nothing, and a stream of any length
-//! costs two growing vectors instead of a heap block per count row. The
-//! per-interval [`TimelineInterval`](likwid::perfctr::TimelineInterval)s
+//! the count rows back to back in another, the log a local
+//! `TimelineSession::run` keeps. A warm frame allocates nothing, and a
+//! stream of any length costs two growing vectors instead of a heap block
+//! per count row. The per-interval [`TimelineInterval`](likwid::perfctr::TimelineInterval)s
 //! exist only while [`StreamAccumulator::result`] rebuilds them.
 
 use std::io::{BufRead, BufReader, Write};
@@ -40,9 +41,9 @@ use likwid::json::JsonValue;
 /// result.
 ///
 /// The interval frames are not kept as frames: their spans and counts
-/// append to one flat [`IntervalLog`], the layout a `TimelineSession`
-/// records, so a stream of any length costs two growing vectors rather
-/// than one heap block per count row. The log grows as frames arrive; it
+/// append to one flat [`IntervalLog`], the log a local
+/// `TimelineSession::run` keeps, so a stream of any length costs two
+/// growing vectors rather than one heap block per count row. The log grows as frames arrive; it
 /// is not sized from the `opened` frame's duration up front.
 #[derive(Debug, Clone)]
 pub struct StreamAccumulator {
@@ -155,8 +156,9 @@ impl StreamAccumulator {
 
     /// Rebuild the full [`TimelineResult`] from the accumulated stream,
     /// deriving the per-interval metrics from the streamed counts: the
-    /// rebuild step of `TimelineSession::finish_scaled`, over the totals
-    /// the `done` frame carries.
+    /// rebuild step of a local `TimelineSession::run`
+    /// ([`TimelineTotals::rebuild`]), over the totals the `done` frame
+    /// carries.
     pub fn result(&self) -> Result<TimelineResult> {
         let done = self.done()?;
         let totals = TimelineTotals {
@@ -170,7 +172,7 @@ impl StreamAccumulator {
             extrapolated: done.extrapolated.clone(),
             aggregate_results: done.results.clone(),
         };
-        totals.rebuild(self.log.intervals(), &self.opened.metric_evaluator()?)
+        totals.rebuild(&self.log, &self.opened.metric_evaluator()?)
     }
 }
 

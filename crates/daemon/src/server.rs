@@ -4,11 +4,11 @@
 //! handler thread speaking the NDJSON protocol of [`crate::protocol`]. A
 //! handler greets with `hello`, then serves commands: `open` admits a
 //! measurement session through the broker and streams its interval frames
-//! until `done`, which it builds from the session's totals
-//! ([`crate::SessionHandle::finish_done`]) without rebuilding the
-//! intervals it already sent; `status` answers with the broker's
-//! observability snapshot (never blocking a measurement turn); `ping`
-//! answers `pong`; `shutdown` stops the daemon. Any write failure (the
+//! until `done`, the frame of [`crate::SessionHandle::finish`], built from
+//! the session's totals; the intervals went out in their own frames and
+//! are not kept. `status` answers with the broker's observability
+//! snapshot (never blocking a measurement turn); `ping` answers `pong`;
+//! `shutdown` stops the daemon. Any write failure (the
 //! client vanished) aborts the in-flight session, which releases its
 //! broker slot and uncore locks. So does a client that stays
 //! connected but stops reading: once its socket buffer is full, a write
@@ -221,7 +221,7 @@ fn serve_session(daemon: &Daemon<'_>, command: &JsonValue, out: &mut Outbox) -> 
                 return Ok(false);
             }
         }
-        Ok(out.send(&Frame::Done(handle.finish_done()?)))
+        Ok(out.send(&Frame::Done(handle.finish()?.0)))
     })();
     match outcome {
         Ok(alive) => alive,

@@ -407,8 +407,9 @@ fn measure_aggregate(
     Ok((run, marker.region_results(region, &session)?))
 }
 
-/// Timeline mode: a private `TimelineSession`, programmed before the run
-/// and ticked at every interval boundary of the sliced activity.
+/// Timeline mode: a private `TimelineSession` run over the sliced
+/// activity. The run is traced and sliced first, so an interval that cuts
+/// it into too many slices is rejected before any counter is programmed.
 fn measure_timeline(
     workload: &dyn Workload,
     machine: &SimMachine,
@@ -416,25 +417,14 @@ fn measure_timeline(
     config: PerfCtrConfig,
     interval_s: f64,
 ) -> likwid::Result<(WorkloadRun, TimelineResult)> {
-    let mut session = TimelineSession::new(machine, config, interval_s)?;
-    session.start()?;
     let (run, _, slices) = traced_slices(workload, machine, placement, interval_s)?;
-    let engine = EventEngine::new(machine);
-    let mut slices = slices.into_iter().peekable();
-    while let Some((t0, t1, sample)) = slices.next() {
-        engine.apply(machine, &sample);
-        if slices.peek().is_some() {
-            session.tick(t1 - t0)?;
-        } else {
-            // Suspended, not rotated: `finish` then reads nothing.
-            session.tick_and_suspend(t1 - t0)?;
-        }
-    }
-    Ok((run, session.finish()?))
+    let session = TimelineSession::new(machine, config, interval_s)?;
+    Ok((run, session.run(slices)?))
 }
 
 /// Daemon mode: the sliced activity replayed through a daemon session,
-/// opened after the run.
+/// opened after the run, and the result rebuilt from its frames as a
+/// socket client rebuilds it.
 fn measure_replay(
     workload: &dyn Workload,
     placement: &Placement,
@@ -452,9 +442,13 @@ fn measure_replay(
         duration_s,
     };
     let mut handle = daemon.open_session(config, likwid_daemon::ActivitySource::Replay(samples))?;
-    while handle.next_interval()?.is_some() {}
-    let (_done, result) = handle.finish()?;
-    Ok((run, result))
+    let mut stream = likwid_daemon::StreamAccumulator::new(handle.opened().clone());
+    let mut frame = likwid_daemon::IntervalFrame::default();
+    while handle.next_interval_into(&mut frame)? {
+        stream.record(&frame)?;
+    }
+    stream.complete(handle.finish()?.0)?;
+    Ok((run, stream.result()?))
 }
 
 /// `(t_start, t_end, activity)` slices of a traced run, as

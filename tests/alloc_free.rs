@@ -18,8 +18,11 @@
 //! * A client's frames are as flat: decoding an interval line into a warm
 //!   frame (`Frame::decode_line`) allocates nothing, and recording it in a
 //!   `StreamAccumulator` allocates only when the flat log grows.
-//! * `SessionHandle::finish_done` allocates the same bytes whatever the
-//!   number of intervals: it rebuilds nothing per interval.
+//! * Opening a daemon session (`Daemon::validate`, `Daemon::open_session`)
+//!   allocates the same bytes whatever its duration: the daemon keeps no
+//!   interval history, so it reserves none.
+//! * `SessionHandle::finish` allocates the same bytes whatever the number
+//!   of intervals: it rebuilds nothing per interval.
 //!
 //! The allocator counts per thread, so the test harness's own threads and
 //! neighbouring tests cannot disturb a measurement. Nothing in this binary
@@ -350,7 +353,20 @@ fn a_warm_client_frame_is_recorded_without_allocating_until_the_log_grows() {
 }
 
 #[test]
-fn finish_done_allocates_the_same_bytes_for_ten_times_the_intervals() {
+fn opening_a_session_allocates_the_same_bytes_for_nine_times_the_duration() {
+    for (cpus, group) in DAEMON_KINDS {
+        // Spelled with as many characters: the request strings are copied.
+        let bytes = ["10ms", "90ms"].map(|duration| {
+            let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+            let daemon = Daemon::new(&machine);
+            bytes_in(|| drop(black_box(open(&daemon, cpus, group, duration))))
+        });
+        assert_eq!(bytes[0], bytes[1], "-c {cpus} -g {group}: bytes an open allocated");
+    }
+}
+
+#[test]
+fn finish_allocates_the_same_bytes_for_ten_times_the_intervals() {
     for (cpus, group) in DAEMON_KINDS {
         let bytes = ["10ms", "100ms"].map(|duration| {
             let machine = SimMachine::new(MachinePreset::NehalemEp2S);
@@ -359,12 +375,12 @@ fn finish_done_allocates_the_same_bytes_for_ten_times_the_intervals() {
             let mut frame = IntervalFrame::default();
             while handle.next_interval_into(&mut frame).expect("interval") {}
             let mut done = None;
-            let bytes = bytes_in(|| done = Some(handle.finish_done().expect("finish_done")));
+            let bytes = bytes_in(|| done = Some(handle.finish().expect("finish").0));
             let intervals = done.expect("a done frame").intervals;
             (intervals, bytes)
         });
         let intervals = (bytes[0].0, bytes[1].0);
         assert_eq!(intervals, (100, 1_000), "-c {cpus} -g {group}: 100 us intervals");
-        assert_eq!(bytes[0].1, bytes[1].1, "-c {cpus} -g {group}: bytes finish_done allocated");
+        assert_eq!(bytes[0].1, bytes[1].1, "-c {cpus} -g {group}: bytes finish allocated");
     }
 }

@@ -5,14 +5,15 @@
 //! the unit the paper cares about, and, unlike host time, it is exact.
 //! These tests pin that number for the interval of each `daemon_sessions`
 //! session kind on its `nehalem-ep-2s` node, for a local multiplexed
-//! group switch, for a whole local timeline run, and for one PAPI-style
-//! start/stop pair. A change to the
+//! group switch, for a whole local timeline run, for a timeline run whose
+//! interval is rejected, and for one PAPI-style start/stop pair. A change to the
 //! counter lifecycle moves them on purpose; any other change that moves
 //! them is a regression.
 
 use likwid_suite::daemon::{Daemon, IntervalFrame, OpenRequest};
 use likwid_suite::likwid::perfctr::timeline::run_demo_timeline;
 use likwid_suite::likwid::perfctr::{EventGroupKind, MeasurementSpec, PerfCtr, PerfCtrConfig};
+use likwid_suite::likwid::LikwidError;
 use likwid_suite::papi_compat::{Papi, PapiPreset};
 use likwid_suite::x86_machine::{MachinePreset, MsrAccesses, SimMachine};
 
@@ -101,6 +102,20 @@ fn a_whole_local_timeline_run_costs_a_pinned_number_of_device_accesses() {
     };
     assert_eq!(run(vec![EventGroupKind::FLOPS_DP, EventGroupKind::MEM]), accesses(620, 500));
     assert_eq!(run(vec![EventGroupKind::FLOPS_DP]), accesses(216, 56));
+}
+
+#[test]
+fn a_rejected_timeline_interval_touches_no_device() {
+    // `likwid-perfctr --machine westmere-ep-2s -c 0 -g FLOPS_DP -t 1e-12`
+    // cuts the demo window into far more than `MAX_INTERVALS` sampling
+    // points: a usage error, found before any counter is programmed.
+    let machine = SimMachine::new(MachinePreset::WestmereEp2S);
+    let config =
+        PerfCtrConfig { cpus: vec![0], spec: MeasurementSpec::Group(EventGroupKind::FLOPS_DP) };
+    let before = machine.msr_accesses();
+    let outcome = run_demo_timeline(&machine, config, 1e-12, 10e-3);
+    assert!(matches!(outcome, Err(LikwidError::Usage(_))), "{:?}", outcome.err());
+    assert_eq!(machine.msr_accesses().since(before), accesses(0, 0));
 }
 
 #[test]
