@@ -7,6 +7,7 @@ use likwid_perf_events::perfmon::CpuCounters;
 use likwid_perf_events::{
     CounterSlot, EventDefinition, EventTable, MultiplexSchedule, PerfMon, PerfMonError,
 };
+use likwid_x86_machine::pmu::BlockKind;
 use likwid_x86_machine::{MachineError, SimMachine};
 
 use crate::error::{LikwidError, Result};
@@ -315,13 +316,11 @@ impl<'m> PerfCtr<'m> {
         };
 
         // Validate counter capacity per group.
+        let available = table.pmu.count(BlockKind::Pmc) as usize;
         for g in &groups {
             let pmcs = g.events.iter().filter(|(_, s, _)| matches!(s, CounterSlot::Pmc(_))).count();
-            if pmcs > table.num_pmc {
-                return Err(LikwidError::NotEnoughCounters {
-                    requested: pmcs,
-                    available: table.num_pmc,
-                });
+            if pmcs > available {
+                return Err(LikwidError::NotEnoughCounters { requested: pmcs, available });
             }
         }
 
@@ -985,7 +984,7 @@ impl PerfCtrResults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use likwid_perf_events::perfmon::slot_registers;
+    use likwid_perf_events::perfmon::slot_counter;
     use likwid_perf_events::{EventEngine, EventSample, HwEventKind};
     use likwid_x86_machine::MachinePreset;
 
@@ -1126,17 +1125,18 @@ mod tests {
                 .iter()
                 .find(|e| matches!(e.counters, CounterClass::AnyPmc))
                 .unwrap_or_else(|| panic!("{arch:?} has no AnyPmc event"));
-            for n in 0..table.num_pmc as u8 {
+            let num_pmc = table.pmu.count(BlockKind::Pmc);
+            for n in 0..num_pmc {
                 let spec = format!("{}:PMC{n}", pmc_event.name);
                 assert!(parse_event_spec(&spec, &table).is_ok(), "{arch:?} {spec}");
             }
-            let beyond = format!("{}:PMC{}", pmc_event.name, table.num_pmc);
+            let beyond = format!("{}:PMC{num_pmc}", pmc_event.name);
             assert!(parse_event_spec(&beyond, &table).is_err(), "{arch:?} {beyond}");
-            if table.num_fixed > 0 {
+            if table.pmu.count(BlockKind::Fixed) > 0 {
                 let spec = format!("{}:FIXC0", pmc_event.name);
                 assert!(parse_event_spec(&spec, &table).is_err(), "{arch:?} {spec}");
             }
-            if table.num_uncore_pmc > 0 {
+            if table.pmu.count(BlockKind::UncorePmc) > 0 {
                 let spec = format!("{}:UPMC0", pmc_event.name);
                 assert!(parse_event_spec(&spec, &table).is_err(), "{arch:?} {spec}");
             }
@@ -1405,6 +1405,12 @@ mod tests {
         assert!(results.diagnostics.iter().any(|d| d.subject == "cpu 1"));
     }
 
+    /// The counter register behind `slot` on `machine`.
+    fn counter_register(machine: &SimMachine, slot: CounterSlot) -> u32 {
+        let (block, n) = slot_counter(machine.arch().pmu(), slot).expect("slot exists");
+        block.counter(n)
+    }
+
     /// A single-group Westmere session with one 48-bit PMC event and one
     /// 44-bit fixed-counter event, for driving raw counter values directly.
     fn wrap_session(machine: &SimMachine) -> PerfCtr<'_> {
@@ -1424,8 +1430,8 @@ mod tests {
         let machine = SimMachine::new(MachinePreset::WestmereEp2S);
         let mut session = wrap_session(&machine);
         let msr = machine.msr_file();
-        let (_, pmc_reg) = slot_registers(machine.vendor(), CounterSlot::Pmc(0));
-        let (_, fix_reg) = slot_registers(machine.vendor(), CounterSlot::Fixed(0));
+        let pmc_reg = counter_register(&machine, CounterSlot::Pmc(0));
+        let fix_reg = counter_register(&machine, CounterSlot::Fixed(0));
 
         session.start().unwrap();
         // Move both counters to just below their overflow boundary …
@@ -1454,7 +1460,7 @@ mod tests {
         let machine = SimMachine::new(MachinePreset::WestmereEp2S);
         let mut session = wrap_session(&machine);
         let msr = machine.msr_file();
-        let (_, pmc_reg) = slot_registers(machine.vendor(), CounterSlot::Pmc(0));
+        let pmc_reg = counter_register(&machine, CounterSlot::Pmc(0));
 
         session.start().unwrap();
         // More than two full counter periods between consecutive reads: the

@@ -4,27 +4,33 @@
 //! runs. In the simulation, workload execution produces an [`EventSample`]
 //! describing what happened (per hardware thread and per socket), and
 //! [`EventEngine::apply`] advances exactly those counter registers that are
-//! currently programmed and enabled — by inspecting the PERFEVTSEL/fixed/
-//! uncore control MSRs the tool wrote. A counter that was never programmed,
-//! or whose enable bit is clear, does not move, which is what makes the
-//! wrapper/marker/multiplexing logic of `likwid-perfctr` testable end to
-//! end.
+//! currently programmed and enabled — by reading the select, control and
+//! global control registers the tool wrote, block by block of the
+//! architecture's layout table ([`likwid_x86_machine::pmu`]). A counter
+//! that was never programmed, or whose enable bit is clear, does not move,
+//! which is what makes the wrapper/marker/multiplexing logic of
+//! `likwid-perfctr` testable end to end.
 
-use likwid_x86_machine::{Microarch, Msr, SimMachine, Vendor};
+use likwid_x86_machine::msr::{MsrScope, MsrSpace};
+use likwid_x86_machine::pmu::{evtsel, BlockKind, Control, CounterBlock, Pmu};
+use likwid_x86_machine::SimMachine;
 
-use crate::event::EventTable;
+use crate::event::{CounterClass, CounterSlot, EventTable};
 use crate::kinds::{EventSample, HwEventKind};
-use crate::perfmon::{decode_selector, is_enabled};
 use crate::tables;
 
 /// Applies event samples to a machine's programmed counters.
 pub struct EventEngine {
     table: EventTable,
-    arch: Microarch,
+    pmu: &'static Pmu,
     /// `((selector, uncore), kind)` for every selector of the table, sorted
     /// by key: the kind of the first table event with that selector, looked
     /// up by binary search instead of a table scan per counter credit.
     kinds: Vec<((u16, bool), HwEventKind)>,
+    /// The kind each counter of a shared-control block counts: that of the
+    /// table event pinned to the counter (`CounterClass::Fixed(n)`,
+    /// `CounterClass::UncoreFixed`).
+    fixed: Vec<((BlockKind, u32), HwEventKind)>,
 }
 
 impl EventEngine {
@@ -37,13 +43,22 @@ impl EventEngine {
         // the first event of the table, as a table scan would.
         kinds.sort_by_key(|&(key, _)| key);
         kinds.dedup_by_key(|&mut (key, _)| key);
-        EventEngine { table, arch: machine.arch(), kinds }
+        let fixed = table
+            .events
+            .iter()
+            .filter_map(|e| match e.counters {
+                CounterClass::Fixed(n) => Some((CounterSlot::Fixed(n).block(), e.kind)),
+                CounterClass::UncoreFixed => Some((CounterSlot::UncoreFixed.block(), e.kind)),
+                CounterClass::AnyPmc | CounterClass::AnyUncorePmc => None,
+            })
+            .collect();
+        EventEngine { table, pmu: machine.arch().pmu(), kinds, fixed }
     }
 
     /// The kind a programmed select value counts, if its selector names an
     /// event of the table in the given counter class.
     fn kind_of(&self, select: u64, uncore: bool) -> Option<HwEventKind> {
-        let key = (decode_selector(select), uncore);
+        let key = (evtsel::SELECTOR.read(select) as u16, uncore);
         let at = self.kinds.binary_search_by_key(&key, |&(key, _)| key).ok()?;
         Some(self.kinds[at].1)
     }
@@ -57,133 +72,64 @@ impl EventEngine {
     /// activity described by `sample`. The machine's register file is
     /// locked once for the whole sample, not once per register access.
     pub fn apply(&self, machine: &SimMachine, sample: &EventSample) {
-        match self.arch.vendor() {
-            Vendor::Intel => self.apply_intel(machine, sample),
-            Vendor::Amd => self.apply_amd(machine, sample),
-        }
-    }
-
-    fn thread_count(&self, sample: &EventSample, cpu: usize, kind: HwEventKind) -> u64 {
-        sample.threads.get(cpu).map(|t| t.get(kind)).unwrap_or(0)
-    }
-
-    fn socket_count(&self, sample: &EventSample, socket: usize, kind: HwEventKind) -> u64 {
-        sample.sockets.get(socket).map(|s| s.get(kind)).unwrap_or(0)
-    }
-
-    fn apply_intel(&self, machine: &SimMachine, sample: &EventSample) {
         let space = machine.msr_file().space();
         let mut msr = space.write();
-        let num_pmc = self.arch.num_pmc() as u32;
-        let num_fixed = self.arch.num_fixed_counters() as u32;
-
-        for cpu in 0..machine.num_hw_threads() {
-            // Global enable: architectures with the global control register
-            // gate each counter through its own bit (PMCn through bit n,
-            // FIXCn through bit 32+n); older parts only have the per-event
-            // enable bits, modeled as an all-ones mask.
-            let global = msr.read(cpu, Msr::IA32_PERF_GLOBAL_CTRL).unwrap_or(u64::MAX);
-
-            for n in 0..num_pmc {
-                let Ok(sel) = msr.read(cpu, Msr::IA32_PERFEVTSEL0 + n) else { continue };
-                if !is_enabled(sel) || global & (1 << n) == 0 {
-                    continue;
-                }
-                let Some(kind) = self.kind_of(sel, false) else { continue };
-                let delta = if kind.is_uncore() {
-                    // Some architectures expose package-level quantities
-                    // through core counters; credit from the socket record.
-                    let socket = machine.topology().hw_threads[cpu].socket as usize;
-                    self.socket_count(sample, socket, kind)
-                } else {
-                    self.thread_count(sample, cpu, kind)
-                };
-                if delta > 0 {
-                    let _ = msr.hardware_increment(cpu, Msr::IA32_PMC0 + n, delta);
-                }
-            }
-
-            if num_fixed > 0 {
-                if let Ok(ctrl) = msr.read(cpu, Msr::IA32_FIXED_CTR_CTRL) {
-                    let fixed_kinds = [
-                        HwEventKind::InstructionsRetired,
-                        HwEventKind::CoreCycles,
-                        HwEventKind::ReferenceCycles,
-                    ];
-                    for (n, kind) in fixed_kinds.iter().enumerate().take(num_fixed as usize) {
-                        let enable = (ctrl >> (4 * n)) & 0b011;
-                        if enable != 0 && global & (1 << (32 + n)) != 0 {
-                            let delta = self.thread_count(sample, cpu, *kind);
-                            if delta > 0 {
-                                let _ = msr.hardware_increment(
-                                    cpu,
-                                    Msr::IA32_FIXED_CTR0 + n as u32,
-                                    delta,
-                                );
-                            }
-                        }
+        let topo = machine.topology();
+        for block in self.pmu.blocks {
+            if block.scope == MsrScope::Package {
+                // Package-scoped counters are credited once per socket,
+                // through the first hardware thread of that socket.
+                for socket in 0..topo.sockets {
+                    if let Some(first) = topo.hw_threads.iter().find(|t| t.socket == socket) {
+                        self.credit(&mut msr, block, first.os_id, socket as usize, sample);
                     }
                 }
-            }
-        }
-
-        // Uncore counters are package-scoped: credit them once per socket,
-        // through the first hardware thread of that socket.
-        if self.arch.has_uncore() {
-            let topo = machine.topology();
-            for socket in 0..topo.sockets {
-                let Some(cpu) =
-                    topo.hw_threads.iter().find(|t| t.socket == socket).map(|t| t.os_id)
-                else {
-                    continue;
-                };
-                let Ok(global) = msr.read(cpu, Msr::MSR_UNCORE_PERF_GLOBAL_CTRL) else { continue };
-                if global == 0 {
-                    continue;
-                }
-                for n in 0..self.arch.num_uncore_pmc() as u32 {
-                    let Ok(sel) = msr.read(cpu, Msr::MSR_UNCORE_PERFEVTSEL0 + n) else { continue };
-                    if !is_enabled(sel) || global & (1 << n) == 0 {
-                        continue;
-                    }
-                    let Some(kind) = self.kind_of(sel, true) else { continue };
-                    let delta = self.socket_count(sample, socket as usize, kind);
-                    if delta > 0 {
-                        let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_PMC0 + n, delta);
-                    }
-                }
-                if let Ok(fixed_ctrl) = msr.read(cpu, Msr::MSR_UNCORE_FIXED_CTR_CTRL) {
-                    if fixed_ctrl & 1 != 0 && global & (1 << 32) != 0 {
-                        let delta =
-                            self.socket_count(sample, socket as usize, HwEventKind::UncoreCycles);
-                        if delta > 0 {
-                            let _ = msr.hardware_increment(cpu, Msr::MSR_UNCORE_FIXED_CTR0, delta);
-                        }
-                    }
+            } else {
+                for (cpu, thread) in topo.hw_threads.iter().enumerate() {
+                    self.credit(&mut msr, block, cpu, thread.socket as usize, sample);
                 }
             }
         }
     }
 
-    fn apply_amd(&self, machine: &SimMachine, sample: &EventSample) {
-        let space = machine.msr_file().space();
-        let mut msr = space.write();
-        for cpu in 0..machine.num_hw_threads() {
-            for n in 0..4u32 {
-                let Ok(sel) = msr.read(cpu, Msr::AMD_PERFEVTSEL0 + n) else { continue };
-                if !is_enabled(sel) {
-                    continue;
+    /// Credit the programmed and enabled counters of `block` as seen from
+    /// `cpu`, which sits on `socket`. Inlined into [`EventEngine::apply`]:
+    /// called once per block and cpu, it cost more than the register reads
+    /// it saves.
+    #[inline(always)]
+    fn credit(
+        &self,
+        msr: &mut MsrSpace,
+        block: &CounterBlock,
+        cpu: usize,
+        socket: usize,
+        sample: &EventSample,
+    ) {
+        // A block gates each counter through its global enable bit; parts
+        // without the global control register only have the per-counter
+        // enables, modeled as every global bit set.
+        let global = block.global.map_or(Ok(u64::MAX), |g| msr.read(cpu, g.control.ctrl));
+        let enabled = block.global_enables(global.unwrap_or(u64::MAX));
+        let uncore = block.scope == MsrScope::Package;
+        for n in (0..block.count).filter(|n| enabled >> n & 1 == 1) {
+            let Ok(ctrl) = msr.read(cpu, block.control_register(n)) else { continue };
+            let kind = match block.control {
+                Control::Select { .. } if evtsel::ENABLE.is_set(ctrl) => self.kind_of(ctrl, uncore),
+                Control::Shared { field, enable, .. } if field.nth(n).read(ctrl) & enable != 0 => {
+                    self.fixed.iter().find(|(at, _)| *at == (block.kind, n)).map(|&(_, kind)| kind)
                 }
-                let Some(kind) = self.kind_of(sel, false) else { continue };
-                let delta = if kind.is_uncore() {
-                    let socket = machine.topology().hw_threads[cpu].socket as usize;
-                    self.socket_count(sample, socket, kind)
-                } else {
-                    self.thread_count(sample, cpu, kind)
-                };
-                if delta > 0 {
-                    let _ = msr.hardware_increment(cpu, Msr::AMD_PMC0 + n, delta);
-                }
+                _ => None,
+            };
+            let Some(kind) = kind else { continue };
+            // Package-level quantities come from the socket record, also
+            // where an architecture counts them on core counters.
+            let delta = if uncore || kind.is_uncore() {
+                sample.sockets.get(socket).map_or(0, |s| s.get(kind))
+            } else {
+                sample.threads.get(cpu).map_or(0, |t| t.get(kind))
+            };
+            if delta > 0 {
+                let _ = msr.hardware_increment(cpu, block.counter(n), delta);
             }
         }
     }

@@ -1,5 +1,7 @@
 //! Event definitions and per-architecture event tables.
 
+use likwid_x86_machine::pmu::{evtsel, BlockKind, Pmu};
+
 use crate::kinds::HwEventKind;
 
 /// A counter slot an event can be programmed into.
@@ -51,6 +53,16 @@ impl CounterSlot {
     pub fn is_uncore(self) -> bool {
         matches!(self, CounterSlot::UncorePmc(_) | CounterSlot::UncoreFixed)
     }
+
+    /// The class of counter block this slot names, and its counter in it.
+    pub fn block(self) -> (BlockKind, u32) {
+        match self {
+            CounterSlot::Pmc(n) => (BlockKind::Pmc, n as u32),
+            CounterSlot::Fixed(n) => (BlockKind::Fixed, n as u32),
+            CounterSlot::UncorePmc(n) => (BlockKind::UncorePmc, n as u32),
+            CounterSlot::UncoreFixed => (BlockKind::UncoreFixed, 0),
+        }
+    }
 }
 
 /// Which class of counters an event may be scheduled on.
@@ -93,40 +105,26 @@ impl EventDefinition {
     /// PERFEVTSEL value — the key the counting engine uses to recognise a
     /// programmed event.
     pub fn selector(&self) -> u16 {
-        ((self.umask as u16) << 8) | (self.event_code & 0xFF)
+        let code = evtsel::EVENT_CODE.write(0, self.event_code as u64);
+        evtsel::SELECTOR.read(evtsel::UMASK.write(code, self.umask as u64)) as u16
     }
 }
 
 /// The complete event table of one microarchitecture.
 #[derive(Debug, Clone)]
 pub struct EventTable {
-    /// Architecture display name (diagnostics only).
-    pub arch_name: &'static str,
-    /// Number of general-purpose core counters.
-    pub num_pmc: usize,
-    /// Number of fixed counters.
-    pub num_fixed: usize,
-    /// Number of general-purpose uncore counters.
-    pub num_uncore_pmc: usize,
-    /// Implemented bits of the general-purpose core counters (40 or 48).
-    pub pmc_bits: u32,
-    /// Implemented bits of the fixed-function counters (44; 0 when absent).
-    pub fixed_bits: u32,
-    /// Implemented bits of the uncore counters (48; 0 when absent).
-    pub uncore_bits: u32,
+    /// The architecture's counter blocks.
+    pub pmu: &'static Pmu,
     /// All documented events.
     pub events: Vec<EventDefinition>,
 }
 
 impl EventTable {
     /// Implemented width in bits of the counter backing `slot` — the width
-    /// the session layer uses for wraparound-correct delta computation.
+    /// the session layer uses for wraparound-correct delta computation; 0
+    /// when the architecture has no such counter class.
     pub fn counter_bits(&self, slot: CounterSlot) -> u32 {
-        match slot {
-            CounterSlot::Pmc(_) => self.pmc_bits,
-            CounterSlot::Fixed(_) => self.fixed_bits,
-            CounterSlot::UncorePmc(_) | CounterSlot::UncoreFixed => self.uncore_bits,
-        }
+        self.pmu.block(slot.block().0).map_or(0, |block| block.width)
     }
 
     /// Look up an event by its documented name.
@@ -145,11 +143,13 @@ impl EventTable {
     /// All counter slots that can carry the given event on this architecture.
     pub fn allowed_slots(&self, event: &EventDefinition) -> Vec<CounterSlot> {
         match event.counters {
-            CounterClass::AnyPmc => (0..self.num_pmc as u8).map(CounterSlot::Pmc).collect(),
-            CounterClass::Fixed(n) => vec![CounterSlot::Fixed(n)],
-            CounterClass::AnyUncorePmc => {
-                (0..self.num_uncore_pmc as u8).map(CounterSlot::UncorePmc).collect()
+            CounterClass::AnyPmc => {
+                (0..self.pmu.count(BlockKind::Pmc) as u8).map(CounterSlot::Pmc).collect()
             }
+            CounterClass::Fixed(n) => vec![CounterSlot::Fixed(n)],
+            CounterClass::AnyUncorePmc => (0..self.pmu.count(BlockKind::UncorePmc) as u8)
+                .map(CounterSlot::UncorePmc)
+                .collect(),
             CounterClass::UncoreFixed => vec![CounterSlot::UncoreFixed],
         }
     }
@@ -165,13 +165,7 @@ mod tests {
 
     fn table() -> EventTable {
         EventTable {
-            arch_name: "test",
-            num_pmc: 2,
-            num_fixed: 3,
-            num_uncore_pmc: 8,
-            pmc_bits: 48,
-            fixed_bits: 44,
-            uncore_bits: 48,
+            pmu: likwid_x86_machine::Microarch::NehalemEp.pmu(),
             events: vec![
                 event("EVENT_A", 0x10, 0x01, HwEventKind::LoadsRetired),
                 event("EVENT_B", 0x10, 0x02, HwEventKind::StoresRetired),
@@ -232,7 +226,7 @@ mod tests {
         let t = table();
         assert_eq!(
             t.allowed_slots(t.find("EVENT_A").unwrap()),
-            vec![CounterSlot::Pmc(0), CounterSlot::Pmc(1)]
+            (0..4).map(CounterSlot::Pmc).collect::<Vec<_>>()
         );
         assert_eq!(t.allowed_slots(t.find("FIXED_INSTR").unwrap()), vec![CounterSlot::Fixed(0)]);
         assert_eq!(t.allowed_slots(t.find("UNC_EVENT").unwrap()).len(), 8);
@@ -245,5 +239,7 @@ mod tests {
         assert_eq!(t.counter_bits(CounterSlot::Fixed(0)), 44);
         assert_eq!(t.counter_bits(CounterSlot::UncorePmc(3)), 48);
         assert_eq!(t.counter_bits(CounterSlot::UncoreFixed), 48);
+        let amd = EventTable { pmu: likwid_x86_machine::Microarch::K10.pmu(), ..t };
+        assert_eq!(amd.counter_bits(CounterSlot::Fixed(0)), 0, "an absent class has no width");
     }
 }

@@ -1,16 +1,18 @@
 //! Counter programming through the MSR interface.
 //!
 //! This is the layer of `likwid-perfCtr` that touches hardware registers: it
-//! encodes `IA32_PERFEVTSELx` values, enables the fixed-counter and global
-//! control registers, and reads counters back — all through an
-//! [`MsrDevice`], i.e. through exactly the `rdmsr`/`wrmsr` traffic the real
-//! tool generates through `/dev/cpu/<N>/msr`.
+//! programs event selects and the fixed-counter and global control
+//! registers, and reads counters back — all through an [`MsrDevice`], i.e.
+//! through exactly the `rdmsr`/`wrmsr` traffic the real tool generates
+//! through `/dev/cpu/<N>/msr`. Every register address and bit field comes
+//! from the architecture's layout table in [`likwid_x86_machine::pmu`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use likwid_x86_machine::msr::MsrScope;
+use likwid_x86_machine::pmu::{evtsel, Control, CounterBlock, Pmu};
 use likwid_x86_machine::{
-    MachineError, Msr, MsrBatch, MsrDevice, MsrPermission, SimMachine, Vendor,
-    MAX_CONSECUTIVE_LIMIT,
+    MachineError, MsrBatch, MsrDevice, MsrPermission, SimMachine, MAX_CONSECUTIVE_LIMIT,
 };
 
 use crate::event::{CounterSlot, EventDefinition};
@@ -39,13 +41,9 @@ pub enum PerfMonError {
     Msr(MachineError),
     /// The monitor has no MSR device open for this hardware thread.
     UnknownCpu(usize),
-    /// The event cannot be scheduled on the requested counter slot.
-    IncompatibleCounter {
-        /// Event name.
-        event: String,
-        /// Requested slot.
-        slot: CounterSlot,
-    },
+    /// The machine has no counter behind this slot: its architecture lacks
+    /// the slot's counter class, or has fewer counters of it.
+    NoSuchCounter(CounterSlot),
 }
 
 impl std::fmt::Display for PerfMonError {
@@ -55,8 +53,8 @@ impl std::fmt::Display for PerfMonError {
             PerfMonError::UnknownCpu(cpu) => {
                 write!(f, "cpu {cpu} is not measured by this counter monitor")
             }
-            PerfMonError::IncompatibleCounter { event, slot } => {
-                write!(f, "event {event} cannot be counted on {}", slot.name())
+            PerfMonError::NoSuchCounter(slot) => {
+                write!(f, "this machine has no counter {}", slot.name())
             }
         }
     }
@@ -70,68 +68,19 @@ impl From<MachineError> for PerfMonError {
     }
 }
 
-/// Bit positions inside `IA32_PERFEVTSELx`.
-pub mod evtsel {
-    /// User-mode counting enable.
-    pub const USR: u64 = 1 << 16;
-    /// Kernel-mode counting enable.
-    pub const OS: u64 = 1 << 17;
-    /// Edge detection.
-    pub const EDGE: u64 = 1 << 18;
-    /// APIC interrupt on overflow.
-    pub const INT: u64 = 1 << 20;
-    /// Count for both SMT threads (Nehalem+).
-    pub const ANY_THREAD: u64 = 1 << 21;
-    /// Counter enable.
-    pub const ENABLE: u64 = 1 << 22;
-    /// Invert counter mask comparison.
-    pub const INVERT: u64 = 1 << 23;
-}
-
-/// Encode a PERFEVTSEL value for an event: event code, umask, USR+OS and the
-/// enable bit.
+/// Encode a select value for an event: selector, USR, OS and, if
+/// `enabled`, the enable bit.
 pub(crate) fn encode_evtsel(event: &EventDefinition, enabled: bool) -> u64 {
-    let mut value =
-        (event.event_code as u64 & 0xFF) | ((event.umask as u64) << 8) | evtsel::USR | evtsel::OS;
-    if enabled {
-        value |= evtsel::ENABLE;
-    }
-    value
+    let value = evtsel::SELECTOR.write(0, event.selector() as u64);
+    let value = evtsel::OS.write(evtsel::USR.write(value, 1), 1);
+    evtsel::ENABLE.write(value, enabled as u64)
 }
 
-/// Extract the `(event_code, umask)` selector from a PERFEVTSEL value.
-pub(crate) fn decode_selector(evtsel_value: u64) -> u16 {
-    (evtsel_value & 0xFFFF) as u16
-}
-
-/// Whether a PERFEVTSEL value has its enable bit set.
-pub fn is_enabled(evtsel_value: u64) -> bool {
-    evtsel_value & evtsel::ENABLE != 0
-}
-
-/// The MSR addresses backing one counter slot on a given vendor.
-///
-/// Returns `(select_register, counter_register)`; fixed counters have no
-/// select register of their own (they are controlled by
-/// `IA32_FIXED_CTR_CTRL`) and report `None`.
-pub fn slot_registers(vendor: Vendor, slot: CounterSlot) -> (Option<u32>, u32) {
-    match (vendor, slot) {
-        (Vendor::Intel, CounterSlot::Pmc(n)) => {
-            (Some(Msr::IA32_PERFEVTSEL0 + n as u32), Msr::IA32_PMC0 + n as u32)
-        }
-        (Vendor::Intel, CounterSlot::Fixed(n)) => (None, Msr::IA32_FIXED_CTR0 + n as u32),
-        (Vendor::Intel, CounterSlot::UncorePmc(n)) => {
-            (Some(Msr::MSR_UNCORE_PERFEVTSEL0 + n as u32), Msr::MSR_UNCORE_PMC0 + n as u32)
-        }
-        (Vendor::Intel, CounterSlot::UncoreFixed) => (None, Msr::MSR_UNCORE_FIXED_CTR0),
-        (Vendor::Amd, CounterSlot::Pmc(n)) => {
-            (Some(Msr::AMD_PERFEVTSEL0 + n as u32), Msr::AMD_PMC0 + n as u32)
-        }
-        // AMD parts in this suite have neither fixed nor uncore counters;
-        // map them to the first PMC pair so that the error surfaces as an
-        // incompatible-counter error at setup time instead of a bogus MSR.
-        (Vendor::Amd, _) => (Some(Msr::AMD_PERFEVTSEL0), Msr::AMD_PMC0),
-    }
+/// The counter block behind `slot` on `pmu` and the slot's counter in it,
+/// or `None` when the architecture has no such counter.
+pub fn slot_counter(pmu: &Pmu, slot: CounterSlot) -> Option<(&'static CounterBlock, u32)> {
+    let (kind, n) = slot.block();
+    pmu.block(kind).filter(|block| n < block.count).map(|block| (block, n))
 }
 
 /// Treat an absent register as success; propagate every other failure.
@@ -155,7 +104,7 @@ fn ignore_unknown(result: Result<(), PerfMonError>) -> Result<(), PerfMonError> 
 /// `MsrIo` error escaping a `PerfMon` method means the register is
 /// *permanently* unreachable (e.g. the cpu dropped out mid-run).
 pub struct PerfMon {
-    vendor: Vendor,
+    pmu: &'static Pmu,
     devices: Vec<(usize, MsrDevice)>,
     retries: AtomicU64,
     backoff_units: AtomicU64,
@@ -169,7 +118,7 @@ impl PerfMon {
             devices.push((cpu, machine.msr(cpu, MsrPermission::ReadWrite)?));
         }
         Ok(PerfMon {
-            vendor: machine.vendor(),
+            pmu: machine.arch().pmu(),
             devices,
             retries: AtomicU64::new(0),
             backoff_units: AtomicU64::new(0),
@@ -244,11 +193,16 @@ impl CpuCounters<'_> {
         }
     }
 
+    /// The counter block behind `slot` and the slot's counter in it.
+    fn counter(&self, slot: CounterSlot) -> Result<(&'static CounterBlock, u32), PerfMonError> {
+        slot_counter(self.perfmon.pmu, slot).ok_or(PerfMonError::NoSuchCounter(slot))
+    }
+
     /// Set the enable bit of a programmed (nonzero) select register.
     fn enable(&mut self, select: u32) -> Result<(), PerfMonError> {
         let v = self.rd(select)?;
         if v != 0 {
-            self.wr(select, v | evtsel::ENABLE)?;
+            self.wr(select, evtsel::ENABLE.write(v, 1))?;
         }
         Ok(())
     }
@@ -257,70 +211,62 @@ impl CpuCounters<'_> {
     fn disable(&mut self, select: u32) -> Result<(), PerfMonError> {
         let v = self.rd(select)?;
         if v != 0 {
-            self.wr(select, v & !evtsel::ENABLE)?;
+            self.wr(select, evtsel::ENABLE.write(v, 0))?;
         }
         Ok(())
     }
 
     /// Program `event` into `slot` (disabled; [`CpuCounters::start_slots`]
-    /// enables it).
+    /// enables it) and zero its counter.
+    ///
+    /// A select is written whole. So is a control register that holds one
+    /// counter's field alone; one shared by several counters is read and
+    /// only this counter's field rewritten, replaced rather than OR-ed so
+    /// that dirty state left by another tool cannot survive in it.
     pub fn setup(
         &mut self,
         slot: CounterSlot,
         event: &EventDefinition,
     ) -> Result<(), PerfMonError> {
-        let (select, counter) = slot_registers(self.perfmon.vendor, slot);
-        match slot {
-            CounterSlot::Fixed(n) => {
-                // Fixed counters are controlled by IA32_FIXED_CTR_CTRL: 4 bits
-                // per counter, bits 0/1 enable OS/USR counting. Replace the
-                // whole field rather than OR-ing so that dirty state left by
-                // another tool cannot survive in this counter's bits.
-                let ctrl = self.rd(Msr::IA32_FIXED_CTR_CTRL)?;
-                let shift = 4 * n as u32;
-                self.wr(Msr::IA32_FIXED_CTR_CTRL, (ctrl & !(0xF << shift)) | (0b011 << shift))?;
-                self.wr(counter, 0)?;
+        let (block, n) = self.counter(slot)?;
+        let register = block.control_register(n);
+        let value = match block.control {
+            Control::Select { .. } => encode_evtsel(event, false),
+            Control::Shared { field, enable, .. } => {
+                let ctrl = if block.count == 1 { 0 } else { self.rd(register)? };
+                field.nth(n).write(ctrl, enable)
             }
-            CounterSlot::UncoreFixed => {
-                self.wr(Msr::MSR_UNCORE_FIXED_CTR_CTRL, 1)?;
-                self.wr(counter, 0)?;
-            }
-            _ => {
-                let select = select.expect("PMC slots have a select register");
-                self.wr(select, encode_evtsel(event, false))?;
-                self.wr(counter, 0)?;
-            }
-        }
-        Ok(())
+        };
+        self.wr(register, value)?;
+        self.wr(block.counter(n), 0)
     }
 
     /// Verify that the registers backing `slot` still hold the state
     /// [`CpuCounters::setup`] wrote for `event`: the disabled select
-    /// encoding and a zeroed counter. A mismatch means the write was lost
-    /// (stuck register) or foreign state survived — the caller should
-    /// reprogram.
+    /// encoding or the programmed control field, and a zeroed counter. A
+    /// mismatch means the write was lost (stuck register) or foreign state
+    /// survived — the caller should reprogram.
     pub fn verify(&self, slot: CounterSlot, event: &EventDefinition) -> Result<bool, PerfMonError> {
-        let (select, counter) = slot_registers(self.perfmon.vendor, slot);
-        let select_ok = match slot {
-            CounterSlot::Fixed(n) => {
-                let ctrl = self.rd(Msr::IA32_FIXED_CTR_CTRL)?;
-                (ctrl >> (4 * n as u32)) & 0xF == 0b011
+        let (block, n) = self.counter(slot)?;
+        let ctrl = self.rd(block.control_register(n))?;
+        let control_ok = match block.control {
+            Control::Select { .. } => ctrl == encode_evtsel(event, false),
+            Control::Shared { field, enable, .. } if block.count == 1 => {
+                ctrl == field.write(0, enable)
             }
-            CounterSlot::UncoreFixed => self.rd(Msr::MSR_UNCORE_FIXED_CTR_CTRL)? == 1,
-            _ => {
-                let select = select.expect("PMC slots have a select register");
-                self.rd(select)? == encode_evtsel(event, false)
-            }
+            Control::Shared { field, enable, .. } => field.nth(n).read(ctrl) == enable,
         };
-        Ok(select_ok && self.rd(counter)? == 0)
+        Ok(control_ok && self.rd(block.counter(n))? == 0)
     }
 
     /// Enable counting on exactly the given counter slots, leaving every
     /// other select register untouched and setting only the matching
-    /// per-counter bits of the global control registers. The uncore global
-    /// control is package-scoped: it is written only when an uncore slot is
-    /// among `slots`, so a cpu that does not own its socket's uncore never
-    /// touches it.
+    /// enable bits of the global control registers. A thread-scoped global
+    /// control is written on every start; a package-scoped one (the
+    /// uncore's) only when one of its slots is among `slots`, so a cpu that
+    /// does not own its socket's uncore never touches it. Slots the
+    /// machine has no counter for are skipped: [`CpuCounters::setup`]
+    /// refuses them.
     ///
     /// A measurement knows which slots it programmed, so it enables only
     /// those. Under the `likwid-perfctrd` broker several sessions
@@ -329,38 +275,27 @@ impl CpuCounters<'_> {
     /// the cpu would let a foreign time slice count into the suspended
     /// session's counters.
     pub fn start_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
-        match self.perfmon.vendor {
-            Vendor::Intel => {
-                let mut global = 0u64;
-                let mut uncore_global = 0u64;
-                for slot in slots {
-                    match slot {
-                        // Fixed counters carry their enable in the ctrl
-                        // registers written at setup; they only need their
-                        // global-control bit.
-                        CounterSlot::Fixed(n) => global |= 1 << (32 + *n as u32),
-                        CounterSlot::UncoreFixed => uncore_global |= 1 << 32,
-                        CounterSlot::Pmc(n) => {
-                            global |= 1 << *n as u32;
-                            self.enable(Msr::IA32_PERFEVTSEL0 + *n as u32)?;
-                        }
-                        CounterSlot::UncorePmc(n) => {
-                            uncore_global |= 1 << *n as u32;
-                            self.enable(Msr::MSR_UNCORE_PERFEVTSEL0 + *n as u32)?;
-                        }
-                    }
-                }
-                ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, global))?;
-                if slots.iter().any(|slot| slot.is_uncore()) {
-                    ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, uncore_global))?;
-                }
+        let pmu = self.perfmon.pmu;
+        // The enable bits for the thread-scoped global control, which every
+        // start writes, and for the package-scoped one, written only when
+        // one of the slots sits behind it.
+        let (mut thread, mut package) = (0, None);
+        for (block, n) in slots.iter().filter_map(|&slot| slot_counter(pmu, slot)) {
+            if let Control::Select { .. } = block.control {
+                self.enable(block.control_register(n))?;
             }
-            Vendor::Amd => {
-                for slot in slots {
-                    if let CounterSlot::Pmc(n) = slot {
-                        self.enable(Msr::AMD_PERFEVTSEL0 + *n as u32)?;
-                    }
-                }
+            if let Some(global) = block.global {
+                let bits = match global.control.scope {
+                    MsrScope::Package => package.get_or_insert(0),
+                    _ => &mut thread,
+                };
+                *bits = global.first.nth(n).write(*bits, 1);
+            }
+        }
+        for global in pmu.globals {
+            let bits = if global.scope == MsrScope::Package { package } else { Some(thread) };
+            if let Some(bits) = bits {
+                ignore_unknown(self.wr(global.ctrl, bits))?;
             }
         }
         Ok(())
@@ -368,24 +303,20 @@ impl CpuCounters<'_> {
 
     /// Disable counting of exactly the given counter slots, the mirror of
     /// [`CpuCounters::start_slots`]: clear the global control registers
-    /// (the uncore one only when an uncore slot is given) and the enable
-    /// bit of each given select register, leaving every other select
-    /// untouched. Counters retain their values.
+    /// (a package-scoped one only when one of its slots is given) and the
+    /// enable bit of each given select register, leaving every other
+    /// select untouched. Counters retain their values.
     pub fn stop_slots(&mut self, slots: &[CounterSlot]) -> Result<(), PerfMonError> {
-        let vendor = self.perfmon.vendor;
-        if vendor == Vendor::Intel {
-            ignore_unknown(self.wr(Msr::IA32_PERF_GLOBAL_CTRL, 0))?;
-            if slots.iter().any(|slot| slot.is_uncore()) {
-                ignore_unknown(self.wr(Msr::MSR_UNCORE_PERF_GLOBAL_CTRL, 0))?;
+        let pmu = self.perfmon.pmu;
+        let uncore = slots.iter().any(|slot| slot.is_uncore());
+        for global in pmu.globals {
+            if uncore || global.scope != MsrScope::Package {
+                ignore_unknown(self.wr(global.ctrl, 0))?;
             }
         }
-        for &slot in slots {
-            // AMD parts have only PMCs (see `slot_registers`).
-            if vendor == Vendor::Amd && !matches!(slot, CounterSlot::Pmc(_)) {
-                continue;
-            }
-            if let (Some(select), _) = slot_registers(vendor, slot) {
-                self.disable(select)?;
+        for (block, n) in slots.iter().filter_map(|&slot| slot_counter(pmu, slot)) {
+            if let Control::Select { .. } = block.control {
+                self.disable(block.control_register(n))?;
             }
         }
         Ok(())
@@ -393,19 +324,22 @@ impl CpuCounters<'_> {
 
     /// Read the current value of a counter slot.
     pub fn read(&self, slot: CounterSlot) -> Result<u64, PerfMonError> {
-        self.rd(slot_registers(self.perfmon.vendor, slot).1)
+        let (block, n) = self.counter(slot)?;
+        self.rd(block.counter(n))
     }
 
     /// The machine-side unwrapped value of the counter behind `slot`: not a
     /// device access, never faulted. Wraparound diagnostics compare the
     /// width-corrected deltas of [`CpuCounters::read`] against it.
     pub fn wide_value(&self, slot: CounterSlot) -> Result<u64, PerfMonError> {
-        Ok(self.msr.wide_value(slot_registers(self.perfmon.vendor, slot).1)?)
+        let (block, n) = self.counter(slot)?;
+        Ok(self.msr.wide_value(block.counter(n))?)
     }
 
     /// Reset a counter slot to zero.
     pub fn reset(&mut self, slot: CounterSlot) -> Result<(), PerfMonError> {
-        self.wr(slot_registers(self.perfmon.vendor, slot).1, 0)
+        let (block, n) = self.counter(slot)?;
+        self.wr(block.counter(n), 0)
     }
 }
 
@@ -413,17 +347,17 @@ impl CpuCounters<'_> {
 mod tests {
     use super::*;
     use crate::tables;
-    use likwid_x86_machine::MachinePreset;
+    use likwid_x86_machine::{MachinePreset, Msr};
 
     #[test]
     fn evtsel_encoding_round_trips() {
         let t = tables::for_arch(likwid_x86_machine::Microarch::Core2);
         let e = t.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").unwrap();
         let v = encode_evtsel(e, true);
-        assert!(is_enabled(v));
-        assert_eq!(decode_selector(v), e.selector());
+        assert!(evtsel::ENABLE.is_set(v));
+        assert_eq!(evtsel::SELECTOR.read(v), e.selector() as u64);
         let v_off = encode_evtsel(e, false);
-        assert!(!is_enabled(v_off));
+        assert!(!evtsel::ENABLE.is_set(v_off));
     }
 
     #[test]
@@ -436,15 +370,15 @@ mod tests {
 
         let dev = machine.msr(1, MsrPermission::ReadOnly).unwrap();
         let sel = dev.read(Msr::IA32_PERFEVTSEL0).unwrap();
-        assert_eq!(decode_selector(sel), event.selector());
-        assert!(!is_enabled(sel), "setup leaves the counter disabled");
+        assert_eq!(evtsel::SELECTOR.read(sel), event.selector() as u64);
+        assert!(!evtsel::ENABLE.is_set(sel), "setup leaves the counter disabled");
 
         pm.on_cpu(1).unwrap().start_slots(&[CounterSlot::Pmc(0)]).unwrap();
-        assert!(is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
+        assert!(evtsel::ENABLE.is_set(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
         assert_eq!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 1);
 
         pm.on_cpu(1).unwrap().stop_slots(&[CounterSlot::Pmc(0)]).unwrap();
-        assert!(!is_enabled(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
+        assert!(!evtsel::ENABLE.is_set(dev.read(Msr::IA32_PERFEVTSEL0).unwrap()));
         assert_eq!(dev.read(Msr::IA32_PERF_GLOBAL_CTRL).unwrap(), 0);
     }
 
@@ -468,7 +402,7 @@ mod tests {
         pm.on_cpu(0).unwrap().setup(CounterSlot::UncorePmc(0), e).unwrap();
         pm.on_cpu(0).unwrap().start_slots(&[CounterSlot::UncorePmc(0)]).unwrap();
         let dev = machine.msr(0, MsrPermission::ReadOnly).unwrap();
-        assert!(is_enabled(dev.read(Msr::MSR_UNCORE_PERFEVTSEL0).unwrap()));
+        assert!(evtsel::ENABLE.is_set(dev.read(Msr::MSR_UNCORE_PERFEVTSEL0).unwrap()));
         assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::UncorePmc(0)).unwrap(), 0);
     }
 
@@ -481,9 +415,43 @@ mod tests {
         pm.on_cpu(3).unwrap().setup(CounterSlot::Pmc(2), e).unwrap();
         pm.on_cpu(3).unwrap().start_slots(&[CounterSlot::Pmc(2)]).unwrap();
         let dev = machine.msr(3, MsrPermission::ReadOnly).unwrap();
-        assert!(is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
+        assert!(evtsel::ENABLE.is_set(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
         pm.on_cpu(3).unwrap().stop_slots(&[CounterSlot::Pmc(2)]).unwrap();
-        assert!(!is_enabled(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
+        assert!(!evtsel::ENABLE.is_set(dev.read(Msr::AMD_PERFEVTSEL0 + 2).unwrap()));
+    }
+
+    #[test]
+    fn a_slot_without_a_counter_is_refused_without_a_device_access() {
+        for (preset, pmcs) in [(MachinePreset::IstanbulH2S, 4), (MachinePreset::PentiumM, 2)] {
+            let machine = SimMachine::new(preset);
+            let table = tables::for_arch(machine.arch());
+            let event = &table.events[0];
+            let pm = PerfMon::new(&machine, &[0]).unwrap();
+            let pmc0 = slot_counter(machine.arch().pmu(), CounterSlot::Pmc(0)).unwrap();
+            machine.msr_file().increment(0, pmc0.0.counter(pmc0.1), 77).unwrap();
+            let absent = [
+                CounterSlot::Fixed(0),
+                CounterSlot::Fixed(1),
+                CounterSlot::UncorePmc(0),
+                CounterSlot::UncoreFixed,
+                CounterSlot::Pmc(pmcs),
+            ];
+            for slot in absent {
+                let refused = Some(PerfMonError::NoSuchCounter(slot));
+                let before = machine.msr_accesses();
+                let mut cpu = pm.on_cpu(0).unwrap();
+                assert_eq!(cpu.read(slot).err(), refused, "{preset:?} read {slot:?}");
+                assert_eq!(cpu.wide_value(slot).err(), refused, "{preset:?} {slot:?}");
+                assert_eq!(cpu.reset(slot).err(), refused, "{preset:?} reset {slot:?}");
+                assert_eq!(cpu.setup(slot, event).err(), refused, "{preset:?} setup {slot:?}");
+                assert_eq!(cpu.verify(slot, event).err(), refused, "{preset:?} verify {slot:?}");
+                drop(cpu);
+                assert_eq!(machine.msr_accesses(), before, "{preset:?} {slot:?} touched a device");
+                assert_eq!(pm.on_cpu(0).unwrap().read(CounterSlot::Pmc(0)), Ok(77), "{preset:?}");
+            }
+            let err = PerfMonError::NoSuchCounter(CounterSlot::Fixed(1));
+            assert_eq!(err.to_string(), "this machine has no counter FIXC1");
+        }
     }
 
     #[test]

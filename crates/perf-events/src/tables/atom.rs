@@ -3,6 +3,8 @@
 //! Atom exposes the Core-2-style SIMD retired-instruction events and the
 //! architectural fixed counters, with two general-purpose counters.
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::{ev, intel_fixed_events};
@@ -72,27 +74,19 @@ pub fn table() -> EventTable {
         ),
         ev("DATA_TLB_MISSES_DTLB_MISS", 0x08, 0x07, CounterClass::AnyPmc, HwEventKind::DtlbMisses),
     ]);
-    EventTable {
-        arch_name: "Intel Atom",
-        num_pmc: 2,
-        num_fixed: 3,
-        num_uncore_pmc: 0,
-        pmc_bits: 40,
-        fixed_bits: 44,
-        uncore_bits: 0,
-        events,
-    }
+    EventTable { pmu: Microarch::Atom.pmu(), events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn atom_supports_the_flops_dp_events() {
         let t = table();
         assert!(t.find("SIMD_COMP_INST_RETIRED_PACKED_DOUBLE").is_some());
         assert!(t.find("SIMD_COMP_INST_RETIRED_SCALAR_DOUBLE").is_some());
-        assert_eq!(t.num_pmc, 2);
+        assert_eq!(t.pmu.count(BlockKind::Pmc), 2);
     }
 }

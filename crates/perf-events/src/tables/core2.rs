@@ -5,6 +5,8 @@
 //! instructions, and the fixed counters provide `INSTR_RETIRED_ANY` and
 //! `CPU_CLK_UNHALTED_CORE` "for free".
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::{ev, intel_fixed_events};
@@ -81,21 +83,13 @@ pub fn table() -> EventTable {
         // TLB (TLB group).
         ev("DTLB_MISSES_ANY", 0x08, 0x01, CounterClass::AnyPmc, HwEventKind::DtlbMisses),
     ]);
-    EventTable {
-        arch_name: "Intel Core 2",
-        num_pmc: 2,
-        num_fixed: 3,
-        num_uncore_pmc: 0,
-        pmc_bits: 40,
-        fixed_bits: 44,
-        uncore_bits: 0,
-        events,
-    }
+    EventTable { pmu: Microarch::Core2.pmu(), events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn packed_and_scalar_double_have_distinct_selectors() {
@@ -110,7 +104,7 @@ mod tests {
     #[test]
     fn core2_has_two_general_purpose_counters() {
         let t = table();
-        assert_eq!(t.num_pmc, 2);
+        assert_eq!(t.pmu.count(BlockKind::Pmc), 2);
         let slots = t.allowed_slots(t.find("L1D_REPL").unwrap());
         assert_eq!(slots.len(), 2);
     }
@@ -118,7 +112,7 @@ mod tests {
     #[test]
     fn no_uncore_events_on_core2() {
         let t = table();
-        assert_eq!(t.num_uncore_pmc, 0);
+        assert_eq!(t.pmu.count(BlockKind::UncorePmc), 0);
         assert!(t.events.iter().all(|e| !matches!(
             e.counters,
             CounterClass::AnyUncorePmc | CounterClass::UncoreFixed

@@ -6,6 +6,8 @@
 //! hardware they are northbridge events readable from any core of the
 //! package).
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::ev;
@@ -93,27 +95,19 @@ pub fn table() -> EventTable {
         // TLB.
         ev("DTLB_L2_MISS_ALL", 0x46, 0x07, CounterClass::AnyPmc, HwEventKind::DtlbMisses),
     ];
-    EventTable {
-        arch_name: "AMD K10",
-        num_pmc: 4,
-        num_fixed: 0,
-        num_uncore_pmc: 0,
-        pmc_bits: 48,
-        fixed_bits: 0,
-        uncore_bits: 0,
-        events,
-    }
+    EventTable { pmu: Microarch::K10.pmu(), events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn k10_has_four_symmetric_counters_and_no_fixed() {
         let t = table();
-        assert_eq!(t.num_pmc, 4);
-        assert_eq!(t.num_fixed, 0);
+        assert_eq!(t.pmu.count(BlockKind::Pmc), 4);
+        assert_eq!(t.pmu.count(BlockKind::Fixed), 0);
         assert_eq!(t.allowed_slots(t.find("RETIRED_INSTRUCTIONS").unwrap()).len(), 4);
     }
 

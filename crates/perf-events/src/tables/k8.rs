@@ -3,6 +3,8 @@
 //! K8 is the L3-less predecessor of K10: the same four-counter layout, but
 //! no on-die L3 and a narrower floating-point event set.
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::ev;
@@ -72,26 +74,18 @@ pub fn table() -> EventTable {
         ),
         ev("DTLB_L2_MISS", 0x46, 0x00, CounterClass::AnyPmc, HwEventKind::DtlbMisses),
     ];
-    EventTable {
-        arch_name: "AMD K8",
-        num_pmc: 4,
-        num_fixed: 0,
-        num_uncore_pmc: 0,
-        pmc_bits: 48,
-        fixed_bits: 0,
-        uncore_bits: 0,
-        events,
-    }
+    EventTable { pmu: Microarch::K8.pmu(), events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn k8_has_no_l3_events() {
         let t = table();
         assert!(t.events.iter().all(|e| !e.name.starts_with("L3_")));
-        assert_eq!(t.num_pmc, 4);
+        assert_eq!(t.pmu.count(BlockKind::Pmc), 4);
     }
 }

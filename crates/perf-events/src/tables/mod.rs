@@ -77,6 +77,7 @@ pub(crate) fn intel_fixed_events() -> Vec<EventDefinition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn every_arch_has_a_table_with_unique_names_and_selectors() {
@@ -114,43 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_counts_match_the_machine_description() {
-        for &arch in Microarch::all() {
-            let table = for_arch(arch);
-            assert_eq!(table.num_pmc, arch.num_pmc(), "{arch:?} PMC count");
-            assert_eq!(table.num_fixed, arch.num_fixed_counters(), "{arch:?} fixed count");
-            assert_eq!(table.num_uncore_pmc, arch.num_uncore_pmc(), "{arch:?} uncore count");
-        }
-    }
-
-    #[test]
-    fn counter_widths_match_the_msr_register_map() {
-        // The session layer corrects wraparound using the widths advertised
-        // here, so they must agree with the widths the MSR substrate
-        // actually wraps at.
-        use likwid_x86_machine::msr::{register_map, Msr};
-        for &arch in Microarch::all() {
-            let table = for_arch(arch);
-            let map = register_map(arch);
-            let width_of = |address: u32| {
-                map.iter().find(|d| d.address == address).map(|d| d.width).unwrap_or(0)
-            };
-            let pmc0 = match arch {
-                Microarch::K8 | Microarch::K10 => Msr::AMD_PMC0,
-                _ => Msr::IA32_PMC0,
-            };
-            assert_eq!(table.pmc_bits, width_of(pmc0), "{arch:?} PMC width");
-            assert_eq!(table.fixed_bits, width_of(Msr::IA32_FIXED_CTR0), "{arch:?} fixed width");
-            assert_eq!(table.uncore_bits, width_of(Msr::MSR_UNCORE_PMC0), "{arch:?} uncore width");
-            assert_eq!(
-                table.uncore_bits,
-                width_of(Msr::MSR_UNCORE_FIXED_CTR0),
-                "{arch:?} uncore fixed width"
-            );
-        }
-    }
-
-    #[test]
     fn the_papers_core2_events_exist() {
         let t = for_arch(Microarch::Core2);
         for name in [
@@ -181,7 +145,7 @@ mod tests {
                 t.events.iter().any(|e| matches!(e.counters, CounterClass::Fixed(_)));
             assert_eq!(
                 has_fixed_event,
-                arch.num_fixed_counters() > 0,
+                arch.pmu().count(BlockKind::Fixed) > 0,
                 "{arch:?} fixed-event presence mismatch"
             );
         }
@@ -189,7 +153,6 @@ mod tests {
 
     #[test]
     fn every_documented_event_resolves_to_a_valid_counter_assignment() {
-        use crate::event::CounterSlot;
         for &arch in Microarch::all() {
             let table = for_arch(arch);
             for event in &table.events {
@@ -201,31 +164,13 @@ mod tests {
                 );
                 for slot in slots {
                     // Every advertised slot must exist on the machine.
-                    match slot {
-                        CounterSlot::Pmc(n) => assert!(
-                            (n as usize) < table.num_pmc,
-                            "{arch:?} {}: PMC{n} beyond num_pmc={}",
-                            event.name,
-                            table.num_pmc
-                        ),
-                        CounterSlot::Fixed(n) => assert!(
-                            (n as usize) < table.num_fixed,
-                            "{arch:?} {}: FIXC{n} beyond num_fixed={}",
-                            event.name,
-                            table.num_fixed
-                        ),
-                        CounterSlot::UncorePmc(n) => assert!(
-                            (n as usize) < table.num_uncore_pmc,
-                            "{arch:?} {}: UPMC{n} beyond num_uncore_pmc={}",
-                            event.name,
-                            table.num_uncore_pmc
-                        ),
-                        CounterSlot::UncoreFixed => assert!(
-                            arch.has_uncore(),
-                            "{arch:?} {}: UPMCFIX on a machine without an uncore",
-                            event.name
-                        ),
-                    }
+                    let (kind, n) = slot.block();
+                    assert!(
+                        n < arch.pmu().count(kind),
+                        "{arch:?} {}: {} beyond the {kind:?} block",
+                        event.name,
+                        slot.name()
+                    );
                 }
             }
         }

@@ -6,6 +6,8 @@
 //! measured in Table II of the paper, and the `UNC_QMC_*` events provide the
 //! memory bandwidth of the MEM group.
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::{ev, intel_fixed_events};
@@ -15,16 +17,7 @@ pub fn table() -> EventTable {
     let mut events = intel_fixed_events();
     events.extend(core_events());
     events.extend(uncore_events());
-    EventTable {
-        arch_name: "Intel Nehalem EP",
-        num_pmc: 4,
-        num_fixed: 3,
-        num_uncore_pmc: 8,
-        pmc_bits: 48,
-        fixed_bits: 44,
-        uncore_bits: 48,
-        events,
-    }
+    EventTable { pmu: Microarch::NehalemEp.pmu(), events }
 }
 
 /// Core (per hardware thread) events shared by Nehalem and Westmere.
@@ -118,6 +111,7 @@ pub(crate) fn uncore_events() -> Vec<crate::event::EventDefinition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn table_ii_events_are_uncore_events() {
@@ -131,8 +125,8 @@ mod tests {
     #[test]
     fn nehalem_has_four_pmcs_and_eight_uncore_pmcs() {
         let t = table();
-        assert_eq!(t.num_pmc, 4);
-        assert_eq!(t.num_uncore_pmc, 8);
+        assert_eq!(t.pmu.count(BlockKind::Pmc), 4);
+        assert_eq!(t.pmu.count(BlockKind::UncorePmc), 8);
         assert_eq!(t.allowed_slots(t.find("L1D_REPL").unwrap()).len(), 4);
         assert_eq!(t.allowed_slots(t.find("UNC_L3_LINES_IN_ANY").unwrap()).len(), 8);
     }

@@ -4,6 +4,8 @@
 //! cycles are ordinary programmable events competing for the two counters,
 //! exactly the constraint that motivates the multiplexing mode.
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::{CounterClass, EventTable};
 use crate::kinds::HwEventKind;
 use crate::tables::ev;
@@ -58,26 +60,18 @@ pub fn table() -> EventTable {
         ),
         ev("DTLB_MISS", 0x49, 0x00, CounterClass::AnyPmc, HwEventKind::DtlbMisses),
     ];
-    EventTable {
-        arch_name: "Intel Pentium M",
-        num_pmc: 2,
-        num_fixed: 0,
-        num_uncore_pmc: 0,
-        pmc_bits: 40,
-        fixed_bits: 0,
-        uncore_bits: 0,
-        events,
-    }
+    EventTable { pmu: Microarch::PentiumM.pmu(), events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likwid_x86_machine::pmu::BlockKind;
 
     #[test]
     fn pentium_m_has_no_fixed_counters() {
         let t = table();
-        assert_eq!(t.num_fixed, 0);
+        assert_eq!(t.pmu.count(BlockKind::Fixed), 0);
         // Instructions/cycles are programmable events here.
         assert!(matches!(t.find("INSTR_RETIRED_ANY").unwrap().counters, CounterClass::AnyPmc));
         assert!(matches!(t.find("CPU_CLK_UNHALTED").unwrap().counters, CounterClass::AnyPmc));

@@ -5,6 +5,8 @@
 //! Nehalem's. LIKWID handles the two generations with largely shared tables
 //! and so does this reproduction.
 
+use likwid_x86_machine::Microarch;
+
 use crate::event::EventTable;
 use crate::tables::{intel_fixed_events, nehalem};
 
@@ -13,16 +15,7 @@ pub fn table() -> EventTable {
     let mut events = intel_fixed_events();
     events.extend(nehalem::core_events());
     events.extend(nehalem::uncore_events());
-    EventTable {
-        arch_name: "Intel Westmere EP",
-        num_pmc: 4,
-        num_fixed: 3,
-        num_uncore_pmc: 8,
-        pmc_bits: 48,
-        fixed_bits: 44,
-        uncore_bits: 48,
-        events,
-    }
+    EventTable { pmu: Microarch::WestmereEp.pmu(), events }
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ pub mod fault;
 pub mod features;
 pub mod machine;
 pub mod msr;
+pub mod pmu;
 pub mod presets;
 pub mod topology;
 pub mod vendor;

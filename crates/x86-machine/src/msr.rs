@@ -35,8 +35,9 @@ use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::error::{MachineError, Result};
 use crate::fault::{dirty_value, FaultPlan, FaultState};
+use crate::pmu::{Control, Pmu};
 use crate::topology::TopologySpec;
-use crate::vendor::Microarch;
+use crate::vendor::{Microarch, Vendor};
 
 /// Well-known MSR addresses used by the tool suite (Intel SDM / AMD BKDG
 /// names).
@@ -53,12 +54,9 @@ pub mod Msr {
     pub const IA32_PMC0: u32 = 0xC1;
     /// First performance event select register (Intel).
     pub const IA32_PERFEVTSEL0: u32 = 0x186;
-    /// First fixed-function counter (INSTR_RETIRED_ANY).
+    /// First fixed-function counter (INSTR_RETIRED_ANY); fixed counters 1
+    /// (CPU_CLK_UNHALTED_CORE) and 2 (CPU_CLK_UNHALTED_REF) follow.
     pub const IA32_FIXED_CTR0: u32 = 0x309;
-    /// Fixed counter 1 (CPU_CLK_UNHALTED_CORE).
-    pub const IA32_FIXED_CTR1: u32 = 0x30A;
-    /// Fixed counter 2 (CPU_CLK_UNHALTED_REF).
-    pub const IA32_FIXED_CTR2: u32 = 0x30B;
     /// Fixed counter control register.
     pub const IA32_FIXED_CTR_CTRL: u32 = 0x38D;
     /// Global status register.
@@ -174,6 +172,8 @@ const NO_REGISTER: u8 = u8::MAX;
 pub struct MsrSpace {
     registers: Vec<Register>,
     index: Box<[u8]>,
+    /// The counter blocks the registers were built from.
+    pmu: &'static Pmu,
     /// For mapping hardware threads to scope instances.
     thread_core: Vec<usize>,
     thread_socket: Vec<usize>,
@@ -242,6 +242,7 @@ impl MsrSpace {
         MsrSpace {
             registers,
             index,
+            pmu: arch.pmu(),
             thread_core,
             thread_socket,
             num_threads,
@@ -347,7 +348,7 @@ impl MsrSpace {
             let seed = plan.seed;
             for reg in &mut self.registers {
                 let address = reg.desc.address;
-                if !reg.desc.writable || !is_perf_register(address) {
+                if !reg.desc.writable || !is_perf_register(self.pmu, address) {
                     continue;
                 }
                 let mask = reg.desc.value_mask() & !reg.desc.reserved_mask;
@@ -388,25 +389,13 @@ fn index_entry(address: u32) -> usize {
     (address & ((1 << INDEX_BITS) - 1)) as usize
 }
 
-/// Whether an address belongs to the performance-counting register blocks
-/// (counters, event selects, counter control) — the registers a `dirty`
-/// fault plan scribbles, mirroring state left behind by another tool.
-fn is_perf_register(address: u32) -> bool {
-    let in_block = |base: u32, len: u32| address >= base && address < base + len;
-    in_block(Msr::IA32_PMC0, 8)
-        || in_block(Msr::IA32_PERFEVTSEL0, 8)
-        || in_block(Msr::IA32_FIXED_CTR0, 3)
-        || address == Msr::IA32_FIXED_CTR_CTRL
-        || address == Msr::IA32_PERF_GLOBAL_CTRL
-        || address == Msr::IA32_PERF_GLOBAL_OVF_CTRL
-        || address == Msr::MSR_UNCORE_PERF_GLOBAL_CTRL
-        || address == Msr::MSR_UNCORE_PERF_GLOBAL_OVF_CTRL
-        || address == Msr::MSR_UNCORE_FIXED_CTR0
-        || address == Msr::MSR_UNCORE_FIXED_CTR_CTRL
-        || in_block(Msr::MSR_UNCORE_PMC0, 8)
-        || in_block(Msr::MSR_UNCORE_PERFEVTSEL0, 8)
-        || in_block(Msr::AMD_PERFEVTSEL0, 4)
-        || in_block(Msr::AMD_PMC0, 4)
+/// Whether `address` is a register of `pmu`: a counter, an event select or
+/// counter control register, or a global control, status or
+/// overflow-control register. A `dirty` fault plan scribbles the writable
+/// ones, mirroring state left behind by another tool.
+fn is_perf_register(pmu: &Pmu, address: u32) -> bool {
+    pmu.blocks.iter().any(|b| b.counters().contains(&address) || b.controls().contains(&address))
+        || pmu.globals.iter().any(|g| [g.ctrl, g.status, g.ovf_ctrl].contains(&address))
 }
 
 /// A handle to the MSR device of one hardware thread, mirroring an open
@@ -524,212 +513,46 @@ impl MsrFile {
     }
 }
 
-/// Width of the general-purpose counters for an architecture.
-fn pmc_width(arch: Microarch) -> u32 {
-    match arch {
-        Microarch::PentiumM => 40,
-        Microarch::Core2 | Microarch::Atom => 40,
-        Microarch::NehalemEp | Microarch::WestmereEp => 48,
-        Microarch::K8 | Microarch::K10 => 48,
-    }
-}
-
-/// Build the full register map for a microarchitecture.
+/// Build the full register map for a microarchitecture: the time-stamp
+/// counter, the feature and platform registers, and the registers of the
+/// architecture's counter blocks and global controls ([`crate::pmu`]).
 pub fn register_map(arch: Microarch) -> Vec<MsrDescriptor> {
-    let mut map = Vec::new();
-    let pmc_w = pmc_width(arch);
-
-    // Time-stamp counter exists everywhere.
-    map.push(MsrDescriptor {
-        address: Msr::IA32_TIME_STAMP_COUNTER,
-        scope: MsrScope::Thread,
-        writable: true,
-        reserved_mask: 0,
-        width: 64,
+    let register = |address, scope, writable, reserved_mask, width| MsrDescriptor {
+        address,
+        scope,
+        writable,
+        reserved_mask,
+        width,
         reset_value: 0,
-    });
-
-    match arch {
-        Microarch::PentiumM
-        | Microarch::Atom
-        | Microarch::Core2
-        | Microarch::NehalemEp
-        | Microarch::WestmereEp => {
-            // IA32_MISC_ENABLE: core scope. Reserved bits are not enforced
-            // here because the OS writes implementation-specific bits.
-            map.push(MsrDescriptor {
-                address: Msr::IA32_MISC_ENABLE,
-                scope: MsrScope::Core,
-                writable: true,
-                reserved_mask: 0,
-                width: 64,
-                reset_value: crate::features::MiscEnable::RESET_VALUE,
-            });
-
-            let num_pmc = arch.num_pmc();
-            for i in 0..num_pmc as u32 {
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_PMC0 + i,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: pmc_w,
-                    reset_value: 0,
-                });
-                // PERFEVTSEL: bits 63:32 reserved on pre-Nehalem; Nehalem
-                // adds AnyThread (21) and the cmask stays in 31:24.
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_PERFEVTSEL0 + i,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0xFFFF_FFFF_0000_0000,
-                    width: 64,
-                    reset_value: 0,
-                });
-            }
-
-            if arch.num_fixed_counters() > 0 {
-                for addr in [Msr::IA32_FIXED_CTR0, Msr::IA32_FIXED_CTR1, Msr::IA32_FIXED_CTR2] {
-                    map.push(MsrDescriptor {
-                        address: addr,
-                        scope: MsrScope::Thread,
-                        writable: true,
-                        reserved_mask: 0,
-                        // Fixed-function counters are narrower than the
-                        // PMCs: 44 implemented bits, wrapping earlier.
-                        width: 44,
-                        reset_value: 0,
-                    });
-                }
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_FIXED_CTR_CTRL,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0xFFFF_FFFF_FFFF_F000,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_PERF_GLOBAL_STATUS,
-                    scope: MsrScope::Thread,
-                    writable: false,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_PERF_GLOBAL_CTRL,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::IA32_PERF_GLOBAL_OVF_CTRL,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-            }
-
-            if arch.has_uncore() {
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_UNCORE_PERF_GLOBAL_CTRL,
-                    scope: MsrScope::Package,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_UNCORE_PERF_GLOBAL_STATUS,
-                    scope: MsrScope::Package,
-                    writable: false,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_UNCORE_PERF_GLOBAL_OVF_CTRL,
-                    scope: MsrScope::Package,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_UNCORE_FIXED_CTR0,
-                    scope: MsrScope::Package,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 48,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_UNCORE_FIXED_CTR_CTRL,
-                    scope: MsrScope::Package,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                for i in 0..arch.num_uncore_pmc() as u32 {
-                    map.push(MsrDescriptor {
-                        address: Msr::MSR_UNCORE_PMC0 + i,
-                        scope: MsrScope::Package,
-                        writable: true,
-                        reserved_mask: 0,
-                        width: 48,
-                        reset_value: 0,
-                    });
-                    map.push(MsrDescriptor {
-                        address: Msr::MSR_UNCORE_PERFEVTSEL0 + i,
-                        scope: MsrScope::Package,
-                        writable: true,
-                        reserved_mask: 0xFFFF_FFFF_0000_0000,
-                        width: 64,
-                        reset_value: 0,
-                    });
-                }
-            }
-
-            if matches!(arch, Microarch::NehalemEp | Microarch::WestmereEp) {
-                map.push(MsrDescriptor {
-                    address: Msr::MSR_PLATFORM_INFO,
-                    scope: MsrScope::Package,
-                    writable: false,
-                    reserved_mask: 0,
-                    width: 64,
-                    // Bits 15:8: maximum non-turbo ratio. Set by the preset.
-                    reset_value: 0,
-                });
-            }
-        }
-        Microarch::K8 | Microarch::K10 => {
-            for i in 0..4u32 {
-                map.push(MsrDescriptor {
-                    address: Msr::AMD_PERFEVTSEL0 + i,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: 64,
-                    reset_value: 0,
-                });
-                map.push(MsrDescriptor {
-                    address: Msr::AMD_PMC0 + i,
-                    scope: MsrScope::Thread,
-                    writable: true,
-                    reserved_mask: 0,
-                    width: pmc_w,
-                    reset_value: 0,
-                });
-            }
-        }
+    };
+    // Time-stamp counter exists everywhere.
+    let mut map = vec![register(Msr::IA32_TIME_STAMP_COUNTER, MsrScope::Thread, true, 0, 64)];
+    if arch.vendor() == Vendor::Intel {
+        // IA32_MISC_ENABLE: core scope. Reserved bits are not enforced
+        // here because the OS writes implementation-specific bits.
+        map.push(MsrDescriptor {
+            reset_value: crate::features::MiscEnable::RESET_VALUE,
+            ..register(Msr::IA32_MISC_ENABLE, MsrScope::Core, true, 0, 64)
+        });
+    }
+    if matches!(arch, Microarch::NehalemEp | Microarch::WestmereEp) {
+        // Bits 15:8: maximum non-turbo ratio. Set by the preset.
+        map.push(register(Msr::MSR_PLATFORM_INFO, MsrScope::Package, false, 0, 64));
     }
 
+    let pmu = arch.pmu();
+    for block in pmu.blocks {
+        let (Control::Select { reserved, .. } | Control::Shared { reserved, .. }) = block.control;
+        map.extend(block.counters().map(|c| register(c, block.scope, true, 0, block.width)));
+        map.extend(block.controls().map(|c| register(c, block.scope, true, reserved, 64)));
+    }
+    if pmu.implements_globals {
+        for global in pmu.globals {
+            map.push(register(global.ctrl, global.scope, true, 0, 64));
+            map.push(register(global.status, global.scope, false, 0, 64));
+            map.push(register(global.ovf_ctrl, global.scope, true, 0, 64));
+        }
+    }
     map
 }
 

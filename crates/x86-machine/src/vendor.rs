@@ -5,6 +5,8 @@
 //! reported by `cpuid` leaf 0x1 and the vendor string of leaf 0x0. This
 //! module captures that identification logic.
 
+use crate::pmu::{self, BlockKind, Pmu};
+
 /// CPU vendor as reported by the `cpuid` leaf 0x0 vendor string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -134,36 +136,19 @@ impl Microarch {
 
     /// Whether this is an uncore-capable design (Nehalem and later): the L3
     /// and memory controller are shared per package and counted by dedicated
-    /// uncore counters guarded by socket locks in `likwid-perfctr`.
+    /// uncore counters guarded by socket locks in `likwid-perfctr`: those
+    /// its register layout has.
     pub fn has_uncore(self) -> bool {
-        matches!(self, Microarch::NehalemEp | Microarch::WestmereEp)
+        self.pmu().block(BlockKind::UncorePmc).is_some()
     }
 
-    /// Number of general-purpose core performance counters.
-    pub fn num_pmc(self) -> usize {
+    /// The performance-monitoring register layout.
+    pub fn pmu(self) -> &'static Pmu {
         match self {
-            Microarch::PentiumM | Microarch::Core2 | Microarch::Atom => 2,
-            Microarch::NehalemEp | Microarch::WestmereEp => 4,
-            Microarch::K8 | Microarch::K10 => 4,
-        }
-    }
-
-    /// Number of fixed-function counters (INSTR_RETIRED_ANY,
-    /// CPU_CLK_UNHALTED_CORE, CPU_CLK_UNHALTED_REF). AMD has none.
-    pub fn num_fixed_counters(self) -> usize {
-        match self {
-            Microarch::Core2 | Microarch::Atom | Microarch::NehalemEp | Microarch::WestmereEp => 3,
-            Microarch::PentiumM | Microarch::K8 | Microarch::K10 => 0,
-        }
-    }
-
-    /// Number of uncore counters per package (Nehalem/Westmere: eight
-    /// general-purpose uncore PMCs plus a fixed uncore clock counter).
-    pub fn num_uncore_pmc(self) -> usize {
-        if self.has_uncore() {
-            8
-        } else {
-            0
+            Microarch::PentiumM => &pmu::PENTIUM_M,
+            Microarch::Core2 | Microarch::Atom => &pmu::CORE2,
+            Microarch::NehalemEp | Microarch::WestmereEp => &pmu::NEHALEM,
+            Microarch::K8 | Microarch::K10 => &pmu::AMD,
         }
     }
 
@@ -207,14 +192,14 @@ mod tests {
         // Core 2: two PMCs plus fixed counters (the paper's FLOPS_DP listing
         // relies on INSTR_RETIRED_ANY / CPU_CLK_UNHALTED_CORE being "always
         // counted" in fixed counters).
-        assert_eq!(Microarch::Core2.num_pmc(), 2);
-        assert_eq!(Microarch::Core2.num_fixed_counters(), 3);
+        assert_eq!(Microarch::Core2.pmu().count(BlockKind::Pmc), 2);
+        assert_eq!(Microarch::Core2.pmu().count(BlockKind::Fixed), 3);
         // Nehalem EP supports uncore events.
         assert!(Microarch::NehalemEp.has_uncore());
         assert!(!Microarch::Core2.has_uncore());
         // AMD has four PMCs and no fixed counters.
-        assert_eq!(Microarch::K10.num_pmc(), 4);
-        assert_eq!(Microarch::K10.num_fixed_counters(), 0);
+        assert_eq!(Microarch::K10.pmu().count(BlockKind::Pmc), 4);
+        assert_eq!(Microarch::K10.pmu().count(BlockKind::Fixed), 0);
     }
 
     #[test]

@@ -25,7 +25,9 @@ use likwid_suite::likwid::report::{
 };
 use likwid_suite::likwid::topology::CpuTopology;
 use likwid_suite::likwid::LikwidError;
-use likwid_suite::perf_events::CounterSlot;
+use likwid_suite::perf_events::{
+    CounterSlot, EventEngine, EventSample, EventTable, HwEventKind, PerfMon,
+};
 use likwid_suite::x86_machine::fault::FaultPlan;
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
 
@@ -387,6 +389,42 @@ fn same_interval(a: &IntervalFrame, b: &IntervalFrame) -> bool {
         && same_real(a.t_start_s, b.t_start_s)
         && same_real(a.t_end_s, b.t_end_s)
         && a.counts == b.counts
+}
+
+/// One of two measurement sessions sharing the cpus of a node: its
+/// counter monitor, its slots, and the core ones among them, which are all
+/// a cpu that does not own its socket's uncore starts and stops.
+struct SharedCpuSession {
+    perfmon: PerfMon,
+    slots: Vec<CounterSlot>,
+    core: Vec<CounterSlot>,
+}
+
+impl SharedCpuSession {
+    fn slots_on(&self, cpu: usize, owners: &[usize]) -> &[CounterSlot] {
+        if owners.contains(&cpu) {
+            &self.slots
+        } else {
+            &self.core
+        }
+    }
+
+    /// Every `(cpu, slot)` this session counts on, with the counter's value.
+    fn readings(&self, owners: &[usize]) -> Vec<(usize, CounterSlot, u64)> {
+        let mut out = Vec::new();
+        for cpu in self.perfmon.cpus() {
+            let counters = self.perfmon.on_cpu(cpu).unwrap();
+            for &slot in self.slots_on(cpu, owners) {
+                out.push((cpu, slot, counters.read(slot).unwrap()));
+            }
+        }
+        out
+    }
+}
+
+/// The first table event that `slot` can carry.
+fn event_for(table: &EventTable, slot: CounterSlot) -> &likwid_suite::perf_events::EventDefinition {
+    table.events.iter().find(|e| table.allowed_slots(e).contains(&slot)).expect("slot has an event")
 }
 
 proptest! {
@@ -838,6 +876,123 @@ proptest! {
         let (at, cut, splice) = edit;
         for text in [raw, soup.concat(), mutate(&doc, at, cut, splice)] {
             let _ = Trajectory::parse(&text);
+        }
+    }
+
+    /// Two sessions program disjoint counter slots, core and uncore, on
+    /// the same cpus of `nehalem-ep-2s` and take turns as the broker hands
+    /// them out: a start suspends the session holding the turn, a stop
+    /// zeroes the session's counters, a suspend only pauses them. After
+    /// every step the counting engine advances exactly the slots of the
+    /// session whose turn it is, on each cpu the slots that cpu starts,
+    /// and no slot of the other.
+    #[test]
+    fn shared_cpu_counter_enables_credit_only_running_slots(
+        owner_of_slot in prop::collection::vec(0usize..3, 16..17),
+        cpu_mask in 1u32..1 << 16,
+        ops in prop::collection::vec((0usize..3, 0usize..2), 1..24),
+    ) {
+        let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+        let engine = EventEngine::new(&machine);
+        let table = engine.table();
+        let cpus: Vec<usize> = (0..16).filter(|cpu| cpu_mask >> cpu & 1 == 1).collect();
+        let all_slots: Vec<CounterSlot> = (0..4)
+            .map(CounterSlot::Pmc)
+            .chain((0..3).map(CounterSlot::Fixed))
+            .chain((0..8).map(CounterSlot::UncorePmc))
+            .chain([CounterSlot::UncoreFixed])
+            .collect();
+        // The first chosen cpu of each socket starts that socket's uncore.
+        let mut owners: Vec<usize> = Vec::new();
+        for &cpu in &cpus {
+            let socket = machine.topology().hw_threads[cpu].socket;
+            if owners.iter().all(|&o| machine.topology().hw_threads[o].socket != socket) {
+                owners.push(cpu);
+            }
+        }
+        let sessions: Vec<SharedCpuSession> = (0..2)
+            .map(|s| {
+                let slots: Vec<CounterSlot> = all_slots
+                    .iter()
+                    .zip(&owner_of_slot)
+                    .filter(|&(_, &owner)| owner == s)
+                    .map(|(&slot, _)| slot)
+                    .collect();
+                let core = slots.iter().copied().filter(|slot| !slot.is_uncore()).collect();
+                SharedCpuSession { perfmon: PerfMon::new(&machine, &cpus).unwrap(), slots, core }
+            })
+            .collect();
+        for session in &sessions {
+            for &cpu in &cpus {
+                let mut counters = session.perfmon.on_cpu(cpu).unwrap();
+                for &slot in session.slots_on(cpu, &owners) {
+                    counters.setup(slot, event_for(table, slot)).unwrap();
+                }
+            }
+        }
+        let mut sample =
+            EventSample::new(machine.num_hw_threads(), machine.topology().sockets as usize);
+        for kind in HwEventKind::ALL {
+            for record in &mut sample.threads {
+                record.set(kind, 1000);
+            }
+            for record in &mut sample.sockets {
+                record.set(kind, 1000);
+            }
+        }
+
+        let mut turn: Option<usize> = None;
+        let pause = |s: usize| {
+            for &cpu in &cpus {
+                let slots = sessions[s].slots_on(cpu, &owners);
+                sessions[s].perfmon.on_cpu(cpu).unwrap().stop_slots(slots).unwrap();
+            }
+        };
+        for (op, actor) in ops {
+            match op {
+                0 => {
+                    if let Some(holder) = turn {
+                        pause(holder);
+                    }
+                    let session = &sessions[actor];
+                    for &cpu in &cpus {
+                        let slots = session.slots_on(cpu, &owners);
+                        session.perfmon.on_cpu(cpu).unwrap().start_slots(slots).unwrap();
+                    }
+                    turn = Some(actor);
+                }
+                _ => {
+                    if turn == Some(actor) {
+                        pause(actor);
+                        turn = None;
+                    }
+                    if op == 1 {
+                        let session = &sessions[actor];
+                        for &cpu in &cpus {
+                            let mut counters = session.perfmon.on_cpu(cpu).unwrap();
+                            for &slot in session.slots_on(cpu, &owners) {
+                                counters.reset(slot).unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+            let before: Vec<_> = sessions.iter().map(|session| session.readings(&owners)).collect();
+            engine.apply(&machine, &sample);
+            for (s, session) in sessions.iter().enumerate() {
+                for ((cpu, slot, was), (_, _, now)) in before[s].iter().zip(session.readings(&owners)) {
+                    prop_assert_eq!(
+                        now > *was,
+                        turn == Some(s),
+                        "session {} {} on cpu {} after a {} of session {}",
+                        s,
+                        slot.name(),
+                        cpu,
+                        ["start", "stop", "suspend"][op],
+                        actor
+                    );
+                }
+            }
         }
     }
 }
