@@ -19,6 +19,15 @@
 //! hot path (the daemon's interval frames) can skip the tree entirely.
 //! The reader accepts exactly RFC 8259 JSON: numbers such as `01`, `1.`
 //! or `-.5` and raw control characters inside strings are errors.
+//!
+//! The reader reads each number once. One scan checks the token against
+//! the grammar and accumulates its digits as it goes, without an overflow
+//! check for the first 19 (any 19 digits fit a `u64`). The scan yields the
+//! exact `u64` of a non-negative integer, or the correctly rounded `f64` of
+//! any other number: from the digits when they and the power of ten are
+//! exact doubles, else by parsing the token. [`Reader::uint`] and
+//! [`Reader::real`] return that value directly, and [`Reader::value`]
+//! wraps it in its tree node, so every path reads a number alike.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -314,6 +323,7 @@ impl<'a> Reader<'a> {
         Reader { text, pos: 0, depth: 0, fresh: false }
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.text.as_bytes().get(self.pos) {
             self.pos += 1;
@@ -321,6 +331,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The first byte of the next token, after any whitespace.
+    #[inline]
     pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.text.as_bytes().get(self.pos).copied()
@@ -374,12 +385,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether another item follows; `false` once the array is closed.
+    #[inline]
     pub fn next_item(&mut self) -> Result<bool, String> {
         self.more(b']')
     }
 
     /// Step over the separator before the next member or item, or out of
     /// the container at `close`.
+    #[inline]
     fn more(&mut self, close: u8) -> Result<bool, String> {
         let first = std::mem::replace(&mut self.fresh, false);
         match self.peek() {
@@ -420,7 +433,10 @@ impl<'a> Reader<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(match self.number()? {
+                Number::UInt(v) => JsonValue::UInt(v),
+                Number::Real(v) => JsonValue::Num(v),
+            }),
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
@@ -428,18 +444,28 @@ impl<'a> Reader<'a> {
 
     /// A non-negative integer, or `None` (the value consumed) for any
     /// other value.
+    #[inline]
     pub fn uint(&mut self) -> Result<Option<u64>, String> {
-        Ok(self.value()?.as_u64())
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => match self.number()? {
+                Number::UInt(v) => Ok(Some(v)),
+                Number::Real(_) => Ok(None),
+            },
+            _ => self.value().map(|_| None),
+        }
     }
 
     /// A real as [`JsonValue::as_f64`] reads it — a number or a quoted
     /// non-finite spelling — or `None` (the value consumed) for any other
     /// value.
     pub fn real(&mut self) -> Result<Option<f64>, String> {
-        if self.peek() == Some(b'"') {
-            Ok(non_finite(&self.str()?))
-        } else {
-            Ok(self.value()?.as_f64())
+        match self.peek() {
+            Some(b'"') => Ok(non_finite(&self.str()?)),
+            Some(b'-' | b'0'..=b'9') => Ok(Some(match self.number()? {
+                Number::UInt(v) => v as f64,
+                Number::Real(v) => v,
+            })),
+            _ => self.value().map(|_| None),
         }
     }
 
@@ -543,57 +569,142 @@ impl<'a> Reader<'a> {
     }
 
     /// A number, checked against the RFC 8259 grammar
-    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`. The token is the
-    /// whole run of number characters at the cursor, so `01` or `1.e5` is
-    /// one bad number rather than a number and trailing characters.
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?` and read in the
+    /// same pass. The token is the whole run of number characters at the
+    /// cursor, so `01` or `1.e5` is one bad number rather than a number and
+    /// trailing characters. A non-negative integer that fits a `u64` is
+    /// exact; every other number is the correctly rounded `f64`, computed
+    /// from the digits read when they and the power of ten are exact
+    /// doubles, else by parsing the token.
+    #[inline]
+    fn number(&mut self) -> Result<Number, String> {
         let bytes = self.text.as_bytes();
         let start = self.pos;
-        let mut at = start;
-        let digit = |at: usize| bytes.get(at).filter(|b| b.is_ascii_digit()).map(|b| b - b'0');
-        let negative = bytes.get(at) == Some(&b'-');
-        at += usize::from(negative);
-        // The integer part, accumulated while it fits a u64.
-        let int_start = at;
-        let mut uint = Some(0u64);
-        while let Some(d) = digit(at) {
-            uint = uint.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d)));
-            at += 1;
-        }
+        let negative = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(negative);
+        // The integer and fraction digits, read as one integer.
+        let mut digits = Digits { value: 0, count: 0, fits: true };
+        let mut at = digits.run(bytes, int_start);
         let mut valid = at > int_start && (bytes[int_start] != b'0' || at == int_start + 1);
         let integral = !matches!(bytes.get(at), Some(b'.' | b'e' | b'E'));
+        // The power of ten of the last digit read.
+        let mut scale = 0i64;
         if bytes.get(at) == Some(&b'.') {
             let from = at + 1;
-            at = from;
-            while digit(at).is_some() {
-                at += 1;
-            }
+            at = digits.run(bytes, from);
             valid &= at > from;
+            scale = -((at - from) as i64);
         }
         if let Some(b'e' | b'E') = bytes.get(at) {
             at += 1;
+            let minus = bytes.get(at) == Some(&b'-');
             at += usize::from(matches!(bytes.get(at), Some(b'+' | b'-')));
             let from = at;
-            while digit(at).is_some() {
+            let mut exponent = 0i64;
+            while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
+                exponent = exponent.saturating_mul(10).saturating_add(i64::from(b - b'0'));
                 at += 1;
             }
             valid &= at > from;
+            scale = if minus { scale.saturating_sub(exponent) } else { scale + exponent };
         }
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(at) {
             valid = false;
             at += 1;
         }
         self.pos = at;
-        let text = &self.text[start..at];
-        let bad = || format!("bad number '{text}' at byte {start}");
         if !valid {
-            return Err(bad());
+            return Err(self.bad_number(start));
         }
-        match uint {
-            Some(v) if integral && !negative => Ok(JsonValue::UInt(v)),
-            // Past u64::MAX an integer falls back to a real.
-            _ => text.parse::<f64>().map(JsonValue::Num).map_err(|_| bad()),
+        if integral && !negative && digits.fits {
+            return Ok(Number::UInt(digits.value));
         }
+        // Past u64::MAX an integer falls back to a real.
+        let real = match EXACT_POWERS.get(scale.unsigned_abs() as usize) {
+            // Both operands are exact doubles, so the one rounding of the
+            // product or quotient is the correctly rounded value (Clinger's
+            // fast path), as the parse below would give.
+            Some(&power) if digits.fits && digits.value <= 1 << 53 => {
+                let value = digits.value as f64;
+                let magnitude = if scale < 0 { value / power } else { value * power };
+                if negative {
+                    -magnitude
+                } else {
+                    magnitude
+                }
+            }
+            _ => self.parse_real(start)?,
+        };
+        Ok(Number::Real(real))
+    }
+
+    /// The error for the bad number token from `start` to the cursor.
+    #[cold]
+    fn bad_number(&self, start: usize) -> String {
+        format!("bad number '{}' at byte {start}", &self.text[start..self.pos])
+    }
+
+    /// The valid number token from `start` to the cursor, parsed as a real.
+    #[cold]
+    fn parse_real(&self, start: usize) -> Result<f64, String> {
+        self.text[start..self.pos].parse().map_err(|_| self.bad_number(start))
+    }
+}
+
+/// A number token's value: a non-negative integer that fits a `u64`
+/// exactly, every other number as a real.
+#[derive(Debug, Clone, Copy)]
+enum Number {
+    UInt(u64),
+    Real(f64),
+}
+
+/// The powers of ten a double holds exactly: `10^0` to `10^22`.
+const EXACT_POWERS: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The digits of a number token, read as one integer.
+struct Digits {
+    /// The digits read so far, while `fits`.
+    value: u64,
+    /// How many digits were read.
+    count: usize,
+    /// Whether `value` holds every digit read: false once they overflow a
+    /// `u64`.
+    fits: bool,
+}
+
+impl Digits {
+    /// Any 19 decimal digits fit a `u64`.
+    const UNCHECKED: usize = 19;
+
+    /// Read the run of digits at `at` and return its end. The first
+    /// [`Digits::UNCHECKED`] digits of the token accumulate without an
+    /// overflow check; only later ones are checked.
+    #[inline]
+    fn run(&mut self, bytes: &[u8], mut at: usize) -> usize {
+        let from = at;
+        let unchecked = bytes.len().min(at + Self::UNCHECKED.saturating_sub(self.count));
+        while at < unchecked {
+            let d = bytes[at].wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            self.value = self.value * 10 + u64::from(d);
+            at += 1;
+        }
+        while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
+            let next = self.value.checked_mul(10).and_then(|v| v.checked_add(u64::from(b - b'0')));
+            match next {
+                Some(v) if self.fits => self.value = v,
+                _ => self.fits = false,
+            }
+            at += 1;
+        }
+        self.count += at - from;
+        at
     }
 }
 
@@ -619,6 +730,20 @@ mod tests {
         for v in [0u64, 1, u64::MAX, u64::MAX - 1, 1 << 53, (1 << 53) + 1] {
             let text = JsonValue::UInt(v).encode();
             assert_eq!(JsonValue::parse(&text).unwrap(), JsonValue::UInt(v), "{v}");
+        }
+    }
+
+    #[test]
+    fn reals_at_the_edges_of_the_exact_range_round_like_the_standard_parser() {
+        let mantissas = [1u64, 3, 7, 123_456_789, (1 << 53) - 1, 1 << 53, (1 << 53) + 1];
+        for m in mantissas {
+            for scale in -25i32..=25 {
+                for token in [format!("{m}e{scale}"), format!("-{m}.0e{scale}")] {
+                    let read = JsonValue::parse(&token).unwrap().as_f64().unwrap();
+                    let parsed: f64 = token.parse().unwrap();
+                    assert_eq!(read.to_bits(), parsed.to_bits(), "{token}");
+                }
+            }
         }
     }
 

@@ -191,11 +191,12 @@ impl IntervalLog {
 /// A time-resolved measurement session: wraps [`PerfCtr`] and takes
 /// per-interval counter deltas while the caller advances virtual time.
 ///
-/// A local run hands the whole sliced activity to [`TimelineSession::run`],
-/// which yields the [`TimelineResult`]. A session time-sliced against
-/// others instead brackets each interval with [`TimelineSession::resume`]
-/// and [`TimelineSession::tick_and_suspend`], keeps what it needs of each
-/// interval itself, and ends with [`TimelineSession::finish_totals`].
+/// A local run has [`TimelineSession::run`] pull the sliced activity into
+/// one reused sample, slice by slice, and yield the [`TimelineResult`]. A
+/// session time-sliced against others instead brackets each interval with
+/// [`TimelineSession::resume`] and [`TimelineSession::tick_and_suspend`],
+/// keeps what it needs of each interval itself, and ends with
+/// [`TimelineSession::finish_totals`].
 ///
 /// The session keeps no history: every buffer of an interval is kept per
 /// group and reused. The counts are read into the group's latest interval,
@@ -249,17 +250,19 @@ impl<'m> TimelineSession<'m> {
         &self.session
     }
 
-    /// Drive a local run over `slices` of simulated activity, each
-    /// `(t_start_s, t_end_s, activity)` in time order: start counting, then
-    /// per slice credit its activity through the counting engine and close
-    /// its interval. The last interval is closed by
-    /// [`TimelineSession::tick_and_suspend`], not rotated, so finishing
-    /// reads no counter again. Every interval is logged, and the result is
-    /// the session's totals with the logged intervals and their time series
-    /// rebuilt on top ([`TimelineTotals::rebuild`]).
+    /// Drive a local run over slices of simulated activity in time order:
+    /// start counting, then per slice credit its activity through the
+    /// counting engine and close its interval. `fill` writes the next
+    /// slice's activity into the one sample the run reuses and returns the
+    /// slice's `(t_start_s, t_end_s)`, or `None` after the last slice. The
+    /// last interval is closed by [`TimelineSession::tick_and_suspend`], not
+    /// rotated, so finishing reads no counter again. Every interval is
+    /// logged, and the result is the session's totals with the logged
+    /// intervals and their time series rebuilt on top
+    /// ([`TimelineTotals::rebuild`]).
     pub fn run(
         mut self,
-        slices: impl IntoIterator<Item = (f64, f64, EventSample)>,
+        mut fill: impl FnMut(&mut EventSample) -> Option<(f64, f64)>,
     ) -> Result<TimelineResult> {
         let machine = self.session.machine();
         let engine = EventEngine::new(machine);
@@ -267,10 +270,14 @@ impl<'m> TimelineSession<'m> {
         let rows = groups.map(|g| self.session.num_events(g)).collect();
         let mut log = IntervalLog::new(rows, self.session.cpus().len());
         self.start()?;
-        let mut slices = slices.into_iter().peekable();
-        while let Some((t0, t1, sample)) = slices.next() {
+        let mut sample = EventSample::default();
+        let mut next = fill(&mut sample);
+        while let Some((t0, t1)) = next {
             engine.apply(machine, &sample);
-            let interval = match slices.peek() {
+            // The credited sample is free for the next slice, whose
+            // presence decides how this interval closes.
+            next = fill(&mut sample);
+            let interval = match next {
                 Some(_) => self.tick(t1 - t0)?,
                 None => self.tick_and_suspend(t1 - t0)?,
             };
@@ -757,14 +764,15 @@ pub fn run_demo_timeline(
     check_sampling_points(interval_s, duration_s)?;
     let session = TimelineSession::new(machine, config, interval_s)?;
     let cpus = session.session().cpus().to_vec();
-    let mut next_t0 = Some(0.0);
-    let slices = (0..).map_while(move |i| {
+    let (mut index, mut next_t0) = (0, Some(0.0));
+    session.run(|sample| {
         let t0 = next_t0?;
-        let (t1, last) = interval_end(i, interval_s, duration_s);
+        let (t1, last) = interval_end(index, interval_s, duration_s);
+        index += 1;
         next_t0 = (!last).then_some(t1);
-        Some((t0, t1, demo_slice(machine, &cpus, t0, t1)))
-    });
-    session.run(slices)
+        demo_slice_into(sample, machine, &cpus, t0, t1);
+        Some((t0, t1))
+    })
 }
 
 /// Run the CLI's stethoscope mode: measure the synthetic demo application
@@ -848,8 +856,13 @@ mod tests {
         sample.sockets[0].add(HwEventKind::MemoryReads, 100_000);
         sample.sockets[0].add(HwEventKind::MemoryWrites, 50_000);
         sample.sockets[0].add(HwEventKind::UncoreCycles, (1e-3 * frequency_hz) as u64);
-        let slices = (0..8).map(|i| (i as f64 * 1e-3, (i + 1) as f64 * 1e-3, sample.clone()));
-        let result = session.run(slices).unwrap();
+        let mut slices = (0..8).map(|i| (i as f64 * 1e-3, (i + 1) as f64 * 1e-3));
+        let result = session
+            .run(|slice| {
+                slice.clone_from(&sample);
+                slices.next()
+            })
+            .unwrap();
         let aggregate_bw = result.aggregate_results[0]
             .metric("Memory bandwidth [MBytes/s]", 0)
             .expect("aggregate bandwidth");

@@ -83,14 +83,6 @@ pub fn slot_counter(pmu: &Pmu, slot: CounterSlot) -> Option<(&'static CounterBlo
     pmu.block(kind).filter(|block| n < block.count).map(|block| (block, n))
 }
 
-/// Treat an absent register as success; propagate every other failure.
-fn ignore_unknown(result: Result<(), PerfMonError>) -> Result<(), PerfMonError> {
-    match result {
-        Ok(()) | Err(PerfMonError::Msr(MachineError::UnknownMsr { .. })) => Ok(()),
-        Err(e) => Err(e),
-    }
-}
-
 /// Counter programming for the hardware threads of one machine.
 ///
 /// A `PerfMon` owns one read-write MSR device per hardware thread it
@@ -295,7 +287,7 @@ impl CpuCounters<'_> {
         for global in pmu.globals {
             let bits = if global.scope == MsrScope::Package { package } else { Some(thread) };
             if let Some(bits) = bits {
-                ignore_unknown(self.wr(global.ctrl, bits))?;
+                self.wr(global.ctrl, bits)?;
             }
         }
         Ok(())
@@ -311,7 +303,7 @@ impl CpuCounters<'_> {
         let uncore = slots.iter().any(|slot| slot.is_uncore());
         for global in pmu.globals {
             if uncore || global.scope != MsrScope::Package {
-                ignore_unknown(self.wr(global.ctrl, 0))?;
+                self.wr(global.ctrl, 0)?;
             }
         }
         for (block, n) in slots.iter().filter_map(|&slot| slot_counter(pmu, slot)) {
@@ -346,8 +338,8 @@ impl CpuCounters<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables;
-    use likwid_x86_machine::{MachinePreset, Msr};
+    use crate::{tables, EventEngine, EventSample};
+    use likwid_x86_machine::{MachinePreset, Msr, MsrAccesses};
 
     #[test]
     fn evtsel_encoding_round_trips() {
@@ -452,6 +444,38 @@ mod tests {
             let err = PerfMonError::NoSuchCounter(CounterSlot::Fixed(1));
             assert_eq!(err.to_string(), "this machine has no counter FIXC1");
         }
+    }
+
+    #[test]
+    fn pentium_m_starts_and_stops_through_its_selects_alone() {
+        let machine = SimMachine::new(MachinePreset::PentiumM);
+        let engine = EventEngine::new(&machine);
+        let pm = PerfMon::new(&machine, &[0]).unwrap();
+        let events = ["INSTR_RETIRED_ANY", "CPU_CLK_UNHALTED"]
+            .map(|name| engine.table().find(name).unwrap());
+        let slots = [CounterSlot::Pmc(0), CounterSlot::Pmc(1)];
+        let mut cpu = pm.on_cpu(0).unwrap();
+        for (slot, event) in slots.into_iter().zip(events) {
+            cpu.setup(slot, event).unwrap();
+        }
+        drop(cpu);
+        let mut sample = EventSample::new(machine.num_hw_threads(), 1);
+        sample.threads[0].add(events[0].kind, 1000);
+        sample.threads[0].add(events[1].kind, 500);
+
+        // Each select is read and rewritten, and nothing else: a write to a
+        // register the part lacks would also fail the start or the stop.
+        let selects = MsrAccesses { reads: 2, writes: 2 };
+        let before = machine.msr_accesses();
+        pm.on_cpu(0).unwrap().start_slots(&slots).unwrap();
+        assert_eq!(machine.msr_accesses().since(before), selects, "start");
+        engine.apply(&machine, &sample);
+        let before = machine.msr_accesses();
+        pm.on_cpu(0).unwrap().stop_slots(&slots).unwrap();
+        assert_eq!(machine.msr_accesses().since(before), selects, "stop");
+        engine.apply(&machine, &sample);
+        let cpu = pm.on_cpu(0).unwrap();
+        assert_eq!((cpu.read(slots[0]), cpu.read(slots[1])), (Ok(1000), Ok(500)));
     }
 
     #[test]

@@ -419,7 +419,13 @@ fn measure_timeline(
 ) -> likwid::Result<(WorkloadRun, TimelineResult)> {
     let (run, _, slices) = traced_slices(workload, machine, placement, interval_s)?;
     let session = TimelineSession::new(machine, config, interval_s)?;
-    Ok((run, session.run(slices)?))
+    let mut slices = slices.into_iter();
+    let result = session.run(|sample| {
+        let (t0, t1, activity) = slices.next()?;
+        *sample = activity;
+        Some((t0, t1))
+    })?;
+    Ok((run, result))
 }
 
 /// Daemon mode: the sliced activity replayed through a daemon session,

@@ -546,12 +546,10 @@ pub fn register_map(arch: Microarch) -> Vec<MsrDescriptor> {
         map.extend(block.counters().map(|c| register(c, block.scope, true, 0, block.width)));
         map.extend(block.controls().map(|c| register(c, block.scope, true, reserved, 64)));
     }
-    if pmu.implements_globals {
-        for global in pmu.globals {
-            map.push(register(global.ctrl, global.scope, true, 0, 64));
-            map.push(register(global.status, global.scope, false, 0, 64));
-            map.push(register(global.ovf_ctrl, global.scope, true, 0, 64));
-        }
+    for global in pmu.globals {
+        map.push(register(global.ctrl, global.scope, true, 0, 64));
+        map.push(register(global.status, global.scope, false, 0, 64));
+        map.push(register(global.ovf_ctrl, global.scope, true, 0, 64));
     }
     map
 }

@@ -250,18 +250,28 @@ pub struct Pmu {
     pub blocks: &'static [CounterBlock],
     /// The global control registers the blocks' enable bits live in.
     pub globals: &'static [GlobalControl],
-    /// Whether the part implements `globals`. Pentium M does not; the tool
-    /// writes `IA32_PERF_GLOBAL_CTRL` on every Intel part and ignores the
-    /// unknown-register failure, and the counting engine takes an absent
-    /// global control register to enable every counter.
-    pub implements_globals: bool,
+    /// Each class's block, at `BlockKind as usize`.
+    by_kind: [Option<&'static CounterBlock>; 4],
 }
 
 impl Pmu {
+    /// The layout of `blocks`, at most one per class, gated by `globals`.
+    const fn new(blocks: &'static [CounterBlock], globals: &'static [GlobalControl]) -> Self {
+        let mut by_kind = [None; 4];
+        let mut i = 0;
+        while i < blocks.len() {
+            let kind = blocks[i].kind as usize;
+            assert!(by_kind[kind].is_none(), "two blocks of one class");
+            by_kind[kind] = Some(&blocks[i]);
+            i += 1;
+        }
+        Pmu { blocks, globals, by_kind }
+    }
+
     /// The block of counters of class `kind`, if the part has one.
     #[inline]
     pub fn block(&self, kind: BlockKind) -> Option<&'static CounterBlock> {
-        self.blocks.iter().find(|block| block.kind == kind)
+        self.by_kind[kind as usize]
     }
 
     /// The number of counters of class `kind` (0 when absent).
@@ -354,27 +364,23 @@ const AMD_PMC: CounterBlock = CounterBlock {
     global: None,
 };
 
-/// Pentium M: two 40-bit PMCs and no global control.
+/// Pentium M: two 40-bit PMCs, enabled by their selects alone: the part
+/// has no global control register.
 pub(crate) const PENTIUM_M: Pmu =
-    Pmu { blocks: &[intel_pmc(2, 40)], globals: &[CORE_GLOBAL], implements_globals: false };
+    Pmu::new(&[CounterBlock { global: None, ..intel_pmc(2, 40) }], &[]);
 
 /// Core 2 and Atom: two 40-bit PMCs and the fixed counters.
-pub(crate) const CORE2: Pmu = Pmu {
-    blocks: &[intel_pmc(2, 40), INTEL_FIXED],
-    globals: &[CORE_GLOBAL],
-    implements_globals: true,
-};
+pub(crate) const CORE2: Pmu = Pmu::new(&[intel_pmc(2, 40), INTEL_FIXED], &[CORE_GLOBAL]);
 
 /// Nehalem EP and Westmere EP: four 48-bit PMCs, the fixed counters and
 /// the uncore.
-pub(crate) const NEHALEM: Pmu = Pmu {
-    blocks: &[intel_pmc(4, 48), INTEL_FIXED, UNCORE_PMC, UNCORE_FIXED],
-    globals: &[CORE_GLOBAL, UNCORE_GLOBAL],
-    implements_globals: true,
-};
+pub(crate) const NEHALEM: Pmu = Pmu::new(
+    &[intel_pmc(4, 48), INTEL_FIXED, UNCORE_PMC, UNCORE_FIXED],
+    &[CORE_GLOBAL, UNCORE_GLOBAL],
+);
 
 /// AMD K8 and K10.
-pub(crate) const AMD: Pmu = Pmu { blocks: &[AMD_PMC], globals: &[], implements_globals: false };
+pub(crate) const AMD: Pmu = Pmu::new(&[AMD_PMC], &[]);
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,9 @@
 //!   interval history, so it reserves none.
 //! * `SessionHandle::finish` allocates the same bytes whatever the number
 //!   of intervals: it rebuilds nothing per interval.
+//! * A local demo timeline (`run_demo_timeline`) refills one activity
+//!   sample per interval: apart from its interval log, it allocates the
+//!   same bytes for nine times the duration.
 //!
 //! The allocator counts per thread, so the test harness's own threads and
 //! neighbouring tests cannot disturb a measurement. Nothing in this binary
@@ -32,12 +35,17 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use likwid_suite::affinity::parse_pin_list;
 use likwid_suite::cache_sim::{HierarchyConfig, NodeCacheSystem, NumaPolicy};
 use likwid_suite::daemon::{
     ActivitySource, Daemon, Frame, IntervalFrame, OpenRequest, SessionHandle, StreamAccumulator,
 };
+use likwid_suite::likwid::perfctr::timeline::{
+    demo_slice_into, interval_end, run_demo_timeline, IntervalLog,
+};
+use likwid_suite::likwid::perfctr::{parse_measurement_spec, PerfCtrConfig, TimelineSession};
 use likwid_suite::likwid::trace;
-use likwid_suite::perf_events::{HwEventKind, SocketEventRecord, ThreadEventRecord};
+use likwid_suite::perf_events::{tables, HwEventKind, SocketEventRecord, ThreadEventRecord};
 use likwid_suite::x86_machine::{MachinePreset, SimMachine};
 
 /// The system allocator, counting the calling thread's allocations.
@@ -382,5 +390,87 @@ fn finish_allocates_the_same_bytes_for_ten_times_the_intervals() {
         let intervals = (bytes[0].0, bytes[1].0);
         assert_eq!(intervals, (100, 1_000), "-c {cpus} -g {group}: 100 us intervals");
         assert_eq!(bytes[0].1, bytes[1].1, "-c {cpus} -g {group}: bytes finish allocated");
+    }
+}
+
+/// The bytes a local demo timeline allocates, measured around
+/// `TimelineSession::run` driven as `run_demo_timeline` drives it.
+struct LocalTimeline {
+    /// From before the run to the first interval's fill.
+    setup: u64,
+    /// Each interval but the last, from one fill of the reused sample to
+    /// the next: crediting, closing and logging the interval, and filling
+    /// the next slice.
+    intervals: Vec<u64>,
+    /// What appending each of those intervals to a fresh `IntervalLog`
+    /// allocates.
+    log: Vec<u64>,
+    /// The whole run, result included.
+    total: u64,
+}
+
+/// A `-c cpus -g group` configuration on `machine`.
+fn demo_config(machine: &SimMachine, cpus: &str, group: &str) -> PerfCtrConfig {
+    let table = tables::for_arch(machine.arch());
+    PerfCtrConfig {
+        cpus: parse_pin_list(cpus, machine.topology()).expect("valid cpus"),
+        spec: parse_measurement_spec(group, &table).expect("valid group"),
+    }
+}
+
+/// A local demo timeline of `duration_s` in 100 µs intervals, its bytes
+/// marked at every fill.
+fn local_timeline(cpus: &str, group: &str, duration_s: f64) -> LocalTimeline {
+    let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+    let config = demo_config(&machine, cpus, group);
+    let mut marks = Vec::with_capacity(2_000);
+    let (mut start, mut result) = (0, None);
+    let total = bytes_in(|| {
+        start = BYTES.with(Cell::get);
+        let session = TimelineSession::new(&machine, config, 1e-4).expect("session");
+        let cpus = session.session().cpus().to_vec();
+        let (mut index, mut next_t0) = (0, Some(0.0));
+        let run = session.run(|sample| {
+            marks.push(BYTES.with(Cell::get));
+            let t0 = next_t0?;
+            let (t1, last) = interval_end(index, 1e-4, duration_s);
+            index += 1;
+            next_t0 = (!last).then_some(t1);
+            demo_slice_into(sample, &machine, &cpus, t0, t1);
+            Some((t0, t1))
+        });
+        result = Some(run.expect("run"));
+    });
+    let result = result.expect("a result");
+    let setup = marks[1] - start;
+    let rows: Vec<usize> = (0..result.group_names.len())
+        .map(|g| result.intervals.iter().find(|iv| iv.group == g).map_or(0, |iv| iv.counts.len()))
+        .collect();
+    let mut log = IntervalLog::new(rows, result.cpus.len());
+    let log = result.intervals[..result.intervals.len() - 1]
+        .iter()
+        .map(|iv| bytes_in(|| log.push(iv.t_start_s, iv.t_end_s, iv.group, &iv.counts)))
+        .collect();
+    let intervals = marks[1..].windows(2).map(|w| w[1] - w[0]).collect();
+    LocalTimeline { setup, intervals, log, total }
+}
+
+#[test]
+fn a_local_demo_timeline_allocates_the_same_bytes_for_nine_times_the_duration() {
+    for (cpus, group) in DAEMON_KINDS {
+        let setup = [10e-3, 90e-3].map(|duration_s| {
+            let run = local_timeline(cpus, group, duration_s);
+            assert_eq!(run.intervals.len(), (duration_s / 1e-4).round() as usize - 1);
+            // Each interval allocates what its log entry does, and no more.
+            assert_eq!(run.intervals, run.log, "-c {cpus} -g {group}: bytes per interval");
+            // `run_demo_timeline` is that run.
+            let machine = SimMachine::new(MachinePreset::NehalemEp2S);
+            let config = demo_config(&machine, cpus, group);
+            let demo =
+                bytes_in(|| drop(black_box(run_demo_timeline(&machine, config, 1e-4, duration_s))));
+            assert_eq!(demo, run.total, "-c {cpus} -g {group}: run_demo_timeline bytes");
+            run.setup
+        });
+        assert_eq!(setup[0], setup[1], "-c {cpus} -g {group}: bytes before the first interval");
     }
 }

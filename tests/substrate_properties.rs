@@ -17,7 +17,7 @@ use likwid_suite::daemon::{
 };
 use likwid_suite::fleet::trajectory::TrajectoryPoint;
 use likwid_suite::fleet::Trajectory;
-use likwid_suite::likwid::json::{obj, JsonValue};
+use likwid_suite::likwid::json::{obj, JsonValue, Reader};
 use likwid_suite::likwid::perfctr::session::Diagnostic;
 use likwid_suite::likwid::perfctr::{Formula, PerfCtrResults};
 use likwid_suite::likwid::report::{
@@ -713,6 +713,44 @@ proptest! {
         }
     }
 
+    /// The reader's number paths agree with its tree path: over
+    /// number-like tokens (signs, leading zeros, fractions, exponents, 1 to
+    /// 25 digits, `u64::MAX` and one past it, and soup of number
+    /// characters), `Reader::uint` and `Reader::real` return exactly what
+    /// `Reader::value` plus `as_u64` or `as_f64` returns, reals by bits,
+    /// consume the same bytes, and fail on the same tokens with the same
+    /// message. `value` itself matches a reference reading: the RFC 8259
+    /// grammar, a non-negative integer that `u64` parsing accepts kept
+    /// exact, anything else parsed as `f64`.
+    #[test]
+    fn reader_number_paths_agree_with_the_tree_path(
+        tokens in prop::collection::vec(
+            (
+                (0usize..5, prop::sample::select(vec!["", "", "-", "+", "--"])),
+                ("[0-9]{1,25}", "[-0-9][-+.eE0-9]{0,30}"),
+                (prop::bool::ANY, "[0-9]{0,25}"),
+                (prop::bool::ANY, "[eE][+-]?[0-9]{0,2}"),
+                prop::sample::select(vec!["", " ", ",", "]", "x", "\"\""]),
+            ),
+            1..24,
+        ),
+    ) {
+        for ((shape, sign), (digits, soup), (point, frac), (exponent, exp), end) in tokens {
+            let int = match shape {
+                0 | 1 => digits,
+                2 => u64::MAX.to_string(),
+                3 => "18446744073709551616".to_string(),
+                _ => {
+                    number_case(&format!("{soup}{end}"))?;
+                    continue;
+                }
+            };
+            let frac = if point { format!(".{frac}") } else { String::new() };
+            let exp = if exponent { exp } else { String::new() };
+            number_case(&format!("{sign}{int}{frac}{exp}{end}"))?;
+        }
+    }
+
     /// The streaming interval codec agrees with the tree codec: the
     /// writer's line is byte-identical to `JsonValue::encode` of the same
     /// frame, `from_line` returns the frame bit-exactly, whitespace,
@@ -1010,4 +1048,76 @@ fn decoded_topology_matches_ground_truth_everywhere() {
         assert_eq!(probed.threads_per_core, truth.threads_per_core);
         assert_eq!(probed.hw_threads.len(), truth.num_hw_threads());
     }
+}
+
+/// How a reader takes the number token at the start of `doc`: the token is
+/// the whole run of number characters; it must match RFC 8259's
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`; a non-negative
+/// integer that fits a `u64` is exact, any other number an `f64`. `None`
+/// when `doc` does not start with a number.
+fn reference_number(doc: &str) -> Option<Result<JsonValue, String>> {
+    if !doc.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+        return None;
+    }
+    let len = doc.find(|c: char| !"0123456789.eE+-".contains(c)).unwrap_or(doc.len());
+    let token = &doc[..len];
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let unsigned = token.strip_prefix('-').unwrap_or(token);
+    let (mantissa, exponent) = match unsigned.find(['e', 'E']) {
+        Some(at) => (&unsigned[..at], Some(&unsigned[at + 1..])),
+        None => (unsigned, None),
+    };
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((int, frac)) => (int, Some(frac)),
+        None => (mantissa, None),
+    };
+    let valid = digits(int)
+        && (int == "0" || !int.starts_with('0'))
+        && frac.is_none_or(digits)
+        && exponent.is_none_or(|e| digits(e.strip_prefix(['+', '-']).unwrap_or(e)));
+    if !valid {
+        return Some(Err(format!("bad number '{token}' at byte 0")));
+    }
+    Some(Ok(match token.parse::<u64>() {
+        Ok(v) if !token.starts_with('-') => JsonValue::UInt(v),
+        _ => JsonValue::Num(token.parse::<f64>().expect("a valid number parses")),
+    }))
+}
+
+/// One case of `reader_number_paths_agree_with_the_tree_path`: the number
+/// token at the start of `doc` read by `Reader::value`, `Reader::uint` and
+/// `Reader::real`, against `reference_number`.
+fn number_case(doc: &str) -> Result<(), TestCaseError> {
+    let tree = Reader::new(doc).value();
+    match (&tree, reference_number(doc)) {
+        (_, None) => {}
+        (Ok(JsonValue::UInt(a)), Some(Ok(JsonValue::UInt(b)))) => prop_assert_eq!(*a, b),
+        (Ok(JsonValue::Num(a)), Some(Ok(JsonValue::Num(b)))) => {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", doc)
+        }
+        (Err(a), Some(Err(b))) => prop_assert_eq!(a, &b),
+        (_, reference) => prop_assert!(false, "{doc}: value {tree:?}, reference {reference:?}"),
+    }
+    // The byte after the token: what every path leaves at the cursor.
+    let mut r = Reader::new(doc);
+    let _ = r.value();
+    let after = r.peek();
+    let mut r = Reader::new(doc);
+    match r.uint() {
+        Ok(v) => {
+            prop_assert_eq!(v, tree.as_ref().ok().and_then(JsonValue::as_u64), "{}", doc);
+            prop_assert_eq!(r.peek(), after, "uint consumed other bytes of {}", doc);
+        }
+        Err(e) => prop_assert_eq!(Err(e), tree.clone().map(|_| ()), "{}", doc),
+    }
+    let mut r = Reader::new(doc);
+    match r.real() {
+        Ok(v) => {
+            let expected = tree.as_ref().ok().and_then(JsonValue::as_f64);
+            prop_assert_eq!(v.map(f64::to_bits), expected.map(f64::to_bits), "{}", doc);
+            prop_assert_eq!(r.peek(), after, "real consumed other bytes of {}", doc);
+        }
+        Err(e) => prop_assert_eq!(Err(e), tree.map(|_| ()), "{}", doc),
+    }
+    Ok(())
 }
