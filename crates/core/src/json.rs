@@ -21,11 +21,10 @@
 //! or `-.5` and raw control characters inside strings are errors.
 //!
 //! The reader reads each number once. One scan checks the token against
-//! the grammar and accumulates its digits as it goes, without an overflow
-//! check for the first 19 (any 19 digits fit a `u64`). The scan yields the
-//! exact `u64` of a non-negative integer, or the correctly rounded `f64` of
-//! any other number: from the digits when they and the power of ten are
-//! exact doubles, else by parsing the token. [`Reader::uint`] and
+//! the grammar and accumulates its integer digits as it goes, without an
+//! overflow check for the first 19 (any 19 digits fit a `u64`). The scan
+//! yields the exact `u64` of a non-negative integer, or the `f64` that
+//! `str::parse` gives any other number's token. [`Reader::uint`] and
 //! [`Reader::real`] return that value directly, and [`Reader::value`]
 //! wraps it in its tree node, so every path reads a number alike.
 
@@ -573,40 +572,27 @@ impl<'a> Reader<'a> {
     /// same pass. The token is the whole run of number characters at the
     /// cursor, so `01` or `1.e5` is one bad number rather than a number and
     /// trailing characters. A non-negative integer that fits a `u64` is
-    /// exact; every other number is the correctly rounded `f64`, computed
-    /// from the digits read when they and the power of ten are exact
-    /// doubles, else by parsing the token.
+    /// exact, from the digits read; every other number is the `f64` its
+    /// token parses to.
     #[inline]
     fn number(&mut self) -> Result<Number, String> {
         let bytes = self.text.as_bytes();
         let start = self.pos;
         let negative = bytes.get(start) == Some(&b'-');
         let int_start = start + usize::from(negative);
-        // The integer and fraction digits, read as one integer.
-        let mut digits = Digits { value: 0, count: 0, fits: true };
-        let mut at = digits.run(bytes, int_start);
+        let (mut at, int) = integer(bytes, int_start);
         let mut valid = at > int_start && (bytes[int_start] != b'0' || at == int_start + 1);
         let integral = !matches!(bytes.get(at), Some(b'.' | b'e' | b'E'));
-        // The power of ten of the last digit read.
-        let mut scale = 0i64;
         if bytes.get(at) == Some(&b'.') {
             let from = at + 1;
-            at = digits.run(bytes, from);
+            at = skip_digits(bytes, from);
             valid &= at > from;
-            scale = -((at - from) as i64);
         }
         if let Some(b'e' | b'E') = bytes.get(at) {
             at += 1;
-            let minus = bytes.get(at) == Some(&b'-');
-            at += usize::from(matches!(bytes.get(at), Some(b'+' | b'-')));
-            let from = at;
-            let mut exponent = 0i64;
-            while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
-                exponent = exponent.saturating_mul(10).saturating_add(i64::from(b - b'0'));
-                at += 1;
-            }
+            let from = at + usize::from(matches!(bytes.get(at), Some(b'+' | b'-')));
+            at = skip_digits(bytes, from);
             valid &= at > from;
-            scale = if minus { scale.saturating_sub(exponent) } else { scale + exponent };
         }
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(at) {
             valid = false;
@@ -616,38 +602,17 @@ impl<'a> Reader<'a> {
         if !valid {
             return Err(self.bad_number(start));
         }
-        if integral && !negative && digits.fits {
-            return Ok(Number::UInt(digits.value));
+        match int {
+            Some(v) if integral && !negative => Ok(Number::UInt(v)),
+            // Past u64::MAX an integer falls back to a real.
+            _ => self.text[start..at].parse().map(Number::Real).map_err(|_| self.bad_number(start)),
         }
-        // Past u64::MAX an integer falls back to a real.
-        let real = match EXACT_POWERS.get(scale.unsigned_abs() as usize) {
-            // Both operands are exact doubles, so the one rounding of the
-            // product or quotient is the correctly rounded value (Clinger's
-            // fast path), as the parse below would give.
-            Some(&power) if digits.fits && digits.value <= 1 << 53 => {
-                let value = digits.value as f64;
-                let magnitude = if scale < 0 { value / power } else { value * power };
-                if negative {
-                    -magnitude
-                } else {
-                    magnitude
-                }
-            }
-            _ => self.parse_real(start)?,
-        };
-        Ok(Number::Real(real))
     }
 
     /// The error for the bad number token from `start` to the cursor.
     #[cold]
     fn bad_number(&self, start: usize) -> String {
         format!("bad number '{}' at byte {start}", &self.text[start..self.pos])
-    }
-
-    /// The valid number token from `start` to the cursor, parsed as a real.
-    #[cold]
-    fn parse_real(&self, start: usize) -> Result<f64, String> {
-        self.text[start..self.pos].parse().map_err(|_| self.bad_number(start))
     }
 }
 
@@ -659,53 +624,39 @@ enum Number {
     Real(f64),
 }
 
-/// The powers of ten a double holds exactly: `10^0` to `10^22`.
-const EXACT_POWERS: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
+/// Any 19 decimal digits fit a `u64`.
+const UNCHECKED_DIGITS: usize = 19;
 
-/// The digits of a number token, read as one integer.
-struct Digits {
-    /// The digits read so far, while `fits`.
-    value: u64,
-    /// How many digits were read.
-    count: usize,
-    /// Whether `value` holds every digit read: false once they overflow a
-    /// `u64`.
-    fits: bool,
+/// The end of the run of digits at `at`, and their value unless it
+/// overflows a `u64`. The first [`UNCHECKED_DIGITS`] accumulate without an
+/// overflow check; only later ones are checked.
+#[inline]
+fn integer(bytes: &[u8], mut at: usize) -> (usize, Option<u64>) {
+    let unchecked = bytes.len().min(at + UNCHECKED_DIGITS);
+    let mut value = 0u64;
+    while at < unchecked {
+        let d = bytes[at].wrapping_sub(b'0');
+        if d > 9 {
+            return (at, Some(value));
+        }
+        value = value * 10 + u64::from(d);
+        at += 1;
+    }
+    let mut value = Some(value);
+    while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
+        value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+        at += 1;
+    }
+    (at, value)
 }
 
-impl Digits {
-    /// Any 19 decimal digits fit a `u64`.
-    const UNCHECKED: usize = 19;
-
-    /// Read the run of digits at `at` and return its end. The first
-    /// [`Digits::UNCHECKED`] digits of the token accumulate without an
-    /// overflow check; only later ones are checked.
-    #[inline]
-    fn run(&mut self, bytes: &[u8], mut at: usize) -> usize {
-        let from = at;
-        let unchecked = bytes.len().min(at + Self::UNCHECKED.saturating_sub(self.count));
-        while at < unchecked {
-            let d = bytes[at].wrapping_sub(b'0');
-            if d > 9 {
-                break;
-            }
-            self.value = self.value * 10 + u64::from(d);
-            at += 1;
-        }
-        while let Some(&b @ b'0'..=b'9') = bytes.get(at) {
-            let next = self.value.checked_mul(10).and_then(|v| v.checked_add(u64::from(b - b'0')));
-            match next {
-                Some(v) if self.fits => self.value = v,
-                _ => self.fits = false,
-            }
-            at += 1;
-        }
-        self.count += at - from;
-        at
+/// The end of the run of digits at `at`.
+#[inline]
+fn skip_digits(bytes: &[u8], mut at: usize) -> usize {
+    while let Some(b'0'..=b'9') = bytes.get(at) {
+        at += 1;
     }
+    at
 }
 
 #[cfg(test)]
@@ -730,20 +681,6 @@ mod tests {
         for v in [0u64, 1, u64::MAX, u64::MAX - 1, 1 << 53, (1 << 53) + 1] {
             let text = JsonValue::UInt(v).encode();
             assert_eq!(JsonValue::parse(&text).unwrap(), JsonValue::UInt(v), "{v}");
-        }
-    }
-
-    #[test]
-    fn reals_at_the_edges_of_the_exact_range_round_like_the_standard_parser() {
-        let mantissas = [1u64, 3, 7, 123_456_789, (1 << 53) - 1, 1 << 53, (1 << 53) + 1];
-        for m in mantissas {
-            for scale in -25i32..=25 {
-                for token in [format!("{m}e{scale}"), format!("-{m}.0e{scale}")] {
-                    let read = JsonValue::parse(&token).unwrap().as_f64().unwrap();
-                    let parsed: f64 = token.parse().unwrap();
-                    assert_eq!(read.to_bits(), parsed.to_bits(), "{token}");
-                }
-            }
         }
     }
 

@@ -105,11 +105,14 @@ impl EventEngine {
         socket: usize,
         sample: &EventSample,
     ) {
-        // A block gates each counter through its global enable bit; parts
-        // without the global control register only have the per-counter
-        // enables, modeled as every global bit set.
-        let global = block.global.map_or(Ok(u64::MAX), |g| msr.read(cpu, g.control.ctrl));
-        let enabled = block.global_enables(global.unwrap_or(u64::MAX));
+        // A block gates each counter through its global enable bit; a block
+        // without one has only the per-counter enables, and
+        // `global_enables` ignores the value it is given.
+        let Ok(global) = block.global.map_or(Ok(u64::MAX), |g| msr.read(cpu, g.control.ctrl))
+        else {
+            return;
+        };
+        let enabled = block.global_enables(global);
         let uncore = block.scope == MsrScope::Package;
         for n in (0..block.count).filter(|n| enabled >> n & 1 == 1) {
             let Ok(ctrl) = msr.read(cpu, block.control_register(n)) else { continue };
